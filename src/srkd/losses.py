@@ -3,8 +3,11 @@
 Student-side inputs are autodiff Tensors so gradients flow back to the
 student encoder, head and channel projection; teacher-side inputs are
 plain arrays (the teacher is frozen). The cross-sample batch geometry
-loss is implemented as a single fused tape op over the stacked mini-batch
-feature maps, since at full scale it dominates the training step.
+loss, which dominates the training step at full scale, is a single fused
+tape op over the stacked (B*N, D) mini-batch feature maps. It walks the B
+row stripes (N x B*N) of the pairwise gram instead of forming the
+(B*N)^2 matrix, and yields the loss and its gradient from that one pass;
+its working set is two float64 stripes, 128 MB at B=8, N=1024.
 
 Formula conventions (documented because the source material is loose):
   * Logit and similarity KL use softmax(Z / T), with the student
@@ -30,7 +33,7 @@ from .autodiff import Tensor, concat_rows
 from .errors import (ConfigError, NumericError, PairingError, ShapeError,
                      UndefinedLossError)
 from .cloud import IGNORE_LABEL
-from .numerics import l2_normalize_rows
+from .numerics import l2_normalize_rows, log_softmax_rows
 from .voxelize import Supervoxel
 
 LOSS_NAMES = ("l_task", "l_kd", "l_amra_p", "l_amra_v", "l_amra_c", "l_batch_gd")
@@ -53,8 +56,8 @@ class LossWeights:
                    self.lambda_c, self.lambda_batch_gd)
         if any(not np.isfinite(v) or v < 0 for v in lambdas):
             raise ConfigError("loss weights must be finite and nonnegative")
-        if self.t_logit <= 0 or self.t_gd <= 0:
-            raise ConfigError("temperatures must be positive")
+        if any(not np.isfinite(t) or t <= 0 for t in (self.t_logit, self.t_gd)):
+            raise ConfigError("temperatures must be finite and positive")
 
     @classmethod
     def zeros(cls) -> "LossWeights":
@@ -139,15 +142,9 @@ def loss_kd(student_logits, teacher_logits, temperature: float,
     if mask is None:
         mask = np.ones(zs.shape[0], dtype=bool)
     ls_s = zs.log_softmax_rows(temperature)
-    ls_t = Tensor(_np_log_softmax(zt, temperature))
+    ls_t = Tensor(log_softmax_rows(zt, temperature))
     rows = (ls_s.exp() * (ls_s - ls_t)).sum(axis=1)
     return _valid_row_mean(rows, np.asarray(mask, dtype=bool))
-
-
-def _np_log_softmax(m: np.ndarray, temperature: float) -> np.ndarray:
-    s = m / temperature
-    s = s - s.max(axis=-1, keepdims=True)
-    return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +248,7 @@ def loss_amra_channel(views_s: list[SupervoxelFeatures],
 
 def _masked_channel_kl(rows_s: Tensor, rows_t: Tensor, mask: np.ndarray) -> Tensor:
     ls_s = rows_s.log_softmax_rows()
-    ls_t = Tensor(_np_log_softmax(rows_t.data, 1.0))
+    ls_t = Tensor(log_softmax_rows(rows_t.data))
     kl = (ls_s.exp() * (ls_s - ls_t)).sum(axis=1)
     return _valid_row_mean(kl, mask)
 
@@ -287,55 +284,37 @@ def loss_gd_pair(m_s: np.ndarray, m_t: np.ndarray, temperature: float,
         raise UndefinedLossError("loss_gd_pair: no valid columns")
     sub_s = m_s[np.ix_(rows, cols)]
     sub_t = m_t[np.ix_(rows, cols)]
-    ls = _np_log_softmax(sub_s, temperature)
-    lt = _np_log_softmax(sub_t, temperature)
+    ls = log_softmax_rows(sub_s, temperature)
+    lt = log_softmax_rows(sub_t, temperature)
     return float((np.exp(ls) * (ls - lt)).sum(axis=1).mean())
-
-
-class _Workspace:
-    """Reusable large buffers for the fused batch-GD kernel.
-
-    The generation counter tracks buffer ownership: every forward (and every
-    consuming backward) bumps it, so a backward whose forward state has been
-    overwritten by a newer call knows to recompute instead of reading stale
-    buffers.
-    """
-
-    def __init__(self):
-        self._bufs: dict[str, np.ndarray] = {}
-        self.generation = 0
-
-    def get(self, name: str, shape) -> np.ndarray:
-        buf = self._bufs.get(name)
-        if buf is None or buf.shape != shape:
-            buf = np.empty(shape)
-            self._bufs[name] = buf
-        return buf
-
-    def bump(self) -> int:
-        self.generation += 1
-        return self.generation
-
-
-_GD_WS = _Workspace()
 
 
 def gd_teacher_log_z(teacher_maps: list[np.ndarray], temperature: float,
                      masks: list[np.ndarray] | None = None) -> np.ndarray:
     """Per-(row, target-sample) log partition of the teacher similarities.
 
-    Cacheable per mini-batch: the teacher is frozen, so these values are
-    constant for a fixed batch composition.
+    Entry [a, j] is log sum_c exp(<t_a, t_c> / T) over the valid columns c
+    of sample j, for L2-normalized teacher rows t. It walks the same B row
+    stripes as the loss kernel, so it holds one N x B*N float64 stripe
+    (64 MB at B=8, N=1024) instead of the (B*N)^2 gram. Cacheable per
+    mini-batch: the teacher is frozen, so these values are constant for a
+    fixed batch composition.
     """
     fn_t = np.concatenate([l2_normalize_rows(m) for m in teacher_maps], axis=0)
     b = len(teacher_maps)
     n = teacher_maps[0].shape[0]
-    g = fn_t @ fn_t.T
-    g /= temperature
-    np.exp(g, out=g)
-    if masks is not None:
-        g *= np.concatenate(masks).astype(np.float64)[None, :]
-    return np.log(g.reshape(b * n, b, n).sum(axis=2))
+    colf = None if masks is None else np.concatenate(masks).astype(np.float64)
+    log_z = np.empty((b * n, b))
+    g = np.empty((n, b * n))
+    for i in range(b):
+        rows = slice(i * n, (i + 1) * n)
+        np.matmul(fn_t[rows], fn_t.T, out=g)
+        g /= temperature
+        np.exp(g, out=g)
+        if colf is not None:
+            g *= colf
+        np.log(g.reshape(n, b, n).sum(axis=2), out=log_z[rows])
+    return log_z
 
 
 def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
@@ -371,8 +350,7 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
         row_weight = np.where(col_valid,
                               np.repeat(1.0 / (b * b * counts), n), 0.0)
     if teacher_log_z is None:
-        teacher_log_z = gd_teacher_log_z(teacher_maps, temperature,
-                                         masks if masks is not None else None)
+        teacher_log_z = gd_teacher_log_z(teacher_maps, temperature, masks)
     return _fused_batch_gd(fn_s, fn_t, b, n, temperature, col_valid,
                            row_weight, teacher_log_z)
 
@@ -380,61 +358,52 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
 def _fused_batch_gd(fn_s: Tensor, fn_t: np.ndarray, b: int, n: int,
                     temperature: float, col_valid: np.ndarray | None,
                     row_weight: np.ndarray, log_zt: np.ndarray) -> Tensor:
-    """Fused forward/backward of the pairwise row-softmax KL objective.
+    """Loss and gradient of the pairwise row-softmax KL in one stripe walk.
 
-    Works on the stacked (B*N, D) normalized maps; the (B*N, B*N) gram is
-    viewed as BxB blocks of N x N similarity matrices. Large intermediates
-    live in a reusable workspace to keep the peak footprint bounded.
+    The stacked (B*N, D) normalized maps define a (B*N, B*N) gram, viewed
+    as BxB blocks of N x N similarity matrices, which is never formed.
+    Stripe i is the N rows of sample i against all B*N columns; from it
+    come those rows' KL terms and, with G_i = dL/dS for the stripe, the
+    gradient contribution G_i @ F to the rows of sample i plus G_i^T @ F_i
+    to every row. The working set is two N x B*N float64 stripes (128 MB
+    at B=8, N=1024); the gradient pass is skipped when the student maps
+    need no gradient.
     """
     bn = b * n
     inv_t = 1.0 / temperature
-
-    # Temperature folded into the (small) feature matrices so the (BN, BN)
-    # grams come out pre-scaled, saving two full passes over them.
+    # Temperature folded into the (small) feature matrices so the stripe
+    # grams come out pre-scaled.
     c = np.sqrt(inv_t)
-    fs_c = fn_s.data * c
+    fs = fn_s.data
+    fs_c = fs * c
     ft_c = fn_t * c
     colf = None if col_valid is None else col_valid.astype(np.float64)
-    s = _GD_WS.get("s", (bn, bn))
-    t = _GD_WS.get("t", (bn, bn))
-    e = _GD_WS.get("e", (bn, bn))
-    scratch = _GD_WS.get("scratch", (bn, bn))
-
-    def fill():
-        # s = student gram, e = exp(s) masked, returns d = s - t (in t)
-        np.matmul(fs_c, fs_c.T, out=s)
-        np.matmul(ft_c, ft_c.T, out=t)
-        np.exp(s, out=e)
+    grad = np.zeros_like(fs) if fn_s.requires_grad else None
+    row_kl = np.empty((bn, b))
+    e = np.empty((n, bn))
+    d = np.empty((n, bn))
+    e3, d3 = e.reshape(n, b, n), d.reshape(n, b, n)
+    for i in range(b):
+        rows = slice(i * n, (i + 1) * n)
+        np.matmul(fs_c[rows], fs_c.T, out=e)           # student gram S_i
+        np.matmul(ft_c[rows], ft_c.T, out=d)           # teacher gram T_i
+        np.subtract(e, d, out=d)                       # d = S_i - T_i
+        np.exp(e, out=e)
         if colf is not None:
-            np.multiply(e, colf[None, :], out=e)
-        return np.subtract(s, t, out=t)
-
-    d = fill()
-    z = e.reshape(bn, b, n).sum(axis=2)                      # (BN, B)
-    np.multiply(e, d, out=scratch)
-    gap = scratch.reshape(bn, b, n).sum(axis=2)              # sum_b p*(s-t) * Z
-    row_kl = gap / z - np.log(z) + log_zt                    # (BN, B)
+            e *= colf
+        z = e3.sum(axis=2)                             # (N, B) partitions
+        d *= e
+        q = d3.sum(axis=2) / z                         # E_p[s - t] per block
+        row_kl[rows] = q - np.log(z) + log_zt[rows]
+        if grad is not None:
+            # d <- G_i[a, col in block j] = w_a * p * (s - t - q_aj) / T,
+            # the 1/T coming from the temperature folded into fs_c
+            e3 *= q[:, :, None]
+            d -= e
+            d3 *= ((inv_t * row_weight[rows])[:, None] / z)[:, :, None]
+            grad[rows] += d @ fs                       # G_i @ F
+            grad += (fs[rows].T @ d).T                 # G_i^T @ F_i
     loss = float((row_kl.sum(axis=1) * row_weight).sum())
     if not np.isfinite(loss):
         raise NumericError("batch geometry loss is non-finite")
-    state = {"gen": _GD_WS.bump()}
-
-    def vjp(g):
-        # dL/dS[a, col in block j] = w_a * p * (d - rowterm_j) ; chain 1/T
-        if _GD_WS.generation != state["gen"]:
-            # Another forward (or an earlier backward) recycled the buffers
-            # since this node was built; restore them from the saved inputs.
-            fill()
-        d = t
-        d3 = d.reshape(bn, b, n)
-        d3 -= (gap / z)[:, :, None]
-        np.multiply(d, e, out=d)
-        d3 /= z[:, :, None]
-        np.multiply(d, (float(g) * inv_t) * row_weight[:, None], out=d)
-        np.add(d, d.T, out=scratch)
-        # the mutations above consumed the buffers; force a refill next time
-        state["gen"] = -1
-        _GD_WS.bump()
-        return scratch @ fn_s.data
-
-    return Tensor.from_op(np.float64(loss), [(fn_s, vjp)])
+    return Tensor.from_op(np.float64(loss), [(fn_s, lambda g: float(g) * grad)])

@@ -61,6 +61,11 @@ class TrainConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
 
     def __post_init__(self):
+        reals = (self.lr, self.weight_decay, self.warmup_frac, self.start_factor,
+                 self.final_factor, self.train_fraction)
+        if not all(np.isfinite(v) for v in reals):
+            raise ConfigError("lr, weight_decay, warmup_frac, start_factor, "
+                              "final_factor and train_fraction must be finite")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         if not 0.0 < self.warmup_frac < 1.0:

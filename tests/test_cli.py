@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import srkd
 from srkd.cli import GRADCHECK_TOL, gradcheck_report, main
 from srkd.losses import LOSS_NAMES
 
@@ -139,6 +141,17 @@ class TestErrors:
         assert code == 2
         assert "not found" in json.loads(capsys.readouterr().err)["message"]
 
+    def test_nonfinite_setting_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "nan.cfg"
+        bad.write_text(TINY_CFG + "loss.t_gd = nan\n")
+        out = str(tmp_path / "o")
+        assert main(["generate", "--config", str(bad), "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["train-teacher", "--config", str(bad), "--out", out]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+
     def test_eval_without_student(self, workdir, tmp_path, capsys):
         out = tmp_path / "fresh"
         assert main(["generate", "--config", str(workdir / "tiny.cfg"),
@@ -170,9 +183,12 @@ class TestGradcheck:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the child finds the package where this process imported it from
+        src = str(Path(srkd.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "srkd.cli", "train",
              "--out", str(tmp_path / "empty")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["error"] == "DataError"

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from srkd.autodiff import Tensor
+from srkd.autodiff import Tensor, finite_diff_gradient
 from srkd.errors import (ConfigError, NumericError, PairingError,
                          UndefinedLossError)
 from srkd.losses import (LOSS_NAMES, LossWeights, SupervoxelFeatures, affinity,
-                         cross_similarity, loss_amra_channel, loss_amra_point,
-                         loss_amra_voxel, loss_batch_gd, loss_gd_pair, loss_kd,
-                         loss_task, loss_total, weighted_total)
+                         cross_similarity, gd_teacher_log_z, loss_amra_channel,
+                         loss_amra_point, loss_amra_voxel, loss_batch_gd,
+                         loss_gd_pair, loss_kd, loss_task, loss_total,
+                         weighted_total)
 from srkd.numerics import l2_normalize_rows, softmax_rows
 
 RNG = np.random.default_rng(777)
@@ -331,6 +334,86 @@ class TestBatchGD:
             loss_batch_gd([Tensor(np.ones((2, 2)))], [np.ones((2, 2))], 0.0)
 
 
+def padded_batch(b=3, n=6, masked=((0, 4), (0, 5), (2, 1))):
+    """Student/teacher maps with some rows masked and those rows zeroed."""
+    rng = np.random.default_rng(41)
+    masks = [np.ones(n, dtype=bool) for _ in range(b)]
+    for i, a in masked:
+        masks[i][a] = False
+    student = [rng.standard_normal((n, 3)) * m[:, None] for m in masks]
+    teacher = [rng.standard_normal((n, 5)) * m[:, None] for m in masks]
+    return student, teacher, masks
+
+
+class TestBatchGDGradient:
+    def leaf_grads(self, student, teacher, masks=None, log_z=None):
+        leaves = [Tensor(m, requires_grad=True) for m in student]
+        loss_batch_gd(leaves, teacher, 2.0, masks, log_z).backward()
+        return [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("precompute", [True, False])
+    def test_masked_leaf_finite_differences(self, precompute):
+        student, teacher, masks = padded_batch()
+        log_z = gd_teacher_log_z(teacher, 2.0, masks) if precompute else None
+        analytic = self.leaf_grads(student, teacher, masks, log_z)
+        scale = max(np.abs(g).max() for g in analytic)
+        for i in range(len(student)):
+            def f(theta, i=i):
+                maps = [theta if k == i else m for k, m in enumerate(student)]
+                return loss_batch_gd([Tensor(m) for m in maps], teacher, 2.0,
+                                     masks, log_z).item()
+
+            fd = finite_diff_gradient(f, student[i].copy())
+            assert np.abs(analytic[i] - fd).max() <= 1e-6 * scale
+        for g, m in zip(analytic, masks):
+            assert not g[~m].any()
+
+    def test_graphs_backward_in_reverse_order(self):
+        rng = np.random.default_rng(43)
+        batches = [([rng.standard_normal((6, 3)) for _ in range(3)],
+                    [rng.standard_normal((6, 5)) for _ in range(3)])
+                   for _ in range(2)]
+        isolated = [self.leaf_grads(s, t) for s, t in batches]
+        graphs = []
+        for student, teacher in batches:
+            leaves = [Tensor(m, requires_grad=True) for m in student]
+            graphs.append((leaves, loss_batch_gd(leaves, teacher, 2.0)))
+        for _, loss in reversed(graphs):
+            loss.backward()
+        for (leaves, _), want in zip(graphs, isolated):
+            for leaf, g in zip(leaves, want):
+                np.testing.assert_allclose(leaf.grad, g, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("use_masks", [False, True])
+    def test_teacher_log_z_oracle(self, use_masks):
+        _, teacher, masks = padded_batch()
+        masks = masks if use_masks else None
+        got = gd_teacher_log_z(teacher, 2.0, masks)
+        ft = [l2_normalize_rows(m) for m in teacher]
+        cols = masks or [np.ones(6, dtype=bool)] * 3
+        for i, rows in enumerate(ft):
+            for a, row in enumerate(rows):
+                for j, other in enumerate(ft):
+                    sims = other[cols[j]] @ row / 2.0
+                    top = sims.max()
+                    want = top + np.log(np.exp(sims - top).sum())
+                    assert got[i * 6 + a, j] == pytest.approx(want, rel=1e-12)
+
+    def test_working_set_below_one_gram(self):
+        b, n, d = 8, 128, 16
+        rng = np.random.default_rng(47)
+        student = [Tensor(rng.standard_normal((n, d)), requires_grad=True)
+                   for _ in range(b)]
+        teacher = [rng.standard_normal((n, d)) for _ in range(b)]
+        tracemalloc.start()
+        try:
+            loss_batch_gd(student, teacher, 2.0).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (b * n) ** 2 * 8
+
+
 class TestTotals:
     def test_baseline_reduction(self):
         comps = dict(zip(LOSS_NAMES, [2.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
@@ -364,6 +447,12 @@ class TestTotals:
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
             LossWeights(lambda_kd=-0.1)
+
+    @pytest.mark.parametrize("field", ["t_logit", "t_gd"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_temperature_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            LossWeights(**{field: value})
 
     def test_weighted_total_matches_report(self):
         comps = {n: Tensor(np.float64(v))

@@ -175,3 +175,13 @@ class TestHarnesses:
         for r in rows:
             assert r["student_dim"] * 2 == r["dim"]
             assert {"miou", "macc", "allacc"} <= set(r)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["lr", "weight_decay", "warmup_frac",
+                                       "start_factor", "final_factor",
+                                       "train_fraction"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_setting_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            TrainConfig(**{field: value})
