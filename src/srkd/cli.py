@@ -182,6 +182,7 @@ def cmd_ablate(args, cfg: dict) -> int:
 
 
 def cmd_noise(args, cfg: dict) -> int:
+    ncfg = cfgmod.noise_config(cfg, args.seed)
     out = _out_dir(args)
     h = _echo_config(cfg, out, args.seed)
     data = _load_dataset(out, cfg)
@@ -189,8 +190,7 @@ def cmd_noise(args, cfg: dict) -> int:
     if not path.is_file():
         raise DataError(f"no student checkpoint at {path}; run 'srkd train' first")
     model = SegModel.from_state(load_checkpoint(path), trainable=False)
-    rows = trainer.noise_sweep(model, data.val, cfgmod.noise_config(cfg, args.seed),
-                               cfg["train.n_fixed"])
+    rows = trainer.noise_sweep(model, data.val, ncfg, cfg["train.n_fixed"])
     _write_csv(out / "noise.csv", rows, h)
     print(json.dumps(rows))
     return 0

@@ -141,6 +141,11 @@ class SceneSpec:
     d_in: int = field(default=2, init=False)
 
     def validate(self):
+        floats = ("radial_extent", "height_extent", "noise_std", "decay_ratio",
+                  "label_fraction", "label_noise", "cue_noise")
+        bad = [name for name in floats if not np.isfinite(getattr(self, name))]
+        if bad:
+            raise ConfigError(f"{', '.join(bad)} must be finite")
         if self.n_classes < 1 or self.points_per_scene < 1 or self.n_scenes < 1:
             raise ConfigError("n_classes, points_per_scene and n_scenes must be >= 1")
         if self.n_classes > IGNORE_LABEL - 1:
@@ -432,10 +437,12 @@ def _read_binary(path: Path) -> PointCloud:
     if len(raw) < 16:
         raise ParseError(f"{path}: truncated header")
     n, d, c = struct.unpack_from("<III", raw, 4)
-    rec = np.dtype([("vals", "<f8", (3 + d,)), ("label", "<u2")])
-    expected = 16 + n * rec.itemsize
+    if n == 0:
+        raise ParseError(f"{path}: header declares no records")
+    expected = 16 + n * (8 * (3 + d) + 2)  # checked before d sizes a dtype
     if len(raw) != expected:
         raise ParseError(f"{path}: expected {expected} bytes for {n} records, got {len(raw)}")
+    rec = np.dtype([("vals", "<f8", (3 + d,)), ("label", "<u2")])
     body = np.frombuffer(raw, dtype=rec, count=n, offset=16)
     vals = body["vals"]
     labels = body["label"].astype(np.int64)

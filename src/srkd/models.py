@@ -11,6 +11,7 @@ feature noise is injected.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -25,6 +26,7 @@ _CKPT_MAGIC = b"SRKDCKPT1"
 DEFAULT_HIDDEN = 128
 DEFAULT_K = 8
 AGG_ROUNDS = 2
+KNN_BLOCK_ENTRIES = 32768  # float64 entries per k-NN distance block (256 KB)
 
 
 def knn_indices(positions: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
@@ -32,17 +34,39 @@ def knn_indices(positions: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
 
     Padded rows point at themselves so they never mix with real points;
     k' = min(k, number of valid points).
+
+    The m valid points are walked in blocks of rows = max(1, 32768 // m).
+    For each block the squared distances to all m valid points are built
+    one coordinate at a time, (x_i - x_j)^2, then += (y_i - y_j)^2, then
+    += (z_i - z_j)^2, which is the float operation order of the full-matrix
+    ((p_i - p_j) ** 2).sum(axis=-1); the block's rows are then selected with
+    argpartition (argsort when k' = m). Selection works row by row, so each
+    row sees the same bits as in the full m x m matrix and the result is
+    byte-identical to it, neighbour order and tie choices included. The
+    working set is two (rows, m) float64 buffers of about 32K entries each
+    instead of an (m, m, 3) difference tensor.
     """
     n = positions.shape[0]
     valid = np.flatnonzero(mask)
-    kk = min(k, valid.size)
+    m = valid.size
+    kk = min(k, m)
     idx = np.tile(np.arange(n, dtype=np.intp)[:, None], (1, kk))
-    if valid.size:
-        pv = positions[valid]
-        d2 = ((pv[:, None, :] - pv[None, :, :]) ** 2).sum(axis=2)
-        near = np.argpartition(d2, kk - 1, axis=1)[:, :kk] if kk < valid.size \
-            else np.argsort(d2, axis=1)
-        idx[valid] = valid[near]
+    if m:
+        first, *rest = positions[valid].T.copy()  # one contiguous row per axis
+        rows = max(1, KNN_BLOCK_ENTRIES // m)
+        d_buf, t_buf = np.empty((rows, m)), np.empty((rows, m))
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            d, t = d_buf[:hi - lo], t_buf[:hi - lo]
+            np.subtract(first[lo:hi, None], first, out=d)
+            d *= d
+            for col in rest:
+                np.subtract(col[lo:hi, None], col, out=t)
+                t *= t
+                d += t
+            near = np.argpartition(d, kk - 1, axis=1)[:, :kk] if kk < m \
+                else np.argsort(d, axis=1)
+            idx[valid[lo:hi]] = valid[near]
     return idx
 
 
@@ -109,14 +133,6 @@ class Linear:
         if x.shape[1] != self.d_in:
             raise ShapeError(f"linear expects width {self.d_in}, got {x.shape[1]}")
         return x @ self.w + self.b
-
-
-def head_forward(head: Linear, features) -> Tensor:
-    return head.forward(features)
-
-
-def project_channels(proj: Linear, student_features) -> Tensor:
-    return proj.forward(student_features)
 
 
 class SegModel:
@@ -201,13 +217,26 @@ class SegModel:
 
     @classmethod
     def from_state(cls, state: dict[str, np.ndarray], trainable: bool = True) -> "SegModel":
-        widths = tuple(int(w) for w in state["meta.widths"])
-        project_to = int(state["meta.project_to"][0])
-        model = cls(widths, int(state["meta.n_classes"][0]),
-                    k=int(state["meta.k"][0]), trainable=trainable,
+        widths = tuple(_meta(state, "meta.widths", scalar=False))
+        project_to = _meta(state, "meta.project_to", minimum=-1)
+        model = cls(widths, _meta(state, "meta.n_classes"),
+                    k=_meta(state, "meta.k"), trainable=trainable,
                     project_to=None if project_to < 0 else project_to)
         model.load_state(state)
         return model
+
+
+def _meta(state: dict[str, np.ndarray], name: str, scalar: bool = True,
+          minimum: int = 1):
+    """Whole-number metadata buffer (an int, or a list if not scalar), >= minimum."""
+    if name not in state:
+        raise DataError(f"checkpoint is missing buffer {name!r}")
+    vals = np.asarray(state[name], dtype=np.float64).ravel()
+    whole = np.isfinite(vals) & (vals == np.round(vals)) & (vals >= minimum)
+    if (vals.size != 1 if scalar else vals.size == 0) or not whole.all():
+        raise DataError(f"checkpoint buffer {name!r} holds invalid metadata {vals.tolist()}")
+    ints = [int(v) for v in vals]
+    return ints[0] if scalar else ints
 
 
 def make_teacher(d_in: int, n_classes: int, d_out: int = DEFAULT_HIDDEN,
@@ -262,26 +291,37 @@ def save_checkpoint(state: dict[str, np.ndarray], path) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint; any malformed or truncated file raises ParseError."""
     raw = Path(path).read_bytes()
     if raw[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise ParseError(f"{path}: bad checkpoint magic")
     off = len(_CKPT_MAGIC)
-    (count,) = struct.unpack_from("<I", raw, off)
-    off += 4
+
+    def take(nbytes: int, what: str) -> bytes:
+        nonlocal off
+        if nbytes > len(raw) - off:
+            raise ParseError(f"{path}: truncated at byte {off}: {what} needs "
+                             f"{nbytes} bytes, {len(raw) - off} left")
+        off += nbytes
+        return raw[off - nbytes:off]
+
+    def u32s(n: int, what: str) -> tuple[int, ...]:
+        return struct.unpack(f"<{n}I", take(4 * n, what))
+
+    (count,) = u32s(1, "buffer count")
     state: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        name = raw[off:off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}I", raw, off)
-        off += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=size, offset=off).reshape(shape)
-        off += 8 * size
-        state[name] = arr.copy()
+    for i in range(count):
+        (nlen,) = u32s(1, f"buffer {i} name length")
+        try:
+            name = take(nlen, f"buffer {i} name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: buffer {i} name is not utf-8") from None
+        if name in state:
+            raise ParseError(f"{path}: duplicate buffer {name!r}")
+        (ndim,) = u32s(1, f"buffer {name!r} ndim")
+        shape = u32s(ndim, f"buffer {name!r} shape")
+        payload = take(8 * math.prod(shape), f"buffer {name!r} payload")
+        state[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
     if off != len(raw):
         raise ParseError(f"{path}: trailing bytes after last buffer")
     return state

@@ -84,8 +84,8 @@ class NoiseConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
-        if any(t < 0 for t in self.taus) or not self.taus:
-            raise ConfigError("noise variances must be nonnegative and nonempty")
+        if any(not np.isfinite(t) or t < 0 for t in self.taus) or not self.taus:
+            raise ConfigError("noise variances must be finite, nonnegative and nonempty")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
 

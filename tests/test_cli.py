@@ -9,6 +9,7 @@ import pytest
 import srkd
 from srkd.cli import GRADCHECK_TOL, gradcheck_report, main
 from srkd.losses import LOSS_NAMES
+from srkd.models import make_teacher, save_checkpoint
 
 TINY_CFG = """
 scene.n_scenes = 5
@@ -151,6 +152,32 @@ class TestErrors:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
+
+    def test_nonfinite_noise_tau_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "nan.cfg"
+        bad.write_text(TINY_CFG + "noise.taus = 0.1, nan\n")
+        out = str(tmp_path / "o")
+        assert main(["generate", "--config", str(bad), "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["noise", "--config", str(bad), "--out", out]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+
+    def test_truncated_student_checkpoint(self, workdir, tmp_path, capsys):
+        out = tmp_path / "trunc"
+        assert main(["generate", "--config", str(workdir / "tiny.cfg"),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        full = tmp_path / "full.ckpt"
+        save_checkpoint(make_teacher(2, 8, d_out=12, seed=0).state_dict(), full)
+        raw = full.read_bytes()
+        (out / "student.ckpt").write_bytes(raw[:len(raw) // 2])
+        assert main(["eval", "--config", str(workdir / "tiny.cfg"),
+                     "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ParseError"
 
     def test_eval_without_student(self, workdir, tmp_path, capsys):
         out = tmp_path / "fresh"

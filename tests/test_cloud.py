@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,15 @@ class TestSceneGeneration:
             SceneSpec(label_noise=1.0).validate()
         with pytest.raises(ConfigError):
             SceneSpec(cue_noise=-0.1).validate()
+
+    @pytest.mark.parametrize("field", ["radial_extent", "height_extent",
+                                       "noise_std", "decay_ratio",
+                                       "label_fraction", "label_noise",
+                                       "cue_noise"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_setting_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            SceneSpec(**{field: value}).validate()
 
     def test_label_fraction_hides_labels(self):
         spec = SceneSpec(seed=4, points_per_scene=2048, label_fraction=0.25)
@@ -175,6 +186,13 @@ class TestIO:
             np.testing.assert_allclose(back.positions, cloud.positions, rtol=1e-15)
         np.testing.assert_array_equal(back.labels, cloud.labels)
         assert back.n_classes == cloud.n_classes
+
+    @pytest.mark.parametrize("n, d", [(1, 0xFFFFFFFF), (1, 2**28), (0, 0xFFFFFFFF)])
+    def test_binary_header_sizes_checked(self, tmp_path, n, d):
+        path = tmp_path / "h.pcbin"
+        path.write_bytes(b"PCB1" + struct.pack("<III", n, d, 4))
+        with pytest.raises(ParseError):
+            read_cloud(path)
 
     def test_binary_write_is_stable(self, tmp_path):
         cloud = small_cloud(n=20, seed=9)

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,64 @@ class TestKNN:
         idx = knn_indices(pos, mask, 2)
         assert list(idx[3]) == [3, 3]
         assert set(idx[:3].ravel()) <= {0, 1, 2}
+
+
+def knn_oracle(positions, mask, ks):
+    """Full-matrix k-NN: the (m, m, 3) difference tensor, reduced on axis 2."""
+    n = positions.shape[0]
+    valid = np.flatnonzero(mask)
+    pv = positions[valid]
+    d2 = ((pv[:, None, :] - pv[None, :, :]) ** 2).sum(axis=2)
+    out = []
+    for k in ks:
+        kk = min(k, valid.size)
+        idx = np.tile(np.arange(n, dtype=np.intp)[:, None], (1, kk))
+        if valid.size:
+            near = np.argpartition(d2, kk - 1, axis=1)[:, :kk] if kk < valid.size \
+                else np.argsort(d2, axis=1)
+            idx[valid] = valid[near]
+        out.append(idx)
+    return out
+
+
+def knn_points(kind, m, rng):
+    if kind == "random":
+        return rng.standard_normal((m, 3)) * 4.0
+    if kind == "lattice":  # many exactly tied distances
+        return rng.integers(0, 4, (m, 3)).astype(np.float64)
+    if kind == "decimal_lattice":  # ties that only rounding order breaks
+        return rng.integers(0, 5, (m, 3)) * 0.1
+    base = rng.standard_normal((m // 3 + 1, 3))  # every point appears ~3 times
+    return base[rng.integers(0, base.shape[0], m)]
+
+
+class TestKNNBlocked:
+    @pytest.mark.parametrize("m", [1, 2, 33, 1025, 2048])
+    @pytest.mark.parametrize("kind", ["random", "lattice", "decimal_lattice",
+                                      "duplicates"])
+    def test_byte_identical_to_full_matrix(self, m, kind):
+        rng = np.random.default_rng(m * 7 + len(kind))
+        pos = knn_points(kind, m, rng)
+        ks = (1, 4, 8)
+        for mask in (np.ones(m, dtype=bool), rng.random(m) < 0.6,
+                     np.zeros(m, dtype=bool)):
+            for k, want in zip(ks, knn_oracle(pos, mask, ks)):
+                got = knn_indices(pos, mask, k)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want), (m, kind, int(mask.sum()), k)
+
+    def test_working_set_below_one_distance_matrix(self):
+        m = 1024
+        pos = np.random.default_rng(0).standard_normal((m, 3))
+        mask = np.ones(m, dtype=bool)
+        knn_indices(pos, mask, 8)
+        tracemalloc.start()
+        try:
+            knn_indices(pos, mask, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8
 
 
 class TestForward:
@@ -154,6 +215,54 @@ class TestCheckpoints:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
         with pytest.raises(ParseError):
             load_checkpoint(path)
+
+    @staticmethod
+    def tiny_checkpoint(tmp_path):
+        path = tmp_path / "tiny.ckpt"
+        save_checkpoint(SegModel((3, 2, 2), n_classes=2, k=1).state_dict(), path)
+        return path.read_bytes()
+
+    def test_every_truncation_is_parse_error(self, tmp_path):
+        raw = self.tiny_checkpoint(tmp_path)
+        path = tmp_path / "cut.ckpt"
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ParseError):
+                load_checkpoint(path)
+        path.write_bytes(raw)
+        assert load_checkpoint(path)
+
+    def test_oversized_ndim_is_parse_error(self, tmp_path):
+        raw = bytearray(self.tiny_checkpoint(tmp_path))
+        off = 9 + 4
+        (nlen,) = struct.unpack_from("<I", raw, off)
+        struct.pack_into("<I", raw, off + 4 + nlen, 0xFFFFFFFF)
+        path = tmp_path / "big.ckpt"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_non_utf8_name_is_parse_error(self, tmp_path):
+        raw = bytearray(self.tiny_checkpoint(tmp_path))
+        raw[9 + 4 + 4] = 0xFF  # first byte of the first buffer name
+        path = tmp_path / "name.ckpt"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="utf-8"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["meta.widths", "meta.n_classes", "meta.k",
+                                     "meta.project_to"])
+    def test_missing_meta_is_data_error(self, key):
+        state = make_teacher(2, 8, d_out=16, seed=4).state_dict()
+        del state[key]
+        with pytest.raises(DataError, match=key):
+            SegModel.from_state(state)
+
+    def test_invalid_meta_is_data_error(self):
+        state = make_teacher(2, 8, d_out=16, seed=4).state_dict()
+        state["meta.k"] = np.array([np.nan])
+        with pytest.raises(DataError, match="meta.k"):
+            SegModel.from_state(state)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         model = make_teacher(2, 8, d_out=16, seed=4)

@@ -185,3 +185,10 @@ class TestTrainConfig:
     def test_nonfinite_setting_rejected(self, field, value):
         with pytest.raises(ConfigError, match="finite"):
             TrainConfig(**{field: value})
+
+
+class TestNoiseConfig:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_tau_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            NoiseConfig(taus=(0.1, value))
