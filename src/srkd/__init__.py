@@ -2,9 +2,9 @@
 point-cloud semantic segmentation, small enough to verify numerically."""
 
 from .autodiff import Tensor, backward, finite_diff_gradient
-from .cloud import (IGNORE_LABEL, FixedSample, MiniBatch, PointCloud,
-                    SceneSpec, assemble_batch, derive_seed, generate_scene,
-                    read_cloud, resample_fixed, write_cloud)
+from .cloud import (IGNORE_LABEL, FixedSample, PointCloud, SceneSpec,
+                    derive_seed, generate_scene, read_cloud, resample_fixed,
+                    write_cloud)
 from .errors import (ConfigError, DataError, NumericError, PairingError,
                      ParseError, ShapeError, SRKDError, TapeError,
                      UndefinedLossError)

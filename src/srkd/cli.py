@@ -23,8 +23,8 @@ import numpy as np
 from . import config as cfgmod
 from . import losses, trainer
 from .autodiff import Tensor, concat_rows, finite_diff_gradient
-from .cloud import (IGNORE_LABEL, generate_scene, read_cloud, resample_fixed,
-                    write_cloud)
+from .cloud import (IGNORE_LABEL, atomic_open, generate_scene, read_cloud,
+                    resample_fixed, write_cloud)
 from .errors import ConfigError, DataError, SRKDError
 from .losses import LOSS_NAMES
 from .models import (SegModel, load_checkpoint, make_student_from_teacher,
@@ -50,7 +50,7 @@ def _echo_config(cfg: dict, out: Path, seed: int) -> str:
 
 
 def _write_csv(path: Path, rows: list[dict], cfg_hash: str) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         f.write(f"# config_hash={cfg_hash}\n")
         writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -58,7 +58,7 @@ def _write_csv(path: Path, rows: list[dict], cfg_hash: str) -> None:
 
 
 def _write_jsonl(path: Path, records: list[dict]) -> None:
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         for rec in records:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 

@@ -7,7 +7,9 @@ class-balanced supervoxel sampling has a nontrivial range to work with.
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,26 +103,6 @@ class FixedSample:
     @property
     def n_valid(self) -> int:
         return int(self.mask.sum())
-
-
-@dataclass(frozen=True)
-class MiniBatch:
-    samples: tuple[FixedSample, ...]
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if not self.samples:
-            raise DataError("mini-batch must contain at least one sample")
-        s0 = self.samples[0]
-        for s in self.samples[1:]:
-            if s.n_fixed != s0.n_fixed or s.cloud.d_in != s0.cloud.d_in \
-                    or s.cloud.n_classes != s0.cloud.n_classes:
-                raise DataError("all batch samples must share N_fixed, D_in and C")
-
-    @property
-    def size(self) -> int:
-        return len(self.samples)
 
 
 @dataclass(frozen=True)
@@ -322,24 +304,6 @@ def resample_fixed(cloud: PointCloud, n_fixed: int, seed: int) -> FixedSample:
     return FixedSample(out, mask)
 
 
-def assemble_batch(clouds: list[PointCloud], n_fixed: int, seed: int) -> MiniBatch:
-    """Resample each cloud (seeded per index) and stack into a MiniBatch."""
-    if not clouds:
-        raise DataError("assemble_batch needs at least one cloud")
-    d_in = clouds[0].d_in
-    n_classes = clouds[0].n_classes
-    for i, c in enumerate(clouds):
-        if c.d_in != d_in:
-            raise DataError(f"cloud {i} has feature width {c.d_in}, expected {d_in}")
-        if c.n_classes != n_classes:
-            raise DataError(f"cloud {i} has n_classes {c.n_classes}, expected {n_classes}")
-    samples = []
-    for i, c in enumerate(clouds):
-        child = derive_seed(seed, i).integers(0, 2**63 - 1)
-        samples.append(resample_fixed(c, n_fixed, int(child)))
-    return MiniBatch(tuple(samples), seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # File formats
 #
@@ -350,6 +314,27 @@ def assemble_batch(clouds: list[PointCloud], n_fixed: int, seed: int) -> MiniBat
 # ---------------------------------------------------------------------------
 
 _PCBIN_MAGIC = b"PCB1"
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temp file beside `path` that replaces it only once complete.
+
+    The file is flushed to disk and renamed over `path` when the block
+    exits normally. If the block raises (KeyboardInterrupt included), the
+    temp file is removed, so `path` is never left half-written.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_cloud(cloud: PointCloud, path) -> None:

@@ -4,10 +4,11 @@ Student-side inputs are autodiff Tensors so gradients flow back to the
 student encoder, head and channel projection; teacher-side inputs are
 plain arrays (the teacher is frozen). The cross-sample batch geometry
 loss, which dominates the training step at full scale, is a single fused
-tape op over the stacked (B*N, D) mini-batch feature maps. It walks the B
-row stripes (N x B*N) of the pairwise gram instead of forming the
-(B*N)^2 matrix, and yields the loss and its gradient from that one pass;
-its working set is two float64 stripes, 128 MB at B=8, N=1024.
+tape op over the stacked (B*N, D) mini-batch feature maps. It never forms
+the (B*N)^2 pairwise gram: it walks the B(B+1)/2 unordered N x N block
+pairs, since one block S_ij serves the rows of i and, transposed, the rows
+of j. Loss and gradient come from that one pass; its working set is three
+float64 blocks, 24 MB at N=1024.
 
 Formula conventions (documented because the source material is loose):
   * Logit and similarity KL use softmax(Z / T), with the student
@@ -294,27 +295,35 @@ def gd_teacher_log_z(teacher_maps: list[np.ndarray], temperature: float,
     """Per-(row, target-sample) log partition of the teacher similarities.
 
     Entry [a, j] is log sum_c exp(<t_a, t_c> / T) over the valid columns c
-    of sample j, for L2-normalized teacher rows t. It walks the same B row
-    stripes as the loss kernel, so it holds one N x B*N float64 stripe
-    (64 MB at B=8, N=1024) instead of the (B*N)^2 gram. Cacheable per
-    mini-batch: the teacher is frozen, so these values are constant for a
-    fixed batch composition.
+    of sample j, for L2-normalized teacher rows t. Like the loss kernel it
+    walks the block pairs i <= j: the row sums of exp(T_ij) serve the rows
+    of i, its column sums those of j; one N x N float64 block (8 MB at
+    N=1024) is held. Cacheable per mini-batch: the teacher is frozen.
     """
-    fn_t = np.concatenate([l2_normalize_rows(m) for m in teacher_maps], axis=0)
-    b = len(teacher_maps)
-    n = teacher_maps[0].shape[0]
-    colf = None if masks is None else np.concatenate(masks).astype(np.float64)
-    log_z = np.empty((b * n, b))
-    g = np.empty((n, b * n))
-    for i in range(b):
-        rows = slice(i * n, (i + 1) * n)
-        np.matmul(fn_t[rows], fn_t.T, out=g)
-        g /= temperature
-        np.exp(g, out=g)
-        if colf is not None:
-            g *= colf
-        np.log(g.reshape(n, b, n).sum(axis=2), out=log_z[rows])
+    b, n = len(teacher_maps), teacher_maps[0].shape[0]
+    ft = np.concatenate([l2_normalize_rows(m) for m in teacher_maps], axis=0)
+    ft *= np.sqrt(1.0 / temperature)
+    mask = _column_mask(masks, b * n)
+    log_z, e = np.empty((b * n, b)), np.empty((n, n))
+    for i, j, ri, rj in _block_pairs(b, n):
+        np.exp(np.matmul(ft[ri], ft[rj].T, out=e), out=e)
+        np.log(e @ mask[rj], out=log_z[ri, j])
+        if i != j:
+            np.log(mask[ri] @ e, out=log_z[rj, i])
     return log_z
+
+
+def _column_mask(masks: list[np.ndarray] | None, size: int) -> np.ndarray:
+    """0/1 float64 vector of the valid rows of the stacked batch."""
+    return np.ones(size) if masks is None else \
+        np.concatenate([np.asarray(m, bool) for m in masks]).astype(np.float64)
+
+
+def _block_pairs(b: int, n: int):
+    """Unordered sample pairs i <= j with their row slices in the stack."""
+    for i in range(b):
+        for j in range(i, b):
+            yield i, j, slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n)
 
 
 def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
@@ -331,78 +340,69 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
         raise ShapeError("student and teacher map lists must match")
     if temperature <= 0:
         raise ConfigError("temperature must be positive")
-    b = len(student_maps)
-    n = student_maps[0].shape[0]
+    b, n = len(student_maps), student_maps[0].shape[0]
     for m in list(student_maps) + list(teacher_maps):
         if m.shape[0] != n:
             raise ShapeError("inconsistent point count across the batch")
     fn_s = concat_rows([_as_tensor(m).l2_normalize_rows() for m in student_maps])
     fn_t = np.concatenate([l2_normalize_rows(np.asarray(m, dtype=np.float64))
                            for m in teacher_maps], axis=0)
-    if masks is None:
-        col_valid = None
-        row_weight = np.full(b * n, 1.0 / (b * b * n))
-    else:
-        col_valid = np.concatenate([np.asarray(m, bool) for m in masks])
-        counts = np.array([int(np.asarray(m).sum()) for m in masks])
-        if np.any(counts == 0):
-            raise UndefinedLossError("loss_batch_gd: a sample has no valid rows")
-        row_weight = np.where(col_valid,
-                              np.repeat(1.0 / (b * b * counts), n), 0.0)
+    mask = _column_mask(masks, b * n)
+    counts = mask.reshape(b, n).sum(axis=1)
+    if np.any(counts == 0):
+        raise UndefinedLossError("loss_batch_gd: a sample has no valid rows")
+    row_weight = mask * np.repeat(1.0 / (b * b * counts), n)
     if teacher_log_z is None:
         teacher_log_z = gd_teacher_log_z(teacher_maps, temperature, masks)
-    return _fused_batch_gd(fn_s, fn_t, b, n, temperature, col_valid,
+    return _fused_batch_gd(fn_s, fn_t, b, n, temperature, mask,
                            row_weight, teacher_log_z)
 
 
 def _fused_batch_gd(fn_s: Tensor, fn_t: np.ndarray, b: int, n: int,
-                    temperature: float, col_valid: np.ndarray | None,
+                    temperature: float, mask: np.ndarray,
                     row_weight: np.ndarray, log_zt: np.ndarray) -> Tensor:
-    """Loss and gradient of the pairwise row-softmax KL in one stripe walk.
+    """Loss and gradient of the pairwise row-softmax KL in one block-pair walk.
 
-    The stacked (B*N, D) normalized maps define a (B*N, B*N) gram, viewed
-    as BxB blocks of N x N similarity matrices, which is never formed.
-    Stripe i is the N rows of sample i against all B*N columns; from it
-    come those rows' KL terms and, with G_i = dL/dS for the stripe, the
-    gradient contribution G_i @ F to the rows of sample i plus G_i^T @ F_i
-    to every row. The working set is two N x B*N float64 stripes (128 MB
-    at B=8, N=1024); the gradient pass is skipped when the student maps
-    need no gradient.
+    The (B*N, B*N) gram of the stacked normalized maps is never formed. As
+    S_ji = S_ij^T, each block pair i <= j is computed once: from E = exp(S_ij)
+    and D = S_ij - T_ij the rows of i get their softmax over the columns of j
+    through E @ m_j, the rows of j theirs over the columns of i through
+    m_i @ E (m: 0/1 masks). Both sides' gradient blocks combine into
+    H = G_ij + G_ji^T = E * (P * D - Q), P and Q rank-2; H @ F_j goes to the
+    rows of i, H^T @ F_i to those of j. The working set is three N x N float64
+    blocks (24 MB at N=1024); no gradient pass if the student needs none.
     """
-    bn = b * n
-    inv_t = 1.0 / temperature
-    # Temperature folded into the (small) feature matrices so the stripe
-    # grams come out pre-scaled.
-    c = np.sqrt(inv_t)
-    fs = fn_s.data
-    fs_c = fs * c
-    ft_c = fn_t * c
-    colf = None if col_valid is None else col_valid.astype(np.float64)
+    inv_t, fs = 1.0 / temperature, fn_s.data
+    # Temperature folded into the (small) feature maps: grams come pre-scaled.
+    fs_c, ft_c = fs * np.sqrt(inv_t), fn_t * np.sqrt(inv_t)
     grad = np.zeros_like(fs) if fn_s.requires_grad else None
-    row_kl = np.empty((bn, b))
-    e = np.empty((n, bn))
-    d = np.empty((n, bn))
-    e3, d3 = e.reshape(n, b, n), d.reshape(n, b, n)
-    for i in range(b):
-        rows = slice(i * n, (i + 1) * n)
-        np.matmul(fs_c[rows], fs_c.T, out=e)           # student gram S_i
-        np.matmul(ft_c[rows], ft_c.T, out=d)           # teacher gram T_i
-        np.subtract(e, d, out=d)                       # d = S_i - T_i
-        np.exp(e, out=e)
-        if colf is not None:
-            e *= colf
-        z = e3.sum(axis=2)                             # (N, B) partitions
-        d *= e
-        q = d3.sum(axis=2) / z                         # E_p[s - t] per block
-        row_kl[rows] = q - np.log(z) + log_zt[rows]
-        if grad is not None:
-            # d <- G_i[a, col in block j] = w_a * p * (s - t - q_aj) / T,
-            # the 1/T coming from the temperature folded into fs_c
-            e3 *= q[:, :, None]
-            d -= e
-            d3 *= ((inv_t * row_weight[rows])[:, None] / z)[:, :, None]
-            grad[rows] += d @ fs                       # G_i @ F
-            grad += (fs[rows].T @ d).T                 # G_i^T @ F_i
+    row_kl = np.empty((b * n, b))
+    e, d, h = np.empty((3, n, n))
+    for i, j, ri, rj in _block_pairs(b, n):
+        m_i, m_j = mask[ri], mask[rj]
+        np.matmul(fs_c[ri], fs_c[rj].T, out=e)        # student block S_ij
+        np.matmul(ft_c[ri], ft_c[rj].T, out=d)        # teacher block T_ij
+        np.subtract(e, d, out=d)                      # D = S_ij - T_ij
+        np.exp(e, out=e)                              # E = exp(S_ij)
+        np.multiply(e, d, out=h)
+        z_i, z_j = e @ m_j, m_i @ e                   # partitions, both sides
+        q_i, q_j = (h @ m_j) / z_i, (m_i @ h) / z_j   # E_p[s - t], both sides
+        row_kl[ri, j] = q_i - np.log(z_i) + log_zt[ri, j]
+        if i != j:
+            row_kl[rj, i] = q_j - np.log(z_j) + log_zt[rj, i]
+        if grad is None:
+            continue
+        # G_ij[a, c] = w_a p_ac (d_ac - q_i[a]) / T, the 1/T from fs_c. With
+        # alpha, beta = w / (T z) per side, P = alpha m_j^T + m_i beta^T and
+        # Q = (alpha q_i) m_j^T + m_i (beta q_j)^T, each an (N x 2) @ (2 x N).
+        alpha, beta = inv_t * row_weight[ri] / z_i, inv_t * row_weight[rj] / z_j
+        h *= np.matmul(np.stack([alpha, m_i], 1), np.stack([m_j, beta]), out=d)
+        np.matmul(np.stack([alpha * q_i, m_i], 1), np.stack([m_j, beta * q_j]),
+                  out=d)
+        h -= np.multiply(d, e, out=d)                 # H = P * E * D - Q * E
+        grad[ri] += h @ fs[rj]
+        if i != j:
+            grad[rj] += (fs[ri].T @ h).T
     loss = float((row_kl.sum(axis=1) * row_weight).sum())
     if not np.isfinite(loss):
         raise NumericError("batch geometry loss is non-finite")

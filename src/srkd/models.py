@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .cloud import FixedSample, derive_seed
+from .cloud import FixedSample, atomic_open, derive_seed
 from .errors import DataError, ParseError, ShapeError
 
 _CKPT_MAGIC = b"SRKDCKPT1"
@@ -277,7 +277,7 @@ def make_student_from_teacher(teacher: SegModel, seed: int) -> SegModel:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(state: dict[str, np.ndarray], path) -> None:
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(_CKPT_MAGIC)
         f.write(struct.pack("<I", len(state)))
         for name in sorted(state):

@@ -4,10 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import srkd
-from srkd.cli import GRADCHECK_TOL, gradcheck_report, main
+from srkd.cli import (GRADCHECK_TOL, _write_csv, _write_jsonl,
+                      gradcheck_report, main)
+from srkd.cloud import atomic_open
 from srkd.losses import LOSS_NAMES
 from srkd.models import make_teacher, save_checkpoint
 
@@ -219,3 +222,37 @@ class TestEntryPoint:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["error"] == "DataError"
+
+
+# Each writer with a first payload and a second one that fails partway,
+# after part of it has been written.
+ARTIFACT_WRITERS = {
+    "ckpt": (lambda path, state: save_checkpoint(state, path), {"a": np.ones(3)},
+             {"a": np.zeros(3), "b": np.array(["not a number"])}),
+    "csv": (lambda path, rows: _write_csv(path, rows, "h"), [{"x": 1}],
+            [{"x": 2}, {"y": 3}]),
+    "jsonl": (_write_jsonl, [{"x": 1}], [{"x": 2}, {"y": object()}]),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("kind", sorted(ARTIFACT_WRITERS))
+    def test_failed_write_keeps_previous_file(self, tmp_path, kind):
+        write, first, failing = ARTIFACT_WRITERS[kind]
+        path = tmp_path / f"artifact.{kind}"
+        write(path, first)
+        before = path.read_bytes()
+        with pytest.raises((TypeError, ValueError)):
+            write(path, failing)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_interrupt_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text("old\n")
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_open(path) as f:
+                f.write("new, half")
+                raise KeyboardInterrupt
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]

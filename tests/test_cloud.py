@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srkd.cloud import (IGNORE_LABEL, PointCloud, SceneSpec, assemble_batch,
-                        generate_scene, read_cloud, resample_fixed, write_cloud)
-from srkd.errors import ConfigError, DataError, ParseError
+from srkd.cloud import (IGNORE_LABEL, PointCloud, SceneSpec, generate_scene,
+                        read_cloud, resample_fixed, write_cloud)
+from srkd.errors import ConfigError, ParseError
 
 
 def small_cloud(n=12, d=2, c=4, seed=0):
@@ -148,28 +148,6 @@ class TestResample:
         sample = resample_fixed(small_cloud(n=n, seed=1), n_fixed, seed)
         assert sample.cloud.positions.shape[0] == n_fixed
         assert int(sample.mask.sum()) == min(n, n_fixed)
-
-
-class TestBatch:
-    def test_batch_of_eight(self):
-        clouds = [small_cloud(seed=i) for i in range(8)]
-        batch = assemble_batch(clouds, 16, seed=0)
-        assert len(batch.samples) == 8
-
-    def test_single_cloud(self):
-        batch = assemble_batch([small_cloud()], 16, seed=0)
-        assert len(batch.samples) == 1
-
-    def test_deterministic(self):
-        clouds = [small_cloud(seed=i) for i in range(3)]
-        a = assemble_batch(clouds, 8, seed=4)
-        b = assemble_batch(clouds, 8, seed=4)
-        for sa, sb in zip(a.samples, b.samples):
-            np.testing.assert_array_equal(sa.cloud.positions, sb.cloud.positions)
-
-    def test_heterogeneous_width_rejected(self):
-        with pytest.raises(DataError):
-            assemble_batch([small_cloud(d=2), small_cloud(d=3)], 8, seed=0)
 
 
 class TestIO:

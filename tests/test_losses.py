@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -295,16 +296,18 @@ class TestBatchGD:
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_brute_force_oracle_masked(self):
-        b, n = 3, 6
-        student = [RNG.standard_normal((n, 3)) for _ in range(b)]
-        teacher = [RNG.standard_normal((n, 5)) for _ in range(b)]
-        masks = [RNG.random(n) > 0.3 for _ in range(b)]
-        for m in masks:
-            m[0] = True
-        got = loss_batch_gd([Tensor(s) for s in student], teacher, 2.0,
-                            masks).item()
-        want = brute_force_batch_gd(student, teacher, 2.0, masks)
-        assert got == pytest.approx(want, rel=1e-9)
+        # b = 4 with an odd n: several off-diagonal block pairs, and blocks
+        # whose valid row and column counts differ.
+        for b, n in ((3, 6), (4, 7)):
+            student = [RNG.standard_normal((n, 3)) for _ in range(b)]
+            teacher = [RNG.standard_normal((n, 5)) for _ in range(b)]
+            masks = [RNG.random(n) > 0.3 for _ in range(b)]
+            for m in masks:
+                m[0] = True
+            got = loss_batch_gd([Tensor(s) for s in student], teacher, 2.0,
+                                masks).item()
+            want = brute_force_batch_gd(student, teacher, 2.0, masks)
+            assert got == pytest.approx(want, rel=1e-9), (b, n)
 
     def test_permutation_invariance(self):
         student = [RNG.standard_normal((6, 3)) for _ in range(2)]
@@ -339,7 +342,8 @@ def padded_batch(b=3, n=6, masked=((0, 4), (0, 5), (2, 1))):
     rng = np.random.default_rng(41)
     masks = [np.ones(n, dtype=bool) for _ in range(b)]
     for i, a in masked:
-        masks[i][a] = False
+        if i < b:
+            masks[i][a] = False
     student = [rng.standard_normal((n, 3)) * m[:, None] for m in masks]
     teacher = [rng.standard_normal((n, 5)) * m[:, None] for m in masks]
     return student, teacher, masks
@@ -353,20 +357,27 @@ class TestBatchGDGradient:
 
     @pytest.mark.parametrize("precompute", [True, False])
     def test_masked_leaf_finite_differences(self, precompute):
-        student, teacher, masks = padded_batch()
-        log_z = gd_teacher_log_z(teacher, 2.0, masks) if precompute else None
-        analytic = self.leaf_grads(student, teacher, masks, log_z)
-        scale = max(np.abs(g).max() for g in analytic)
-        for i in range(len(student)):
-            def f(theta, i=i):
-                maps = [theta if k == i else m for k, m in enumerate(student)]
-                return loss_batch_gd([Tensor(m) for m in maps], teacher, 2.0,
-                                     masks, log_z).item()
+        # b = 1 runs only the diagonal block, b = 2 one off-diagonal pair.
+        for b, use_masks in itertools.product((1, 2, 3), (False, True)):
+            if use_masks:
+                student, teacher, masks = padded_batch(b)
+            else:
+                student, teacher, _ = padded_batch(b, masked=())
+                masks = None
+            log_z = gd_teacher_log_z(teacher, 2.0, masks) if precompute else None
+            analytic = self.leaf_grads(student, teacher, masks, log_z)
+            scale = max(np.abs(g).max() for g in analytic)
+            for i in range(b):
+                def f(theta, i=i):
+                    maps = [theta if k == i else m for k, m in enumerate(student)]
+                    return loss_batch_gd([Tensor(m) for m in maps], teacher,
+                                         2.0, masks, log_z).item()
 
-            fd = finite_diff_gradient(f, student[i].copy())
-            assert np.abs(analytic[i] - fd).max() <= 1e-6 * scale
-        for g, m in zip(analytic, masks):
-            assert not g[~m].any()
+                fd = finite_diff_gradient(f, student[i].copy())
+                assert np.abs(analytic[i] - fd).max() <= 1e-6 * scale, \
+                    (b, use_masks, i)
+            for g, m in zip(analytic, masks or []):
+                assert not g[~m].any()
 
     def test_graphs_backward_in_reverse_order(self):
         rng = np.random.default_rng(43)
@@ -399,19 +410,35 @@ class TestBatchGDGradient:
                     want = top + np.log(np.exp(sims - top).sum())
                     assert got[i * 6 + a, j] == pytest.approx(want, rel=1e-12)
 
-    def test_working_set_below_one_gram(self):
-        b, n, d = 8, 128, 16
+    @staticmethod
+    def traced_peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def working_set_batch(self, b, n, d=16):
         rng = np.random.default_rng(47)
         student = [Tensor(rng.standard_normal((n, d)), requires_grad=True)
                    for _ in range(b)]
-        teacher = [rng.standard_normal((n, d)) for _ in range(b)]
-        tracemalloc.start()
-        try:
-            loss_batch_gd(student, teacher, 2.0).backward()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < (b * n) ** 2 * 8
+        return student, [rng.standard_normal((n, d)) for _ in range(b)]
+
+    def test_working_set_below_one_gram(self):
+        # Below two N x B*N stripes, far below the (B*N)^2 gram: the kernel
+        # holds three N x N blocks.
+        b, n = 8, 128
+        student, teacher = self.working_set_batch(b, n)
+        peak = self.traced_peak(
+            lambda: loss_batch_gd(student, teacher, 2.0).backward())
+        assert peak < 2 * n * (b * n) * 8
+
+    def test_teacher_log_z_working_set(self):
+        b, n = 8, 128
+        _, teacher = self.working_set_batch(b, n)
+        peak = self.traced_peak(lambda: gd_teacher_log_z(teacher, 2.0))
+        assert peak < n * (b * n) * 8
 
 
 class TestTotals:
