@@ -31,6 +31,44 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad.reshape(shape)
 
 
+def _scatter_rows(src: Array, idx: Array, n: int) -> Array:
+    """out[t] = the sum of src[i] over every (i, r) with idx[i, r] == t.
+
+    Equal to np.add.at(zeros, idx.ravel(), np.repeat(src, k, axis=0)) bit for
+    bit, signed zeros included, without its (N*k, D) operands. np.add.at adds
+    each target's terms in increasing flat position i*k + r, starting from
+    +0.0. A stable argsort of idx.ravel() lists the positions target by
+    target in that same order; bincount gives the in-degrees, and a
+    position's slot is its rank minus its target's segment start. The
+    reverse table has one row per slot and one column per target, the
+    targets ordered by decreasing in-degree, and holds the source row i.
+    The targets with more than r sources are then the first active[r]
+    columns of row r, so adding src[table[r, :active[r]]] into zeros for
+    r = 0, 1, ... adds each target's terms in np.add.at's order without
+    gathering any padding; a final permutation restores the target order.
+    The working set is three (n, D) arrays plus the (max in-degree, n) table.
+    """
+    k = idx.shape[1]
+    flat = idx.ravel()
+    # the smallest unsigned type that holds n - 1 sorts in linear time for
+    # n <= 65536; a stable sort's result does not depend on the key type
+    order = np.argsort(flat.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
+    deg = np.bincount(flat, minlength=n)
+    target = flat[order]
+    slot = np.arange(flat.size) - (np.cumsum(deg) - deg)[target]
+    by_deg = np.argsort(-deg, kind="stable")
+    column = np.empty(n, dtype=np.intp)
+    column[by_deg] = np.arange(n)
+    table = np.empty((deg.max(initial=0), n), dtype=np.intp)
+    table[slot, column[target]] = order // k
+    acc = np.zeros((n,) + src.shape[1:])
+    for r, active in enumerate(np.bincount(slot)):
+        acc[:active] += src[table[r, :active]]
+    out = np.empty_like(acc)
+    out[by_deg] = acc
+    return out
+
+
 class Tensor:
     """A float64 array plus the tape edges needed for backward()."""
 
@@ -213,21 +251,40 @@ class Tensor:
 
         def vjp(g):
             out = np.zeros_like(self.data)
+            # np.add.at, not _scatter_rows: padded supervoxel slots all index row
+            # 0, whose in-degree (up to n_point - 1) sets the number of table rows
             np.add.at(out, idx, g)
             return out
 
         return Tensor.from_op(self.data[idx], [(self, vjp)])
 
     def neighbor_mean(self, idx: Array) -> "Tensor":
-        """Row-wise mean over k neighbor rows; idx has shape (N, k)."""
+        """Row-wise mean over k neighbor rows; idx has shape (N, k).
+
+        The forward adds the k neighbour slices one column at a time into
+        zeros, 0.0 + x[idx[:, 0]] + x[idx[:, 1]] + ..., then divides by k:
+        the order in which x[idx].mean(axis=1) sums rows wider than one
+        column (signed zeros included), without its (N, k, D) temporary.
+        The vjp spreads g / k back to the rows idx names through
+        `_scatter_rows`. The working set is a few (N, D) arrays in both
+        passes, plus the (max in-degree, n) index table in the vjp. Raises
+        ShapeError unless idx is 2-D with k >= 1 columns and every entry
+        lies in [0, n).
+        """
         idx = np.asarray(idx, dtype=np.intp)
+        n = self.data.shape[0]
+        if idx.ndim != 2 or idx.shape[1] < 1:
+            raise ShapeError(f"neighbor_mean expects an (N, k >= 1) index, got {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise ShapeError(f"neighbor_mean index outside [0, {n})")
         k = idx.shape[1]
-        out = self.data[idx].mean(axis=1)
+        out = np.zeros((idx.shape[0],) + self.data.shape[1:])
+        for r in range(k):
+            out += self.data[idx[:, r]]
+        out /= k
 
         def vjp(g):
-            gx = np.zeros_like(self.data)
-            np.add.at(gx, idx.ravel(), np.repeat(g, k, axis=0) / k)
-            return gx
+            return _scatter_rows(g / k, idx, n)
 
         return Tensor.from_op(out, [(self, vjp)])
 

@@ -357,7 +357,7 @@ def read_cloud(path) -> PointCloud:
 
 
 def _write_text(cloud: PointCloud, path: Path) -> None:
-    with open(path, "w") as f:
+    with atomic_open(path, "w") as f:
         f.write(f"PCTXT v1 N={cloud.n_points} D={cloud.d_in} C={cloud.n_classes}\n")
         for i in range(cloud.n_points):
             vals = [*cloud.positions[i], *cloud.features[i]]
@@ -409,7 +409,7 @@ def _write_binary(cloud: PointCloud, path: Path) -> None:
     body["vals"][:, :3] = cloud.positions
     body["vals"][:, 3:] = cloud.features
     body["label"] = cloud.labels.astype(np.uint16)
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(_PCBIN_MAGIC)
         f.write(struct.pack("<III", n, d, c))
         f.write(body.tobytes())

@@ -105,7 +105,11 @@ def load_config(path: str | Path | None) -> dict[str, object]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config(p.read_text(), source=str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: byte {exc.start} is not UTF-8 text") from None
+    return parse_config(text, source=str(p))
 
 
 def render_config(cfg: dict[str, object]) -> str:

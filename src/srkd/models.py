@@ -217,10 +217,23 @@ class SegModel:
 
     @classmethod
     def from_state(cls, state: dict[str, np.ndarray], trainable: bool = True) -> "SegModel":
+        """Rebuild a model; raises DataError when the meta.* buffers are
+        invalid or disagree with the weight shapes, before allocating any."""
         widths = tuple(_meta(state, "meta.widths", scalar=False))
+        n_classes = _meta(state, "meta.n_classes")
         project_to = _meta(state, "meta.project_to", minimum=-1)
-        model = cls(widths, _meta(state, "meta.n_classes"),
-                    k=_meta(state, "meta.k"), trainable=trainable,
+        shapes = {"head.w": (widths[-1], n_classes), "head.b": (n_classes,)}
+        for i, (fi, fo) in enumerate(zip(widths[:-1], widths[1:])):
+            shapes[f"encoder.w{i}"], shapes[f"encoder.b{i}"] = (fi, fo), (fo,)
+        if project_to >= 0:
+            shapes["proj.w"], shapes["proj.b"] = (widths[-1], project_to), (project_to,)
+        for name, shape in shapes.items():
+            if name not in state:
+                raise DataError(f"checkpoint is missing buffer {name!r}")
+            if state[name].shape != shape:
+                raise DataError(f"checkpoint buffer {name!r} has shape "
+                                f"{state[name].shape}, but meta.* implies {shape}")
+        model = cls(widths, n_classes, k=_meta(state, "meta.k"), trainable=trainable,
                     project_to=None if project_to < 0 else project_to)
         model.load_state(state)
         return model
@@ -320,8 +333,13 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             raise ParseError(f"{path}: duplicate buffer {name!r}")
         (ndim,) = u32s(1, f"buffer {name!r} ndim")
         shape = u32s(ndim, f"buffer {name!r} shape")
+        if ndim > 32:  # the most dimensions every numpy release supports
+            raise ParseError(f"{path}: buffer {name!r} has {ndim} dimensions")
         payload = take(8 * math.prod(shape), f"buffer {name!r} payload")
-        state[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        try:
+            state[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        except ValueError:  # an empty payload under dims whose product overflows
+            raise ParseError(f"{path}: buffer {name!r} has invalid shape {shape}") from None
     if off != len(raw):
         raise ParseError(f"{path}: trailing bytes after last buffer")
     return state

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from srkd.autodiff import Tensor, concat_rows, finite_diff_gradient
 from srkd.errors import NumericError, ShapeError, TapeError
+from srkd.models import knn_indices
 
 RNG = np.random.default_rng(12345)
 
@@ -88,6 +91,92 @@ class TestStructuredOps:
 
     def test_concat_rows(self):
         check_grad(lambda a, b: concat_rows([a, b]).square().sum(), (2, 3), (4, 3))
+
+
+def neighbor_mean_oracle(x, idx, g):
+    """Forward and input gradient by the formulas of the (N, k, D) gather
+    and the np.add.at scatter that neighbor_mean must reproduce bit for bit."""
+    k = idx.shape[1]
+    gx = np.zeros_like(x)
+    np.add.at(gx, idx.ravel(), np.repeat(g, k, axis=0) / k)
+    return x[idx].mean(axis=1), gx
+
+
+def neighbor_mean_passes(x, idx, g):
+    t = Tensor(x, requires_grad=True)
+    out = t.neighbor_mean(idx)
+    (out * g).sum().backward()  # the upstream gradient of out is exactly g
+    return out.data, t.grad
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def with_signed_zeros(rng, shape):
+    """Values over 16 decades, so a changed summation order shows, with
+    about a fifth of the entries -0.0."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    a[rng.random(shape) < 0.2] = -0.0
+    return a
+
+
+class TestNeighborMeanBits:
+    @pytest.mark.parametrize("n, rows", [(1, 1), (2, 2), (37, 37), (37, 60),
+                                         (1024, 1024)])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_random_index_matches_oracle(self, n, rows, k):
+        rng = np.random.default_rng(n * 31 + rows + k)
+        idx = rng.integers(0, n, (rows, k))
+        if n > 1:
+            idx[idx == n - 1] = 0  # row n - 1 unused, row 0 repeated
+            indeg = np.bincount(idx.ravel(), minlength=n)
+            assert indeg[n - 1] == 0 and indeg[0] > 1
+        x, g = with_signed_zeros(rng, (n, 5)), with_signed_zeros(rng, (rows, 5))
+        for got, want in zip(neighbor_mean_passes(x, idx, g),
+                             neighbor_mean_oracle(x, idx, g)):
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("valid", [1024, 700, 3])
+    def test_knn_index_with_padded_rows_matches_oracle(self, valid):
+        rng = np.random.default_rng(valid)
+        mask = np.zeros(1024, dtype=bool)
+        mask[rng.permutation(1024)[:valid]] = True
+        idx = knn_indices(rng.standard_normal((1024, 3)), mask, 8)
+        x, g = with_signed_zeros(rng, (1024, 16)), with_signed_zeros(rng, (1024, 16))
+        for got, want in zip(neighbor_mean_passes(x, idx, g),
+                             neighbor_mean_oracle(x, idx, g)):
+            assert same_bits(got, want)
+
+    def test_working_set(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((1024, 64)), requires_grad=True)
+        idx = knn_indices(rng.standard_normal((1024, 3)), np.ones(1024, dtype=bool), 8)
+        g = rng.standard_normal((1024, 64))
+
+        def peak(fn):
+            fn()
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        vjp = x.neighbor_mean(idx)._edges[0][1]
+        assert peak(lambda: x.neighbor_mean(idx)) < 2 * 2**20
+        assert peak(lambda: vjp(g)) < 3 * 2**20
+
+    @pytest.mark.parametrize("idx", [
+        np.zeros(4, dtype=np.intp),           # 1-D
+        np.zeros((4, 2, 1), dtype=np.intp),   # 3-D
+        np.zeros((4, 0), dtype=np.intp),      # no neighbours (all-padded k-NN)
+        np.array([[0, 1], [2, -1]]),          # negative entry
+        np.array([[0, 1], [2, 4]]),           # entry == n
+    ])
+    def test_bad_index_rejected(self, idx):
+        with pytest.raises(ShapeError):
+            Tensor(np.ones((4, 3))).neighbor_mean(idx)
 
 
 class TestBackwardSemantics:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srkd
 from srkd.cli import (GRADCHECK_TOL, _write_csv, _write_jsonl,
@@ -256,3 +260,51 @@ class TestAtomicWrites:
                 raise KeyboardInterrupt
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+# Artifacts `srkd eval` reads, relative to its --out directory.
+FUZZ_TARGETS = {"pcbin": "dataset/val/scene_004.pcbin", "ckpt": "student.ckpt",
+                "config": "tiny.cfg"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "tiny.cfg").write_text(TINY_CFG)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "--config", str(root / "tiny.cfg"),
+                     "--out", str(root)]) == 0
+    save_checkpoint(make_teacher(2, 8, d_out=12, seed=0).state_dict(),
+                    root / "student.ckpt")
+    return root
+
+
+class TestArtifactFuzz:
+    @pytest.mark.parametrize("kind", sorted(FUZZ_TARGETS))
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_mutated_artifact_loads_or_exits_2(self, fuzz_root, kind, data):
+        """A truncated or bit-flipped artifact either loads or fails through
+        the CLI contract: exit 2, one JSON line on stderr, no traceback."""
+        path = fuzz_root / FUZZ_TARGETS[kind]
+        raw = path.read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            mutated = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+            mutated = bytearray(raw)
+            mutated[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(mutated))
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["eval", "--config", str(fuzz_root / "tiny.cfg"),
+                             "--out", str(fuzz_root)])
+        finally:
+            path.write_bytes(raw)
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "message"}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srkd import cloud as cloudmod
 from srkd.cloud import (IGNORE_LABEL, PointCloud, SceneSpec, generate_scene,
                         read_cloud, resample_fixed, write_cloud)
 from srkd.errors import ConfigError, ParseError
@@ -178,6 +179,42 @@ class TestIO:
         write_cloud(cloud, p1)
         write_cloud(read_cloud(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("suffix", [".pctxt", ".pcbin"])
+    def test_interrupted_rewrite_keeps_previous_file(self, tmp_path, suffix,
+                                                     monkeypatch):
+        path = tmp_path / f"c{suffix}"
+        write_cloud(small_cloud(n=20, seed=1), path)
+        before = path.read_bytes()
+
+        class InterruptedFile:
+            """Passes the first two writes through, then raises."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise KeyboardInterrupt
+                return self.f.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.f.__exit__(*exc)
+
+        monkeypatch.setattr(cloudmod, "open",
+                            lambda *a, **kw: InterruptedFile(open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            write_cloud(small_cloud(n=20, seed=2), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_text_record_format(self, tmp_path):
         path = tmp_path / "c.pctxt"

@@ -47,6 +47,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.cfg")
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"train.epochs = 2\n\x8a\n")
+        with pytest.raises(ConfigError, match="byte 17"):
+            load_config(path)
+
     def test_load_none_is_defaults(self):
         assert load_config(None) == DEFAULTS
 

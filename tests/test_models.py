@@ -242,6 +242,16 @@ class TestCheckpoints:
         with pytest.raises(ParseError, match="truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("shape", [(1,) * 33, (0, 2**32 - 1, 2**32 - 1, 2**32 - 1)])
+    def test_unrepresentable_shape_is_parse_error(self, tmp_path, shape):
+        """Too many dims, or an empty payload under dims whose product overflows."""
+        path = tmp_path / "shape.ckpt"
+        path.write_bytes(b"SRKDCKPT1" + struct.pack("<II", 1, 1) + b"a"
+                         + struct.pack(f"<I{len(shape)}I", len(shape), *shape)
+                         + b"\0" * (8 * int(np.prod(shape))))
+        with pytest.raises(ParseError, match="dimensions|shape"):
+            load_checkpoint(path)
+
     def test_non_utf8_name_is_parse_error(self, tmp_path):
         raw = bytearray(self.tiny_checkpoint(tmp_path))
         raw[9 + 4 + 4] = 0xFF  # first byte of the first buffer name
@@ -262,6 +272,16 @@ class TestCheckpoints:
         state = make_teacher(2, 8, d_out=16, seed=4).state_dict()
         state["meta.k"] = np.array([np.nan])
         with pytest.raises(DataError, match="meta.k"):
+            SegModel.from_state(state)
+
+    @pytest.mark.parametrize("key, value", [("meta.n_classes", [8 * 2.0**32]),
+                                            ("meta.widths", [5, 16 * 2.0**32, 16]),
+                                            ("meta.project_to", [16])])
+    def test_meta_disagreeing_with_weights_is_data_error(self, key, value):
+        """Checked before the model is built: these sizes would not fit in memory."""
+        state = make_teacher(2, 8, d_out=16, seed=4).state_dict()
+        state[key] = np.array(value)
+        with pytest.raises(DataError):
             SegModel.from_state(state)
 
     def test_shape_mismatch_rejected(self, tmp_path):
