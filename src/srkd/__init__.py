@@ -9,9 +9,9 @@ from .errors import (ConfigError, DataError, NumericError, PairingError,
                      ParseError, ShapeError, SRKDError, TapeError,
                      UndefinedLossError)
 from .losses import (LOSS_NAMES, LossReport, LossWeights, affinity,
-                     cross_similarity, loss_amra_channel, loss_amra_point,
-                     loss_amra_voxel, loss_batch_gd, loss_kd, loss_task,
-                     loss_total, supervoxel_features, weighted_total)
+                     loss_amra_channel, loss_amra_point, loss_amra_voxel,
+                     loss_batch_gd, loss_kd, loss_task, loss_total,
+                     supervoxel_features, weighted_total)
 from .metrics import Metrics, compute_metrics, confusion_matrix, metrics_from_confusion
 from .models import (SegModel, load_checkpoint, make_student_from_teacher,
                      make_teacher, save_checkpoint)

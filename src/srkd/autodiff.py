@@ -2,9 +2,9 @@
 
 The op set is exactly what the distillation losses and the tiny encoders
 need: elementwise arithmetic with broadcasting, matmul, exp/log/tanh,
-reductions, row gathering, k-NN mean aggregation, row L2 normalization and
-row softmax. Gradients are checked against central finite differences in
-the test suite.
+reductions, segment mean pooling, k-NN mean aggregation, row L2
+normalization and row softmax. Gradients are checked against central
+finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -34,18 +34,18 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 def _scatter_rows(src: Array, idx: Array, n: int) -> Array:
     """out[t] = the sum of src[i] over every (i, r) with idx[i, r] == t.
 
-    Equal to np.add.at(zeros, idx.ravel(), np.repeat(src, k, axis=0)) bit for
-    bit, signed zeros included, without its (N*k, D) operands. np.add.at adds
-    each target's terms in increasing flat position i*k + r, starting from
-    +0.0. A stable argsort of idx.ravel() lists the positions target by
-    target in that same order; bincount gives the in-degrees, and a
-    position's slot is its rank minus its target's segment start. The
-    reverse table has one row per slot and one column per target, the
-    targets ordered by decreasing in-degree, and holds the source row i.
-    The targets with more than r sources are then the first active[r]
-    columns of row r, so adding src[table[r, :active[r]]] into zeros for
-    r = 0, 1, ... adds each target's terms in np.add.at's order without
-    gathering any padding; a final permutation restores the target order.
+    Equal bit for bit, signed zeros included, to the unbuffered ufunc.at
+    scatter-add of np.repeat(src, k, axis=0) into zeros at idx.ravel(),
+    without its (N*k, D) operands, which adds each target's terms in
+    increasing flat position i*k + r, from +0.0. A stable argsort of
+    idx.ravel() lists the positions target by target in that same order;
+    bincount gives the in-degrees, and a position's slot is its rank minus
+    its target's segment start. The reverse table has one row per slot and
+    one column per target, the targets ordered by decreasing in-degree, and
+    holds the source row i. The targets with more than r sources are then
+    the first active[r] columns of row r, so adding src[table[r, :active[r]]]
+    into zeros for r = 0, 1, ... adds each target's terms in that order
+    without gathering padding; a final permutation restores target order.
     The working set is three (n, D) arrays plus the (max in-degree, n) table.
     """
     k = idx.shape[1]
@@ -245,18 +245,41 @@ class Tensor:
 
     # -- structural ops ------------------------------------------------------
 
-    def gather_rows(self, idx: Array) -> "Tensor":
-        """Select rows by index; duplicate indices accumulate in the vjp."""
-        idx = np.asarray(idx, dtype=np.intp)
+    def segment_mean(self, members: Array, starts: Array, n_rows: int) -> "Tensor":
+        """Row r is the mean of x[members[starts[r]:starts[r + 1]]] (the last
+        segment runs to the end), summed by np.add.reduceat in member order;
+        rows len(starts) .. n_rows - 1 are zero, and a length-1 segment is
+        its row bit for bit. Members are distinct, so each input row feeds at
+        most one output row and the vjp is the assignment gx[members] =
+        g[r] / count[r], no scatter-add. The working set is the (members, D)
+        gather. Raises ShapeError unless members are distinct and in [0, n),
+        starts rise strictly from 0 below len(members), len(starts) <= n_rows.
+        """
+        members = np.asarray(members, dtype=np.intp)
+        starts = np.asarray(starts, dtype=np.intp)
+        n = self.data.shape[0]
+        if members.ndim != 1 or starts.ndim != 1 or starts.size > n_rows:
+            raise ShapeError("segment_mean expects 1-D members and at most "
+                             f"n_rows={n_rows} 1-D starts")
+        if members.size and (members.min() < 0 or members.max() >= n
+                             or np.bincount(members).max() > 1):
+            raise ShapeError(f"segment_mean members must be distinct, in [0, {n})")
+        lengths = np.diff(starts, append=members.size)
+        if np.any(lengths <= 0) or (starts[0] != 0 if starts.size else members.size):
+            raise ShapeError("segment_mean starts must rise strictly from 0 "
+                             "below len(members)")
+        counts = lengths[:, None].astype(np.float64)
+        out = np.zeros((n_rows,) + self.data.shape[1:])
+        if starts.size:
+            out[:starts.size] = np.add.reduceat(self.data[members], starts,
+                                                axis=0) / counts
 
         def vjp(g):
-            out = np.zeros_like(self.data)
-            # np.add.at, not _scatter_rows: padded supervoxel slots all index row
-            # 0, whose in-degree (up to n_point - 1) sets the number of table rows
-            np.add.at(out, idx, g)
-            return out
+            gx = np.zeros_like(self.data)
+            gx[members] = np.repeat(g[:starts.size] / counts, lengths, axis=0)
+            return gx
 
-        return Tensor.from_op(self.data[idx], [(self, vjp)])
+        return Tensor.from_op(out, [(self, vjp)])
 
     def neighbor_mean(self, idx: Array) -> "Tensor":
         """Row-wise mean over k neighbor rows; idx has shape (N, k).

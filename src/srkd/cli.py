@@ -80,13 +80,17 @@ def _load_dataset(out: Path, cfg: dict) -> Dataset:
     return Dataset(tuple(train), tuple(val))
 
 
-def _load_teacher(out: Path) -> SegModel:
-    path = out / "teacher.ckpt"
+def _load_model(out: Path, data: Dataset, name: str, command: str) -> SegModel:
+    """Load <out>/<name>.ckpt frozen, checked against the dataset's classes
+    and input width (the encoder reads 3 position columns plus d_in)."""
+    path = out / f"{name}.ckpt"
     if not path.is_file():
-        raise DataError(f"no teacher checkpoint at {path}; "
-                        "run 'srkd train-teacher' first")
+        raise DataError(f"no {name} checkpoint at {path}; run 'srkd {command}' first")
     model = SegModel.from_state(load_checkpoint(path), trainable=False)
-    model.freeze()
+    got, want = (model.n_classes, model.widths[0] - 3), data.train[0]
+    if got != (want.n_classes, want.d_in):
+        raise DataError(f"{name} checkpoint has (n_classes, d_in) = {got}, the "
+                        f"dataset {(want.n_classes, want.d_in)}")
     return model
 
 
@@ -138,7 +142,7 @@ def cmd_train(args, cfg: dict) -> int:
     out = _out_dir(args)
     _echo_config(cfg, out, args.seed)
     data = _load_dataset(out, cfg)
-    teacher = _load_teacher(out)
+    teacher = _load_model(out, data, "teacher", "train-teacher")
     tcfg = cfgmod.train_config(cfg, args.seed)
     student, log = trainer.train_distill(tcfg, teacher, data)
     save_checkpoint(student.state_dict(), out / "student.ckpt")
@@ -151,10 +155,7 @@ def cmd_train(args, cfg: dict) -> int:
 def cmd_eval(args, cfg: dict) -> int:
     out = _out_dir(args)
     data = _load_dataset(out, cfg)
-    path = out / "student.ckpt"
-    if not path.is_file():
-        raise DataError(f"no student checkpoint at {path}; run 'srkd train' first")
-    model = SegModel.from_state(load_checkpoint(path), trainable=False)
+    model = _load_model(out, data, "student", "train")
     m = trainer.evaluate(model, data.val, cfg["train.n_fixed"])
     result = m.as_row()
     result["per_class_iou"] = [None if np.isnan(v) else v for v in m.iou]
@@ -168,7 +169,7 @@ def cmd_ablate(args, cfg: dict) -> int:
     out = _out_dir(args)
     h = _echo_config(cfg, out, args.seed)
     data = _load_dataset(out, cfg)
-    teacher = _load_teacher(out)
+    teacher = _load_model(out, data, "teacher", "train-teacher")
     tcfg = cfgmod.train_config(cfg, args.seed)
     rows = trainer.ablate(tcfg, teacher, data, seeds=cfg["sweep.seeds"],
                           jobs=args.jobs)
@@ -186,10 +187,7 @@ def cmd_noise(args, cfg: dict) -> int:
     out = _out_dir(args)
     h = _echo_config(cfg, out, args.seed)
     data = _load_dataset(out, cfg)
-    path = out / "student.ckpt"
-    if not path.is_file():
-        raise DataError(f"no student checkpoint at {path}; run 'srkd train' first")
-    model = SegModel.from_state(load_checkpoint(path), trainable=False)
+    model = _load_model(out, data, "student", "train")
     rows = trainer.noise_sweep(model, data.val, ncfg, cfg["train.n_fixed"])
     _write_csv(out / "noise.csv", rows, h)
     print(json.dumps(rows))
@@ -200,7 +198,7 @@ def cmd_subsample(args, cfg: dict) -> int:
     out = _out_dir(args)
     h = _echo_config(cfg, out, args.seed)
     data = _load_dataset(out, cfg)
-    teacher = _load_teacher(out)
+    teacher = _load_model(out, data, "teacher", "train-teacher")
     tcfg = cfgmod.train_config(cfg, args.seed)
     rows = trainer.subsample_sweep(tcfg, teacher, data,
                                    fractions=cfg["sweep.fractions"],
@@ -214,7 +212,7 @@ def cmd_batch_sweep(args, cfg: dict) -> int:
     out = _out_dir(args)
     h = _echo_config(cfg, out, args.seed)
     data = _load_dataset(out, cfg)
-    teacher = _load_teacher(out)
+    teacher = _load_model(out, data, "teacher", "train-teacher")
     tcfg = cfgmod.train_config(cfg, args.seed)
     rows = trainer.batch_sensitivity(tcfg, teacher, data,
                                      batch_sizes=cfg["sweep.batch_sizes"],
@@ -347,6 +345,7 @@ def gradcheck_report(seed: int, names=LOSS_NAMES + ("l_total",),
 
 
 def cmd_gradcheck(args, cfg: dict) -> int:
+    cfgmod.train_config(cfg, args.seed)  # reject an invalid config up front
     corrupt = os.environ.get("SRKD_GRADCHECK_CORRUPT") == "1"
     report = gradcheck_report(args.seed, corrupt=corrupt)
     for name, err in report.items():

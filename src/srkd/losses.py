@@ -182,10 +182,15 @@ class SupervoxelFeatures:
 
 
 def supervoxel_features(feature_map, sv: Supervoxel) -> SupervoxelFeatures:
-    """Gather a supervoxel's point and mean-pooled voxel rows from a map."""
+    """A supervoxel's point rows and mean-pooled voxel rows from a map: one
+    `Tensor.segment_mean` each, with a length-1 segment per kept point slot
+    (its row, bit for bit) and one per kept fine voxel; padded rows are zero.
+    No map row feeds two rows of a view, so the backward pass assigns."""
     fm = _as_tensor(feature_map)
-    pf = fm.gather_rows(sv.point_indices) * sv.point_mask[:, None].astype(np.float64)
-    vf = Tensor(sv.voxel_matrix) @ fm
+    n_kept = int(sv.point_mask.sum())
+    pf = fm.segment_mean(sv.point_indices[:n_kept], np.arange(n_kept),
+                         sv.point_mask.size)
+    vf = fm.segment_mean(sv.voxel_members, sv.voxel_starts, sv.voxel_mask.size)
     return SupervoxelFeatures(pf, vf, sv.point_mask, sv.voxel_mask, sv.weight)
 
 
@@ -257,38 +262,6 @@ def _masked_channel_kl(rows_s: Tensor, rows_t: Tensor, mask: np.ndarray) -> Tens
 # ---------------------------------------------------------------------------
 # Cross-sample mini-batch geometry distillation
 # ---------------------------------------------------------------------------
-
-def cross_similarity(f_i: np.ndarray, f_j: np.ndarray) -> np.ndarray:
-    """Similarity matrix F_i F_j^T of two row-normalized feature maps."""
-    f_i = np.asarray(f_i, dtype=np.float64)
-    f_j = np.asarray(f_j, dtype=np.float64)
-    if f_i.shape[1] != f_j.shape[1]:
-        raise ShapeError("cross_similarity requires matching feature widths")
-    return f_i @ f_j.T
-
-
-def loss_gd_pair(m_s: np.ndarray, m_t: np.ndarray, temperature: float,
-                 row_mask: np.ndarray | None = None,
-                 col_mask: np.ndarray | None = None) -> float:
-    """Row-softmax KL between one pair of similarity matrices (plain arrays)."""
-    m_s = np.asarray(m_s, dtype=np.float64)
-    m_t = np.asarray(m_t, dtype=np.float64)
-    if m_s.shape != m_t.shape:
-        raise ShapeError(f"loss_gd_pair shape mismatch: {m_s.shape} vs {m_t.shape}")
-    rows = np.ones(m_s.shape[0], dtype=bool) if row_mask is None \
-        else np.asarray(row_mask, dtype=bool)
-    cols = np.ones(m_s.shape[1], dtype=bool) if col_mask is None \
-        else np.asarray(col_mask, dtype=bool)
-    if not rows.any():
-        raise UndefinedLossError("loss_gd_pair: no valid rows")
-    if not cols.any():
-        raise UndefinedLossError("loss_gd_pair: no valid columns")
-    sub_s = m_s[np.ix_(rows, cols)]
-    sub_t = m_t[np.ix_(rows, cols)]
-    ls = log_softmax_rows(sub_s, temperature)
-    lt = log_softmax_rows(sub_t, temperature)
-    return float((np.exp(ls) * (ls - lt)).sum(axis=1).mean())
-
 
 def gd_teacher_log_z(teacher_maps: list[np.ndarray], temperature: float,
                      masks: list[np.ndarray] | None = None) -> np.ndarray:

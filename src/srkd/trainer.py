@@ -39,6 +39,10 @@ class Dataset:
         object.__setattr__(self, "val", tuple(self.val))
         if not self.train or not self.val:
             raise DataError("dataset needs nonempty train and val splits")
+        shapes = {(c.n_classes, c.d_in) for c in self.train + self.val}
+        if len(shapes) != 1:
+            raise DataError("scenes disagree on (n_classes, d_in): "
+                            f"{sorted(shapes)}")
 
 
 @dataclass(frozen=True)

@@ -88,12 +88,15 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class Supervoxel:
-    """A sampled coarse cell: member indices plus fixed-size gather plans.
+    """A sampled coarse cell: member indices plus fixed-size pooling plans.
 
-    point_indices/point_mask select N_point feature rows from the sample
-    (padded entries index row 0 and are masked out). voxel_matrix is an
-    (N_voxel, N_fixed) averaging matrix whose rows mean-pool the member
-    points of each non-empty fine voxel; padded rows are zero.
+    point_indices/point_mask select N_point feature rows from the sample;
+    kept slots are a prefix (padded entries index row 0, masked out). The
+    valid voxel rows, also a prefix, are the kept non-empty fine voxels:
+    voxel_members lists their members grouped by row (ascending within a
+    row), and row r's segment begins at voxel_starts[r]. Fine voxels
+    partition the members, so no point appears twice; the plans hold
+    O(members) integers.
     """
 
     grid_index: tuple[int, int, int]
@@ -103,7 +106,8 @@ class Supervoxel:
     weight: float              # w_i = (tau / N_v) * (D_i / R)
     point_indices: np.ndarray  # (N_point,) intp
     point_mask: np.ndarray     # (N_point,) bool
-    voxel_matrix: np.ndarray   # (N_voxel, N_fixed) float64
+    voxel_members: np.ndarray  # (members of the kept fine voxels,) intp
+    voxel_starts: np.ndarray   # (kept fine voxels,) intp, 0 first, rising
     voxel_mask: np.ndarray     # (N_voxel,) bool
 
 
@@ -195,7 +199,6 @@ def build_supervoxels(sample: FixedSample, grid: CylGrid, cfg: SamplerConfig,
     labels = sample.cloud.labels[valid]
     coarse = coarse_indices(grid, positions)
     fine = fine_indices(grid, positions, coarse, cfg.sub_div)
-    n_fixed = sample.n_fixed
 
     flat = (coarse[:, 0] * grid.n_angular + coarse[:, 1]) * grid.n_height + coarse[:, 2]
     out: list[Supervoxel] = []
@@ -218,23 +221,21 @@ def build_supervoxels(sample: FixedSample, grid: CylGrid, cfg: SamplerConfig,
         point_idx, point_mask = _fixed_subset(rng, members.astype(np.intp), cfg.n_point)
         point_idx = np.where(point_idx < 0, 0, point_idx)
 
-        # mean-pool member points of each non-empty fine voxel
+        # members of each kept non-empty fine voxel, grouped into segments
         sub = fine[in_cell]
-        vox_ids = np.unique(sub)
-        order = rng.permutation(vox_ids.size)
-        if vox_ids.size > cfg.n_voxel:
-            order = np.sort(order[:cfg.n_voxel])
-        else:
-            order = np.sort(order)
-        voxel_matrix = np.zeros((cfg.n_voxel, n_fixed))
-        voxel_mask = np.zeros(cfg.n_voxel, dtype=bool)
-        for row, pos in enumerate(order):
-            mem = members[sub == vox_ids[pos]]
-            voxel_matrix[row, mem] = 1.0 / mem.size
-            voxel_mask[row] = True
+        by_voxel = np.argsort(sub, kind="stable")
+        counts = np.bincount(sub)
+        counts = counts[counts > 0]
+        keep = np.zeros(counts.size, dtype=bool)
+        keep[rng.permutation(counts.size)[:cfg.n_voxel]] = True
+        voxel_members = members[by_voxel[np.repeat(keep, counts)]]
+        lengths = counts[keep]
+        voxel_starts = np.cumsum(lengths) - lengths
+        voxel_mask = np.arange(cfg.n_voxel) < lengths.size
 
         out.append(Supervoxel((i_r, i_a, i_h), members, float(d_i), tau, w,
-                              point_idx, point_mask, voxel_matrix, voxel_mask))
+                              point_idx, point_mask, voxel_members,
+                              voxel_starts, voxel_mask))
     return out
 
 

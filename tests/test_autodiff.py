@@ -64,9 +64,41 @@ class TestLinearAlgebraOps:
 
 
 class TestStructuredOps:
-    def test_gather_rows(self):
-        idx = np.array([0, 2, 2, 1])
-        check_grad(lambda a: a.gather_rows(idx).square().sum(), (3, 4))
+    def test_segment_mean(self):
+        # segments {4}, {0, 2}, {5, 1} of a 6-row input pooled into 5 rows:
+        # rows 3 and 4 are padding, input row 3 feeds nothing
+        members, starts = np.array([4, 0, 2, 5, 1]), np.array([0, 1, 3])
+        w = RNG.standard_normal((5, 3))
+        check_grad(lambda a: (a.segment_mean(members, starts, 5).square() * w).sum(),
+                   (6, 3))
+
+    def test_segment_mean_values(self):
+        x = RNG.standard_normal((6, 3))
+        out = Tensor(x).segment_mean([4, 0, 2, 5, 1], [0, 1, 3], 5).data
+        assert out[0].tobytes() == x[4].tobytes()  # a length-1 segment is its row
+        np.testing.assert_allclose(out[1:3], [(x[0] + x[2]) / 2, (x[5] + x[1]) / 2],
+                                   rtol=1e-15)
+        assert np.all(out[3:] == 0.0)
+        empty = Tensor(x).segment_mean(np.empty(0, np.intp), np.empty(0, np.intp), 2)
+        assert empty.shape == (2, 3) and np.all(empty.data == 0.0)
+
+    @pytest.mark.parametrize("members,starts,n_rows", [
+        ([0, 6], [0], 2),           # member out of range
+        ([-1, 2], [0], 2),          # negative member
+        ([1, 1], [0, 1], 2),        # duplicate member: in-degree 2
+        ([0, 1], [1], 2),           # first segment does not start at 0
+        ([0, 1, 2], [0, 2, 2], 3),  # empty segment
+        ([0, 1, 2], [0, 2, 1], 3),  # starts fall
+        ([0, 1], [0, 2], 2),        # start past the last member
+        ([0, 1, 2], [0, 1, 2], 2),  # more segments than rows
+        ([0, 1], [], 2),            # members outside every segment
+        ([], [0], 2),               # a segment without members
+        ([[0, 1]], [0], 2),         # 2-D members
+    ])
+    def test_segment_mean_rejects(self, members, starts, n_rows):
+        with pytest.raises(ShapeError):
+            Tensor(np.zeros((6, 2))).segment_mean(np.array(members, np.intp),
+                                                  np.array(starts, np.intp), n_rows)
 
     def test_neighbor_mean(self):
         idx = RNG.integers(0, 5, (5, 3))

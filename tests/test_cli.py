@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import srkd
 from srkd.cli import (GRADCHECK_TOL, _write_csv, _write_jsonl,
                       gradcheck_report, main)
 from srkd.cloud import atomic_open
+from srkd.config import load_config
 from srkd.losses import LOSS_NAMES
 from srkd.models import make_teacher, save_checkpoint
 
@@ -208,6 +210,14 @@ class TestGradcheck:
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert payload["pass"] is True
 
+    def test_invalid_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("loss.t_gd = nan\n")
+        assert main(["gradcheck", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+
     def test_corrupted_gradients_fail(self, workdir, capsys, monkeypatch):
         monkeypatch.setenv("SRKD_GRADCHECK_CORRUPT", "1")
         assert run(workdir, "gradcheck") == 1
@@ -308,3 +318,38 @@ class TestArtifactFuzz:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1
             assert set(json.loads(lines[0])) == {"error", "message"}
+        else:
+            metrics = json.loads((fuzz_root / "metrics.json").read_text())
+            n_classes = load_config(fuzz_root / "tiny.cfg")["scene.n_classes"]
+            assert len(metrics["per_class_iou"]) == n_classes
+
+    def test_val_class_count_flip_exits_2(self, fuzz_root, capsys):
+        """Bit 7 of the C field (header bytes 12-15) turns 8 classes into
+        136: the val scene then disagrees with the train scenes."""
+        path = fuzz_root / FUZZ_TARGETS["pcbin"]
+        raw = path.read_bytes()
+        mutated = bytearray(raw)
+        mutated[12] ^= 1 << 7
+        path.write_bytes(bytes(mutated))
+        try:
+            code = main(["eval", "--config", str(fuzz_root / "tiny.cfg"),
+                         "--out", str(fuzz_root)])
+        finally:
+            path.write_bytes(raw)
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "DataError"
+
+
+class TestModelDatasetMismatch:
+    @pytest.mark.parametrize("command,ckpt", [("eval", "student"),
+                                              ("noise", "student"),
+                                              ("train", "teacher")])
+    @pytest.mark.parametrize("d_in,n_classes", [(2, 5), (3, 8)])
+    def test_exits_2(self, fuzz_root, tmp_path, capsys, command, ckpt, d_in,
+                     n_classes):
+        shutil.copytree(fuzz_root / "dataset", tmp_path / "dataset")
+        save_checkpoint(make_teacher(d_in, n_classes, d_out=12, seed=0).state_dict(),
+                        tmp_path / f"{ckpt}.ckpt")
+        assert main([command, "--config", str(fuzz_root / "tiny.cfg"),
+                     "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "DataError"

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from srkd.autodiff import Tensor, finite_diff_gradient
-from srkd.errors import (ConfigError, NumericError, PairingError,
+from srkd.cloud import SceneSpec, derive_seed, generate_scene, resample_fixed
+from srkd.errors import (ConfigError, NumericError, PairingError, ShapeError,
                          UndefinedLossError)
 from srkd.losses import (LOSS_NAMES, LossWeights, SupervoxelFeatures, affinity,
-                         cross_similarity, gd_teacher_log_z, loss_amra_channel,
-                         loss_amra_point, loss_amra_voxel, loss_batch_gd,
-                         loss_gd_pair, loss_kd, loss_task, loss_total,
-                         weighted_total)
-from srkd.numerics import l2_normalize_rows, softmax_rows
+                         gd_teacher_log_z, loss_amra_channel, loss_amra_point,
+                         loss_amra_voxel, loss_batch_gd, loss_kd, loss_task,
+                         loss_total, supervoxel_features, weighted_total)
+from srkd.numerics import l2_normalize_rows, log_softmax_rows, softmax_rows
+from srkd.trainer import grid_for_clouds
+from srkd.voxelize import (SamplerConfig, _fixed_subset, batch_label_histogram,
+                           build_supervoxels, coarse_indices, fine_indices)
 
 RNG = np.random.default_rng(777)
 
@@ -204,6 +207,98 @@ class TestAMRAChannel:
         vs, vt = make_views(f_s, f_t, n_voxel=1)
         want = (2 / 3) * np.log(4 / 3) + (1 / 3) * np.log(2 / 3)
         assert loss_amra_channel(vs, vt).item() == pytest.approx(2 * want)
+
+
+def dense_voxel_matrix(sample, grid, cfg, seed, sv):
+    """Oracle: the (N_voxel, N_fixed) averaging matrix of a supervoxel's
+    voxel view, built densely from the fine indices of its members. The
+    seeded choice of fine voxels is replayed from the cell's own stream."""
+    rng = derive_seed(seed, *sv.grid_index)
+    _fixed_subset(rng, sv.member_indices, cfg.n_point)  # the point-slot draw
+    pos = sample.cloud.positions[sv.member_indices]
+    sub = fine_indices(grid, pos, coarse_indices(grid, pos), cfg.sub_div)
+    vox_ids = np.unique(sub)
+    order = np.sort(rng.permutation(vox_ids.size)[:cfg.n_voxel])
+    matrix = np.zeros((cfg.n_voxel, sample.n_fixed))
+    for row, pos_id in enumerate(order):
+        mem = sv.member_indices[sub == vox_ids[pos_id]]
+        matrix[row, mem] = 1.0 / mem.size
+    return matrix
+
+
+class TestSupervoxelFeatures:
+    def test_views_match_dense_and_gather_oracles(self):
+        spec = SceneSpec(seed=4)
+        clouds = [generate_scene(spec, i) for i in range(2)]
+        sample = resample_fixed(clouds[0], 1024, seed=5)
+        grid = grid_for_clouds(clouds)
+        hist = batch_label_histogram([sample], spec.n_classes)
+        x = RNG.standard_normal((sample.n_fixed, 6))
+        seen = set()
+        for cfg in (SamplerConfig(), SamplerConfig(n_point=4, n_voxel=2, sub_div=3),
+                    SamplerConfig(n_point=64, n_voxel=64, sub_div=6)):
+            for sv in build_supervoxels(sample, grid, cfg, hist, seed=6):
+                dense = dense_voxel_matrix(sample, grid, cfg, 6, sv)
+                lengths = np.diff(sv.voxel_starts, append=sv.voxel_members.size)
+                seen.update(name for name, hit in (
+                    ("voxels truncated", len(np.unique(dense.nonzero()[1]))
+                     < sv.member_indices.size),
+                    ("points truncated", sv.member_indices.size > cfg.n_point),
+                    ("single-member voxel", np.any(lengths == 1)),
+                    ("all voxel rows valid", sv.voxel_mask.all())) if hit)
+                t = Tensor(x.copy(), requires_grad=True)
+                v = supervoxel_features(t, sv)
+                # point view: the gather-then-mask formula, bit for bit on kept rows
+                gathered = x[sv.point_indices] * sv.point_mask[:, None]
+                assert np.array_equal(v.point_features.data, gathered)
+                m = sv.point_mask
+                assert v.point_features.data[m].tobytes() == gathered[m].tobytes()
+                # voxel view: the dense matmul up to summation order
+                err = np.abs(v.voxel_features.data - dense @ x).max()
+                assert err <= 1e-13 * np.abs(x).max()
+                assert np.all(v.voxel_features.data[~sv.voxel_mask] == 0.0)
+                # backward: assignment equals the scatter-add and dense.T @ g
+                gp = RNG.standard_normal(v.point_features.shape)
+                gv = RNG.standard_normal(v.voxel_features.shape)
+                ((v.point_features * gp).sum() + (v.voxel_features * gv).sum()).backward()
+                want = dense.T @ gv
+                np.add.at(want, sv.point_indices, gp * m[:, None])
+                np.testing.assert_allclose(t.grad, want, rtol=0,
+                                           atol=1e-13 * np.abs(want).max())
+        assert seen == {"voxels truncated", "points truncated",
+                        "single-member voxel", "all voxel rows valid"}
+
+
+def cross_similarity(f_i: np.ndarray, f_j: np.ndarray) -> np.ndarray:
+    """Oracle: similarity matrix F_i F_j^T of two row-normalized maps."""
+    f_i = np.asarray(f_i, dtype=np.float64)
+    f_j = np.asarray(f_j, dtype=np.float64)
+    if f_i.shape[1] != f_j.shape[1]:
+        raise ShapeError("cross_similarity requires matching feature widths")
+    return f_i @ f_j.T
+
+
+def loss_gd_pair(m_s: np.ndarray, m_t: np.ndarray, temperature: float,
+                 row_mask: np.ndarray | None = None,
+                 col_mask: np.ndarray | None = None) -> float:
+    """Oracle: row-softmax KL between one pair of similarity matrices."""
+    m_s = np.asarray(m_s, dtype=np.float64)
+    m_t = np.asarray(m_t, dtype=np.float64)
+    if m_s.shape != m_t.shape:
+        raise ShapeError(f"loss_gd_pair shape mismatch: {m_s.shape} vs {m_t.shape}")
+    rows = np.ones(m_s.shape[0], dtype=bool) if row_mask is None \
+        else np.asarray(row_mask, dtype=bool)
+    cols = np.ones(m_s.shape[1], dtype=bool) if col_mask is None \
+        else np.asarray(col_mask, dtype=bool)
+    if not rows.any():
+        raise UndefinedLossError("loss_gd_pair: no valid rows")
+    if not cols.any():
+        raise UndefinedLossError("loss_gd_pair: no valid columns")
+    sub_s = m_s[np.ix_(rows, cols)]
+    sub_t = m_t[np.ix_(rows, cols)]
+    ls = log_softmax_rows(sub_s, temperature)
+    lt = log_softmax_rows(sub_t, temperature)
+    return float((np.exp(ls) * (ls - lt)).sum(axis=1).mean())
 
 
 class TestCrossSimilarity:

@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from srkd.cloud import SceneSpec, generate_scene
-from srkd.errors import ConfigError
+from srkd.cloud import PointCloud, SceneSpec, generate_scene
+from srkd.errors import ConfigError, DataError
 from srkd.losses import LOSS_NAMES, LossWeights
 from srkd.models import save_checkpoint
 from srkd.trainer import (ABLATION_VARIANTS, Dataset, NoiseConfig, TrainConfig,
@@ -192,3 +192,17 @@ class TestNoiseConfig:
     def test_nonfinite_tau_rejected(self, value):
         with pytest.raises(ConfigError, match="finite"):
             NoiseConfig(taus=(0.1, value))
+
+
+class TestDataset:
+    def test_scenes_must_share_classes_and_width(self):
+        clouds = tiny_dataset(n_train=2, n_val=1).train
+        other = generate_scene(SceneSpec(n_classes=5, points_per_scene=192), 0)
+        with pytest.raises(DataError):
+            Dataset(clouds, (other,))
+        c = clouds[0]
+        wide = PointCloud(c.positions, np.hstack([c.features, c.features[:, :1]]),
+                          c.labels, c.n_classes, c.id)
+        with pytest.raises(DataError):
+            Dataset((wide,) + clouds[1:], clouds[:1])
+        Dataset(clouds[1:], clouds[:1])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 from srkd.cloud import SceneSpec, generate_scene, resample_fixed
 from srkd.errors import ConfigError
 from srkd.voxelize import (CylGrid, SamplerConfig, batch_label_histogram,
-                           build_supervoxels, coarse_indices, sample_supervoxels,
-                           supervoxel_weight, tau_class, to_cylindrical,
-                           voxel_count)
+                           build_supervoxels, coarse_indices, fine_indices,
+                           sample_supervoxels, supervoxel_weight, tau_class,
+                           to_cylindrical, voxel_count)
 
 TAU = 2 * math.pi
 
@@ -156,24 +157,61 @@ class TestBuildSupervoxels:
         for sv in svs:
             assert sv.point_indices.shape == (self.cfg.n_point,)
             assert sv.point_mask.shape == (self.cfg.n_point,)
-            assert sv.voxel_matrix.shape == (self.cfg.n_voxel,
-                                             self.sample.mask.size)
+            assert sv.voxel_mask.shape == (self.cfg.n_voxel,)
+            assert sv.voxel_members.dtype == sv.voxel_starts.dtype == np.intp
             n_real = int(sv.point_mask.sum())
             assert n_real == min(sv.member_indices.size, self.cfg.n_point)
+            # kept point slots and valid voxel rows are prefixes
+            assert sv.point_mask[:n_real].all()
+            n_rows = sv.voxel_starts.size
+            assert 1 <= n_rows <= self.cfg.n_voxel
+            np.testing.assert_array_equal(sv.voxel_mask,
+                                          np.arange(self.cfg.n_voxel) < n_rows)
+            # segments are nonempty and start at 0
+            lengths = np.diff(sv.voxel_starts, append=sv.voxel_members.size)
+            assert sv.voxel_starts[0] == 0 and np.all(lengths > 0)
             # real point rows index actual members of this supervoxel
             assert set(sv.point_indices[sv.point_mask]) <= set(sv.member_indices)
 
     def test_voxel_rows_are_mean_pools(self):
-        svs = build_supervoxels(self.sample, self.grid, self.cfg, self.hist,
-                                seed=3)
-        for sv in svs:
-            for row, valid in zip(sv.voxel_matrix, sv.voxel_mask):
-                if valid:
-                    assert row.sum() == pytest.approx(1.0)
-                    nz = row[row > 0]
-                    np.testing.assert_allclose(nz, 1.0 / nz.size)
-                else:
-                    assert np.all(row == 0.0)
+        """The rows pool whole fine voxels: the segments partition the
+        members of the kept fine voxels, and each shares one fine index."""
+        for cfg in (self.cfg, SamplerConfig(n_voxel=2, sub_div=3)):
+            svs = build_supervoxels(self.sample, self.grid, cfg, self.hist,
+                                    seed=3)
+            positions = self.sample.cloud.positions
+            for sv in svs:
+                pos = positions[sv.member_indices]
+                fine = dict(zip(sv.member_indices, fine_indices(
+                    self.grid, pos, coarse_indices(self.grid, pos), cfg.sub_div)))
+                segments = np.split(sv.voxel_members, sv.voxel_starts[1:])
+                ids = []
+                for seg in segments:
+                    assert np.all(np.diff(seg) > 0)  # sorted, no repeats
+                    seg_ids = {fine[m] for m in seg}
+                    assert len(seg_ids) == 1
+                    ids.append(seg_ids.pop())
+                assert len(set(ids)) == len(ids) == sv.voxel_starts.size
+                # each segment holds every member of its fine voxel
+                whole = [m for m in sv.member_indices if fine[m] in ids]
+                assert sorted(whole) == sorted(sv.voxel_members)
+                assert len(ids) == min(len(set(fine.values())), cfg.n_voxel)
+
+    def test_candidates_hold_no_dense_matrix(self):
+        # a dense (N_voxel, N_fixed) float64 pooling matrix per candidate
+        # is 128 KiB, 7.5 MiB for this sample's 60 candidates; the member
+        # segments take about 140 KiB in all
+        build_supervoxels(self.sample, self.grid, self.cfg, self.hist, seed=3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            svs = build_supervoxels(self.sample, self.grid, self.cfg, self.hist,
+                                    seed=3)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(svs) > 20
+        assert held < 512 * 1024
 
     def test_weights_match_formula(self):
         svs = build_supervoxels(self.sample, self.grid, self.cfg, self.hist,
@@ -186,8 +224,9 @@ class TestBuildSupervoxels:
         a = build_supervoxels(self.sample, self.grid, self.cfg, self.hist, seed=3)
         b = build_supervoxels(self.sample, self.grid, self.cfg, self.hist, seed=3)
         for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.point_indices, sb.point_indices)
-            np.testing.assert_array_equal(sa.voxel_matrix, sb.voxel_matrix)
+            for name in ("point_indices", "point_mask", "voxel_members",
+                         "voxel_starts", "voxel_mask"):
+                np.testing.assert_array_equal(getattr(sa, name), getattr(sb, name))
 
     def test_empty_cloud(self):
         from srkd.cloud import IGNORE_LABEL, FixedSample, PointCloud
