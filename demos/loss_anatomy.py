@@ -1,21 +1,21 @@
 """Anatomy of the six distillation loss terms on a tiny hand-sized batch.
 
-Builds a two-sample batch, runs a frozen teacher and a fresh student, and
-prints each loss term plus two sanity properties: a student cloned from the
-teacher's outputs scores (near) zero on every distillation term, and the
-analytic gradient of the total matches finite differences.
+Builds a two-sample batch, runs a frozen teacher and a fresh student through
+the training objective, and prints each loss term plus two sanity
+properties: the teacher distilled against itself scores (near) zero on
+every distillation term, and the analytic gradient of the total matches
+finite differences.
 Run with: python3 demos/loss_anatomy.py
 """
 
 import numpy as np
 
-from srkd import (LOSS_NAMES, LossWeights, SceneSpec, Tensor, generate_scene,
-                  loss_amra_channel, loss_amra_point, loss_amra_voxel,
-                  loss_batch_gd, loss_kd, loss_task, make_student_from_teacher,
-                  make_teacher, resample_fixed, supervoxel_features,
+from srkd import (LOSS_NAMES, LossWeights, SceneSpec, generate_scene,
+                  make_student_from_teacher, make_teacher, resample_fixed,
                   weighted_total)
-from srkd.autodiff import concat_rows, finite_diff_gradient
-from srkd.trainer import grid_for_clouds
+from srkd.autodiff import finite_diff_gradient
+from srkd.models import knn_indices
+from srkd.trainer import distill_objective, grid_for_clouds, make_batch
 from srkd.voxelize import (SamplerConfig, batch_label_histogram,
                            build_supervoxels, sample_supervoxels)
 
@@ -37,31 +37,10 @@ chosen = [sample_supervoxels(build_supervoxels(s, grid, sampler, hist, seed=i),
                              sampler.k, seed=20 + i)
           for i, s in enumerate(samples)]
 
-t_out = [teacher.forward(s) for s in samples]
-s_out = [student.forward(s) for s in samples]
-t_feats = [o[1].data for o in t_out]
-s_feats = [o[1] for o in s_out]
-s_logits = concat_rows([o[2] for o in s_out])
-t_logits = np.concatenate([o[2].data for o in t_out])
-labels = np.concatenate([s.cloud.labels for s in samples])
-mask = np.concatenate([s.mask for s in samples])
-
-views_s, views_t, views_c_s = [], [], []
-for f_s, f_t, svs in zip(s_feats, t_feats, chosen):
-    proj = student.projection.forward(f_s)
-    for sv in svs:
-        views_s.append(supervoxel_features(f_s, sv))
-        views_t.append(supervoxel_features(Tensor(f_t), sv))
-        views_c_s.append(supervoxel_features(proj, sv))
-
-comps = {
-    "l_task": loss_task(s_logits, labels, mask),
-    "l_kd": loss_kd(s_logits, t_logits, w.t_logit, mask),
-    "l_amra_p": loss_amra_point(views_s, views_t),
-    "l_amra_v": loss_amra_voxel(views_s, views_t),
-    "l_amra_c": loss_amra_channel(views_c_s, views_t),
-    "l_batch_gd": loss_batch_gd(s_feats, t_feats, w.t_gd, [s.mask for s in samples]),
-}
+# The batch holds the frozen teacher's outputs; the objective runs the student.
+nbrs = [knn_indices(s.cloud.positions, s.mask, teacher.k) for s in samples]
+batch = make_batch(samples, nbrs, teacher, w)
+comps = distill_objective(student, batch, chosen, w)
 total = weighted_total(comps, w)
 print("fresh student vs frozen teacher:")
 for name in LOSS_NAMES:
@@ -69,22 +48,13 @@ for name in LOSS_NAMES:
 print(f"  l_total    = {total.item():.6f}")
 
 # Property 1: a student whose features and logits equal the teacher's has
-# zero distillation loss. We fake this by reusing the teacher outputs on
-# both sides; only the task loss survives.
-tv = [supervoxel_features(Tensor(f), sv)
-      for f, svs in zip(t_feats, chosen) for sv in svs]
-ident = {
-    "l_kd": loss_kd(Tensor(t_logits), t_logits, w.t_logit, mask),
-    "l_amra_p": loss_amra_point(tv, tv),
-    "l_amra_v": loss_amra_voxel(tv, tv),
-    "l_amra_c": loss_amra_channel(tv, tv),
-    "l_batch_gd": loss_batch_gd([Tensor(f) for f in t_feats], t_feats,
-                                w.t_gd, [s.mask for s in samples]),
-}
+# zero distillation loss. The teacher itself is that student (it has no
+# channel projection); only the task loss survives.
+ident = distill_objective(teacher, batch, chosen, w)
 print("\nidentity check (student outputs == teacher outputs):")
-for name, t in ident.items():
-    print(f"  {name:10s} = {t.item():.2e}")
-    assert t.item() < 1e-10
+for name in LOSS_NAMES[1:]:
+    print(f"  {name:10s} = {ident[name].item():.2e}")
+    assert ident[name].item() < 1e-10
 
 # Property 2: backpropagated gradient of l_total w.r.t. one weight matrix
 # matches central finite differences.
@@ -96,23 +66,7 @@ analytic = p.grad.copy()
 
 def f(theta):
     p.data[...] = theta
-    outs = [student.forward(s) for s in samples]
-    c = dict(comps)
-    c["l_task"] = loss_task(concat_rows([o[2] for o in outs]), labels, mask)
-    c["l_kd"] = loss_kd(concat_rows([o[2] for o in outs]), t_logits,
-                        w.t_logit, mask)
-    vs, vc = [], []
-    for o, svs in zip(outs, chosen):
-        proj = student.projection.forward(o[1])
-        for sv in svs:
-            vs.append(supervoxel_features(o[1], sv))
-            vc.append(supervoxel_features(proj, sv))
-    c["l_amra_p"] = loss_amra_point(vs, views_t)
-    c["l_amra_v"] = loss_amra_voxel(vs, views_t)
-    c["l_amra_c"] = loss_amra_channel(vc, views_t)
-    c["l_batch_gd"] = loss_batch_gd([o[1] for o in outs], t_feats, w.t_gd,
-                                    [s.mask for s in samples])
-    return weighted_total(c, w).item()
+    return weighted_total(distill_objective(student, batch, chosen, w), w).item()
 
 
 orig = p.data.copy()

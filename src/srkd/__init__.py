@@ -1,7 +1,7 @@
 """SRKD: structure- and relation-aware knowledge distillation for
 point-cloud semantic segmentation, small enough to verify numerically."""
 
-from .autodiff import Tensor, backward, finite_diff_gradient
+from .autodiff import Tensor, finite_diff_gradient
 from .cloud import (IGNORE_LABEL, FixedSample, PointCloud, SceneSpec,
                     derive_seed, generate_scene, read_cloud, resample_fixed,
                     write_cloud)

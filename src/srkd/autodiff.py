@@ -358,11 +358,6 @@ def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
     return Tensor.from_op(np.concatenate(datas, axis=0), edges)
 
 
-def backward(loss: Tensor) -> None:
-    """Run reverse-mode accumulation from a recorded scalar loss."""
-    loss.backward()
-
-
 def finite_diff_gradient(f: Callable[[Array], float], theta: Array,
                          h: float = 1e-5) -> Array:
     """Central-difference gradient of a scalar function of a flat vector."""

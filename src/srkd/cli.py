@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -22,16 +22,16 @@ import numpy as np
 
 from . import config as cfgmod
 from . import losses, trainer
-from .autodiff import Tensor, concat_rows, finite_diff_gradient
-from .cloud import (IGNORE_LABEL, atomic_open, generate_scene, read_cloud,
-                    resample_fixed, write_cloud)
+from .autodiff import Tensor, finite_diff_gradient
+from .cloud import (IGNORE_LABEL, SceneSpec, atomic_open, generate_scene,
+                    read_cloud, resample_fixed, write_cloud)
 from .errors import ConfigError, DataError, SRKDError
-from .losses import LOSS_NAMES
-from .models import (SegModel, load_checkpoint, make_student_from_teacher,
-                     make_teacher, save_checkpoint)
-from .trainer import Dataset, grid_for_clouds
-from .voxelize import (SamplerConfig, batch_label_histogram, build_supervoxels,
-                       sample_supervoxels)
+from .losses import LossWeights
+from .models import (SegModel, knn_indices, load_checkpoint,
+                     make_student_from_teacher, make_teacher, save_checkpoint)
+from .trainer import Dataset
+from .voxelize import (CylGrid, SamplerConfig, batch_label_histogram,
+                       build_supervoxels, sample_supervoxels)
 
 GRADCHECK_TOL = 1e-4
 
@@ -71,7 +71,7 @@ def _split_counts(cfg: dict) -> tuple[int, int]:
     return n_train, n - n_train
 
 
-def _load_dataset(out: Path, cfg: dict) -> Dataset:
+def _load_dataset(out: Path) -> Dataset:
     droot = out / "dataset"
     if not droot.is_dir():
         raise DataError(f"no dataset at {droot}; run 'srkd generate' first")
@@ -128,7 +128,7 @@ def cmd_generate(args, cfg: dict) -> int:
 def cmd_train_teacher(args, cfg: dict) -> int:
     out = _out_dir(args)
     _echo_config(cfg, out, args.seed)
-    data = _load_dataset(out, cfg)
+    data = _load_dataset(out)
     tcfg = cfgmod.train_config(cfg, args.seed)
     teacher, log = trainer.train_teacher(tcfg, data)
     save_checkpoint(teacher.state_dict(), out / "teacher.ckpt")
@@ -141,7 +141,7 @@ def cmd_train_teacher(args, cfg: dict) -> int:
 def cmd_train(args, cfg: dict) -> int:
     out = _out_dir(args)
     _echo_config(cfg, out, args.seed)
-    data = _load_dataset(out, cfg)
+    data = _load_dataset(out)
     teacher = _load_model(out, data, "teacher", "train-teacher")
     tcfg = cfgmod.train_config(cfg, args.seed)
     student, log = trainer.train_distill(tcfg, teacher, data)
@@ -154,7 +154,7 @@ def cmd_train(args, cfg: dict) -> int:
 
 def cmd_eval(args, cfg: dict) -> int:
     out = _out_dir(args)
-    data = _load_dataset(out, cfg)
+    data = _load_dataset(out)
     model = _load_model(out, data, "student", "train")
     m = trainer.evaluate(model, data.val, cfg["train.n_fixed"])
     result = m.as_row()
@@ -165,15 +165,21 @@ def cmd_eval(args, cfg: dict) -> int:
     return 0
 
 
-def cmd_ablate(args, cfg: dict) -> int:
+def _teacher_sweep(args, cfg: dict, csv_name: str, sweep, **kwargs) -> list[dict]:
+    """Run a trainer sweep against the stored teacher and write its CSV."""
     out = _out_dir(args)
     h = _echo_config(cfg, out, args.seed)
-    data = _load_dataset(out, cfg)
+    data = _load_dataset(out)
     teacher = _load_model(out, data, "teacher", "train-teacher")
-    tcfg = cfgmod.train_config(cfg, args.seed)
-    rows = trainer.ablate(tcfg, teacher, data, seeds=cfg["sweep.seeds"],
-                          jobs=args.jobs)
-    _write_csv(out / "ablation.csv", rows, h)
+    rows = sweep(cfgmod.train_config(cfg, args.seed), teacher, data,
+                 jobs=args.jobs, **kwargs)
+    _write_csv(out / csv_name, rows, h)
+    return rows
+
+
+def cmd_ablate(args, cfg: dict) -> int:
+    rows = _teacher_sweep(args, cfg, "ablation.csv", trainer.ablate,
+                          seeds=cfg["sweep.seeds"])
     summary = {}
     for variant, _ in trainer.ABLATION_VARIANTS:
         vals = [r["miou"] for r in rows if r["variant"] == variant]
@@ -186,7 +192,7 @@ def cmd_noise(args, cfg: dict) -> int:
     ncfg = cfgmod.noise_config(cfg, args.seed)
     out = _out_dir(args)
     h = _echo_config(cfg, out, args.seed)
-    data = _load_dataset(out, cfg)
+    data = _load_dataset(out)
     model = _load_model(out, data, "student", "train")
     rows = trainer.noise_sweep(model, data.val, ncfg, cfg["train.n_fixed"])
     _write_csv(out / "noise.csv", rows, h)
@@ -195,29 +201,16 @@ def cmd_noise(args, cfg: dict) -> int:
 
 
 def cmd_subsample(args, cfg: dict) -> int:
-    out = _out_dir(args)
-    h = _echo_config(cfg, out, args.seed)
-    data = _load_dataset(out, cfg)
-    teacher = _load_model(out, data, "teacher", "train-teacher")
-    tcfg = cfgmod.train_config(cfg, args.seed)
-    rows = trainer.subsample_sweep(tcfg, teacher, data,
-                                   fractions=cfg["sweep.fractions"],
-                                   seeds=cfg["sweep.seeds"][:3], jobs=args.jobs)
-    _write_csv(out / "subsample.csv", rows, h)
+    rows = _teacher_sweep(args, cfg, "subsample.csv", trainer.subsample_sweep,
+                          fractions=cfg["sweep.fractions"],
+                          seeds=cfg["sweep.seeds"][:3])
     print(json.dumps(rows))
     return 0
 
 
 def cmd_batch_sweep(args, cfg: dict) -> int:
-    out = _out_dir(args)
-    h = _echo_config(cfg, out, args.seed)
-    data = _load_dataset(out, cfg)
-    teacher = _load_model(out, data, "teacher", "train-teacher")
-    tcfg = cfgmod.train_config(cfg, args.seed)
-    rows = trainer.batch_sensitivity(tcfg, teacher, data,
-                                     batch_sizes=cfg["sweep.batch_sizes"],
-                                     jobs=args.jobs)
-    _write_csv(out / "batch_sweep.csv", rows, h)
+    rows = _teacher_sweep(args, cfg, "batch_sweep.csv", trainer.batch_sensitivity,
+                          batch_sizes=cfg["sweep.batch_sizes"])
     print(json.dumps(rows))
     return 0
 
@@ -225,7 +218,7 @@ def cmd_batch_sweep(args, cfg: dict) -> int:
 def cmd_dim_sweep(args, cfg: dict) -> int:
     out = _out_dir(args)
     h = _echo_config(cfg, out, args.seed)
-    data = _load_dataset(out, cfg)
+    data = _load_dataset(out)
     tcfg = cfgmod.train_config(cfg, args.seed)
     rows = trainer.dim_sensitivity(tcfg, data, dims=cfg["sweep.dims"])
     _write_csv(out / "dim_sweep.csv", rows, h)
@@ -237,14 +230,8 @@ def cmd_dim_sweep(args, cfg: dict) -> int:
 # Gradient check
 # ---------------------------------------------------------------------------
 
-def _gradcheck_builders(seed: int):
-    """Loss builders over a tiny B=2, N=16, D=8, C=4 batch.
-
-    Returns (student, {loss_name: () -> Tensor}); each call runs a fresh
-    forward pass so finite differencing sees parameter edits.
-    """
-    from .cloud import SceneSpec
-
+def _gradcheck_batch(seed: int, weights: LossWeights):
+    """A tiny B=2, N=16, D=8, C=4 batch: (student, batch, chosen supervoxels)."""
     spec = SceneSpec(n_classes=4, points_per_scene=48, n_scenes=2, seed=seed)
     clouds = [generate_scene(spec, i) for i in range(2)]
     samples = [resample_fixed(c, 16, seed + 101 + i) for i, c in enumerate(clouds)]
@@ -253,9 +240,6 @@ def _gradcheck_builders(seed: int):
     student = make_student_from_teacher(teacher, seed=seed + 9)
     # Coarse grid: with only 16 points per sample, fine cells would hold
     # single points and the affinity terms would degenerate to zero.
-    import math
-
-    from .voxelize import CylGrid
     zs = np.concatenate([c.positions[:, 2] for c in clouds])
     grid = CylGrid(radial_extent=spec.radial_extent,
                    height_extent=float(zs.max() - zs.min()) + 0.5,
@@ -268,72 +252,34 @@ def _gradcheck_builders(seed: int):
     for i, s in enumerate(samples):
         cands = build_supervoxels(s, grid, sampler, hist, seed=seed + 21 + i)
         chosen.append(sample_supervoxels(cands, sampler.k, seed=seed + 31 + i))
-    t_feats, t_logits = [], []
-    for s in samples:
-        _, f_norm, logits = teacher.forward(s)
-        t_feats.append(f_norm.data.copy())
-        t_logits.append(logits.data.copy())
-    t_logits_cat = np.concatenate(t_logits, axis=0)
-    labels = np.concatenate([s.cloud.labels for s in samples])
-    mask = np.concatenate([s.mask for s in samples])
-    masks = [s.mask for s in samples]
-    w = losses.LossWeights()
-
-    def forward():
-        outs = [student.forward(s) for s in samples]
-        return [o[1] for o in outs], concat_rows([o[2] for o in outs])
-
-    def views(feats, proj: bool):
-        vs, vt = [], []
-        for f_s, f_t, svs in zip(feats, t_feats, chosen):
-            src = student.projection.forward(f_s) if proj else f_s
-            f_t_t = Tensor(f_t)
-            for sv in svs:
-                vs.append(losses.supervoxel_features(src, sv))
-                vt.append(losses.supervoxel_features(f_t_t, sv))
-        return vs, vt
-
-    def build(name: str) -> Tensor:
-        feats, logits = forward()
-        if name == "l_task":
-            return losses.loss_task(logits, labels, mask)
-        if name == "l_kd":
-            return losses.loss_kd(logits, t_logits_cat, w.t_logit, mask)
-        if name == "l_amra_p":
-            return losses.loss_amra_point(*views(feats, proj=False))
-        if name == "l_amra_v":
-            return losses.loss_amra_voxel(*views(feats, proj=False))
-        if name == "l_amra_c":
-            return losses.loss_amra_channel(*views(feats, proj=True))
-        if name == "l_batch_gd":
-            return losses.loss_batch_gd(feats, t_feats, w.t_gd, masks)
-        if name == "l_total":
-            comps = {n: build(n) for n in LOSS_NAMES}
-            return losses.weighted_total(comps, w)
-        raise ConfigError(f"unknown loss {name!r}")
-
-    return student, build
+    nbrs = [knn_indices(s.cloud.positions, s.mask, teacher.k) for s in samples]
+    return student, trainer.make_batch(samples, nbrs, teacher, weights), chosen
 
 
-def gradcheck_report(seed: int, names=LOSS_NAMES + ("l_total",),
-                     h: float = 1e-5, corrupt: bool = False) -> dict[str, float]:
-    """Max relative analytic-vs-finite-difference error per loss term."""
-    student, build = _gradcheck_builders(seed)
+def gradcheck_report(seed: int, weights: LossWeights = LossWeights(),
+                     h: float = 1e-5) -> dict[str, float]:
+    """Max relative analytic-vs-finite-difference error of each term that
+    `trainer.distill_objective` computes under `weights`, and of l_total."""
+    student, batch, chosen = _gradcheck_batch(seed, weights)
+
+    def terms() -> dict:
+        comps = trainer.distill_objective(student, batch, chosen, weights)
+        comps["l_total"] = losses.weighted_total(comps, weights)
+        return comps
+
+    names = [n for n, v in terms().items() if isinstance(v, Tensor)]
     params = student.named_params()
     report = {}
     for name in names:
         student.zero_grads()
-        loss = build(name)
-        loss.backward()
+        terms()[name].backward()
         worst = 0.0
         for pname, p in params.items():
             analytic = np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-            if corrupt:
-                analytic += 1e-2
 
             def f(theta, _p=p, _name=name):
                 _p.data[...] = theta
-                return build(_name).item()
+                return terms()[_name].item()
 
             orig = p.data.copy()
             fd = finite_diff_gradient(f, orig.copy(), h)
@@ -345,9 +291,7 @@ def gradcheck_report(seed: int, names=LOSS_NAMES + ("l_total",),
 
 
 def cmd_gradcheck(args, cfg: dict) -> int:
-    cfgmod.train_config(cfg, args.seed)  # reject an invalid config up front
-    corrupt = os.environ.get("SRKD_GRADCHECK_CORRUPT") == "1"
-    report = gradcheck_report(args.seed, corrupt=corrupt)
+    report = gradcheck_report(args.seed, cfgmod.loss_weights(cfg))
     for name, err in report.items():
         print(f"{name}: max relative error {err:.3e}")
     ok = all(err < GRADCHECK_TOL for err in report.values())

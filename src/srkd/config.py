@@ -83,7 +83,11 @@ def _parse_value(key: str, text: str, default) -> object:
 
 
 def parse_config(text: str, source: str = "<config>") -> dict[str, object]:
-    """Parse config text and merge it over the defaults."""
+    """Parse config text and merge it over the defaults.
+
+    The merged config is validated as a whole: any invalid setting raises
+    ConfigError here, whichever command later reads it.
+    """
     cfg = dict(DEFAULTS)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -96,6 +100,9 @@ def parse_config(text: str, source: str = "<config>") -> dict[str, object]:
         if key not in DEFAULTS:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
         cfg[key] = _parse_value(key, value, DEFAULTS[key])
+    scene_spec(cfg, 0).validate()
+    train_config(cfg, 0)
+    noise_config(cfg, 0)
     return cfg
 
 

@@ -20,7 +20,7 @@ from .autodiff import Tensor, concat_rows
 from .cloud import FixedSample, PointCloud, derive_seed, resample_fixed
 from .errors import ConfigError, DataError
 from .losses import LossWeights, loss_total, weighted_total
-from .metrics import Metrics, compute_metrics, confusion_matrix, metrics_from_confusion
+from .metrics import Metrics, confusion_matrix, metrics_from_confusion
 from .models import SegModel, knn_indices, make_student_from_teacher, make_teacher
 from .optim import AdamW, OneCycleSchedule
 from .voxelize import (CylGrid, SamplerConfig, batch_label_histogram,
@@ -110,83 +110,119 @@ def grid_for_clouds(clouds, h_margin: float = 0.25) -> CylGrid:
                                h_min=z_min - h_margin)
 
 
-@dataclass
-class _Prepared:
-    sample: FixedSample
-    x: np.ndarray
-    nbr: np.ndarray
-    all_valid: bool
+@dataclass(frozen=True)
+class Batch:
+    """One mini-batch and the frozen-teacher quantities its objective reads.
 
-
-def _prepare(cloud: PointCloud, cfg: TrainConfig, seed: int) -> _Prepared:
-    sample = resample_fixed(cloud, cfg.n_fixed, seed)
-    x = SegModel.encoder_input(sample)
-    nbr = knn_indices(sample.cloud.positions, sample.mask, cfg.knn_k)
-    return _Prepared(sample, x, nbr, bool(sample.mask.all()))
-
-
-@dataclass
-class _BatchContext:
-    members: list[_Prepared]
-    histogram: np.ndarray
-    candidates: list[list] | None          # supervoxel candidates per sample
-    teacher_feats: list[np.ndarray] | None
-    teacher_logits: np.ndarray | None      # concatenated over the batch
-    teacher_log_z: np.ndarray | None
-    labels: np.ndarray                     # concatenated
+    Teacher fields are None unless a term with a positive weight reads them.
+    """
+    samples: list[FixedSample]
+    nbrs: list[np.ndarray]                 # k-NN indices per sample
+    labels: np.ndarray                     # concatenated over the batch
     mask: np.ndarray                       # concatenated
+    gd_masks: list[np.ndarray] | None      # None when every row is valid
+    teacher_feats: list[np.ndarray] | None
+    teacher_logits: np.ndarray | None      # concatenated
+    teacher_log_z: np.ndarray | None
 
 
-def _teacher_outputs(teacher: SegModel, prep: _Prepared):
-    _, f_norm, logits = teacher.forward(prep.sample, prep.nbr)
-    return f_norm.data.copy(), logits.data.copy()
+def _amra_enabled(w: LossWeights) -> bool:
+    return w.lambda_p > 0 or w.lambda_v > 0 or w.lambda_c > 0
+
+
+def make_batch(samples: list[FixedSample], nbrs: list[np.ndarray],
+               teacher: SegModel | None, weights: LossWeights) -> Batch:
+    """Concatenate a mini-batch and run the frozen teacher on it once.
+
+    The teacher is not called when every distillation weight is zero.
+    """
+    w = weights
+    need_feats = _amra_enabled(w) or w.lambda_batch_gd > 0
+    gd_masks = None if all(s.mask.all() for s in samples) \
+        else [s.mask for s in samples]
+    t_feats = t_logits = t_log_z = None
+    if need_feats or w.lambda_kd > 0:
+        if teacher is None:
+            raise ConfigError("distillation weights need a teacher")
+        outs = [teacher.forward(s, nbr)[1:] for s, nbr in zip(samples, nbrs)]
+        if need_feats:
+            t_feats = [f.data for f, _ in outs]
+        if w.lambda_kd > 0:
+            t_logits = np.concatenate([z.data for _, z in outs], axis=0)
+        if w.lambda_batch_gd > 0:
+            t_log_z = losses.gd_teacher_log_z(t_feats, w.t_gd, gd_masks)
+    return Batch(samples, nbrs,
+                 np.concatenate([s.cloud.labels for s in samples]),
+                 np.concatenate([s.mask for s in samples]),
+                 gd_masks, t_feats, t_logits, t_log_z)
+
+
+def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
+                      weights: LossWeights) -> dict[str, Tensor | float]:
+    """The SRKD objective of one mini-batch, term by term (`LOSS_NAMES`).
+
+    Runs the student forward pass. `l_task` is always a Tensor; a
+    distillation term is a Tensor when its weight is positive and 0.0
+    otherwise. `chosen` holds each sample's sampled supervoxels (None when
+    no affinity term is enabled); student and teacher views pool the same
+    ones. Combine the terms with `losses.weighted_total`.
+    """
+    w = weights
+    outs = [model.forward(s, nbr) for s, nbr in zip(batch.samples, batch.nbrs)]
+    feats = [o[1] for o in outs]
+    logits = concat_rows([o[2] for o in outs])
+
+    comps: dict[str, Tensor | float] = dict.fromkeys(losses.LOSS_NAMES, 0.0)
+    comps["l_task"] = losses.loss_task(logits, batch.labels, batch.mask)
+    if w.lambda_kd > 0:
+        comps["l_kd"] = losses.loss_kd(logits, batch.teacher_logits,
+                                       w.t_logit, batch.mask)
+    if _amra_enabled(w):
+        views_s, views_t, views_sp = [], [], []
+        for f_s, f_t, svs in zip(feats, batch.teacher_feats, chosen):
+            f_t_t = Tensor(f_t)
+            proj = model.projection.forward(f_s) \
+                if model.projection is not None else f_s
+            for sv in svs:
+                views_s.append(losses.supervoxel_features(f_s, sv))
+                views_t.append(losses.supervoxel_features(f_t_t, sv))
+                views_sp.append(losses.supervoxel_features(proj, sv))
+        if views_s:
+            if w.lambda_p > 0:
+                comps["l_amra_p"] = losses.loss_amra_point(views_s, views_t)
+            if w.lambda_v > 0:
+                comps["l_amra_v"] = losses.loss_amra_voxel(views_s, views_t)
+            if w.lambda_c > 0:
+                comps["l_amra_c"] = losses.loss_amra_channel(views_sp, views_t)
+    if w.lambda_batch_gd > 0:
+        comps["l_batch_gd"] = losses.loss_batch_gd(
+            feats, batch.teacher_feats, w.t_gd, batch.gd_masks,
+            teacher_log_z=batch.teacher_log_z)
+    return comps
 
 
 def _train_loop(model: SegModel, teacher: SegModel | None, cfg: TrainConfig,
                 weights: LossWeights, train_clouds, val_clouds,
                 grid: CylGrid) -> list[dict]:
     w = weights
-    need_kd = teacher is not None and w.lambda_kd > 0
-    need_amra = teacher is not None and (w.lambda_p > 0 or w.lambda_v > 0
-                                         or w.lambda_c > 0)
-    need_gd = teacher is not None and w.lambda_batch_gd > 0
-    need_teacher = need_kd or need_amra or need_gd
-    n_classes = train_clouds[0].n_classes
-
-    prepared = [_prepare(c, cfg, _child_seed(cfg.seed, 11, i))
-                for i, c in enumerate(train_clouds)]
-    order = derive_seed(cfg.seed, 13).permutation(len(prepared))
-    batches = [order[i:i + cfg.batch_size]
-               for i in range(0, len(order), cfg.batch_size)]
-
-    contexts: list[_BatchContext] = []
-    teacher_cache: dict[int, tuple] = {}
-    for batch in batches:
-        members = [prepared[i] for i in batch]
-        samples = [p.sample for p in members]
-        hist = batch_label_histogram(samples, n_classes)
-        cands = None
-        if need_amra:
-            cands = [build_supervoxels(p.sample, grid, cfg.sampler, hist,
-                                       seed=_child_seed(cfg.seed, 17, int(i)))
-                     for i, p in zip(batch, members)]
-        t_feats = t_logits = t_log_z = None
-        if need_teacher:
-            outs = []
-            for i, p in zip(batch, members):
-                if int(i) not in teacher_cache:
-                    teacher_cache[int(i)] = _teacher_outputs(teacher, p)
-                outs.append(teacher_cache[int(i)])
-            t_feats = [o[0] for o in outs]
-            t_logits = np.concatenate([o[1] for o in outs], axis=0)
-        labels = np.concatenate([p.sample.cloud.labels for p in members])
-        mask = np.concatenate([p.sample.mask for p in members])
-        if need_gd:
-            gd_masks = None if all(p.all_valid for p in members) \
-                else [p.sample.mask for p in members]
-            t_log_z = losses.gd_teacher_log_z(t_feats, w.t_gd, gd_masks)
-        contexts.append(_BatchContext(members, hist, cands, t_feats,
-                                      t_logits, t_log_z, labels, mask))
+    samples = [resample_fixed(c, cfg.n_fixed, _child_seed(cfg.seed, 11, i))
+               for i, c in enumerate(train_clouds)]
+    nbrs = [knn_indices(s.cloud.positions, s.mask, cfg.knn_k) for s in samples]
+    # Disjoint chunks of one permutation: each batch is prepared once.
+    order = derive_seed(cfg.seed, 13).permutation(len(samples))
+    chunks = [order[i:i + cfg.batch_size]
+              for i in range(0, len(order), cfg.batch_size)]
+    batches = [make_batch([samples[i] for i in idx], [nbrs[i] for i in idx],
+                          teacher, w) for idx in chunks]
+    candidates = None           # supervoxel candidates per batch and sample
+    if _amra_enabled(w):
+        candidates = []
+        for idx, batch in zip(chunks, batches):
+            hist = batch_label_histogram(batch.samples, model.n_classes)
+            candidates.append([
+                build_supervoxels(s, grid, cfg.sampler, hist,
+                                  seed=_child_seed(cfg.seed, 17, int(i)))
+                for i, s in zip(idx, batch.samples)])
 
     total_steps = cfg.epochs * len(batches)
     sched = OneCycleSchedule(cfg.lr, total_steps, cfg.warmup_frac,
@@ -195,46 +231,13 @@ def _train_loop(model: SegModel, teacher: SegModel | None, cfg: TrainConfig,
     log: list[dict] = []
     gstep = 0
     for epoch in range(cfg.epochs):
-        for bi, ctx in enumerate(contexts):
+        for bi, batch in enumerate(batches):
             lr = sched.lr(gstep)
-            outs = [model.forward(p.sample, p.nbr) for p in ctx.members]
-            feats = [o[1] for o in outs]
-            logits = concat_rows([o[2] for o in outs])
-
-            comps: dict[str, object] = {name: 0.0 for name in losses.LOSS_NAMES}
-            comps["l_task"] = losses.loss_task(logits, ctx.labels, ctx.mask)
-            if need_kd:
-                comps["l_kd"] = losses.loss_kd(logits, ctx.teacher_logits,
-                                               w.t_logit, ctx.mask)
-            if need_amra:
-                views_s, views_t, views_sp, views_tc = [], [], [], []
-                for si, (p, cand, f_s, f_t) in enumerate(
-                        zip(ctx.members, ctx.candidates, feats, ctx.teacher_feats)):
-                    chosen = sample_supervoxels(
-                        cand, cfg.sampler.k,
-                        seed=_child_seed(cfg.seed, 19, epoch, bi, si))
-                    f_t_t = Tensor(f_t)
-                    proj = model.projection.forward(f_s) \
-                        if model.projection is not None else f_s
-                    for sv in chosen:
-                        views_s.append(losses.supervoxel_features(f_s, sv))
-                        views_t.append(losses.supervoxel_features(f_t_t, sv))
-                        views_sp.append(losses.supervoxel_features(proj, sv))
-                        views_tc.append(views_t[-1])
-                if views_s:
-                    if w.lambda_p > 0:
-                        comps["l_amra_p"] = losses.loss_amra_point(views_s, views_t)
-                    if w.lambda_v > 0:
-                        comps["l_amra_v"] = losses.loss_amra_voxel(views_s, views_t)
-                    if w.lambda_c > 0:
-                        comps["l_amra_c"] = losses.loss_amra_channel(views_sp, views_tc)
-            if need_gd:
-                gd_masks = None if all(p.all_valid for p in ctx.members) \
-                    else [p.sample.mask for p in ctx.members]
-                comps["l_batch_gd"] = losses.loss_batch_gd(
-                    feats, ctx.teacher_feats, w.t_gd, gd_masks,
-                    teacher_log_z=ctx.teacher_log_z)
-
+            chosen = None if candidates is None else [
+                sample_supervoxels(cand, cfg.sampler.k,
+                                   seed=_child_seed(cfg.seed, 19, epoch, bi, si))
+                for si, cand in enumerate(candidates[bi])]
+            comps = distill_objective(model, batch, chosen, w)
             floats = {k: (v.item() if isinstance(v, Tensor) else float(v))
                       for k, v in comps.items()}
             report = loss_total(floats, w)  # raises naming any non-finite term

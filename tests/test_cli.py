@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srkd
+from srkd import cli
 from srkd.cli import (GRADCHECK_TOL, _write_csv, _write_jsonl,
                       gradcheck_report, main)
 from srkd.cloud import atomic_open
@@ -151,27 +152,29 @@ class TestErrors:
         assert code == 2
         assert "not found" in json.loads(capsys.readouterr().err)["message"]
 
-    def test_nonfinite_setting_rejected(self, tmp_path, capsys):
+    @staticmethod
+    def _rejected_at_load(workdir, tmp_path, capsys, setting, command):
+        """A dataset from the good config; `generate` and `command` under the
+        bad one both exit 2 with one ConfigError line."""
         bad = tmp_path / "nan.cfg"
-        bad.write_text(TINY_CFG + "loss.t_gd = nan\n")
+        bad.write_text(TINY_CFG + setting + "\n")
         out = str(tmp_path / "o")
-        assert main(["generate", "--config", str(bad), "--out", out]) == 0
+        assert main(["generate", "--config", str(workdir / "tiny.cfg"),
+                     "--out", out]) == 0
         capsys.readouterr()
-        assert main(["train-teacher", "--config", str(bad), "--out", out]) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "ConfigError"
+        for cmd in ("generate", command):
+            assert main([cmd, "--config", str(bad), "--out", out]) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == "ConfigError"
 
-    def test_nonfinite_noise_tau_rejected(self, tmp_path, capsys):
-        bad = tmp_path / "nan.cfg"
-        bad.write_text(TINY_CFG + "noise.taus = 0.1, nan\n")
-        out = str(tmp_path / "o")
-        assert main(["generate", "--config", str(bad), "--out", out]) == 0
-        capsys.readouterr()
-        assert main(["noise", "--config", str(bad), "--out", out]) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "ConfigError"
+    def test_nonfinite_setting_rejected(self, workdir, tmp_path, capsys):
+        self._rejected_at_load(workdir, tmp_path, capsys, "loss.t_gd = nan",
+                               "train-teacher")
+
+    def test_nonfinite_noise_tau_rejected(self, workdir, tmp_path, capsys):
+        self._rejected_at_load(workdir, tmp_path, capsys,
+                               "noise.taus = 0.1, nan", "noise")
 
     def test_truncated_student_checkpoint(self, workdir, tmp_path, capsys):
         out = tmp_path / "trunc"
@@ -218,8 +221,18 @@ class TestGradcheck:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
 
+    def test_configured_weights_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "no_c.cfg"
+        cfg.write_text("loss.lambda_c = 0\n")
+        assert main(["gradcheck", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert payload["pass"] is True
+        assert set(payload["errors"]) == set(LOSS_NAMES) - {"l_amra_c"} | {"l_total"}
+
     def test_corrupted_gradients_fail(self, workdir, capsys, monkeypatch):
-        monkeypatch.setenv("SRKD_GRADCHECK_CORRUPT", "1")
+        exact = cli.finite_diff_gradient
+        monkeypatch.setattr(cli, "finite_diff_gradient",
+                            lambda f, theta, h: exact(f, theta, h) + 1e-2)
         assert run(workdir, "gradcheck") == 1
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert payload["pass"] is False

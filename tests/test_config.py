@@ -43,6 +43,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match="train.epochs"):
             parse_config("train.epochs = soon")
 
+    @pytest.mark.parametrize("line", [
+        "train.train_fraction = nan", "train.train_fraction = inf",
+        "train.lr = nan", "scene.noise_std = -1.0", "noise.trials = 0",
+        "sampler.k = 0",
+    ])
+    def test_invalid_setting_rejected_at_load(self, line):
+        with pytest.raises(ConfigError):
+            parse_config(line)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.cfg")

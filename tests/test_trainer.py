@@ -5,15 +5,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from srkd.cloud import PointCloud, SceneSpec, generate_scene
+from srkd import losses
+from srkd.autodiff import Tensor, concat_rows
+from srkd.cloud import PointCloud, SceneSpec, generate_scene, resample_fixed
 from srkd.errors import ConfigError, DataError
-from srkd.losses import LOSS_NAMES, LossWeights
-from srkd.models import save_checkpoint
+from srkd.losses import LOSS_NAMES, LossWeights, weighted_total
+from srkd.models import (knn_indices, make_student_from_teacher, make_teacher,
+                         save_checkpoint)
 from srkd.trainer import (ABLATION_VARIANTS, Dataset, NoiseConfig, TrainConfig,
-                          ablate, batch_sensitivity, dim_sensitivity, evaluate,
-                          noise_sweep, subsample_sweep, train_distill,
-                          train_teacher, variant_weights)
-from srkd.voxelize import SamplerConfig
+                          ablate, batch_sensitivity, dim_sensitivity,
+                          distill_objective, evaluate, grid_for_clouds,
+                          make_batch, noise_sweep, subsample_sweep,
+                          train_distill, train_teacher, variant_weights)
+from srkd.voxelize import (SamplerConfig, batch_label_histogram,
+                           build_supervoxels, sample_supervoxels)
 
 
 def tiny_config(**kw):
@@ -109,6 +114,124 @@ class TestTraining:
         first = np.mean([r["l_task"] for r in steps if r["epoch"] == 0])
         last = np.mean([r["l_task"] for r in steps if r["epoch"] == 11])
         assert last < first
+
+
+def _oracle_objective(model, teacher, samples, nbrs, chosen, w):
+    """Reference: the training loop's batch preparation and step body from
+    before `make_batch` and `distill_objective`, kept verbatim."""
+    need_kd = teacher is not None and w.lambda_kd > 0
+    need_amra = teacher is not None and (w.lambda_p > 0 or w.lambda_v > 0
+                                         or w.lambda_c > 0)
+    need_gd = teacher is not None and w.lambda_batch_gd > 0
+    all_valid = [bool(s.mask.all()) for s in samples]
+    outs = [teacher.forward(s, nbr) for s, nbr in zip(samples, nbrs)]
+    t_feats = [o[1].data.copy() for o in outs]
+    t_logits = np.concatenate([o[2].data.copy() for o in outs], axis=0)
+    labels = np.concatenate([s.cloud.labels for s in samples])
+    mask = np.concatenate([s.mask for s in samples])
+    gd_masks = None if all(all_valid) else [s.mask for s in samples]
+    t_log_z = losses.gd_teacher_log_z(t_feats, w.t_gd, gd_masks)
+
+    outs = [model.forward(s, nbr) for s, nbr in zip(samples, nbrs)]
+    feats = [o[1] for o in outs]
+    logits = concat_rows([o[2] for o in outs])
+
+    comps = {name: 0.0 for name in losses.LOSS_NAMES}
+    comps["l_task"] = losses.loss_task(logits, labels, mask)
+    if need_kd:
+        comps["l_kd"] = losses.loss_kd(logits, t_logits, w.t_logit, mask)
+    if need_amra:
+        views_s, views_t, views_sp, views_tc = [], [], [], []
+        for svs, f_s, f_t in zip(chosen, feats, t_feats):
+            f_t_t = Tensor(f_t)
+            proj = model.projection.forward(f_s) \
+                if model.projection is not None else f_s
+            for sv in svs:
+                views_s.append(losses.supervoxel_features(f_s, sv))
+                views_t.append(losses.supervoxel_features(f_t_t, sv))
+                views_sp.append(losses.supervoxel_features(proj, sv))
+                views_tc.append(views_t[-1])
+        if views_s:
+            if w.lambda_p > 0:
+                comps["l_amra_p"] = losses.loss_amra_point(views_s, views_t)
+            if w.lambda_v > 0:
+                comps["l_amra_v"] = losses.loss_amra_voxel(views_s, views_t)
+            if w.lambda_c > 0:
+                comps["l_amra_c"] = losses.loss_amra_channel(views_sp, views_tc)
+    if need_gd:
+        comps["l_batch_gd"] = losses.loss_batch_gd(
+            feats, t_feats, w.t_gd, gd_masks, teacher_log_z=t_log_z)
+    return comps
+
+
+def _objective_inputs(n_fixed):
+    """Two samples of 192-point scenes (n_fixed > 192 pads them), their
+    k-NN, sampled supervoxels, a frozen teacher and its student."""
+    clouds = tiny_dataset(n_train=2, n_val=1).train
+    samples = [resample_fixed(c, n_fixed, 5 + i) for i, c in enumerate(clouds)]
+    nbrs = [knn_indices(s.cloud.positions, s.mask, 4) for s in samples]
+    sampler = SamplerConfig(k=2, n_point=16, n_voxel=4)
+    hist = batch_label_histogram(samples, clouds[0].n_classes)
+    chosen = [sample_supervoxels(build_supervoxels(s, grid_for_clouds(clouds),
+                                                   sampler, hist, seed=i),
+                                 sampler.k, seed=9 + i)
+              for i, s in enumerate(samples)]
+    teacher = make_teacher(clouds[0].d_in, clouds[0].n_classes, d_out=12, k=4,
+                           seed=1)
+    teacher.freeze()
+    student = make_student_from_teacher(teacher, seed=2)
+    return samples, nbrs, chosen, teacher, student
+
+
+def _grads(model, comps, w):
+    model.zero_grads()
+    weighted_total(comps, w).backward()
+    return {k: p.grad.copy() for k, p in model.named_params().items()}
+
+
+class TestObjective:
+    @pytest.mark.parametrize("n_fixed", [96, 256], ids=["all_valid", "padded"])
+    def test_matches_loop_oracle_bitwise(self, n_fixed):
+        samples, nbrs, chosen, teacher, student = _objective_inputs(n_fixed)
+        w = LossWeights()
+        batch = make_batch(samples, nbrs, teacher, w)
+        assert (batch.gd_masks is None) == (n_fixed == 96)
+        got = distill_objective(student, batch, chosen, w)
+        want = _oracle_objective(student, teacher, samples, nbrs, chosen, w)
+        assert {k: v.item() for k, v in got.items()} \
+            == {k: v.item() for k, v in want.items()}
+        g_got, g_want = _grads(student, got, w), _grads(student, want, w)
+        for name in g_want:
+            assert np.array_equal(g_got[name], g_want[name]), name
+
+    @pytest.mark.parametrize("off", ["lambda_kd", "lambda_p", "lambda_v",
+                                     "lambda_c", "lambda_batch_gd"])
+    def test_zero_weight_term_is_zero(self, off):
+        samples, nbrs, chosen, teacher, student = _objective_inputs(96)
+        w = replace(LossWeights(), **{off: 0.0})
+        comps = distill_objective(student, make_batch(samples, nbrs, teacher, w),
+                                  chosen, w)
+        term = {"lambda_kd": "l_kd", "lambda_p": "l_amra_p",
+                "lambda_v": "l_amra_v", "lambda_c": "l_amra_c",
+                "lambda_batch_gd": "l_batch_gd"}[off]
+        assert type(comps[term]) is float and comps[term] == 0.0
+        assert all(isinstance(v, Tensor) for k, v in comps.items() if k != term)
+
+    def test_teacher_not_called_when_every_weight_is_zero(self):
+        samples, nbrs, _, _, student = _objective_inputs(96)
+
+        class Unused:
+            def forward(self, *args, **kwargs):
+                raise AssertionError("teacher called")
+
+        w = LossWeights.zeros()
+        batch = make_batch(samples, nbrs, Unused(), w)
+        assert batch.teacher_feats is batch.teacher_logits is None
+        comps = distill_objective(student, batch, None, w)
+        assert isinstance(comps["l_task"], Tensor)
+        assert all(comps[n] == 0.0 for n in LOSS_NAMES[1:])
+        with pytest.raises(ConfigError, match="teacher"):
+            make_batch(samples, nbrs, None, LossWeights())
 
 
 class TestEvaluate:
