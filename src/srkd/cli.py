@@ -328,13 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="runs/default", help="artifact directory")
         p.add_argument("--jobs", type=int, default=1,
-                       help="process parallelism for sweeps")
+                       help="worker processes for sweeps (>= 1, capped at "
+                            "the number of runs)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = cfgmod.load_config(args.config)
         return _COMMANDS[args.command](args, cfg)
     except SRKDError as exc:

@@ -271,7 +271,8 @@ def gd_teacher_log_z(teacher_maps: list[np.ndarray], temperature: float,
     of sample j, for L2-normalized teacher rows t. Like the loss kernel it
     walks the block pairs i <= j: the row sums of exp(T_ij) serve the rows
     of i, its column sums those of j; one N x N float64 block (8 MB at
-    N=1024) is held. Cacheable per mini-batch: the teacher is frozen.
+    N=1024) is held. The teacher is frozen, so `trainer.make_batch` computes
+    it once per mini-batch and every epoch reuses it.
     """
     b, n = len(teacher_maps), teacher_maps[0].shape[0]
     ft = np.concatenate([l2_normalize_rows(m) for m in teacher_maps], axis=0)

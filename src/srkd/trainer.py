@@ -244,6 +244,9 @@ def _train_loop(model: SegModel, teacher: SegModel | None, cfg: TrainConfig,
             total = weighted_total(comps, w)
             model.zero_grads()
             total.backward()
+            # Free this step's tape now: while `comps` or `total` is bound,
+            # the whole graph stays alive through the next step's forward.
+            del comps, total
             opt.step(lr)
             record = {"epoch": epoch, "step": gstep}
             record.update(report.to_dict())
@@ -306,8 +309,8 @@ def evaluate(model: SegModel, clouds, n_fixed: int = 1024,
         if noise_tau > 0:
             noise = rng.normal(0.0, np.sqrt(noise_tau),
                                (n_fixed, model.encoder.d_out))
-        _, _, logits = model.forward(sample, feature_noise=noise)
-        preds = logits.data.argmax(axis=1)
+        # Take the array at the call, so no tape outlives its scene.
+        preds = model.forward(sample, feature_noise=noise)[2].data.argmax(axis=1)
         conf += confusion_matrix(sample.cloud.labels, preds, n_classes, sample.mask)
     return metrics_from_confusion(conf)
 
@@ -358,9 +361,14 @@ def _distill_eval(cfg: TrainConfig, teacher_state: dict, data: Dataset,
 
 
 def _run_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
-    if jobs <= 1 or os.environ.get("SRKD_DETERMINISTIC") == "1":
+    """Run `_distill_eval` over tasks, in at most min(jobs, len(tasks))
+    worker processes (the pool forks every worker up front)."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(tasks))
+    if workers <= 1 or os.environ.get("SRKD_DETERMINISTIC") == "1":
         return [_distill_eval(*t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_distill_eval, *zip(*tasks)))
 
 

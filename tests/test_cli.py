@@ -168,6 +168,17 @@ class TestErrors:
             assert len(lines) == 1
             assert json.loads(lines[0])["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, workdir, tmp_path, capsys, jobs):
+        out = tmp_path / "o"
+        assert main(["ablate", "--config", str(workdir / "tiny.cfg"),
+                     "--out", str(out), "--jobs", jobs]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError" and "--jobs" in err["message"]
+        assert not out.exists()
+
     def test_nonfinite_setting_rejected(self, workdir, tmp_path, capsys):
         self._rejected_at_load(workdir, tmp_path, capsys, "loss.t_gd = nan",
                                "train-teacher")

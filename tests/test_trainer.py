@@ -1,11 +1,12 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from srkd import losses
+from srkd import losses, trainer
 from srkd.autodiff import Tensor, concat_rows
 from srkd.cloud import PointCloud, SceneSpec, generate_scene, resample_fixed
 from srkd.errors import ConfigError, DataError
@@ -114,6 +115,54 @@ class TestTraining:
         first = np.mean([r["l_task"] for r in steps if r["epoch"] == 0])
         last = np.mean([r["l_task"] for r in steps if r["epoch"] == 11])
         assert last < first
+
+
+class TestTapeLifetime:
+    """A step's autodiff tape is freed before the next step's forward."""
+
+    @staticmethod
+    def _step_heaps(monkeypatch, run):
+        """Traced heap on entry to and return from each `distill_objective`."""
+        heaps = []
+        inner = trainer.distill_objective
+
+        def wrapped(*args, **kwargs):
+            entry = tracemalloc.get_traced_memory()[0]
+            comps = inner(*args, **kwargs)
+            heaps.append((entry, tracemalloc.get_traced_memory()[0]))
+            return comps
+
+        monkeypatch.setattr(trainer, "distill_objective", wrapped)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            run()
+        finally:
+            if started:
+                tracemalloc.stop()
+        return heaps
+
+    @staticmethod
+    def _assert_tape_freed(heaps):
+        assert len(heaps) >= 3
+        (entry1, return1), (entry2, _) = heaps[:2]
+        tape = return1 - entry1
+        assert tape > 0
+        assert entry2 - entry1 < tape / 4, (entry1, return1, entry2)
+
+    def test_distilled_student(self, setup, monkeypatch):
+        cfg, data, teacher = setup
+        cfg = replace(cfg, epochs=1, batch_size=2)   # four batches
+        heaps = self._step_heaps(monkeypatch,
+                                 lambda: train_distill(cfg, teacher, data))
+        self._assert_tape_freed(heaps)
+
+    def test_teacher(self, monkeypatch):
+        cfg = tiny_config(teacher_epochs=1, batch_size=2)
+        data = tiny_dataset()
+        heaps = self._step_heaps(monkeypatch, lambda: train_teacher(cfg, data))
+        self._assert_tape_freed(heaps)
 
 
 def _oracle_objective(model, teacher, samples, nbrs, chosen, w):
@@ -298,6 +347,53 @@ class TestHarnesses:
         for r in rows:
             assert r["student_dim"] * 2 == r["dim"]
             assert {"miou", "macc", "allacc"} <= set(r)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs nothing."""
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers):
+        type(self).max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return [{"task": i} for i, _ in enumerate(zip(*iterables))]
+
+
+class TestJobs:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.delenv("SRKD_DETERMINISTIC", raising=False)
+        monkeypatch.setattr(trainer, "ProcessPoolExecutor", _RecordingPool)
+        _RecordingPool.max_workers = []
+        return _RecordingPool
+
+    @pytest.mark.parametrize("jobs, workers", [(1000, 8), (3, 3)])
+    def test_workers_capped_at_task_count(self, setup, pool, jobs, workers):
+        cfg, data, teacher = setup
+        rows = ablate(cfg, teacher, data, seeds=(0, 1), jobs=jobs)  # 8 runs
+        assert pool.max_workers == [workers]
+        assert len(rows) == 8
+
+    def test_single_task_runs_in_process(self, setup, pool):
+        cfg, data, teacher = setup
+        rows = subsample_sweep(cfg, teacher, data, fractions=(1.0,),
+                               seeds=(0,), jobs=4)
+        assert pool.max_workers == []
+        assert set(rows[0]) >= {"fraction", "seed", "miou"}
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, setup, pool, jobs):
+        cfg, data, teacher = setup
+        with pytest.raises(ConfigError, match="jobs"):
+            ablate(cfg, teacher, data, seeds=(0,), jobs=jobs)
+        assert pool.max_workers == []
 
 
 class TestTrainConfig:
