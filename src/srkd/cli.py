@@ -5,8 +5,9 @@ subsample, batch-sweep, dim-sweep, gradcheck. Every command reads an
 optional flat key-value config (--config), a seed (--seed), and writes its
 artifacts under --out. Dataset files live in <out>/dataset; training
 commands read them from there and fail with explicit errors when a
-prerequisite artifact (dataset, teacher checkpoint) is missing. Errors are
-reported as one-line JSON on stderr with a nonzero exit code.
+prerequisite artifact (dataset, teacher checkpoint) is missing. Errors,
+usage errors included, are reported as one-line JSON on stderr with exit
+status 2. The sweeps ablate, subsample and batch-sweep also take --jobs.
 """
 
 from __future__ import annotations
@@ -318,25 +319,37 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so it takes the CLI contract's
+    path: one JSON line on stderr and exit status 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+# The commands that run independent sweeps in worker processes.
+_JOBS_COMMANDS = ("ablate", "subsample", "batch-sweep")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="srkd",
-                                     description="SRKD distillation experiments")
+    parser = _Parser(prog="srkd", description="SRKD distillation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="runs/default", help="artifact directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for sweeps (>= 1, capped at "
-                            "the number of runs)")
+        if name in _JOBS_COMMANDS:
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker processes for sweeps (>= 1, capped "
+                                "at the number of runs)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.jobs < 1:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = cfgmod.load_config(args.config)
         return _COMMANDS[args.command](args, cfg)

@@ -7,8 +7,10 @@ loss, which dominates the training step at full scale, is a single fused
 tape op over the stacked (B*N, D) mini-batch feature maps. It never forms
 the (B*N)^2 pairwise gram: it walks the B(B+1)/2 unordered N x N block
 pairs, since one block S_ij serves the rows of i and, transposed, the rows
-of j. Loss and gradient come from that one pass; its working set is three
-float64 blocks, 24 MB at N=1024.
+of j. Loss and gradient come from that one pass. The pairs run on W worker
+threads, W = the BLAS thread count capped at the usable cores, each holding
+two N x N float64 blocks (16 MB at N=1024); the results are bit-identical
+to one worker.
 
 Formula conventions (documented because the source material is loose):
   * Logit and similarity KL use softmax(Z / T), with the student
@@ -26,7 +28,14 @@ Formula conventions (documented because the source material is loose):
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +45,12 @@ from .errors import (ConfigError, NumericError, PairingError, ShapeError,
 from .cloud import IGNORE_LABEL
 from .numerics import l2_normalize_rows, log_softmax_rows
 from .voxelize import Supervoxel
+
+# Rows of the P and Q strips the batch-GD gradient pass forms at a time.
+_STRIP_ROWS = 64
+# Smaller blocks cost less than handing them to a thread: at B=8 the
+# threaded walk breaks even near N=128 and is 4x slower at N=16.
+_MIN_THREADED_ROWS = 256
 
 LOSS_NAMES = ("l_task", "l_kd", "l_amra_p", "l_amra_v", "l_amra_c", "l_batch_gd")
 
@@ -270,20 +285,24 @@ def gd_teacher_log_z(teacher_maps: list[np.ndarray], temperature: float,
     Entry [a, j] is log sum_c exp(<t_a, t_c> / T) over the valid columns c
     of sample j, for L2-normalized teacher rows t. Like the loss kernel it
     walks the block pairs i <= j: the row sums of exp(T_ij) serve the rows
-    of i, its column sums those of j; one N x N float64 block (8 MB at
-    N=1024) is held. The teacher is frozen, so `trainer.make_batch` computes
-    it once per mini-batch and every epoch reuses it.
+    of i, its column sums those of j. Each walk worker holds one N x N
+    float64 block (8 MB at N=1024). The teacher is frozen, so
+    `trainer.make_batch` computes it once per mini-batch and every epoch
+    reuses it.
     """
     b, n = len(teacher_maps), teacher_maps[0].shape[0]
     ft = np.concatenate([l2_normalize_rows(m) for m in teacher_maps], axis=0)
     ft *= np.sqrt(1.0 / temperature)
     mask = _column_mask(masks, b * n)
-    log_z, e = np.empty((b * n, b)), np.empty((n, n))
-    for i, j, ri, rj in _block_pairs(b, n):
+    log_z = np.empty((b * n, b))
+
+    def pair(i, j, ri, rj, e):
         np.exp(np.matmul(ft[ri], ft[rj].T, out=e), out=e)
         np.log(e @ mask[rj], out=log_z[ri, j])
         if i != j:
             np.log(mask[ri] @ e, out=log_z[rj, i])
+
+    _walk_block_pairs(b, n, pair, lambda: np.empty((n, n)))
     return log_z
 
 
@@ -298,6 +317,89 @@ def _block_pairs(b: int, n: int):
     for i in range(b):
         for j in range(i, b):
             yield i, j, slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n)
+
+
+@functools.cache
+def _blas_control():
+    """(get, set) of the loaded OpenBLAS thread count, or None if the
+    library that numpy bundles (in numpy.libs) or its symbols are not found."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*.so*")):
+        so = ctypes.CDLL(str(lib))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                               ("openblas", "")):
+            get = getattr(so, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(so, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+def _walk_workers(n: int) -> int:
+    """Threads for a walk over N x N block pairs: the BLAS thread count,
+    capped at the usable cores; 1 (the serial walk) without the BLAS
+    control, or for blocks below `_MIN_THREADED_ROWS` rows."""
+    blas = _blas_control()
+    if blas is None or n < _MIN_THREADED_ROWS:
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return min(blas[0](), cores)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread inside the block; restore it on exit."""
+    blas = _blas_control()
+    if blas is None:
+        yield
+        return
+    saved = blas[0]()
+    blas[1](1)
+    try:
+        yield
+    finally:
+        blas[1](saved)
+
+
+def _walk_block_pairs(b: int, n: int, work, new_scratch,
+                      take=lambda out: None) -> None:
+    """Call work(i, j, ri, rj, scratch) for each pair of `_block_pairs`, and
+    take(result) on the calling thread in that order.
+
+    With W = `_walk_workers(n)` > 1 the pairs run on W threads, each with its
+    own scratch from new_scratch(), while OpenBLAS is pinned to one thread:
+    numpy's elementwise passes then run on every core, not only the
+    matmuls. Each worker writes only its own pair's entries; whatever a
+    pair adds to shared sums goes back through `take`, in pair order, so
+    every result is bit-identical to W = 1 with OpenBLAS at one thread.
+    (OpenBLAS's own results can depend on its thread count: at N = 1000 a
+    gemm differs in the last bits, at N = 1024 not.)
+    """
+    pairs = list(_block_pairs(b, n))
+    workers = min(_walk_workers(n), len(pairs))
+    if workers <= 1:
+        scratch = new_scratch()
+        for p in pairs:
+            take(work(*p, scratch))
+        return
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(new_scratch())
+
+    def run(p):
+        scratch = free.get()
+        try:
+            return work(*p, scratch)
+        finally:
+            free.put(scratch)
+
+    # The pool exits (its threads joined) before BLAS threads are restored.
+    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        for out in pool.map(run, pairs):
+            take(out)
 
 
 def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
@@ -343,40 +445,59 @@ def _fused_batch_gd(fn_s: Tensor, fn_t: np.ndarray, b: int, n: int,
     through E @ m_j, the rows of j theirs over the columns of i through
     m_i @ E (m: 0/1 masks). Both sides' gradient blocks combine into
     H = G_ij + G_ji^T = E * (P * D - Q), P and Q rank-2; H @ F_j goes to the
-    rows of i, H^T @ F_i to those of j. The working set is three N x N float64
-    blocks (24 MB at N=1024); no gradient pass if the student needs none.
+    rows of i, H^T @ F_i to those of j. `_walk_block_pairs` runs the pairs on
+    W workers (the BLAS thread count, capped at the usable cores), each
+    holding two N x N float64 blocks (16 MB at N=1024) and a 64-row strip;
+    the results are bit-identical to one worker. No gradient pass if the
+    student needs none. fn_t must be the caller's own stack: it is scaled
+    in place.
     """
     inv_t, fs = 1.0 / temperature, fn_s.data
     # Temperature folded into the (small) feature maps: grams come pre-scaled.
-    fs_c, ft_c = fs * np.sqrt(inv_t), fn_t * np.sqrt(inv_t)
+    fs_c, ft_c = fs * np.sqrt(inv_t), fn_t
+    ft_c *= np.sqrt(inv_t)                            # the caller's own stack
     grad = np.zeros_like(fs) if fn_s.requires_grad else None
     row_kl = np.empty((b * n, b))
-    e, d, h = np.empty((3, n, n))
-    for i, j, ri, rj in _block_pairs(b, n):
+
+    def pair(i, j, ri, rj, scratch):
+        e, h, strip = scratch
         m_i, m_j = mask[ri], mask[rj]
         np.matmul(fs_c[ri], fs_c[rj].T, out=e)        # student block S_ij
-        np.matmul(ft_c[ri], ft_c[rj].T, out=d)        # teacher block T_ij
-        np.subtract(e, d, out=d)                      # D = S_ij - T_ij
+        np.matmul(ft_c[ri], ft_c[rj].T, out=h)        # teacher block T_ij
+        np.subtract(e, h, out=h)                      # D = S_ij - T_ij
         np.exp(e, out=e)                              # E = exp(S_ij)
-        np.multiply(e, d, out=h)
+        h *= e                                        # E * D
         z_i, z_j = e @ m_j, m_i @ e                   # partitions, both sides
         q_i, q_j = (h @ m_j) / z_i, (m_i @ h) / z_j   # E_p[s - t], both sides
         row_kl[ri, j] = q_i - np.log(z_i) + log_zt[ri, j]
         if i != j:
             row_kl[rj, i] = q_j - np.log(z_j) + log_zt[rj, i]
         if grad is None:
-            continue
+            return ()
         # G_ij[a, c] = w_a p_ac (d_ac - q_i[a]) / T, the 1/T from fs_c. With
         # alpha, beta = w / (T z) per side, P = alpha m_j^T + m_i beta^T and
-        # Q = (alpha q_i) m_j^T + m_i (beta q_j)^T, each an (N x 2) @ (2 x N).
+        # Q = (alpha q_i) m_j^T + m_i (beta q_j)^T, each an (N x 2) @ (2 x N),
+        # formed a strip of rows at a time.
         alpha, beta = inv_t * row_weight[ri] / z_i, inv_t * row_weight[rj] / z_j
-        h *= np.matmul(np.stack([alpha, m_i], 1), np.stack([m_j, beta]), out=d)
-        np.matmul(np.stack([alpha * q_i, m_i], 1), np.stack([m_j, beta * q_j]),
-                  out=d)
-        h -= np.multiply(d, e, out=d)                 # H = P * E * D - Q * E
-        grad[ri] += h @ fs[rj]
-        if i != j:
-            grad[rj] += (fs[ri].T @ h).T
+        p_left, p_right = np.stack([alpha, m_i], 1), np.stack([m_j, beta])
+        q_left, q_right = np.stack([alpha * q_i, m_i], 1), np.stack([m_j, beta * q_j])
+        for lo in range(0, n, len(strip)):
+            hi = min(lo + len(strip), n)
+            rows, t = slice(lo, hi), strip[:hi - lo]
+            h[rows] *= np.matmul(p_left[rows], p_right, out=t)
+            np.matmul(q_left[rows], q_right, out=t)
+            h[rows] -= np.multiply(t, e[rows], out=t)  # H = P * E * D - Q * E
+        if i == j:
+            return ((ri, h @ fs[rj]),)
+        return (ri, h @ fs[rj]), (rj, (fs[ri].T @ h).T)
+
+    def take(parts):
+        for rows, g in parts:
+            grad[rows] += g
+
+    _walk_block_pairs(b, n, pair,
+                      lambda: (np.empty((n, n)), np.empty((n, n)),
+                               np.empty((min(n, _STRIP_ROWS), n))), take)
     loss = float((row_kl.sum(axis=1) * row_weight).sum())
     if not np.isfinite(loss):
         raise NumericError("batch geometry loss is non-finite")

@@ -300,6 +300,7 @@ def evaluate(model: SegModel, clouds, n_fixed: int = 1024,
     """
     if not clouds:
         raise DataError("evaluate needs at least one cloud")
+    model = _frozen(model)
     n_classes = clouds[0].n_classes
     conf = np.zeros((n_classes, n_classes), dtype=np.int64)
     rng = derive_seed(noise_seed, 29) if noise_tau > 0 else None
@@ -309,10 +310,17 @@ def evaluate(model: SegModel, clouds, n_fixed: int = 1024,
         if noise_tau > 0:
             noise = rng.normal(0.0, np.sqrt(noise_tau),
                                (n_fixed, model.encoder.d_out))
-        # Take the array at the call, so no tape outlives its scene.
         preds = model.forward(sample, feature_noise=noise)[2].data.argmax(axis=1)
         conf += confusion_matrix(sample.cloud.labels, preds, n_classes, sample.mask)
     return metrics_from_confusion(conf)
+
+
+def _frozen(model: SegModel) -> SegModel:
+    """The model itself if no parameter needs a gradient, else a frozen copy:
+    its forward pass records no autodiff tape."""
+    if not any(p.requires_grad for p in model.named_params().values()):
+        return model
+    return SegModel.from_state(model.state_dict(), trainable=False)
 
 
 def noise_sweep(model: SegModel, clouds, cfg: NoiseConfig,

@@ -179,6 +179,39 @@ class TestErrors:
         assert err["error"] == "ConfigError" and "--jobs" in err["message"]
         assert not out.exists()
 
+    @staticmethod
+    def one_config_error(capsys) -> str:
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        return err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--jobs", "2"], ["train", "--seed", "abc"], ["nosuch"], [],
+        ["ablate", "--jobs", "x"]], ids=["jobs", "seed", "command", "empty", "int"])
+    def test_usage_error_is_one_json_line(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "o")] if argv else argv) == 2
+        self.one_config_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_jobs_only_on_sweeps(self, tmp_path, capsys):
+        for name in cli._COMMANDS:
+            argv = [name, "--jobs", "2", "--out", str(tmp_path / "o")]
+            if name in ("ablate", "subsample", "batch-sweep"):
+                assert cli.build_parser().parse_args(argv).jobs == 2
+            else:
+                assert main(argv) == 2, name
+                assert "--jobs" in self.one_config_error(capsys)
+
+    @pytest.mark.parametrize("argv", [["-h"], ["train", "-h"], ["ablate", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: srkd") and err == ""
+
     def test_nonfinite_setting_rejected(self, workdir, tmp_path, capsys):
         self._rejected_at_load(workdir, tmp_path, capsys, "loss.t_gd = nan",
                                "train-teacher")

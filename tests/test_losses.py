@@ -1,9 +1,12 @@
 import itertools
+import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from srkd import losses
 from srkd.autodiff import Tensor, finite_diff_gradient
 from srkd.cloud import SceneSpec, derive_seed, generate_scene, resample_fixed
 from srkd.errors import (ConfigError, NumericError, PairingError, ShapeError,
@@ -368,6 +371,7 @@ def brute_force_batch_gd(student_maps, teacher_maps, temperature, masks=None):
     return total / b**2
 
 
+@pytest.mark.usefixtures("walk_workers")
 class TestBatchGD:
     def test_identity(self):
         maps = [RNG.standard_normal((6, 3)) for _ in range(3)]
@@ -444,6 +448,7 @@ def padded_batch(b=3, n=6, masked=((0, 4), (0, 5), (2, 1))):
     return student, teacher, masks
 
 
+@pytest.mark.usefixtures("walk_workers")
 class TestBatchGDGradient:
     def leaf_grads(self, student, teacher, masks=None, log_z=None):
         leaves = [Tensor(m, requires_grad=True) for m in student]
@@ -534,6 +539,118 @@ class TestBatchGDGradient:
         _, teacher = self.working_set_batch(b, n)
         peak = self.traced_peak(lambda: gd_teacher_log_z(teacher, 2.0))
         assert peak < n * (b * n) * 8
+
+
+class TestBatchGDThreaded(TestBatchGD):
+    WALK_WORKERS = 2
+
+
+class TestBatchGDGradientThreaded(TestBatchGDGradient):
+    WALK_WORKERS = 2
+
+
+class TestThreadedWalk:
+    """The block-pair walk on worker threads against the serial walk."""
+
+    @staticmethod
+    def walk(monkeypatch, workers, b, n, use_masks, grad=True):
+        """(loss, leaf gradients, teacher log partitions) on `workers`
+        threads, or on as many as `losses._walk_workers` picks if None."""
+        if workers is not None:
+            monkeypatch.setattr(losses, "_walk_workers", lambda n: workers)
+        student, teacher, masks = padded_batch(
+            b, n, masked=((0, 4), (b - 1, n - 1), (b // 2, 0)) if use_masks else ())
+        masks = masks if use_masks else None
+        log_z = gd_teacher_log_z(teacher, 2.0, masks)
+        leaves = [Tensor(m, requires_grad=grad) for m in student]
+        loss = loss_batch_gd(leaves, teacher, 2.0, masks, log_z)
+        if grad:
+            loss.backward()
+        return loss.item(), [leaf.grad for leaf in leaves], log_z
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got[0] == want[0]
+        assert all(g is w is None or np.array_equal(g, w)
+                   for g, w in zip(got[1], want[1], strict=True))
+        assert np.array_equal(got[2], want[2])
+
+    # n = 70: a full 64-row strip of the gradient pass and a partial one
+    @pytest.mark.parametrize("use_masks", [False, True])
+    @pytest.mark.parametrize("b", [1, 2, 3, 8])
+    def test_two_workers_bit_identical_to_serial(self, monkeypatch, b, use_masks):
+        for grad in (True, False):
+            want = self.walk(monkeypatch, 1, b, 70, use_masks, grad)
+            self.assert_same_bits(self.walk(monkeypatch, 2, b, 70, use_masks, grad),
+                                  want)
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        want = self.walk(monkeypatch, 1, 8, 70, True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self.walk(monkeypatch, (os.cpu_count() or 1) + 2, 8, 70, True)
+        finally:
+            sys.setswitchinterval(interval)
+        self.assert_same_bits(got, want)
+
+    @staticmethod
+    def blas():
+        control = losses._blas_control()
+        if control is None:
+            pytest.skip("the OpenBLAS thread control is not found")
+        return control
+
+    def test_blas_threads_pinned_and_restored(self, monkeypatch):
+        get, set_ = self.blas()
+        saved = get()
+        seen = []
+
+        def work(i, j, ri, rj, scratch):
+            seen.append(get())
+            if (i, j) == (1, 1):
+                raise NumericError("injected mid-walk")
+
+        try:
+            set_(2)
+            self.walk(monkeypatch, 2, 3, 8, True)
+            assert get() == 2
+            with pytest.raises(NumericError, match="injected"):
+                losses._walk_block_pairs(3, 8, work, lambda: None)
+            assert get() == 2
+            assert seen and set(seen) == {1}
+        finally:
+            set_(saved)
+
+    def test_missing_blas_control_walks_serially(self, monkeypatch):
+        want = self.walk(monkeypatch, 2, 3, 70, True)
+        monkeypatch.undo()
+        monkeypatch.setattr(losses, "_MIN_THREADED_ROWS", 1)
+        monkeypatch.setattr(losses, "_blas_control", lambda: None)
+        assert losses._walk_workers(70) == 1
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(losses, "ThreadPoolExecutor", no_pool)
+        self.assert_same_bits(self.walk(monkeypatch, None, 3, 70, True), want)
+
+    def test_working_set_per_worker(self):
+        # b = 3, n = 512: the N x N blocks dominate the traced heap. Each
+        # worker holds two blocks for the kernel and one for the log
+        # partitions; two more blocks cover the gradient contributions,
+        # the 64-row strips and the stacked maps.
+        b, n = 3, 512
+        workers = losses._walk_workers(n)
+        student, teacher = TestBatchGDGradient().working_set_batch(b, n)
+        log_z = gd_teacher_log_z(teacher, 2.0)
+        kernel = TestBatchGDGradient.traced_peak(
+            lambda: loss_batch_gd(student, teacher, 2.0,
+                                  teacher_log_z=log_z).backward())
+        assert kernel < (2 * workers + 2) * n * n * 8
+        partitions = TestBatchGDGradient.traced_peak(
+            lambda: gd_teacher_log_z(teacher, 2.0))
+        assert partitions < (workers + 1) * n * n * 8
 
 
 class TestTotals:

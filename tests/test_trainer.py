@@ -11,8 +11,8 @@ from srkd.autodiff import Tensor, concat_rows
 from srkd.cloud import PointCloud, SceneSpec, generate_scene, resample_fixed
 from srkd.errors import ConfigError, DataError
 from srkd.losses import LOSS_NAMES, LossWeights, weighted_total
-from srkd.models import (knn_indices, make_student_from_teacher, make_teacher,
-                         save_checkpoint)
+from srkd.models import (SegModel, knn_indices, make_student_from_teacher,
+                         make_teacher, save_checkpoint)
 from srkd.trainer import (ABLATION_VARIANTS, Dataset, NoiseConfig, TrainConfig,
                           ablate, batch_sensitivity, dim_sensitivity,
                           distill_objective, evaluate, grid_for_clouds,
@@ -238,6 +238,7 @@ def _grads(model, comps, w):
     return {k: p.grad.copy() for k, p in model.named_params().items()}
 
 
+@pytest.mark.usefixtures("walk_workers")
 class TestObjective:
     @pytest.mark.parametrize("n_fixed", [96, 256], ids=["all_valid", "padded"])
     def test_matches_loop_oracle_bitwise(self, n_fixed):
@@ -283,6 +284,10 @@ class TestObjective:
             make_batch(samples, nbrs, None, LossWeights())
 
 
+class TestObjectiveThreaded(TestObjective):
+    WALK_WORKERS = 2
+
+
 class TestEvaluate:
     def test_deterministic(self, setup):
         cfg, data, teacher = setup
@@ -297,6 +302,30 @@ class TestEvaluate:
                            cfg.n_fixed)
         clean = evaluate(teacher, data.val, cfg.n_fixed)
         assert rows[0]["miou"] == clean.miou
+
+    def test_trainable_model_evaluated_without_a_tape(self, setup):
+        # default widths at N = 1024: the tape would outweigh the k-NN search
+        _, data, _ = setup
+        cloud = data.val[0]
+        student = make_student_from_teacher(
+            make_teacher(cloud.d_in, cloud.n_classes, seed=1), seed=3)
+        frozen = SegModel.from_state(student.state_dict(), trainable=False)
+        sample = resample_fixed(cloud, 1024, 0)
+        assert np.array_equal(student.forward(sample)[2].data,
+                              frozen.forward(sample)[2].data)
+
+        def traced(model):
+            tracemalloc.start()
+            try:
+                return evaluate(model, data.val, 1024), \
+                    tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (got, peak), (want, frozen_peak) = traced(student), traced(frozen)
+        assert got.miou == want.miou
+        assert peak <= 1.1 * frozen_peak
+        assert all(p.grad is None for p in student.named_params().values())
 
     def test_noise_rows_and_trials(self, setup):
         cfg, data, teacher = setup
