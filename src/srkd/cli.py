@@ -64,14 +64,6 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _split_counts(cfg: dict) -> tuple[int, int]:
-    n = cfg["scene.n_scenes"]
-    n_train = int(round(n * cfg["train.train_fraction"]))
-    if n_train == 0 or n_train == n:
-        raise ConfigError("train_fraction leaves an empty split")
-    return n_train, n - n_train
-
-
 def _load_dataset(out: Path) -> Dataset:
     droot = out / "dataset"
     if not droot.is_dir():
@@ -103,7 +95,7 @@ def cmd_generate(args, cfg: dict) -> int:
     out = _out_dir(args)
     h = _echo_config(cfg, out, args.seed)
     spec = cfgmod.scene_spec(cfg, args.seed)
-    n_train, n_val = _split_counts(cfg)
+    n_train, n_val = cfgmod.split_counts(cfg)
     hist = np.zeros(spec.n_classes, dtype=np.int64)
     n_unlabeled = 0
     for split, count, base in (("train", n_train, 0), ("val", n_val, n_train)):

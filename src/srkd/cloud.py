@@ -122,7 +122,7 @@ class SceneSpec:
     seed: int = 0
     d_in: int = field(default=2, init=False)
 
-    def validate(self):
+    def __post_init__(self):
         floats = ("radial_extent", "height_extent", "noise_std", "decay_ratio",
                   "label_fraction", "label_noise", "cue_noise")
         bad = [name for name in floats if not np.isfinite(getattr(self, name))]
@@ -203,7 +203,6 @@ def generate_scene(spec: SceneSpec, scene_index: int) -> PointCloud:
     ambiguous across class groups so that geometric context carries part
     of the label information.
     """
-    spec.validate()
     if not 0 <= scene_index < spec.n_scenes:
         raise ConfigError(f"scene_index {scene_index} out of range [0, {spec.n_scenes})")
     rng = derive_seed(spec.seed, scene_index)
@@ -305,10 +304,8 @@ def resample_fixed(cloud: PointCloud, n_fixed: int, seed: int) -> FixedSample:
 
 
 # ---------------------------------------------------------------------------
-# File formats
+# File format
 #
-#   .pctxt  header "PCTXT v1 N=<n> D=<d> C=<c>", one "x y z f1..fD label"
-#           record per line, decimal floats.
 #   .pcbin  magic "PCB1", little-endian u32 N, D, C, then N records of
 #           (3+D) float64 followed by one u16 label.
 # ---------------------------------------------------------------------------
@@ -339,67 +336,16 @@ def atomic_open(path, mode: str = "w", **kwargs):
 
 def write_cloud(cloud: PointCloud, path) -> None:
     path = Path(path)
-    if path.suffix == ".pctxt":
-        _write_text(cloud, path)
-    elif path.suffix == ".pcbin":
-        _write_binary(cloud, path)
-    else:
+    if path.suffix != ".pcbin":
         raise ConfigError(f"unknown point-cloud extension: {path.suffix!r}")
+    _write_binary(cloud, path)
 
 
 def read_cloud(path) -> PointCloud:
     path = Path(path)
-    if path.suffix == ".pctxt":
-        return _read_text(path)
-    if path.suffix == ".pcbin":
-        return _read_binary(path)
-    raise ConfigError(f"unknown point-cloud extension: {path.suffix!r}")
-
-
-def _write_text(cloud: PointCloud, path: Path) -> None:
-    with atomic_open(path, "w") as f:
-        f.write(f"PCTXT v1 N={cloud.n_points} D={cloud.d_in} C={cloud.n_classes}\n")
-        for i in range(cloud.n_points):
-            vals = [*cloud.positions[i], *cloud.features[i]]
-            f.write(" ".join("%.17g" % v for v in vals))
-            f.write(f" {int(cloud.labels[i])}\n")
-
-
-def _read_text(path: Path) -> PointCloud:
-    with open(path) as f:
-        header = f.readline().rstrip("\n")
-        m = header.split()
-        try:
-            if m[0] != "PCTXT" or m[1] != "v1":
-                raise ValueError
-            fields = dict(kv.split("=") for kv in m[2:5])
-            n, d, c = int(fields["N"]), int(fields["D"]), int(fields["C"])
-        except (ValueError, KeyError, IndexError):
-            raise ParseError(f"{path}: line 1: malformed PCTXT header: {header!r}") from None
-        positions = np.empty((n, 3))
-        features = np.empty((n, d))
-        labels = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            line = f.readline()
-            lineno = i + 2
-            if not line:
-                raise ParseError(f"{path}: line {lineno}: expected {n} records, file truncated")
-            tok = line.split()
-            if len(tok) != 3 + d + 1:
-                raise ParseError(f"{path}: line {lineno}: expected {3 + d + 1} fields, got {len(tok)}")
-            try:
-                vals = [float(t) for t in tok[:-1]]
-                lab = int(tok[-1])
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-numeric field") from None
-            if not all(np.isfinite(vals)):
-                raise ParseError(f"{path}: line {lineno}: non-finite value")
-            if lab != IGNORE_LABEL and not 0 <= lab < c:
-                raise ParseError(f"{path}: line {lineno}: label {lab} out of range for C={c}")
-            positions[i] = vals[:3]
-            features[i] = vals[3:]
-            labels[i] = lab
-    return PointCloud(positions, features, labels, n_classes=c, id=path.stem)
+    if path.suffix != ".pcbin":
+        raise ConfigError(f"unknown point-cloud extension: {path.suffix!r}")
+    return _read_binary(path)
 
 
 def _write_binary(cloud: PointCloud, path: Path) -> None:

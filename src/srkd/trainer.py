@@ -9,7 +9,6 @@ log-partitions -- be computed once and reused across epochs.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -374,14 +373,14 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     workers = min(jobs, len(tasks))
-    if workers <= 1 or os.environ.get("SRKD_DETERMINISTIC") == "1":
+    if workers <= 1:
         return [_distill_eval(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_distill_eval, *zip(*tasks)))
 
 
 def ablate(cfg: TrainConfig, teacher: SegModel, data: Dataset,
-           seeds: tuple[int, ...] = (0, 1, 2, 3, 4), jobs: int = 1) -> list[dict]:
+           *, seeds: tuple[int, ...], jobs: int = 1) -> list[dict]:
     """Four variants (CE only, +logit KD, +batch GD, full) over paired seeds."""
     state = teacher.state_dict()
     tasks = []
@@ -394,8 +393,8 @@ def ablate(cfg: TrainConfig, teacher: SegModel, data: Dataset,
 
 
 def subsample_sweep(cfg: TrainConfig, teacher: SegModel, data: Dataset,
-                    fractions: tuple[float, ...] = (0.05, 0.10, 0.125, 0.25, 0.5, 1.0),
-                    seeds: tuple[int, ...] = (0, 1, 2), jobs: int = 1) -> list[dict]:
+                    *, fractions: tuple[float, ...], seeds: tuple[int, ...],
+                    jobs: int = 1) -> list[dict]:
     """Retrain on seeded training subsets; evaluate on the full val split."""
     state = teacher.state_dict()
     tasks = []
@@ -415,16 +414,15 @@ def subsample_sweep(cfg: TrainConfig, teacher: SegModel, data: Dataset,
 
 
 def batch_sensitivity(cfg: TrainConfig, teacher: SegModel, data: Dataset,
-                      batch_sizes: tuple[int, ...] = (2, 4, 8),
-                      jobs: int = 1) -> list[dict]:
+                      *, batch_sizes: tuple[int, ...], jobs: int = 1) -> list[dict]:
     state = teacher.state_dict()
     tasks = [(replace(cfg, batch_size=int(b)), state, data, {"batch_size": int(b)})
              for b in batch_sizes]
     return _run_tasks(tasks, jobs)
 
 
-def dim_sensitivity(cfg: TrainConfig, data: Dataset,
-                    dims: tuple[int, ...] = (32, 64, 128, 256)) -> list[dict]:
+def dim_sensitivity(cfg: TrainConfig, data: Dataset, *,
+                    dims: tuple[int, ...]) -> list[dict]:
     """Retrain teacher and student per feature dimension."""
     rows = []
     for dim in dims:

@@ -348,8 +348,7 @@ class TestCriterion8SubsampleMonotonicity:
 
 
 class TestCriterion9Determinism:
-    def test_byte_identical_reruns(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SRKD_DETERMINISTIC", "1")
+    def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text("scene.n_scenes = 5\nscene.points_per_scene = 192\n"
                        "train.epochs = 2\ntrain.batch_size = 2\n"

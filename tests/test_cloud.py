@@ -55,17 +55,17 @@ class TestSceneGeneration:
 
     def test_invalid_spec(self):
         with pytest.raises(ConfigError):
-            SceneSpec(n_classes=0).validate()
+            SceneSpec(n_classes=0)
         with pytest.raises(ConfigError):
-            SceneSpec(radial_extent=-1.0).validate()
+            SceneSpec(radial_extent=-1.0)
         with pytest.raises(ConfigError):
-            SceneSpec(label_fraction=0.0).validate()
+            SceneSpec(label_fraction=0.0)
         with pytest.raises(ConfigError):
-            SceneSpec(label_fraction=1.5).validate()
+            SceneSpec(label_fraction=1.5)
         with pytest.raises(ConfigError):
-            SceneSpec(label_noise=1.0).validate()
+            SceneSpec(label_noise=1.0)
         with pytest.raises(ConfigError):
-            SceneSpec(cue_noise=-0.1).validate()
+            SceneSpec(cue_noise=-0.1)
 
     @pytest.mark.parametrize("field", ["radial_extent", "height_extent",
                                        "noise_std", "decay_ratio",
@@ -74,7 +74,7 @@ class TestSceneGeneration:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_nonfinite_setting_rejected(self, field, value):
         with pytest.raises(ConfigError, match="finite"):
-            SceneSpec(**{field: value}).validate()
+            SceneSpec(**{field: value})
 
     def test_label_fraction_hides_labels(self):
         spec = SceneSpec(seed=4, points_per_scene=2048, label_fraction=0.25)
@@ -152,17 +152,14 @@ class TestResample:
 
 
 class TestIO:
-    @pytest.mark.parametrize("suffix", [".pctxt", ".pcbin"])
+    @pytest.mark.parametrize("suffix", [".pcbin"])
     def test_round_trip(self, tmp_path, suffix):
         cloud = small_cloud(n=20, seed=9)
         path = tmp_path / f"c{suffix}"
         write_cloud(cloud, path)
         back = read_cloud(path)
-        if suffix == ".pcbin":
-            np.testing.assert_array_equal(back.positions, cloud.positions)
-            np.testing.assert_array_equal(back.features, cloud.features)
-        else:
-            np.testing.assert_allclose(back.positions, cloud.positions, rtol=1e-15)
+        np.testing.assert_array_equal(back.positions, cloud.positions)
+        np.testing.assert_array_equal(back.features, cloud.features)
         np.testing.assert_array_equal(back.labels, cloud.labels)
         assert back.n_classes == cloud.n_classes
 
@@ -180,7 +177,7 @@ class TestIO:
         write_cloud(read_cloud(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("suffix", [".pctxt", ".pcbin"])
+    @pytest.mark.parametrize("suffix", [".pcbin"])
     def test_interrupted_rewrite_keeps_previous_file(self, tmp_path, suffix,
                                                      monkeypatch):
         path = tmp_path / f"c{suffix}"
@@ -216,22 +213,27 @@ class TestIO:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
-    def test_text_record_format(self, tmp_path):
-        path = tmp_path / "c.pctxt"
-        path.write_text("PCTXT v1 N=1 D=2 C=8\n0.5 1.0 -0.2 0.1 0.9 3\n")
-        cloud = read_cloud(path)
-        np.testing.assert_allclose(cloud.positions[0], [0.5, 1.0, -0.2])
-        np.testing.assert_allclose(cloud.features[0], [0.1, 0.9])
-        assert cloud.labels[0] == 3
+    @pytest.mark.parametrize("suffix", [".pctxt", ".ply", ""])
+    def test_unknown_suffix_rejected(self, tmp_path, suffix):
+        path = tmp_path / f"c{suffix}"
+        with pytest.raises(ConfigError, match="extension"):
+            write_cloud(small_cloud(), path)
+        assert not path.exists()
+        path.write_bytes(b"")
+        with pytest.raises(ConfigError, match="extension"):
+            read_cloud(path)
 
     def test_label_out_of_range(self, tmp_path):
-        path = tmp_path / "c.pctxt"
-        path.write_text("PCTXT v1 N=1 D=2 C=8\n0 0 0 0 0 9\n")
-        with pytest.raises(ParseError):
+        path = tmp_path / "c.pcbin"
+        write_cloud(small_cloud(n=3, c=8), path)
+        raw = bytearray(path.read_bytes())
+        raw[-2:] = struct.pack("<H", 9)  # the last record's label
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="label 9 out of range"):
             read_cloud(path)
 
     def test_bad_header(self, tmp_path):
-        path = tmp_path / "c.pctxt"
+        path = tmp_path / "c.pcbin"
         path.write_text("WRONG\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="magic"):
             read_cloud(path)

@@ -47,6 +47,8 @@ class TestParsing:
         "train.train_fraction = nan", "train.train_fraction = inf",
         "train.lr = nan", "scene.noise_std = -1.0", "noise.trials = 0",
         "sampler.k = 0",
+        "scene.n_scenes = 2",  # 2 training scenes, none for validation
+        "scene.n_scenes = 5\ntrain.train_fraction = 0.05",  # none for training
     ])
     def test_invalid_setting_rejected_at_load(self, line):
         with pytest.raises(ConfigError):
@@ -70,6 +72,11 @@ class TestRendering:
     def test_round_trip(self):
         cfg = parse_config("train.lr = 0.01\nsweep.seeds = 3, 4")
         assert parse_config(render_config(cfg)) == cfg
+
+    def test_default_hash_is_pinned(self):
+        # the hash stamped into every output table; a drifted default or a
+        # renamed key changes it
+        assert config_hash(DEFAULTS) == "c745d7b79b28"
 
     def test_hash_stable_and_sensitive(self):
         base = config_hash(dict(DEFAULTS))

@@ -398,7 +398,6 @@ class _RecordingPool:
 class TestJobs:
     @pytest.fixture
     def pool(self, monkeypatch):
-        monkeypatch.delenv("SRKD_DETERMINISTIC", raising=False)
         monkeypatch.setattr(trainer, "ProcessPoolExecutor", _RecordingPool)
         _RecordingPool.max_workers = []
         return _RecordingPool
@@ -416,6 +415,13 @@ class TestJobs:
                                seeds=(0,), jobs=4)
         assert pool.max_workers == []
         assert set(rows[0]) >= {"fraction", "seed", "miou"}
+
+    def test_process_pool_rows_equal_serial_rows(self, setup):
+        # forked workers run the same seeded code as the serial loop
+        cfg, data, teacher = setup
+        serial = ablate(cfg, teacher, data, seeds=(0, 1), jobs=1)
+        pooled = ablate(cfg, teacher, data, seeds=(0, 1), jobs=2)
+        assert pooled == serial
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, setup, pool, jobs):
