@@ -12,10 +12,10 @@ from .losses import (LOSS_NAMES, LossReport, LossWeights, affinity,
                      loss_amra_channel, loss_amra_point, loss_amra_voxel,
                      loss_batch_gd, loss_kd, loss_task, loss_total,
                      supervoxel_features, weighted_total)
-from .metrics import Metrics, compute_metrics, confusion_matrix, metrics_from_confusion
+from .metrics import Metrics, confusion_matrix, metrics_from_confusion
 from .models import (SegModel, load_checkpoint, make_student_from_teacher,
                      make_teacher, save_checkpoint)
-from .numerics import kl_rows, l2_normalize_rows, log_softmax_rows, softmax_rows
+from .numerics import l2_normalize_rows, log_softmax_rows, softmax_rows
 from .optim import AdamW, OneCycleSchedule
 from .trainer import (Dataset, NoiseConfig, TrainConfig, ablate,
                       batch_sensitivity, dim_sensitivity, evaluate,

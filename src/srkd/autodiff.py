@@ -1,10 +1,11 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 The op set is exactly what the distillation losses and the tiny encoders
-need: elementwise arithmetic with broadcasting, matmul, exp/log/tanh,
-reductions, segment mean pooling, k-NN mean aggregation, row L2
-normalization and row softmax. Gradients are checked against central
-finite differences in the test suite.
+need: +, - (binary and unary) and * with broadcasting, matmul and
+transpose, exp/log/tanh/square, sum, segment mean pooling, k-NN mean
+aggregation, row L2 normalization, row log-softmax and row concatenation.
+Gradients are checked against central finite differences in the test
+suite.
 """
 
 from __future__ import annotations
@@ -166,9 +167,6 @@ class Tensor:
             (o, lambda g: _unbroadcast(-g, o.data.shape)),
         ])
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         return Tensor.from_op(self.data * o.data, [
@@ -177,22 +175,6 @@ class Tensor:
         ])
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return Tensor.from_op(self.data / o.data, [
-            (self, lambda g: _unbroadcast(g / o.data, self.data.shape)),
-            (o, lambda g: _unbroadcast(-g * self.data / (o.data * o.data),
-                                       o.data.shape)),
-        ])
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, p: float):
-        return Tensor.from_op(self.data ** p, [
-            (self, lambda g: g * p * self.data ** (p - 1)),
-        ])
 
     def __matmul__(self, other):
         o = self._coerce(other)
@@ -238,10 +220,6 @@ class Tensor:
             return np.broadcast_to(gg, self.data.shape).copy()
 
         return Tensor.from_op(out, [(self, vjp)])
-
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- structural ops ------------------------------------------------------
 
@@ -324,17 +302,6 @@ class Tensor:
             return gx
 
         return Tensor.from_op(out, [(self, vjp)])
-
-    def softmax_rows(self, temperature: float = 1.0) -> "Tensor":
-        """Numerically stable softmax over the last axis."""
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if not np.isfinite(self.data).all():
-            raise NumericError("softmax input must be finite")
-        s = self * (1.0 / temperature)
-        shift = Tensor(s.data.max(axis=-1, keepdims=True))  # detached, exact
-        e = (s - shift).exp()
-        return e / e.sum(axis=-1, keepdims=True)
 
     def log_softmax_rows(self, temperature: float = 1.0) -> "Tensor":
         if temperature <= 0:

@@ -79,7 +79,7 @@ def _load_model(out: Path, data: Dataset, name: str, command: str) -> SegModel:
     path = out / f"{name}.ckpt"
     if not path.is_file():
         raise DataError(f"no {name} checkpoint at {path}; run 'srkd {command}' first")
-    model = SegModel.from_state(load_checkpoint(path), trainable=False)
+    model = SegModel.from_state(load_checkpoint(path)).freeze()
     got, want = (model.n_classes, model.widths[0] - 3), data.train[0]
     if got != (want.n_classes, want.d_in):
         raise DataError(f"{name} checkpoint has (n_classes, d_in) = {got}, the "
@@ -228,8 +228,8 @@ def _gradcheck_batch(seed: int, weights: LossWeights):
     spec = SceneSpec(n_classes=4, points_per_scene=48, n_scenes=2, seed=seed)
     clouds = [generate_scene(spec, i) for i in range(2)]
     samples = [resample_fixed(c, 16, seed + 101 + i) for i, c in enumerate(clouds)]
-    teacher = make_teacher(spec.d_in, spec.n_classes, d_out=8, k=4, seed=seed + 7)
-    teacher.freeze()
+    teacher = make_teacher(spec.d_in, spec.n_classes, d_out=8, k=4,
+                           seed=seed + 7).freeze()
     student = make_student_from_teacher(teacher, seed=seed + 9)
     # Coarse grid: with only 16 points per sample, fine cells would hold
     # single points and the affinity terms would degenerate to zero.

@@ -100,10 +100,6 @@ class FixedSample:
     def n_fixed(self) -> int:
         return self.cloud.n_points
 
-    @property
-    def n_valid(self) -> int:
-        return int(self.mask.sum())
-
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -338,17 +334,6 @@ def write_cloud(cloud: PointCloud, path) -> None:
     path = Path(path)
     if path.suffix != ".pcbin":
         raise ConfigError(f"unknown point-cloud extension: {path.suffix!r}")
-    _write_binary(cloud, path)
-
-
-def read_cloud(path) -> PointCloud:
-    path = Path(path)
-    if path.suffix != ".pcbin":
-        raise ConfigError(f"unknown point-cloud extension: {path.suffix!r}")
-    return _read_binary(path)
-
-
-def _write_binary(cloud: PointCloud, path: Path) -> None:
     n, d, c = cloud.n_points, cloud.d_in, cloud.n_classes
     rec = np.dtype([("vals", "<f8", (3 + d,)), ("label", "<u2")])
     body = np.empty(n, dtype=rec)
@@ -361,8 +346,11 @@ def _write_binary(cloud: PointCloud, path: Path) -> None:
         f.write(body.tobytes())
 
 
-def _read_binary(path: Path) -> PointCloud:
-    raw = Path(path).read_bytes()
+def read_cloud(path) -> PointCloud:
+    path = Path(path)
+    if path.suffix != ".pcbin":
+        raise ConfigError(f"unknown point-cloud extension: {path.suffix!r}")
+    raw = path.read_bytes()
     if raw[:4] != _PCBIN_MAGIC:
         raise ParseError(f"{path}: bad magic, not a PCB1 file")
     if len(raw) < 16:

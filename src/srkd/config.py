@@ -6,9 +6,10 @@ settings dataclass (`scene` SceneSpec, `train` TrainConfig, `loss`
 LossWeights, `sampler` SamplerConfig, `noise` NoiseConfig), and its default
 is that field's default; the dataclass also checks the value. The `sweep`
 keys, which only the CLI reads, are defined here. Unknown keys are
-rejected. Lists (noise variances, sweep fractions) are comma separated.
-The effective merged config can be rendered back to canonical text, whose
-SHA-256 prefix serves as the provenance hash stamped into output tables.
+rejected. Lists (noise variances, sweep fractions) are comma separated
+and may not be empty. The effective merged config can be rendered back to
+canonical text, whose SHA-256 prefix serves as the provenance hash stamped
+into output tables.
 """
 
 from __future__ import annotations
@@ -46,9 +47,11 @@ DEFAULTS: dict[str, object] = {
 
 def _parse_value(key: str, text: str, default) -> object:
     text = text.strip()
+    parts = [p.strip() for p in text.split(",") if p.strip()]
+    if isinstance(default, tuple) and not parts:
+        raise ConfigError(f"config key {key!r}: the list is empty")
     try:
         if isinstance(default, tuple):
-            parts = [p.strip() for p in text.split(",") if p.strip()]
             elem = type(default[0])
             return tuple(elem(p) for p in parts)
         return type(default)(text)

@@ -61,7 +61,3 @@ def metrics_from_confusion(confusion: np.ndarray) -> Metrics:
                    miou=float(iou[present].mean()),
                    macc=float(recall.mean()),
                    allacc=float(tp.sum() / total))
-
-
-def compute_metrics(labels, preds, n_classes, mask=None) -> Metrics:
-    return metrics_from_confusion(confusion_matrix(labels, preds, n_classes, mask))

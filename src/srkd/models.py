@@ -70,10 +70,10 @@ def knn_indices(positions: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
     return idx
 
 
-def _init_linear(rng, fan_in: int, fan_out: int, requires_grad: bool):
+def _init_linear(rng, fan_in: int, fan_out: int):
     bound = 1.0 / np.sqrt(fan_in)
-    w = Tensor(rng.uniform(-bound, bound, (fan_in, fan_out)), requires_grad)
-    b = Tensor(rng.uniform(-bound, bound, fan_out), requires_grad)
+    w = Tensor(rng.uniform(-bound, bound, (fan_in, fan_out)), requires_grad=True)
+    b = Tensor(rng.uniform(-bound, bound, fan_out), requires_grad=True)
     return w, b
 
 
@@ -81,16 +81,15 @@ class PointEncoder:
     """Per-point MLP + k-NN mean aggregation; widths[0] is the input width."""
 
     def __init__(self, widths: tuple[int, ...], k: int = DEFAULT_K,
-                 seed: int = 0, trainable: bool = True):
+                 seed: int = 0):
         if len(widths) < 2:
             raise DataError("encoder needs at least one linear layer")
         self.widths = tuple(int(w) for w in widths)
         self.k = int(k)
-        self.trainable = trainable
         rng = derive_seed(seed)
         self.params: dict[str, Tensor] = {}
         for i, (fi, fo) in enumerate(zip(self.widths[:-1], self.widths[1:])):
-            w, b = _init_linear(rng, fi, fo, trainable)
+            w, b = _init_linear(rng, fi, fo)
             self.params[f"w{i}"] = w
             self.params[f"b{i}"] = b
 
@@ -115,17 +114,17 @@ class Linear:
     """Row-wise affine map (segmentation head or channel projection)."""
 
     def __init__(self, d_in: int, d_out: int, seed: int = 0,
-                 trainable: bool = True, orthogonal: bool = False):
+                 orthogonal: bool = False):
         self.d_in, self.d_out = int(d_in), int(d_out)
         rng = derive_seed(seed)
         if orthogonal:
             # near-orthogonal rows: QR of a random (d_out, d_in) Gaussian
             q, _ = np.linalg.qr(rng.standard_normal((max(d_in, d_out), min(d_in, d_out))))
             w = q[:d_in, :d_out] if d_in >= d_out else q[:d_out, :d_in].T
-            self.w = Tensor(np.ascontiguousarray(w), trainable)
-            self.b = Tensor(np.zeros(d_out), trainable)
+            self.w = Tensor(np.ascontiguousarray(w), requires_grad=True)
+            self.b = Tensor(np.zeros(d_out), requires_grad=True)
         else:
-            self.w, self.b = _init_linear(rng, d_in, d_out, trainable)
+            self.w, self.b = _init_linear(rng, d_in, d_out)
         self.params = {"w": self.w, "b": self.b}
 
     def forward(self, x) -> Tensor:
@@ -139,23 +138,21 @@ class SegModel:
     """Encoder plus head; students also carry the channel projection."""
 
     def __init__(self, widths: tuple[int, ...], n_classes: int,
-                 k: int = DEFAULT_K, seed: int = 0, trainable: bool = True,
+                 k: int = DEFAULT_K, seed: int = 0,
                  project_to: int | None = None):
         self.widths = tuple(int(w) for w in widths)
         self.n_classes = int(n_classes)
         self.k = int(k)
-        self.trainable = trainable
         self.project_to = project_to
         rng = derive_seed(seed)
-        self.encoder = PointEncoder(widths, k=k, seed=int(rng.integers(2**62)),
-                                    trainable=trainable)
+        self.encoder = PointEncoder(widths, k=k, seed=int(rng.integers(2**62)))
         self.head = Linear(self.encoder.d_out, n_classes,
-                           seed=int(rng.integers(2**62)), trainable=trainable)
+                           seed=int(rng.integers(2**62)))
         self.projection = None
         if project_to is not None:
             self.projection = Linear(self.encoder.d_out, int(project_to),
                                      seed=int(rng.integers(2**62)),
-                                     trainable=trainable, orthogonal=True)
+                                     orthogonal=True)
 
     # -- forward ------------------------------------------------------------
 
@@ -191,11 +188,16 @@ class SegModel:
         for t in self.named_params().values():
             t.zero_grad()
 
-    def freeze(self) -> None:
-        self.trainable = False
-        self.encoder.trainable = False
+    @property
+    def frozen(self) -> bool:
+        """True when no parameter needs a gradient (see `freeze`)."""
+        return not any(t.requires_grad for t in self.named_params().values())
+
+    def freeze(self) -> "SegModel":
+        """Stop every parameter from recording a tape; returns the model."""
         for t in self.named_params().values():
             t.requires_grad = False
+        return self
 
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {name: t.data.copy() for name, t in self.named_params().items()}
@@ -206,19 +208,11 @@ class SegModel:
             [-1.0 if self.project_to is None else self.project_to])
         return state
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for name, t in self.named_params().items():
-            if name not in state:
-                raise DataError(f"checkpoint is missing buffer {name!r}")
-            if state[name].shape != t.data.shape:
-                raise DataError(f"checkpoint buffer {name!r} has shape "
-                                f"{state[name].shape}, expected {t.data.shape}")
-            t.data[...] = state[name]
-
     @classmethod
-    def from_state(cls, state: dict[str, np.ndarray], trainable: bool = True) -> "SegModel":
-        """Rebuild a model; raises DataError when the meta.* buffers are
-        invalid or disagree with the weight shapes, before allocating any."""
+    def from_state(cls, state: dict[str, np.ndarray]) -> "SegModel":
+        """Rebuild a model whose parameters need gradients (chain `.freeze()`
+        for a frozen one); raises DataError when the meta.* buffers are invalid
+        or disagree with the weight shapes, before allocating any."""
         widths = tuple(_meta(state, "meta.widths", scalar=False))
         n_classes = _meta(state, "meta.n_classes")
         project_to = _meta(state, "meta.project_to", minimum=-1)
@@ -233,9 +227,10 @@ class SegModel:
             if state[name].shape != shape:
                 raise DataError(f"checkpoint buffer {name!r} has shape "
                                 f"{state[name].shape}, but meta.* implies {shape}")
-        model = cls(widths, n_classes, k=_meta(state, "meta.k"), trainable=trainable,
+        model = cls(widths, n_classes, k=_meta(state, "meta.k"),
                     project_to=None if project_to < 0 else project_to)
-        model.load_state(state)
+        for name, t in model.named_params().items():
+            t.data[...] = state[name]
         return model
 
 
@@ -272,7 +267,7 @@ def make_student_from_teacher(teacher: SegModel, seed: int) -> SegModel:
                        project_to=teacher.encoder.d_out)
     student.head.w.data[...] = student.projection.w.data @ teacher.head.w.data
     student.head.b.data[...] = teacher.head.b.data
-    dense_teacher = sum(t.data.size for n, t in teacher.named_params().items())
+    dense_teacher = teacher.param_count()
     dense_student = sum(t.data.size for n, t in student.named_params().items()
                         if not n.startswith("proj."))
     # The 3x compression ratio only holds once weight matrices dominate the

@@ -1,17 +1,15 @@
-"""Plain-array probability transforms and divergence primitives.
+"""Plain-array row transforms: softmax, log-softmax and L2 normalization.
 
 These are the non-differentiable counterparts of the tensor ops in
-:mod:`srkd.autodiff`; they serve metrics, oracles and evaluation paths.
-All computation is float64.
+:mod:`srkd.autodiff`; they serve the frozen-teacher side of the losses
+and the tests' oracles. All computation is float64.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
-
-KL_FLOOR = 1e-12
+from .errors import NumericError
 
 
 def softmax_rows(m: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -25,29 +23,6 @@ def softmax_rows(m: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     s = s - s.max(axis=-1, keepdims=True)
     e = np.exp(s)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def kl_rows(p: np.ndarray, q: np.ndarray) -> float:
-    """Mean over rows of KL(p_row || q_row), natural log.
-
-    Rows must be probability vectors. Terms with p=0 contribute zero; q is
-    floored at 1e-12 before the division.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ShapeError(f"kl_rows shape mismatch: {p.shape} vs {q.shape}")
-    if p.ndim == 1:
-        p = p[None, :]
-        q = q[None, :]
-    if np.any(p < 0) or np.any(q < 0):
-        raise ValueError("kl_rows requires nonnegative entries")
-    if not (np.allclose(p.sum(axis=-1), 1.0, atol=1e-9)
-            and np.allclose(q.sum(axis=-1), 1.0, atol=1e-9)):
-        raise ValueError("kl_rows rows must sum to 1 within 1e-9")
-    qf = np.maximum(q, KL_FLOOR)
-    terms = np.where(p > 0, p * np.log(np.maximum(p, KL_FLOOR) / qf), 0.0)
-    return float(terms.sum(axis=-1).mean())
 
 
 def l2_normalize_rows(m: np.ndarray, eps: float = 1e-12) -> np.ndarray:

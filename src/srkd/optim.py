@@ -53,10 +53,6 @@ class AdamW:
                 update = update + self.weight_decay * p.data
             p.data -= lr * update
 
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
 
 class OneCycleSchedule:
     """Linear warmup to the peak rate, then cosine decay.

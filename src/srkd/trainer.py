@@ -119,7 +119,6 @@ class Batch:
     nbrs: list[np.ndarray]                 # k-NN indices per sample
     labels: np.ndarray                     # concatenated over the batch
     mask: np.ndarray                       # concatenated
-    gd_masks: list[np.ndarray] | None      # None when every row is valid
     teacher_feats: list[np.ndarray] | None
     teacher_logits: np.ndarray | None      # concatenated
     teacher_log_z: np.ndarray | None
@@ -137,8 +136,6 @@ def make_batch(samples: list[FixedSample], nbrs: list[np.ndarray],
     """
     w = weights
     need_feats = _amra_enabled(w) or w.lambda_batch_gd > 0
-    gd_masks = None if all(s.mask.all() for s in samples) \
-        else [s.mask for s in samples]
     t_feats = t_logits = t_log_z = None
     if need_feats or w.lambda_kd > 0:
         if teacher is None:
@@ -149,11 +146,12 @@ def make_batch(samples: list[FixedSample], nbrs: list[np.ndarray],
         if w.lambda_kd > 0:
             t_logits = np.concatenate([z.data for _, z in outs], axis=0)
         if w.lambda_batch_gd > 0:
-            t_log_z = losses.gd_teacher_log_z(t_feats, w.t_gd, gd_masks)
+            t_log_z = losses.gd_teacher_log_z(t_feats, w.t_gd,
+                                              [s.mask for s in samples])
     return Batch(samples, nbrs,
                  np.concatenate([s.cloud.labels for s in samples]),
                  np.concatenate([s.mask for s in samples]),
-                 gd_masks, t_feats, t_logits, t_log_z)
+                 t_feats, t_logits, t_log_z)
 
 
 def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
@@ -195,8 +193,8 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
                 comps["l_amra_c"] = losses.loss_amra_channel(views_sp, views_t)
     if w.lambda_batch_gd > 0:
         comps["l_batch_gd"] = losses.loss_batch_gd(
-            feats, batch.teacher_feats, w.t_gd, batch.gd_masks,
-            teacher_log_z=batch.teacher_log_z)
+            feats, batch.teacher_feats, w.t_gd,
+            [s.mask for s in batch.samples], teacher_log_z=batch.teacher_log_z)
     return comps
 
 
@@ -268,8 +266,7 @@ def train_teacher(cfg: TrainConfig, data: Dataset) -> tuple[SegModel, list[dict]
     grid = grid_for_clouds(data.train)
     log = _train_loop(teacher, None, t_cfg, LossWeights.zeros(),
                       data.train, data.val, grid)
-    teacher.freeze()
-    return teacher, log
+    return teacher.freeze(), log
 
 
 def train_distill(cfg: TrainConfig, teacher: SegModel,
@@ -277,11 +274,11 @@ def train_distill(cfg: TrainConfig, teacher: SegModel,
     """Distill a half-width student from a frozen teacher (the full loop).
 
     All feature-level distillation terms consume the L2-normalized feature
-    map — the same representation the segmentation head reads — so channel
-    distributions stay near-uniform and the heavily weighted channel term
-    remains commensurate with the task loss.
+    map, the same representation the segmentation head reads. The terms
+    are weighted by `cfg.weights` as given; nothing rescales one against
+    another. Raises ConfigError unless the teacher is frozen.
     """
-    if teacher.trainable:
+    if not teacher.frozen:
         raise ConfigError("teacher must be frozen before distillation")
     student = make_student_from_teacher(teacher, seed=_child_seed(cfg.seed, 3))
     grid = grid_for_clouds(data.train)
@@ -290,7 +287,7 @@ def train_distill(cfg: TrainConfig, teacher: SegModel,
     return student, log
 
 
-def evaluate(model: SegModel, clouds, n_fixed: int = 1024,
+def evaluate(model: SegModel, clouds, n_fixed: int,
              noise_tau: float = 0.0, noise_seed: int = 0) -> Metrics:
     """Confusion-matrix metrics over all valid points of a cloud list.
 
@@ -315,15 +312,13 @@ def evaluate(model: SegModel, clouds, n_fixed: int = 1024,
 
 
 def _frozen(model: SegModel) -> SegModel:
-    """The model itself if no parameter needs a gradient, else a frozen copy:
-    its forward pass records no autodiff tape."""
-    if not any(p.requires_grad for p in model.named_params().values()):
-        return model
-    return SegModel.from_state(model.state_dict(), trainable=False)
+    """The model itself if it is frozen, else a frozen copy: its forward
+    pass records no autodiff tape."""
+    return model if model.frozen else SegModel.from_state(model.state_dict()).freeze()
 
 
 def noise_sweep(model: SegModel, clouds, cfg: NoiseConfig,
-                n_fixed: int = 1024) -> list[dict]:
+                n_fixed: int) -> list[dict]:
     """Mean mIoU per noise variance, averaged over seeded trials."""
     rows = []
     for ti, tau in enumerate(cfg.taus):
@@ -358,8 +353,7 @@ def variant_weights(full: LossWeights, enabled: tuple[str, ...]) -> LossWeights:
 
 def _distill_eval(cfg: TrainConfig, teacher_state: dict, data: Dataset,
                   tag: dict) -> dict:
-    teacher = SegModel.from_state(teacher_state, trainable=False)
-    teacher.freeze()
+    teacher = SegModel.from_state(teacher_state).freeze()
     student, _ = train_distill(cfg, teacher, data)
     m = evaluate(student, data.val, cfg.n_fixed)
     row = dict(tag)

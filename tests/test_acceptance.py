@@ -21,7 +21,7 @@ from srkd.config import DEFAULTS, scene_spec, train_config
 from srkd.losses import (LOSS_NAMES, SupervoxelFeatures, loss_amra_channel,
                          loss_amra_point, loss_amra_voxel, loss_batch_gd,
                          loss_kd)
-from srkd.metrics import compute_metrics
+from srkd.metrics import confusion_matrix, metrics_from_confusion
 from srkd.numerics import l2_normalize_rows, softmax_rows
 from srkd.trainer import (Dataset, NoiseConfig, noise_sweep, subsample_sweep,
                           train_distill, train_teacher, variant_weights)
@@ -134,7 +134,7 @@ class TestCriterion3Oracles:
         preds = RNG.integers(0, c, n)
         labels = RNG.integers(0, c, n).astype(np.uint8)
         labels[RNG.random(n) < 0.1] = 255
-        m = compute_metrics(labels, preds, c)
+        m = metrics_from_confusion(confusion_matrix(labels, preds, c))
         per_iou, per_acc, correct, seen = [], [], 0, 0
         for k in range(c):
             tp = int(np.sum((preds == k) & (labels == k)))
@@ -151,8 +151,8 @@ class TestCriterion3Oracles:
         assert m.allacc == pytest.approx(correct / seen, rel=1e-9)
 
     def test_four_point_case(self):
-        m = compute_metrics(np.array([0, 1, 1, 1], dtype=np.uint8),
-                            np.array([0, 0, 1, 1]), 2)
+        m = metrics_from_confusion(confusion_matrix(
+            np.array([0, 1, 1, 1], dtype=np.uint8), np.array([0, 0, 1, 1]), 2))
         assert m.miou == pytest.approx(7 / 12)
         assert m.allacc == pytest.approx(3 / 4)
         assert m.macc == pytest.approx(5 / 6)
@@ -328,7 +328,7 @@ class TestCriterion7NoiseMonotonicity:
         start = time.monotonic()
         rows = noise_sweep(student, benchmark.val,
                            NoiseConfig(taus=(0.01, 0.1, 0.5, 1.0), trials=10,
-                                       seed=0))
+                                       seed=0), 1024)
         elapsed = time.monotonic() - start
         mious = [r["miou"] for r in rows]
         assert all(a >= b for a, b in zip(mious, mious[1:])), mious

@@ -220,6 +220,12 @@ class TestErrors:
         self._rejected_at_load(workdir, tmp_path, capsys,
                                "noise.taus = 0.1, nan", "noise")
 
+    @pytest.mark.parametrize("setting, command", [("sweep.seeds =", "ablate"),
+                                                  ("sweep.dims =", "dim-sweep")])
+    def test_empty_sweep_list_rejected(self, workdir, tmp_path, capsys, setting,
+                                       command):
+        self._rejected_at_load(workdir, tmp_path, capsys, setting, command)
+
     def test_truncated_student_checkpoint(self, workdir, tmp_path, capsys):
         out = tmp_path / "trunc"
         assert main(["generate", "--config", str(workdir / "tiny.cfg"),

@@ -54,6 +54,13 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(line)
 
+    @pytest.mark.parametrize("line", ["sweep.seeds =", "sweep.dims = ",
+                                      "sweep.fractions = ,", "sweep.batch_sizes = , ,"])
+    def test_empty_sweep_list_rejected(self, line):
+        key = line.split("=")[0].strip()
+        with pytest.raises(ConfigError, match=f"{key}.*empty"):
+            parse_config(line)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.cfg")

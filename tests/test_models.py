@@ -289,9 +289,10 @@ class TestCheckpoints:
         state = model.state_dict()
         state["head.b"] = np.zeros(3)
         with pytest.raises(DataError):
-            model.load_state(state)
+            SegModel.from_state(state)
 
     def test_freeze(self):
         model = make_teacher(2, 8, d_out=16, seed=4)
-        model.freeze()
+        assert not model.frozen
+        assert model.freeze() is model and model.frozen
         assert all(not p.requires_grad for p in model.named_params().values())

@@ -4,8 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from srkd.errors import NumericError, ShapeError
-from srkd.numerics import kl_rows, l2_normalize_rows, softmax_rows
+from srkd.errors import NumericError
+from srkd.numerics import l2_normalize_rows, softmax_rows
 
 finite_rows = hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
                                                       min_side=1, max_side=12),
@@ -45,33 +45,6 @@ class TestSoftmax:
     def test_shift_invariance(self, m, c):
         np.testing.assert_allclose(softmax_rows(m + c, 1.0),
                                    softmax_rows(m, 1.0), atol=1e-12)
-
-
-class TestKL:
-    def test_identity(self):
-        p = softmax_rows(np.random.default_rng(0).standard_normal((4, 5)), 1.0)
-        assert kl_rows(p, p) == pytest.approx(0.0, abs=1e-14)
-
-    def test_point_mass(self):
-        assert kl_rows(np.array([[1.0, 0.0]]),
-                       np.array([[0.5, 0.5]])) == pytest.approx(np.log(2))
-
-    def test_scalar_oracle(self):
-        want = 0.7 * np.log(1.75) + 0.3 * np.log(0.5)
-        assert kl_rows(np.array([[0.7, 0.3]]),
-                       np.array([[0.4, 0.6]])) == pytest.approx(want)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            kl_rows(np.ones((1, 2)) / 2, np.ones((1, 3)) / 3)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=100, deadline=None)
-    def test_nonnegative(self, seed):
-        rng = np.random.default_rng(seed)
-        p = softmax_rows(rng.standard_normal((3, 4)), 1.0)
-        q = softmax_rows(rng.standard_normal((3, 4)), 1.0)
-        assert kl_rows(p, q) >= 0.0
 
 
 class TestNormalize:

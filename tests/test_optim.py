@@ -52,12 +52,6 @@ class TestAdamW:
         AdamW({"p": p}, lr=0.1, weight_decay=0.0).step()
         np.testing.assert_array_equal(p.data, np.ones(3))
 
-    def test_zero_grads(self):
-        p = make_param([1.0], [5.0])
-        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
-        opt.zero_grads()
-        assert p.grad is None
-
 
 class TestOneCycle:
     def test_warmup_start(self):

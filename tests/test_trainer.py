@@ -245,7 +245,6 @@ class TestObjective:
         samples, nbrs, chosen, teacher, student = _objective_inputs(n_fixed)
         w = LossWeights()
         batch = make_batch(samples, nbrs, teacher, w)
-        assert (batch.gd_masks is None) == (n_fixed == 96)
         got = distill_objective(student, batch, chosen, w)
         want = _oracle_objective(student, teacher, samples, nbrs, chosen, w)
         assert {k: v.item() for k, v in got.items()} \
@@ -309,7 +308,7 @@ class TestEvaluate:
         cloud = data.val[0]
         student = make_student_from_teacher(
             make_teacher(cloud.d_in, cloud.n_classes, seed=1), seed=3)
-        frozen = SegModel.from_state(student.state_dict(), trainable=False)
+        frozen = SegModel.from_state(student.state_dict()).freeze()
         sample = resample_fixed(cloud, 1024, 0)
         assert np.array_equal(student.forward(sample)[2].data,
                               frozen.forward(sample)[2].data)
