@@ -2,7 +2,7 @@
 
 The op set is exactly what the distillation losses and the tiny encoders
 need: +, - (binary and unary) and * with broadcasting, matmul and
-transpose, exp/log/tanh/square, sum, segment mean pooling, k-NN mean
+transpose, exp/log/tanh, sum, segment mean pooling, k-NN mean
 aggregation, row L2 normalization, row log-softmax and row concatenation.
 Gradients are checked against central finite differences in the test
 suite.
@@ -98,9 +98,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     # -- autodiff -----------------------------------------------------------
 
@@ -203,10 +200,6 @@ class Tensor:
     def tanh(self):
         out = np.tanh(self.data)
         return Tensor.from_op(out, [(self, lambda g: g * (1.0 - out * out))])
-
-    def square(self):
-        return Tensor.from_op(self.data * self.data,
-                              [(self, lambda g: g * 2.0 * self.data)])
 
     # -- reductions ----------------------------------------------------------
 

@@ -12,6 +12,14 @@ threads, W = the BLAS thread count capped at the usable cores, each holding
 two N x N float64 blocks (16 MB at N=1024); the results are bit-identical
 to one worker.
 
+Each affinity (AMRA) term is one tape op too. It stacks the S sampled
+supervoxel views' (n, D) blocks into (S, n, D) arrays, forms loss and
+gradient in batched numpy in the forward pass, and keeps one tape edge
+per view. Its working set is a few (S, n, n) float64 arrays, 4 MB each at
+S=32, n=128. Each view's sum runs over its own slice and the views are
+added left to right, so the values are bit-identical to a loop over the
+supervoxels.
+
 Formula conventions (documented because the source material is loose):
   * Logit and similarity KL use softmax(Z / T), with the student
     distribution as the first KL argument.
@@ -31,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import operator
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -167,22 +176,19 @@ def loss_kd(student_logits, teacher_logits, temperature: float,
 # Affinity (AMRA) losses
 # ---------------------------------------------------------------------------
 
-def affinity(features, mask: np.ndarray | None, weight: float) -> Tensor:
-    """Weighted squared-L2 pairwise distance matrix w * ||F_i - F_j||^2.
+def affinity(features: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """keep * ||F_i - F_j||^2 for each (n, D) view of an (S, n, D) stack.
 
-    Masked rows contribute zero entries; the diagonal is exactly zero.
+    keep (S, n, n) holds each view's weight on the row pairs that count and
+    zero on the rest: the diagonal and the padded rows and columns.
     """
-    f = _as_tensor(features)
-    n = f.shape[0]
-    if n < 2:
-        raise ShapeError("affinity needs at least two rows")
-    sq = f.square().sum(axis=1, keepdims=True)       # (n, 1)
-    d = sq + sq.T - 2.0 * (f @ f.T)
-    keep = 1.0 - np.eye(n)
-    if mask is not None:
-        m = np.asarray(mask, dtype=np.float64)
-        keep = keep * np.outer(m, m)
-    return d * (keep * weight)
+    sq = (features * features).sum(axis=2, keepdims=True)     # (S, n, 1)
+    gram = features @ features.transpose(0, 2, 1)
+    gram *= 2.0
+    d = sq + sq.transpose(0, 2, 1)
+    d -= gram
+    d *= keep
+    return d
 
 
 @dataclass(frozen=True)
@@ -219,20 +225,51 @@ def _check_paired(views_s, views_t):
             raise PairingError("student/teacher supervoxels disagree on masks or weights")
 
 
+def _stack_views(views, kind: str):
+    """The `kind` ("point" or "voxel") rows of S views: their Tensors, the
+    (S, n, D) stack of their data and the (S, n) 0/1 float64 mask."""
+    tensors = [getattr(v, f"{kind}_features") for v in views]
+    masks = [np.asarray(getattr(v, f"{kind}_mask"), dtype=bool) for v in views]
+    shapes = {(t.shape, m.shape) for t, m in zip(tensors, masks)}
+    f_shape, m_shape = next(iter(shapes))
+    if len(shapes) != 1 or len(f_shape) != 2 or m_shape != f_shape[:1]:
+        raise ShapeError(f"supervoxel {kind} views need one (n, D) shape and "
+                         f"an n-row mask, got {sorted(shapes)}")
+    return (tensors, np.stack([t.data for t in tensors]),
+            np.stack(masks).astype(np.float64))
+
+
+def _mean_in_order(values) -> float:
+    """Sum left to right, as a loop over the views adds, times 1/S."""
+    return functools.reduce(operator.add, values) * (1.0 / len(values))
+
+
+def _view_op(loss: float, tensors: list[Tensor], grads) -> Tensor:
+    """Scalar tape node with one edge per view: tensors[s] gets g * grads[s]."""
+    return Tensor.from_op(np.float64(loss), [
+        (t, lambda g, gs=gs: float(g) * gs) for t, gs in zip(tensors, grads)])
+
+
 def _affinity_gap(views_s, views_t, kind: str) -> Tensor:
+    """Mean over the views of sum((D_s - D_t)^2) / n^2 as one tape op.
+
+    With H = 2 keep (D_s - D_t) / (n^2 S), keep the weighted pair mask,
+    view s gets the gradient 4 (rowsum(H) F - H @ F).
+    """
     _check_paired(views_s, views_t)
-    total = None
-    for vs, vt in zip(views_s, views_t):
-        if kind == "point":
-            fs, ft, mask = vs.point_features, vt.point_features, vs.point_mask
-        else:
-            fs, ft, mask = vs.voxel_features, vt.voxel_features, vs.voxel_mask
-        n = mask.size
-        ds = affinity(fs, mask, vs.weight)
-        dt = affinity(ft.detach(), mask, vt.weight)
-        gap = (ds - dt).square().sum() * (1.0 / (n * n))
-        total = gap if total is None else total + gap
-    return total * (1.0 / len(views_s))
+    tensors, fs, m = _stack_views(views_s, kind)
+    ft = _stack_views(views_t, kind)[1]
+    s, n = m.shape
+    w = np.array([v.weight for v in views_s])
+    keep = m[:, :, None] * (m * w[:, None])[:, None, :]       # w_s m_i m_j
+    keep[:, np.arange(n), np.arange(n)] = 0.0
+    gap = affinity(fs, keep)
+    gap -= affinity(ft, keep)
+    loss = _mean_in_order([(g * g).sum() * (1.0 / (n * n)) for g in gap])
+    gap *= keep
+    gap *= 2.0 / (n * n * s)                                   # H
+    return _view_op(loss, tensors,
+                    4.0 * (gap.sum(axis=2, keepdims=True) * fs - gap @ fs))
 
 
 def loss_amra_point(views_s: list[SupervoxelFeatures],
@@ -253,25 +290,32 @@ def loss_amra_channel(views_s: list[SupervoxelFeatures],
 
     The student views must already be projected to the teacher channel
     count. Each part is averaged over its valid rows, both parts are
-    summed, and the result is averaged over the sampled supervoxels.
+    summed, and the result is averaged over the sampled supervoxels. One
+    tape op: row r of a part with n_valid rows gets the gradient
+    c_r p_s (log p_s - log p_t - KL_r), c_r = mask_r / (n_valid S).
     """
     _check_paired(views_s, views_t)
-    total = None
-    for vs, vt in zip(views_s, views_t):
-        if vs.point_features.shape[1] != vt.point_features.shape[1]:
+    tensors, parts, grads = [], [], []
+    for kind in ("point", "voxel"):
+        ts, zs, m = _stack_views(views_s, kind)
+        zt = _stack_views(views_t, kind)[1]
+        if zs.shape[2] != zt.shape[2]:
             raise ShapeError("channel loss requires matching channel counts; "
                              "project the student features first")
-        term = (_masked_channel_kl(vs.point_features, vt.point_features, vs.point_mask)
-                + _masked_channel_kl(vs.voxel_features, vt.voxel_features, vs.voxel_mask))
-        total = term if total is None else total + term
-    return total * (1.0 / len(views_s))
-
-
-def _masked_channel_kl(rows_s: Tensor, rows_t: Tensor, mask: np.ndarray) -> Tensor:
-    ls_s = rows_s.log_softmax_rows()
-    ls_t = Tensor(log_softmax_rows(rows_t.data))
-    kl = (ls_s.exp() * (ls_s - ls_t)).sum(axis=1)
-    return _valid_row_mean(kl, mask)
+        n_valid = m.sum(axis=1)
+        if np.any(n_valid == 0):
+            raise UndefinedLossError("no valid rows in reduction")
+        ls_s = log_softmax_rows(zs)
+        grad = ls_s - log_softmax_rows(zt)                     # log p_s - log p_t
+        p_s = np.exp(ls_s)
+        kl = (p_s * grad).sum(axis=2)                          # (S, n)
+        parts.append((kl * m).sum(axis=1) * (1.0 / n_valid))
+        grad -= kl[:, :, None]
+        grad *= p_s
+        grad *= (m / (n_valid[:, None] * len(views_s)))[:, :, None]
+        tensors += ts
+        grads += list(grad)
+    return _view_op(_mean_in_order(parts[0] + parts[1]), tensors, grads)
 
 
 # ---------------------------------------------------------------------------

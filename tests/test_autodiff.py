@@ -10,6 +10,10 @@ from srkd.models import knn_indices
 RNG = np.random.default_rng(12345)
 
 
+def sq(t: Tensor) -> Tensor:
+    return t * t
+
+
 def check_grad(build, *shapes, atol=1e-7, rtol=1e-6):
     """Compare backward() against central differences for each input."""
     arrays = [RNG.standard_normal(s) for s in shapes]
@@ -34,19 +38,19 @@ class TestElementwiseOps:
         check_grad(lambda a, b: (a * (b * b + 3.0) - b).sum(), (2, 5), (2, 5))
 
     def test_scalar_mixing(self):
-        check_grad(lambda a: (1.0 + 2.5 * a).square().sum(), (4, 3))
+        check_grad(lambda a: sq(1.0 + 2.5 * a).sum(), (4, 3))
 
     def test_exp_log_tanh(self):
         check_grad(lambda a: (a.tanh().exp() + (a * a + 0.5).log()).sum(), (6,))
 
     def test_broadcasting(self):
-        check_grad(lambda a, b: (a + b).square().sum(), (3, 4), (4,))
+        check_grad(lambda a, b: sq(a + b).sum(), (3, 4), (4,))
         check_grad(lambda a, b: (a * b).sum(), (3, 1), (3, 4))
 
 
 class TestLinearAlgebraOps:
     def test_matmul(self):
-        check_grad(lambda a, b: (a @ b).square().sum(), (3, 4), (4, 2))
+        check_grad(lambda a, b: sq(a @ b).sum(), (3, 4), (4, 2))
 
     def test_transpose(self):
         check_grad(lambda a: (a @ a.T).sum(), (3, 4))
@@ -56,7 +60,7 @@ class TestLinearAlgebraOps:
             Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
 
     def test_sum_axis_keepdims(self):
-        check_grad(lambda a: (a * a.square().sum(axis=1, keepdims=True)).sum(),
+        check_grad(lambda a: (a * sq(a).sum(axis=1, keepdims=True)).sum(),
                    (4, 3))
 
 
@@ -66,7 +70,7 @@ class TestStructuredOps:
         # rows 3 and 4 are padding, input row 3 feeds nothing
         members, starts = np.array([4, 0, 2, 5, 1]), np.array([0, 1, 3])
         w = RNG.standard_normal((5, 3))
-        check_grad(lambda a: (a.segment_mean(members, starts, 5).square() * w).sum(),
+        check_grad(lambda a: (sq(a.segment_mean(members, starts, 5)) * w).sum(),
                    (6, 3))
 
     def test_segment_mean_values(self):
@@ -99,7 +103,7 @@ class TestStructuredOps:
 
     def test_neighbor_mean(self):
         idx = RNG.integers(0, 5, (5, 3))
-        check_grad(lambda a: a.neighbor_mean(idx).square().sum(), (5, 2))
+        check_grad(lambda a: sq(a.neighbor_mean(idx)).sum(), (5, 2))
 
     def test_l2_normalize(self):
         w = RNG.standard_normal((4, 3))
@@ -115,7 +119,7 @@ class TestStructuredOps:
         check_grad(lambda a: (a.log_softmax_rows() * w).sum(), (3, 5))
 
     def test_concat_rows(self):
-        check_grad(lambda a, b: concat_rows([a, b]).square().sum(), (2, 3), (4, 3))
+        check_grad(lambda a, b: sq(concat_rows([a, b])).sum(), (2, 3), (4, 3))
 
 
 def neighbor_mean_oracle(x, idx, g):
@@ -207,13 +211,13 @@ class TestNeighborMeanBits:
 class TestBackwardSemantics:
     def test_quadratic(self):
         t = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-        t.square().sum().backward()
+        sq(t).sum().backward()
         np.testing.assert_allclose(t.grad, 2 * t.data)
 
     def test_independent_parameter_gets_no_grad(self):
         a = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
-        a.square().sum().backward()
+        sq(a).sum().backward()
         assert b.grad is None
 
     def test_diamond_graph_accumulates(self):
@@ -225,24 +229,24 @@ class TestBackwardSemantics:
 
     def test_grad_accumulates_across_backwards(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
-        x.square().sum().backward()
-        x.square().sum().backward()
+        sq(x).sum().backward()
+        sq(x).sum().backward()
         np.testing.assert_allclose(x.grad, [12.0])
         x.zero_grad()
         assert x.grad is None
 
     def test_nonscalar_backward_rejected(self):
         with pytest.raises(TapeError):
-            Tensor(np.zeros(3), requires_grad=True).square().backward()
+            sq(Tensor(np.zeros(3), requires_grad=True)).backward()
 
     def test_nonfinite_loss_rejected(self):
         t = Tensor(np.array([0.0]), requires_grad=True)
         with np.errstate(divide="ignore"), pytest.raises(NumericError):
             (t.log()).sum().backward()
 
-    def test_detach_blocks_gradient(self):
+    def test_tensor_of_data_blocks_gradient(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        (x.detach() * x).sum().backward()
+        (Tensor(x.data) * x).sum().backward()
         np.testing.assert_allclose(x.grad, np.ones(3))
 
 

@@ -95,22 +95,27 @@ class TestLossKD:
         assert loss_kd(Tensor(zs), zt, 2.0).item() == pytest.approx(want)
 
 
+def pair_keep(mask, weight=1.0):
+    """The (1, n, n) keep stack of one view: weight on the valid off-diagonal pairs."""
+    m = np.asarray(mask, dtype=np.float64)
+    return ((1.0 - np.eye(m.size)) * np.outer(m, m) * weight)[None]
+
+
 class TestAffinity:
     def test_three_four_five(self):
-        d = affinity(Tensor(np.array([[0.0, 0.0], [3.0, 4.0]])), None, 1.0)
-        np.testing.assert_allclose(d.data, [[0.0, 25.0], [25.0, 0.0]])
+        d = affinity(np.array([[[0.0, 0.0], [3.0, 4.0]]]), pair_keep([1, 1]))
+        np.testing.assert_allclose(d, [[[0.0, 25.0], [25.0, 0.0]]])
 
     def test_zero_weight(self):
-        d = affinity(Tensor(RNG.standard_normal((3, 2))), None, 0.0)
-        np.testing.assert_array_equal(d.data, np.zeros((3, 3)))
+        d = affinity(RNG.standard_normal((1, 3, 2)), pair_keep([1, 1, 1], 0.0))
+        np.testing.assert_array_equal(d, np.zeros((1, 3, 3)))
 
     def test_identical_rows(self):
-        d = affinity(Tensor(np.ones((4, 3))), None, 2.0)
-        np.testing.assert_allclose(d.data, np.zeros((4, 4)), atol=1e-12)
+        d = affinity(np.ones((1, 4, 3)), pair_keep([1] * 4, 2.0))
+        np.testing.assert_allclose(d, np.zeros((1, 4, 4)), atol=1e-12)
 
     def test_masked_rows_zeroed(self):
-        mask = np.array([True, False, True])
-        d = affinity(Tensor(RNG.standard_normal((3, 2))), mask, 1.0).data
+        d = affinity(RNG.standard_normal((1, 3, 2)), pair_keep([1, 0, 1]))[0]
         assert np.all(d[1, :] == 0.0) and np.all(d[:, 1] == 0.0)
 
 

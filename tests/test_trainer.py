@@ -287,6 +287,42 @@ class TestObjectiveThreaded(TestObjective):
     WALK_WORKERS = 2
 
 
+@pytest.mark.usefixtures("walk_workers")
+class TestObjectiveTape:
+    def test_each_amra_term_is_one_op_over_the_views(self):
+        samples, nbrs, chosen, teacher, student = _objective_inputs(256)
+        w = LossWeights()
+        comps = distill_objective(student, make_batch(samples, nbrs, teacher, w),
+                                  chosen, w)
+        n_views = sum(len(svs) for svs in chosen)
+        for term, per_view in (("l_amra_p", 1), ("l_amra_v", 1), ("l_amra_c", 2)):
+            parents = [p for p, _ in comps[term]._edges]
+            assert len(parents) == per_view * n_views == len(set(map(id, parents)))
+            for view in parents:       # a pooled view of one feature map
+                (feature_map, _), = view._edges
+                assert feature_map.shape[0] == samples[0].n_fixed
+
+    def test_peak_traced_memory(self):
+        # distill_objective plus backward on the padded batch peaked at
+        # 2.70 MB traced with a chain of tape ops per supervoxel and view,
+        # and at 2.44 MB with one tape op per AMRA term.
+        samples, nbrs, chosen, teacher, student = _objective_inputs(256)
+        w = LossWeights()
+        batch = make_batch(samples, nbrs, teacher, w)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            weighted_total(distill_objective(student, batch, chosen, w), w).backward()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 2_560_000
+
+
 class TestEvaluate:
     def test_deterministic(self, setup):
         cfg, data, teacher = setup
