@@ -1,9 +1,10 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 The op set is exactly what the distillation losses and the tiny encoders
-need: +, - (binary and unary) and * with broadcasting, matmul and
-transpose, exp/log/tanh, sum, segment mean pooling, k-NN mean
-aggregation, row L2 normalization, row log-softmax and row concatenation.
+need: +, - (binary and unary) and * with broadcasting, exp/log, sum,
+segment mean pooling, k-NN mean aggregation, row L2 normalization, row
+log-softmax, row concatenation and the fused affine layer (matmul, bias
+and optional tanh in one op).
 Gradients are checked against central finite differences in the test
 suite.
 """
@@ -173,21 +174,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        o = self._coerce(other)
-        if self.data.ndim != 2 or o.data.ndim != 2:
-            raise ShapeError("matmul expects 2-D operands")
-        if self.data.shape[1] != o.data.shape[0]:
-            raise ShapeError(f"matmul shape mismatch: {self.shape} @ {o.shape}")
-        return Tensor.from_op(self.data @ o.data, [
-            (self, lambda g: g @ o.data.T),
-            (o, lambda g: self.data.T @ g),
-        ])
-
-    @property
-    def T(self) -> "Tensor":
-        return Tensor.from_op(self.data.T, [(self, lambda g: g.T)])
-
     # -- elementwise transcendentals -----------------------------------------
 
     def exp(self):
@@ -196,10 +182,6 @@ class Tensor:
 
     def log(self):
         return Tensor.from_op(np.log(self.data), [(self, lambda g: g / self.data)])
-
-    def tanh(self):
-        out = np.tanh(self.data)
-        return Tensor.from_op(out, [(self, lambda g: g * (1.0 - out * out))])
 
     # -- reductions ----------------------------------------------------------
 
@@ -316,6 +298,47 @@ def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
     for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
         edges.append((t, lambda g, lo=lo, hi=hi: g[lo:hi]))
     return Tensor.from_op(np.concatenate(datas, axis=0), edges)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor, tanh: bool = False) -> Tensor:
+    """x @ w + b, through tanh if `tanh`, as one tape op.
+
+    The forward adds b into the matmul output and applies tanh in place, so
+    the tape keeps one (N, D_out) array where separate matmul, add and tanh
+    ops kept three. The vjp forms dz = g * (1 - out^2) (g itself without
+    tanh) once for all three edges and returns dz @ w.T, x.T @ dz and
+    dz.sum(axis=0): the numpy operations of the separate ops, so values and
+    gradients equal theirs bit for bit. Raises ShapeError unless x is
+    (N, D_in), w is (D_in, D_out) and b is (D_out,).
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] \
+            or b.shape != (w.shape[1],):
+        raise ShapeError(f"affine shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+    out = x.data @ w.data
+    out += b.data
+    if tanh:
+        np.tanh(out, out=out)
+    parts = [(x, lambda dz: dz @ w.data.T), (w, lambda dz: x.data.T @ dz),
+             (b, lambda dz: dz.sum(axis=0))]
+    live = [(t, f) for t, f in parts if t.requires_grad]
+    # backward calls a node's edges one after another with the same g: dz is
+    # formed for the first live edge and dropped by the last one
+    held: list[tuple[Array, Array]] = []     # (g, dz) in between
+
+    def edge(f, last):
+        def vjp(g):
+            if not tanh:
+                return f(g)
+            if not held or held[0][0] is not g:
+                held[:] = [(g, g * (1.0 - out * out))]
+            dz = held[0][1]
+            if last:
+                held.clear()
+            return f(dz)
+        return vjp
+
+    return Tensor.from_op(out, [(t, edge(f, k == len(live) - 1))
+                                for k, (t, f) in enumerate(live)])
 
 
 def finite_diff_gradient(f: Callable[[Array], float], theta: Array,

@@ -36,6 +36,7 @@ Formula conventions (documented because the source material is loose):
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
@@ -440,10 +441,18 @@ def _walk_block_pairs(b: int, n: int, work, new_scratch,
         finally:
             free.put(scratch)
 
-    # The pool exits (its threads joined) before BLAS threads are restored.
+    # At most 2W pairs are in flight, taken in pair order, so at most 2W
+    # finished results wait for the calling thread (and the GIL) to take
+    # them. The pool exits (its threads joined) before BLAS threads are
+    # restored.
     with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
-        for out in pool.map(run, pairs):
-            take(out)
+        pending: collections.deque = collections.deque()
+        for p in pairs:
+            if len(pending) == 2 * workers:
+                take(pending.popleft().result())
+            pending.append(pool.submit(run, p))
+        while pending:
+            take(pending.popleft().result())
 
 
 def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, affine
 from .cloud import FixedSample, atomic_open, derive_seed
 from .errors import DataError, ParseError, ShapeError
 
@@ -104,7 +104,7 @@ class PointEncoder:
             raise ShapeError(f"encoder expects width {self.widths[0]}, got {h.shape[1]}")
         n_layers = len(self.widths) - 1
         for i in range(n_layers):
-            h = (h @ self.params[f"w{i}"] + self.params[f"b{i}"]).tanh()
+            h = affine(h, self.params[f"w{i}"], self.params[f"b{i}"], tanh=True)
             if i < AGG_ROUNDS:
                 h = h.neighbor_mean(nbr_idx)
         return h * np.asarray(mask, dtype=np.float64)[:, None]
@@ -131,7 +131,7 @@ class Linear:
         x = x if isinstance(x, Tensor) else Tensor(x)
         if x.shape[1] != self.d_in:
             raise ShapeError(f"linear expects width {self.d_in}, got {x.shape[1]}")
-        return x @ self.w + self.b
+        return affine(x, self.w, self.b)
 
 
 class SegModel:

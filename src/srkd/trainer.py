@@ -163,6 +163,12 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
     otherwise. `chosen` holds each sample's sampled supervoxels (None when
     no affinity term is enabled); student and teacher views pool the same
     ones. Combine the terms with `losses.weighted_total`.
+
+    Batch-GD is formed before the AMRA terms: its walk over the N x N block
+    pairs peaks while it runs, and run first it peaks before the pooled
+    supervoxel views, the channel projections and the AMRA results exist,
+    not on top of them. The terms do not read each other, so the order
+    changes no value, and the backward graph is the same.
     """
     w = weights
     outs = [model.forward(s, nbr) for s, nbr in zip(batch.samples, batch.nbrs)]
@@ -174,6 +180,12 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
     if w.lambda_kd > 0:
         comps["l_kd"] = losses.loss_kd(logits, batch.teacher_logits,
                                        w.t_logit, batch.mask)
+    # Batch-GD before AMRA: its block-pair walk allocates its scratch and
+    # frees it before the supervoxel views and projections are on the tape.
+    if w.lambda_batch_gd > 0:
+        comps["l_batch_gd"] = losses.loss_batch_gd(
+            feats, batch.teacher_feats, w.t_gd,
+            [s.mask for s in batch.samples], teacher_log_z=batch.teacher_log_z)
     if _amra_enabled(w):
         views_s, views_t, views_sp = [], [], []
         for f_s, f_t, svs in zip(feats, batch.teacher_feats, chosen):
@@ -191,10 +203,6 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
                 comps["l_amra_v"] = losses.loss_amra_voxel(views_s, views_t)
             if w.lambda_c > 0:
                 comps["l_amra_c"] = losses.loss_amra_channel(views_sp, views_t)
-    if w.lambda_batch_gd > 0:
-        comps["l_batch_gd"] = losses.loss_batch_gd(
-            feats, batch.teacher_feats, w.t_gd,
-            [s.mask for s in batch.samples], teacher_log_z=batch.teacher_log_z)
     return comps
 
 

@@ -19,15 +19,25 @@ from srkd.losses import (SupervoxelFeatures, affinity, loss_amra_channel,
 from srkd.numerics import log_softmax_rows
 
 # ---------------------------------------------------------------------------
-# Oracle: the per-supervoxel tape formulation
+# Oracle: the per-supervoxel tape formulation, with the transpose and
+# matmul tape ops it was written with (the package no longer has them)
 # ---------------------------------------------------------------------------
+
+
+def _transpose(x: Tensor) -> Tensor:
+    return Tensor.from_op(x.data.T, [(x, lambda g: g.T)])
+
+
+def _matmul(a: Tensor, b: Tensor) -> Tensor:
+    return Tensor.from_op(a.data @ b.data, [(a, lambda g: g @ b.data.T),
+                                            (b, lambda g: a.data.T @ g)])
 
 
 def oracle_affinity(f: Tensor, mask, weight: float) -> Tensor:
     """Weighted squared-L2 pairwise distance matrix w * ||F_i - F_j||^2."""
     n = f.shape[0]
     sq = (f * f).sum(axis=1, keepdims=True)          # (n, 1)
-    d = sq + sq.T - 2.0 * (f @ f.T)
+    d = sq + _transpose(sq) - 2.0 * _matmul(f, _transpose(f))
     keep = 1.0 - np.eye(n)
     if mask is not None:
         m = np.asarray(mask, dtype=np.float64)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from srkd.autodiff import Tensor, concat_rows, finite_diff_gradient
+from srkd.autodiff import Tensor, affine, concat_rows, finite_diff_gradient
 from srkd.errors import NumericError, ShapeError, TapeError
 from srkd.models import knn_indices
 
@@ -40,25 +40,71 @@ class TestElementwiseOps:
     def test_scalar_mixing(self):
         check_grad(lambda a: sq(1.0 + 2.5 * a).sum(), (4, 3))
 
-    def test_exp_log_tanh(self):
-        check_grad(lambda a: (a.tanh().exp() + (a * a + 0.5).log()).sum(), (6,))
+    def test_exp_log(self):
+        check_grad(lambda a: (a.exp() + (a * a + 0.5).log()).sum(), (6,))
 
     def test_broadcasting(self):
         check_grad(lambda a, b: sq(a + b).sum(), (3, 4), (4,))
         check_grad(lambda a, b: (a * b).sum(), (3, 1), (3, 4))
 
 
-class TestLinearAlgebraOps:
-    def test_matmul(self):
-        check_grad(lambda a, b: sq(a @ b).sum(), (3, 4), (4, 2))
+def unfused_affine(x: Tensor, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
+    """Reference: x @ w + b (then tanh) as the three separate tape ops the
+    encoder layers and `Linear` recorded before `affine` fused them."""
+    z = Tensor.from_op(x.data @ w.data, [(x, lambda g: g @ w.data.T),
+                                         (w, lambda g: x.data.T @ g)]) + b
+    if not tanh:
+        return z
+    out = np.tanh(z.data)
+    return Tensor.from_op(out, [(z, lambda g: g * (1.0 - out * out))])
 
-    def test_transpose(self):
-        check_grad(lambda a: (a @ a.T).sum(), (3, 4))
 
-    def test_matmul_shape_error(self):
+class TestAffine:
+    @pytest.mark.parametrize("tanh", [False, True])
+    def test_matches_finite_differences(self, tanh):
+        check_grad(lambda x, w, b: sq(affine(x, w, b, tanh)).sum(),
+                   (5, 4), (4, 3), (3,))
+
+    @pytest.mark.parametrize("x_grad", [False, True])
+    @pytest.mark.parametrize("tanh", [False, True])
+    def test_bit_identical_to_unfused_ops(self, tanh, x_grad):
+        # rows 1 and 4 are padding: zero inputs, masked out of the output
+        # as in `PointEncoder.forward`
+        x = RNG.standard_normal((6, 5))
+        x[[1, 4]] = 0.0
+        w, b = RNG.standard_normal((5, 4)), RNG.standard_normal(4)
+        mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])[:, None]
+        probe = RNG.standard_normal((6, 4))
+        runs = []
+        for op in (affine, unfused_affine):
+            leaves = [Tensor(x.copy(), requires_grad=x_grad),
+                      Tensor(w.copy(), requires_grad=True),
+                      Tensor(b.copy(), requires_grad=True)]
+            out = op(*leaves, tanh=tanh) * mask
+            loss = (sq(out) * probe).sum()
+            loss.backward()
+            runs.append((out.data, loss.item(), [t.grad for t in leaves]))
+        (out, loss, grads), (want_out, want_loss, want_grads) = runs
+        assert out.tobytes() == want_out.tobytes() and loss == want_loss
+        for got, want in zip(grads, want_grads, strict=True):
+            assert got is want is None or got.tobytes() == want.tobytes()
+
+    def test_frozen_inputs_record_no_tape(self):
+        out = affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))),
+                     Tensor(np.zeros(2)), tanh=True)
+        assert not out.requires_grad and not out._edges
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (2, 3), (3,)),
+                                        ((2, 3), (3, 4), (3,)),
+                                        ((3,), (3, 4), (4,))],
+                             ids=["inner", "bias", "rank"])
+    def test_shape_error(self, shapes):
+        x, w, b = (Tensor(np.zeros(s)) for s in shapes)
         with pytest.raises(ShapeError):
-            Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
+            affine(x, w, b)
 
+
+class TestLinearAlgebraOps:
     def test_sum_axis_keepdims(self):
         check_grad(lambda a: (a * sq(a).sum(axis=1, keepdims=True)).sum(),
                    (4, 3))

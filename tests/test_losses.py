@@ -1,6 +1,8 @@
 import itertools
 import os
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -639,6 +641,32 @@ class TestThreadedWalk:
 
         monkeypatch.setattr(losses, "ThreadPoolExecutor", no_pool)
         self.assert_same_bits(self.walk(monkeypatch, None, 3, 70, True), want)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_results_waiting_at_most_two_per_worker(self, monkeypatch, workers):
+        # The calling thread takes results slowly, so the workers run ahead
+        # of it: at most 2W finished pairs may wait, taken in pair order.
+        monkeypatch.setattr(losses, "_walk_workers", lambda n: workers)
+        lock = threading.Lock()
+        waiting, peak, taken = 0, 0, []
+
+        def work(i, j, ri, rj, scratch):
+            nonlocal waiting, peak
+            with lock:
+                waiting += 1
+                peak = max(peak, waiting)
+            return i, j
+
+        def take(out):
+            nonlocal waiting
+            time.sleep(0.002)
+            with lock:
+                waiting -= 1
+            taken.append(out)
+
+        losses._walk_block_pairs(8, 4, work, lambda: None, take)
+        assert taken == [(i, j) for i, j, _, _ in losses._block_pairs(8, 4)]
+        assert 0 < peak <= 2 * workers
 
     def test_working_set_per_worker(self):
         # b = 3, n = 512: the N x N blocks dominate the traced heap. Each

@@ -6,8 +6,9 @@ import pytest
 
 from srkd.cloud import SceneSpec, generate_scene, resample_fixed
 from srkd.errors import DataError, ParseError
-from srkd.models import (SegModel, knn_indices, load_checkpoint, make_teacher,
-                         make_student_from_teacher, save_checkpoint)
+from srkd.models import (AGG_ROUNDS, SegModel, knn_indices, load_checkpoint,
+                         make_teacher, make_student_from_teacher,
+                         save_checkpoint)
 
 
 def sample(seed=0, n_fixed=64):
@@ -149,6 +150,30 @@ class TestForward:
         got = model.head.forward(Tensor(f)).data
         want = f @ model.head.w.data + model.head.b.data
         np.testing.assert_allclose(got, want, atol=1e-14)
+
+    def test_each_layer_is_one_tape_node(self):
+        model = make_teacher(2, 8, d_out=16, seed=4)
+        _, f_norm, logits = model.forward(sample())
+        nodes, stack = {}, [logits]
+        while stack:
+            t = stack.pop()
+            if id(t) not in nodes:
+                nodes[id(t)] = t
+                stack.extend(p for p, _ in t._edges)
+        inner = [t for t in nodes.values() if t._edges]
+        enc = model.encoder
+        n_layers = len(enc.widths) - 1
+        # one node per layer, per aggregation round, for the padding mask,
+        # the row normalization and the head
+        assert len(inner) == n_layers + min(n_layers, AGG_ROUNDS) + 3
+        for i in range(n_layers):
+            users = [t for t in inner
+                     if any(p is enc.params[f"w{i}"] for p, _ in t._edges)]
+            assert len(users) == 1
+            assert [p for p, _ in users[0]._edges][-2:] == \
+                [enc.params[f"w{i}"], enc.params[f"b{i}"]]
+        assert [p for p, _ in logits._edges] == \
+            [f_norm, model.head.w, model.head.b]
 
     def test_feature_noise_injection_point(self):
         model = make_teacher(2, 8, d_out=16, seed=4)
