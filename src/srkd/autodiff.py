@@ -2,9 +2,9 @@
 
 The op set is exactly what the distillation losses and the tiny encoders
 need: +, - (binary and unary) and * with broadcasting, exp/log, sum,
-segment mean pooling, k-NN mean aggregation, row L2 normalization, row
-log-softmax, row concatenation and the fused affine layer (matmul, bias
-and optional tanh in one op).
+k-NN mean aggregation, row L2 normalization, row log-softmax, row
+concatenation, segment mean pooling over a list of maps and the fused
+affine layer (matmul, bias and optional tanh in one op).
 Gradients are checked against central finite differences in the test
 suite.
 """
@@ -133,10 +133,7 @@ class Tensor:
             for parent, vjp in node._edges:
                 contrib = vjp(g)
                 key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + contrib
-                else:
-                    grads[key] = contrib
+                grads[key] = grads[key] + contrib if key in grads else contrib
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -189,50 +186,12 @@ class Tensor:
         out = self.data.sum(axis=axis, keepdims=keepdims)
 
         def vjp(g):
-            if axis is None:
-                return np.broadcast_to(g, self.data.shape).copy()
-            gg = g if keepdims else np.expand_dims(g, axis)
+            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
             return np.broadcast_to(gg, self.data.shape).copy()
 
         return Tensor.from_op(out, [(self, vjp)])
 
     # -- structural ops ------------------------------------------------------
-
-    def segment_mean(self, members: Array, starts: Array, n_rows: int) -> "Tensor":
-        """Row r is the mean of x[members[starts[r]:starts[r + 1]]] (the last
-        segment runs to the end), summed by np.add.reduceat in member order;
-        rows len(starts) .. n_rows - 1 are zero, and a length-1 segment is
-        its row bit for bit. Members are distinct, so each input row feeds at
-        most one output row and the vjp is the assignment gx[members] =
-        g[r] / count[r], no scatter-add. The working set is the (members, D)
-        gather. Raises ShapeError unless members are distinct and in [0, n),
-        starts rise strictly from 0 below len(members), len(starts) <= n_rows.
-        """
-        members = np.asarray(members, dtype=np.intp)
-        starts = np.asarray(starts, dtype=np.intp)
-        n = self.data.shape[0]
-        if members.ndim != 1 or starts.ndim != 1 or starts.size > n_rows:
-            raise ShapeError("segment_mean expects 1-D members and at most "
-                             f"n_rows={n_rows} 1-D starts")
-        if members.size and (members.min() < 0 or members.max() >= n
-                             or np.bincount(members).max() > 1):
-            raise ShapeError(f"segment_mean members must be distinct, in [0, {n})")
-        lengths = np.diff(starts, append=members.size)
-        if np.any(lengths <= 0) or (starts[0] != 0 if starts.size else members.size):
-            raise ShapeError("segment_mean starts must rise strictly from 0 "
-                             "below len(members)")
-        counts = lengths[:, None].astype(np.float64)
-        out = np.zeros((n_rows,) + self.data.shape[1:])
-        if starts.size:
-            out[:starts.size] = np.add.reduceat(self.data[members], starts,
-                                                axis=0) / counts
-
-        def vjp(g):
-            gx = np.zeros_like(self.data)
-            gx[members] = np.repeat(g[:starts.size] / counts, lengths, axis=0)
-            return gx
-
-        return Tensor.from_op(out, [(self, vjp)])
 
     def neighbor_mean(self, idx: Array) -> "Tensor":
         """Row-wise mean over k neighbor rows; idx has shape (N, k).
@@ -273,8 +232,7 @@ class Tensor:
 
         def vjp(g):
             proj = (out * g).sum(axis=-1, keepdims=True)
-            gx = (g - np.where(big, out * proj, 0.0)) / denom
-            return gx
+            return (g - np.where(big, out * proj, 0.0)) / denom
 
         return Tensor.from_op(out, [(self, vjp)])
 
@@ -294,10 +252,59 @@ def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
     if len(widths) != 1:
         raise ShapeError("concat_rows requires a common column count")
     offsets = np.cumsum([0] + [d.shape[0] for d in datas])
-    edges = []
-    for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-        edges.append((t, lambda g, lo=lo, hi=hi: g[lo:hi]))
-    return Tensor.from_op(np.concatenate(datas, axis=0), edges)
+    return Tensor.from_op(np.concatenate(datas, axis=0), [
+        (t, lambda g, lo=lo, hi=hi: g[lo:hi])
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:])])
+
+
+def segment_mean(maps: Sequence[Tensor], members: Array, starts: Array,
+                 rows: Array, n_rows: int) -> Tensor:
+    """Mean-pool rows of a list of 2-D maps into n_rows rows, in one op.
+
+    Member offsets[b] + i is row i of map b (the maps stacked in list
+    order). Output row rows[r] is the mean of members[starts[r]:starts[r + 1]]
+    (the last segment runs to the end), summed by np.add.reduceat in member
+    order; other rows are zero, and a length-1 segment is its map row bit
+    for bit. Members are gathered map by map, never from a stacked copy of
+    the maps. They are distinct, so the op's one edge per map assigns
+    g[row] / count to that map's members, no scatter-add. Raises ShapeError
+    unless the maps share one width, members are distinct and in range,
+    starts rise strictly from 0 below len(members), and rows, one per
+    start, are distinct and in [0, n_rows).
+    """
+    members, starts, rows = (np.asarray(a, dtype=np.intp) for a in (members, starts, rows))
+    if len({t.shape[1:] for t in maps}) != 1 or any(t.data.ndim != 2 for t in maps):
+        raise ShapeError("segment_mean expects 2-D maps of one width")
+    offsets = np.cumsum([0] + [t.shape[0] for t in maps])
+    if members.ndim != 1 or starts.ndim != 1 or rows.shape != starts.shape:
+        raise ShapeError("segment_mean expects 1-D members, starts and rows, "
+                         "one row per start")
+    for name, idx, n in (("members", members, offsets[-1]), ("rows", rows, n_rows)):
+        if idx.size and (idx.min() < 0 or idx.max() >= n
+                         or np.bincount(idx).max() > 1):
+            raise ShapeError(f"segment_mean {name} must be distinct, in [0, {n})")
+    lengths = np.diff(starts, append=members.size)
+    if np.any(lengths <= 0) or (starts[0] != 0 if starts.size else members.size):
+        raise ShapeError("segment_mean starts must rise strictly from 0 "
+                         "below len(members)")
+    owner = np.searchsorted(offsets, members, side="right") - 1
+    parts = [(t, np.flatnonzero(owner == b), offsets[b]) for b, t in enumerate(maps)]
+    gathered = np.empty((members.size, maps[0].shape[1]))
+    for t, pick, lo in parts:
+        gathered[pick] = t.data[members[pick] - lo]
+    counts = lengths[:, None].astype(np.float64)
+    out = np.zeros((n_rows, gathered.shape[1]))
+    out[rows] = np.add.reduceat(gathered, starts, axis=0) / counts
+    row_of, count_of = np.repeat(rows, lengths), np.repeat(counts, lengths, axis=0)
+
+    def edge(t, pick, lo):
+        def vjp(g):
+            gx = np.zeros_like(t.data)
+            gx[members[pick] - lo] = g[row_of[pick]] / count_of[pick]
+            return gx
+        return t, vjp
+
+    return Tensor.from_op(out, [edge(*part) for part in parts])
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor, tanh: bool = False) -> Tensor:

@@ -5,8 +5,8 @@ comments and blank lines ignored. Every key is a field of its section's
 settings dataclass (`scene` SceneSpec, `train` TrainConfig, `loss`
 LossWeights, `sampler` SamplerConfig, `noise` NoiseConfig), and its default
 is that field's default; the dataclass also checks the value. The `sweep`
-keys, which only the CLI reads, are defined here. Unknown keys are
-rejected. Lists (noise variances, sweep fractions) are comma separated
+keys, which only the CLI reads, are defined and checked here. Unknown keys
+are rejected. Lists (noise variances, sweep fractions) are comma separated
 and may not be empty. The effective merged config can be rendered back to
 canonical text, whose SHA-256 prefix serves as the provenance hash stamped
 into output tables.
@@ -81,6 +81,11 @@ def parse_config(text: str, source: str = "<config>") -> dict[str, object]:
     train_config(cfg, 0)
     noise_config(cfg, 0)
     split_counts(cfg)
+    for key, ok, rule in (("sweep.fractions", lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+                          ("sweep.batch_sizes", lambda v: v >= 1, "be >= 1"),
+                          ("sweep.dims", lambda v: v >= 2, "be >= 2")):
+        if not all(map(ok, cfg[key])):
+            raise ConfigError(f"{key} must {rule}")
     return cfg
 
 

@@ -4,21 +4,17 @@ Student-side inputs are autodiff Tensors so gradients flow back to the
 student encoder, head and channel projection; teacher-side inputs are
 plain arrays (the teacher is frozen). The cross-sample batch geometry
 loss, which dominates the training step at full scale, is a single fused
-tape op over the stacked (B*N, D) mini-batch feature maps. It never forms
-the (B*N)^2 pairwise gram: it walks the B(B+1)/2 unordered N x N block
-pairs, since one block S_ij serves the rows of i and, transposed, the rows
-of j. Loss and gradient come from that one pass. The pairs run on W worker
-threads, W = the BLAS thread count capped at the usable cores, each holding
-two N x N float64 blocks (16 MB at N=1024); the results are bit-identical
-to one worker.
+tape op that walks the N x N block pairs of the stacked (B*N, D) maps on
+W worker threads and never forms the (B*N)^2 gram (`_fused_batch_gd`).
 
-Each affinity (AMRA) term is one tape op too. It stacks the S sampled
-supervoxel views' (n, D) blocks into (S, n, D) arrays, forms loss and
-gradient in batched numpy in the forward pass, and keeps one tape edge
-per view. Its working set is a few (S, n, n) float64 arrays, 4 MB each at
-S=32, n=128. Each view's sum runs over its own slice and the views are
-added left to right, so the values are bit-identical to a loop over the
-supervoxels.
+`supervoxel_features` pools the S sampled supervoxels of a batch from a
+list of per-sample maps into stacked (S*n, D) point and voxel Tensors, one
+tape op per kind. Each affinity (AMRA) term is one tape op over such
+stacks, viewed as (S, n, D): loss and gradient come from batched numpy in
+the forward pass, working on a few (S, n, n) float64 arrays (4 MB each at
+S=32, n=128). Each supervoxel's sum runs over its own slice and the
+supervoxels are added left to right, so the values are bit-identical to a
+loop over them.
 
 Formula conventions (documented because the source material is loose):
   * Logit and similarity KL use softmax(Z / T), with the student
@@ -44,12 +40,12 @@ import operator
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, concat_rows
+from .autodiff import Tensor, concat_rows, segment_mean
 from .errors import (ConfigError, NumericError, PairingError, ShapeError,
                      UndefinedLossError)
 from .cloud import IGNORE_LABEL
@@ -91,22 +87,6 @@ class LossWeights:
                    lambda_batch_gd=0.0)
 
 
-@dataclass(frozen=True)
-class LossReport:
-    """All six loss terms plus the weighted total."""
-
-    l_task: float
-    l_kd: float
-    l_amra_p: float
-    l_amra_v: float
-    l_amra_c: float
-    l_batch_gd: float
-    l_total: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def weighted_total(components: dict, weights: LossWeights):
     """Recombination l_task + sum(lambda_i * l_i); works on floats or Tensors."""
     return (components["l_task"]
@@ -117,13 +97,16 @@ def weighted_total(components: dict, weights: LossWeights):
             + weights.lambda_batch_gd * components["l_batch_gd"])
 
 
-def loss_total(components: dict, weights: LossWeights) -> LossReport:
-    """Assemble a LossReport from scalar components."""
-    comps = {name: float(components[name]) for name in LOSS_NAMES}
-    if any(not np.isfinite(v) for v in comps.values()):
-        bad = [n for n, v in comps.items() if not np.isfinite(v)]
+def loss_total(components: dict, weights: LossWeights) -> dict[str, float]:
+    """The `LOSS_NAMES` components (floats or scalar Tensors) as floats, then
+    their weighted `l_total`; raises NumericError naming any non-finite one."""
+    comps = {name: float(getattr(components[name], "data", components[name]))
+             for name in LOSS_NAMES}
+    bad = [n for n, v in comps.items() if not np.isfinite(v)]
+    if bad:
         raise NumericError(f"non-finite loss component(s): {', '.join(bad)}")
-    return LossReport(**comps, l_total=float(weighted_total(comps, weights)))
+    comps["l_total"] = float(weighted_total(comps, weights))
+    return comps
 
 
 def _as_tensor(x) -> Tensor:
@@ -194,99 +177,116 @@ def affinity(features: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SupervoxelFeatures:
-    """Fixed-size feature blocks of one supervoxel under one encoder."""
+    """Fixed-size feature blocks of S sampled supervoxels under one encoder,
+    stacked: rows s*n .. (s+1)*n - 1 of a block are supervoxel s's rows."""
 
-    point_features: Tensor     # (N_point, D), masked rows zero
-    voxel_features: Tensor     # (N_voxel, D), masked rows zero
-    point_mask: np.ndarray
-    voxel_mask: np.ndarray
-    weight: float
-
-
-def supervoxel_features(feature_map, sv: Supervoxel) -> SupervoxelFeatures:
-    """A supervoxel's point rows and mean-pooled voxel rows from a map: one
-    `Tensor.segment_mean` each, with a length-1 segment per kept point slot
-    (its row, bit for bit) and one per kept fine voxel; padded rows are zero.
-    No map row feeds two rows of a view, so the backward pass assigns."""
-    fm = _as_tensor(feature_map)
-    n_kept = int(sv.point_mask.sum())
-    pf = fm.segment_mean(sv.point_indices[:n_kept], np.arange(n_kept),
-                         sv.point_mask.size)
-    vf = fm.segment_mean(sv.voxel_members, sv.voxel_starts, sv.voxel_mask.size)
-    return SupervoxelFeatures(pf, vf, sv.point_mask, sv.voxel_mask, sv.weight)
+    point_features: Tensor     # (S * N_point, D), masked rows zero
+    voxel_features: Tensor     # (S * N_voxel, D), masked rows zero
+    point_mask: np.ndarray     # (S, N_point) bool
+    voxel_mask: np.ndarray     # (S, N_voxel) bool
+    weight: np.ndarray         # (S,) float64
 
 
-def _check_paired(views_s, views_t):
-    if len(views_s) != len(views_t) or not views_s:
-        raise PairingError("student and teacher supervoxel lists must match")
-    for a, b in zip(views_s, views_t):
-        if (not np.array_equal(a.point_mask, b.point_mask)
-                or not np.array_equal(a.voxel_mask, b.voxel_mask)
-                or a.weight != b.weight):
-            raise PairingError("student/teacher supervoxels disagree on masks or weights")
+def supervoxel_features(maps, chosen: list[list[Supervoxel]]) -> SupervoxelFeatures:
+    """Every sampled supervoxel's point rows and mean-pooled voxel rows.
+
+    Sample b's supervoxels chosen[b] pool rows of maps[b], stacked in
+    sample order. Each kind is one `autodiff.segment_mean` over all maps: a
+    length-1 segment per kept point slot (its map row, bit for bit), one
+    per kept fine voxel; padded rows are zero. Raises ShapeError unless
+    there is one map per sample and at least one supervoxel, all of one
+    (N_point, N_voxel) size.
+    """
+    maps = [_as_tensor(m) for m in maps]
+    svs = [(b, sv) for b, group in enumerate(chosen) for sv in group]
+    sizes = {(sv.point_mask.size, sv.voxel_mask.size) for _, sv in svs}
+    if len(maps) != len(chosen) or len(sizes) != 1:
+        raise ShapeError(f"need one map per sample ({len(maps)} for {len(chosen)}) and "
+                         f"supervoxels of one (N_point, N_voxel) size, got {sorted(sizes)}")
+    (n_point, n_voxel), s = sizes.pop(), len(svs)
+    offsets = np.cumsum([0] + [m.shape[0] for m in maps])
+    kept = [int(sv.point_mask.sum()) for _, sv in svs]
+    points = np.concatenate([sv.point_indices[:k] + offsets[b]
+                             for (b, sv), k in zip(svs, kept)])
+    pf = segment_mean(maps, points, np.arange(points.size),
+                      np.concatenate([i * n_point + np.arange(k)
+                                      for i, k in enumerate(kept)]), s * n_point)
+    first = np.cumsum([0] + [sv.voxel_members.size for _, sv in svs])
+    vf = segment_mean(
+        maps, np.concatenate([sv.voxel_members + offsets[b] for b, sv in svs]),
+        np.concatenate([sv.voxel_starts + lo for (_, sv), lo in zip(svs, first)]),
+        np.concatenate([i * n_voxel + np.arange(sv.voxel_starts.size)
+                        for i, (_, sv) in enumerate(svs)]), s * n_voxel)
+    return SupervoxelFeatures(pf, vf, np.stack([sv.point_mask for _, sv in svs]),
+                              np.stack([sv.voxel_mask for _, sv in svs]),
+                              np.array([sv.weight for _, sv in svs], dtype=np.float64))
 
 
-def _stack_views(views, kind: str):
-    """The `kind` ("point" or "voxel") rows of S views: their Tensors, the
-    (S, n, D) stack of their data and the (S, n) 0/1 float64 mask."""
-    tensors = [getattr(v, f"{kind}_features") for v in views]
-    masks = [np.asarray(getattr(v, f"{kind}_mask"), dtype=bool) for v in views]
-    shapes = {(t.shape, m.shape) for t, m in zip(tensors, masks)}
-    f_shape, m_shape = next(iter(shapes))
-    if len(shapes) != 1 or len(f_shape) != 2 or m_shape != f_shape[:1]:
-        raise ShapeError(f"supervoxel {kind} views need one (n, D) shape and "
-                         f"an n-row mask, got {sorted(shapes)}")
-    return (tensors, np.stack([t.data for t in tensors]),
-            np.stack(masks).astype(np.float64))
+def _check_paired(views_s: SupervoxelFeatures, views_t: SupervoxelFeatures):
+    if not views_s.weight.size or not all(
+            np.array_equal(getattr(views_s, f), getattr(views_t, f))
+            for f in ("point_mask", "voxel_mask", "weight")):
+        raise PairingError("student/teacher supervoxels are missing or "
+                           "disagree on masks or weights")
+
+
+def _blocks(views: SupervoxelFeatures, kind: str):
+    """The `kind` ("point" or "voxel") rows as an (S, n, D) array (a view of
+    the stacked Tensor's data) and the (S, n) 0/1 float64 mask."""
+    f = getattr(views, f"{kind}_features").data
+    m = np.asarray(getattr(views, f"{kind}_mask"), dtype=bool)
+    if m.ndim != 2 or f.ndim != 2 or f.shape[0] != m.size:
+        raise ShapeError(f"{kind} features {f.shape} do not stack an {m.shape} mask")
+    return f.reshape(m.shape + f.shape[1:]), m.astype(np.float64)
 
 
 def _mean_in_order(values) -> float:
-    """Sum left to right, as a loop over the views adds, times 1/S."""
+    """Sum left to right, as a loop over the supervoxels adds, times 1/S."""
     return functools.reduce(operator.add, values) * (1.0 / len(values))
 
 
-def _view_op(loss: float, tensors: list[Tensor], grads) -> Tensor:
-    """Scalar tape node with one edge per view: tensors[s] gets g * grads[s]."""
-    return Tensor.from_op(np.float64(loss), [
-        (t, lambda g, gs=gs: float(g) * gs) for t, gs in zip(tensors, grads)])
+def _grad_edge(t: Tensor, grad: np.ndarray):
+    """Edge of a scalar op into the stacked Tensor t: g * grad, in t's shape."""
+    return t, lambda g: float(g) * grad.reshape(t.shape)
 
 
-def _affinity_gap(views_s, views_t, kind: str) -> Tensor:
-    """Mean over the views of sum((D_s - D_t)^2) / n^2 as one tape op.
+def _affinity_gap(views_s: SupervoxelFeatures, views_t: SupervoxelFeatures,
+                  kind: str) -> Tensor:
+    """Mean over the supervoxels of sum((D_s - D_t)^2) / n^2 as one tape op.
 
     With H = 2 keep (D_s - D_t) / (n^2 S), keep the weighted pair mask,
-    view s gets the gradient 4 (rowsum(H) F - H @ F).
+    supervoxel s gets the gradient 4 (rowsum(H) F - H @ F).
     """
     _check_paired(views_s, views_t)
-    tensors, fs, m = _stack_views(views_s, kind)
-    ft = _stack_views(views_t, kind)[1]
+    fs, m = _blocks(views_s, kind)
+    ft = _blocks(views_t, kind)[0]
     s, n = m.shape
-    w = np.array([v.weight for v in views_s])
-    keep = m[:, :, None] * (m * w[:, None])[:, None, :]       # w_s m_i m_j
+    keep = m[:, :, None] * (m * views_s.weight[:, None])[:, None, :]   # w_s m_i m_j
     keep[:, np.arange(n), np.arange(n)] = 0.0
     gap = affinity(fs, keep)
     gap -= affinity(ft, keep)
     loss = _mean_in_order([(g * g).sum() * (1.0 / (n * n)) for g in gap])
     gap *= keep
     gap *= 2.0 / (n * n * s)                                   # H
-    return _view_op(loss, tensors,
-                    4.0 * (gap.sum(axis=2, keepdims=True) * fs - gap @ fs))
+    grad = 4.0 * (gap.sum(axis=2, keepdims=True) * fs - gap @ fs)
+    return Tensor.from_op(np.float64(loss), [
+        _grad_edge(getattr(views_s, f"{kind}_features"), grad)])
 
 
-def loss_amra_point(views_s: list[SupervoxelFeatures],
-                    views_t: list[SupervoxelFeatures]) -> Tensor:
+def loss_amra_point(views_s: SupervoxelFeatures,
+                    views_t: SupervoxelFeatures) -> Tensor:
     """Mean over supervoxels of the squared point-affinity gap / N_point^2."""
     return _affinity_gap(views_s, views_t, "point")
 
 
-def loss_amra_voxel(views_s: list[SupervoxelFeatures],
-                    views_t: list[SupervoxelFeatures]) -> Tensor:
+def loss_amra_voxel(views_s: SupervoxelFeatures,
+                    views_t: SupervoxelFeatures) -> Tensor:
     """Mean over supervoxels of the squared voxel-affinity gap / N_voxel^2."""
     return _affinity_gap(views_s, views_t, "voxel")
 
 
-def loss_amra_channel(views_s: list[SupervoxelFeatures],
-                      views_t: list[SupervoxelFeatures]) -> Tensor:
+def loss_amra_channel(views_s: SupervoxelFeatures,
+                      views_t: SupervoxelFeatures) -> Tensor:
     """Channel-softmax KL between matched rows, points plus voxels.
 
     The student views must already be projected to the teacher channel
@@ -296,10 +296,10 @@ def loss_amra_channel(views_s: list[SupervoxelFeatures],
     c_r p_s (log p_s - log p_t - KL_r), c_r = mask_r / (n_valid S).
     """
     _check_paired(views_s, views_t)
-    tensors, parts, grads = [], [], []
+    edges, parts = [], []
     for kind in ("point", "voxel"):
-        ts, zs, m = _stack_views(views_s, kind)
-        zt = _stack_views(views_t, kind)[1]
+        zs, m = _blocks(views_s, kind)
+        zt = _blocks(views_t, kind)[0]
         if zs.shape[2] != zt.shape[2]:
             raise ShapeError("channel loss requires matching channel counts; "
                              "project the student features first")
@@ -313,10 +313,9 @@ def loss_amra_channel(views_s: list[SupervoxelFeatures],
         parts.append((kl * m).sum(axis=1) * (1.0 / n_valid))
         grad -= kl[:, :, None]
         grad *= p_s
-        grad *= (m / (n_valid[:, None] * len(views_s)))[:, :, None]
-        tensors += ts
-        grads += list(grad)
-    return _view_op(_mean_in_order(parts[0] + parts[1]), tensors, grads)
+        grad *= (m / (n_valid[:, None] * m.shape[0]))[:, :, None]
+        edges.append(_grad_edge(getattr(views_s, f"{kind}_features"), grad))
+    return Tensor.from_op(np.float64(_mean_in_order(parts[0] + parts[1])), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +469,8 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
     if temperature <= 0:
         raise ConfigError("temperature must be positive")
     b, n = len(student_maps), student_maps[0].shape[0]
-    for m in list(student_maps) + list(teacher_maps):
-        if m.shape[0] != n:
-            raise ShapeError("inconsistent point count across the batch")
+    if any(m.shape[0] != n for m in [*student_maps, *teacher_maps]):
+        raise ShapeError("inconsistent point count across the batch")
     fn_s = concat_rows([_as_tensor(m).l2_normalize_rows() for m in student_maps])
     fn_t = np.concatenate([l2_normalize_rows(np.asarray(m, dtype=np.float64))
                            for m in teacher_maps], axis=0)

@@ -161,8 +161,10 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
     Runs the student forward pass. `l_task` is always a Tensor; a
     distillation term is a Tensor when its weight is positive and 0.0
     otherwise. `chosen` holds each sample's sampled supervoxels (None when
-    no affinity term is enabled); student and teacher views pool the same
-    ones. Combine the terms with `losses.weighted_total`.
+    no affinity term is enabled): one `losses.supervoxel_features` call
+    each pools them from the student, teacher and projected student maps,
+    and with none sampled the AMRA terms stay 0.0. Combine the terms with
+    `losses.weighted_total`.
 
     Batch-GD is formed before the AMRA terms: its walk over the N x N block
     pairs peaks while it runs, and run first it peaks before the pooled
@@ -180,29 +182,21 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
     if w.lambda_kd > 0:
         comps["l_kd"] = losses.loss_kd(logits, batch.teacher_logits,
                                        w.t_logit, batch.mask)
-    # Batch-GD before AMRA: its block-pair walk allocates its scratch and
-    # frees it before the supervoxel views and projections are on the tape.
     if w.lambda_batch_gd > 0:
         comps["l_batch_gd"] = losses.loss_batch_gd(
             feats, batch.teacher_feats, w.t_gd,
             [s.mask for s in batch.samples], teacher_log_z=batch.teacher_log_z)
-    if _amra_enabled(w):
-        views_s, views_t, views_sp = [], [], []
-        for f_s, f_t, svs in zip(feats, batch.teacher_feats, chosen):
-            f_t_t = Tensor(f_t)
-            proj = model.projection.forward(f_s) \
-                if model.projection is not None else f_s
-            for sv in svs:
-                views_s.append(losses.supervoxel_features(f_s, sv))
-                views_t.append(losses.supervoxel_features(f_t_t, sv))
-                views_sp.append(losses.supervoxel_features(proj, sv))
-        if views_s:
-            if w.lambda_p > 0:
-                comps["l_amra_p"] = losses.loss_amra_point(views_s, views_t)
-            if w.lambda_v > 0:
-                comps["l_amra_v"] = losses.loss_amra_voxel(views_s, views_t)
-            if w.lambda_c > 0:
-                comps["l_amra_c"] = losses.loss_amra_channel(views_sp, views_t)
+    if _amra_enabled(w) and any(chosen):
+        proj = [model.projection.forward(f) for f in feats] if model.projection else feats
+        views_s = losses.supervoxel_features(feats, chosen)
+        views_t = losses.supervoxel_features(batch.teacher_feats, chosen)
+        views_sp = losses.supervoxel_features(proj, chosen)
+        if w.lambda_p > 0:
+            comps["l_amra_p"] = losses.loss_amra_point(views_s, views_t)
+        if w.lambda_v > 0:
+            comps["l_amra_v"] = losses.loss_amra_voxel(views_s, views_t)
+        if w.lambda_c > 0:
+            comps["l_amra_c"] = losses.loss_amra_channel(views_sp, views_t)
     return comps
 
 
@@ -243,9 +237,7 @@ def _train_loop(model: SegModel, teacher: SegModel | None, cfg: TrainConfig,
                                    seed=_child_seed(cfg.seed, 19, epoch, bi, si))
                 for si, cand in enumerate(candidates[bi])]
             comps = distill_objective(model, batch, chosen, w)
-            floats = {k: (v.item() if isinstance(v, Tensor) else float(v))
-                      for k, v in comps.items()}
-            report = loss_total(floats, w)  # raises naming any non-finite term
+            report = loss_total(comps, w)  # raises naming any non-finite term
             total = weighted_total(comps, w)
             model.zero_grads()
             total.backward()
@@ -253,10 +245,7 @@ def _train_loop(model: SegModel, teacher: SegModel | None, cfg: TrainConfig,
             # the whole graph stays alive through the next step's forward.
             del comps, total
             opt.step(lr)
-            record = {"epoch": epoch, "step": gstep}
-            record.update(report.to_dict())
-            record["lr"] = lr
-            log.append(record)
+            log.append({"epoch": epoch, "step": gstep, **report, "lr": lr})
             gstep += 1
         if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
             m = evaluate(model, val_clouds, cfg.n_fixed)
@@ -425,11 +414,11 @@ def batch_sensitivity(cfg: TrainConfig, teacher: SegModel, data: Dataset,
 
 def dim_sensitivity(cfg: TrainConfig, data: Dataset, *,
                     dims: tuple[int, ...]) -> list[dict]:
-    """Retrain teacher and student per feature dimension."""
+    """Retrain teacher and student per feature dim, all checked up front."""
+    if any(dim < 2 for dim in dims):
+        raise ConfigError("feature dimensions must be >= 2")
     rows = []
     for dim in dims:
-        if dim < 2:
-            raise ConfigError("feature dimensions must be >= 2")
         dcfg = replace(cfg, teacher_d_out=int(dim))
         teacher, _ = train_teacher(dcfg, data)
         student, _ = train_distill(dcfg, teacher, data)

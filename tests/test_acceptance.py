@@ -32,16 +32,27 @@ RNG = np.random.default_rng(4242)
 
 
 def make_views(f_s, f_t, mask=None, weight=1.0, n_voxel=2):
+    """Student and teacher views of one supervoxel (S = 1)."""
     n = f_s.shape[0]
-    mask = np.ones(n, dtype=bool) if mask is None else mask
-    vmask = np.ones(n_voxel, dtype=bool)
+    mask = np.ones((1, n), dtype=bool) if mask is None else mask[None]
+    vmask = np.ones((1, n_voxel), dtype=bool)
     vs = SupervoxelFeatures(Tensor(np.asarray(f_s, dtype=np.float64)),
                             Tensor(np.asarray(f_s[:n_voxel], dtype=np.float64)),
-                            mask, vmask, weight)
+                            mask, vmask, np.array([weight]))
     vt = SupervoxelFeatures(Tensor(np.asarray(f_t, dtype=np.float64)),
                             Tensor(np.asarray(f_t[:n_voxel], dtype=np.float64)),
-                            mask, vmask, weight)
-    return [vs], [vt]
+                            mask, vmask, np.array([weight]))
+    return vs, vt
+
+
+def stacked(views):
+    """One SupervoxelFeatures holding the supervoxels of several, in order."""
+    return SupervoxelFeatures(
+        Tensor(np.concatenate([v.point_features.data for v in views])),
+        Tensor(np.concatenate([v.voxel_features.data for v in views])),
+        np.concatenate([v.point_mask for v in views]),
+        np.concatenate([v.voxel_mask for v in views]),
+        np.concatenate([v.weight for v in views]))
 
 
 def kl_vec(p, q):
@@ -65,7 +76,7 @@ class TestCriterion2IdentityZero:
     def test_distillation_losses_vanish(self):
         feats = [RNG.standard_normal((8, 5)) for _ in range(3)]
         logits = RNG.standard_normal((12, 4))
-        vs = [make_views(f, f)[0][0] for f in feats]
+        vs = stacked([make_views(f, f)[0] for f in feats])
         assert abs(loss_kd(Tensor(logits), logits, 2.0).item()) < 1e-10
         assert abs(loss_amra_point(vs, vs).item()) < 1e-10
         assert abs(loss_amra_voxel(vs, vs).item()) < 1e-10
@@ -115,8 +126,8 @@ class TestCriterion3Oracles:
             w = float(RNG.random() + 0.1)
             vs, vt = make_views(f_s * mask[:, None], f_t * mask[:, None],
                                 mask=mask, weight=w)
-            views_s += vs
-            views_t += vt
+            views_s.append(vs)
+            views_t.append(vt)
             acc = 0.0
             for i in range(n):
                 for j in range(n):
@@ -126,7 +137,7 @@ class TestCriterion3Oracles:
                     dt = w * ((f_t[i] - f_t[j]) ** 2).sum()
                     acc += (ds - dt) ** 2
             want.append(acc / n ** 2)
-        got = loss_amra_point(views_s, views_t).item()
+        got = loss_amra_point(stacked(views_s), stacked(views_t)).item()
         assert got == pytest.approx(float(np.mean(want)), rel=1e-9)
 
     def test_metrics_enumeration(self):
@@ -231,11 +242,10 @@ class TestCriterion5Invariance:
         # leaves the point- and voxel-level losses unchanged
         def views(f_s, f_t, v_s, v_t):
             n, nv = f_s.shape[0], v_s.shape[0]
-            vs = SupervoxelFeatures(Tensor(f_s), Tensor(v_s),
-                                    np.ones(n, bool), np.ones(nv, bool), 1.0)
-            vt = SupervoxelFeatures(Tensor(f_t), Tensor(v_t),
-                                    np.ones(n, bool), np.ones(nv, bool), 1.0)
-            return [vs], [vt]
+            masks = np.ones((1, n), bool), np.ones((1, nv), bool)
+            vs = SupervoxelFeatures(Tensor(f_s), Tensor(v_s), *masks, np.ones(1))
+            vt = SupervoxelFeatures(Tensor(f_t), Tensor(v_t), *masks, np.ones(1))
+            return vs, vt
 
         for case in range(100):
             rng = np.random.default_rng(3000 + case)

@@ -2,18 +2,19 @@
 
 Each AMRA term is one tape op over the stacked views. The reference here is
 the formulation it replaced: a chain of small tape ops per supervoxel,
-summed view by view. The fused values must equal it bit for bit, and the
-view gradients must agree with its backward pass and with finite
-differences.
+summed view by view, on per-view leaves sliced from the stacked views. The
+fused values must equal it bit for bit, and the gradients of the stacked
+views must agree with its backward pass and with finite differences.
 """
 
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from srkd.autodiff import Tensor, finite_diff_gradient
-from srkd.errors import ShapeError, UndefinedLossError
+from srkd.errors import PairingError, ShapeError, UndefinedLossError
 from srkd.losses import (SupervoxelFeatures, affinity, loss_amra_channel,
                          loss_amra_point, loss_amra_voxel)
 from srkd.numerics import log_softmax_rows
@@ -97,26 +98,38 @@ def _mask(rng, n):
 
 
 def random_views(seed, s, n_point=7, n_voxel=4, d_s=3, d_t=5, masked_data=True):
-    """S paired views with padded point and voxel rows and some weight-0
-    supervoxels. Masked rows hold random data unless masked_data is False
-    (then zero, as `supervoxel_features` pads them). Student rows are leaf
-    Tensors that require grad."""
+    """Stacked student and teacher views of S supervoxels with padded point
+    and voxel rows and some weight-0 supervoxels. Masked rows hold random
+    data unless masked_data is False (then zero, as `supervoxel_features`
+    pads them). The student blocks are leaf Tensors that require grad."""
     rng = np.random.default_rng(seed)
-    views_s, views_t = [], []
-    for k in range(s):
-        pm, vm = _mask(rng, n_point), _mask(rng, n_voxel)
-        weight = 0.0 if k % 3 == 1 else float(rng.random() + 0.1)
-        blocks = []
-        for n, d, m in ((n_point, d_s, pm), (n_voxel, d_s, vm),
-                        (n_point, d_t, pm), (n_voxel, d_t, vm)):
-            x = rng.standard_normal((n, d))
-            blocks.append(x if masked_data else x * m[:, None])
-        ps, vs, pt, vt = blocks
-        views_s.append(SupervoxelFeatures(Tensor(ps, requires_grad=True),
-                                          Tensor(vs, requires_grad=True),
-                                          pm, vm, weight))
-        views_t.append(SupervoxelFeatures(Tensor(pt), Tensor(vt), pm, vm, weight))
-    return views_s, views_t
+    pm = np.stack([_mask(rng, n_point) for _ in range(s)])
+    vm = np.stack([_mask(rng, n_voxel) for _ in range(s)])
+    weight = np.array([0.0 if k % 3 == 1 else float(rng.random() + 0.1)
+                       for k in range(s)])
+    blocks = []
+    for m, d in ((pm, d_s), (vm, d_s), (pm, d_t), (vm, d_t)):
+        x = rng.standard_normal(m.shape + (d,))
+        blocks.append((x if masked_data else x * m[:, :, None]).reshape(m.size, d))
+    ps, vs, pt, vt = blocks
+    return (SupervoxelFeatures(Tensor(ps, requires_grad=True),
+                               Tensor(vs, requires_grad=True), pm, vm, weight),
+            SupervoxelFeatures(Tensor(pt), Tensor(vt), pm, vm, weight))
+
+
+View = namedtuple("View", "point_features voxel_features point_mask voxel_mask weight")
+
+
+def per_view(views, requires_grad=False):
+    """The S supervoxels of stacked views as separate views, their (n, D)
+    blocks fresh leaf Tensors sliced from the stacks."""
+    s = views.weight.size
+    blocks = [np.split(t.data, s) for t in (views.point_features,
+                                             views.voxel_features)]
+    return [View(Tensor(p.copy(), requires_grad=requires_grad),
+                 Tensor(v.copy(), requires_grad=requires_grad),
+                 views.point_mask[k], views.voxel_mask[k], float(views.weight[k]))
+            for k, (p, v) in enumerate(zip(*blocks))]
 
 
 def _inputs(term, seed, s, **kw):
@@ -125,12 +138,25 @@ def _inputs(term, seed, s, **kw):
     return random_views(seed, s, **kw)
 
 
-def _view_grads(loss, views):
-    for v in views:
-        v.point_features.grad = v.voxel_features.grad = None
+def _grads(loss, leaves):
+    for t in leaves:
+        t.grad = None
     loss.backward()
-    return [np.zeros(t.shape) if t.grad is None else t.grad
-            for v in views for t in (v.point_features, v.voxel_features)]
+    return [np.zeros(t.shape) if t.grad is None else t.grad for t in leaves]
+
+
+def _stack_leaves(views):
+    return [views.point_features, views.voxel_features]
+
+
+def _view_leaves(views):
+    return [t for v in views for t in (v.point_features, v.voxel_features)]
+
+
+def _per_view_grads(grads, s):
+    """Stacked point and voxel gradients split into the per-view order of
+    `_view_leaves`."""
+    return [g for pair in zip(*(np.split(g, s) for g in grads)) for g in pair]
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +180,12 @@ class TestFusedAgainstOracle:
     def _check(term, s, **kw):
         fused, oracle = ORACLES[term]
         views_s, views_t = _inputs(term, seed=s, s=s, **kw)
-        got, want = fused(views_s, views_t), oracle(views_s, views_t)
+        split_s, split_t = per_view(views_s, requires_grad=True), per_view(views_t)
+        got, want = fused(views_s, views_t), oracle(split_s, split_t)
         assert got.item() == want.item()
-        g_got = _view_grads(got, views_s)
-        g_want = _view_grads(want, views_s)
+        g_got = _per_view_grads(_grads(got, _stack_leaves(views_s)), s)
+        g_want = _grads(want, _view_leaves(split_s))
+        assert len(g_got) == len(g_want) == 2 * s
         scale = max(np.abs(g).max() for g in g_want)
         assert scale > 0
         for a, b in zip(g_got, g_want):
@@ -166,8 +194,8 @@ class TestFusedAgainstOracle:
     def test_gradient_matches_finite_differences(self, term):
         fused, _ = ORACLES[term]
         views_s, views_t = _inputs(term, seed=11, s=3)
-        leaves = [t for v in views_s for t in (v.point_features, v.voxel_features)]
-        analytic = _view_grads(fused(views_s, views_t), views_s)
+        leaves = _stack_leaves(views_s)
+        analytic = _grads(fused(views_s, views_t), leaves)
         for leaf, g in zip(leaves, analytic):
             def f(theta, leaf=leaf):
                 saved = leaf.data
@@ -185,27 +213,22 @@ class TestFusedAgainstOracle:
         loss = fused(views_s, views_t)
         fields = {"point": ("point_features",), "voxel": ("voxel_features",),
                   "channel": ("point_features", "voxel_features")}[term]
-        want = [getattr(v, f) for f in fields for v in views_s]
+        want = [getattr(views_s, f) for f in fields]
         assert [id(p) for p, _ in loss._edges] == [id(t) for t in want]
 
     def test_no_edges_without_grad(self, term):
         fused, oracle = ORACLES[term]
         views_s, views_t = _inputs(term, seed=6, s=3)
-        frozen = [replace(v, point_features=Tensor(v.point_features.data),
-                          voxel_features=Tensor(v.voxel_features.data))
-                  for v in views_s]
+        frozen = replace(views_s, point_features=Tensor(views_s.point_features.data),
+                         voxel_features=Tensor(views_s.voxel_features.data))
         loss = fused(frozen, views_t)
         assert not loss.requires_grad and not loss._edges
-        assert loss.item() == oracle(frozen, views_t).item()
+        assert loss.item() == oracle(per_view(frozen), per_view(views_t)).item()
 
 
-def _resized(view, kind, rows=None, cols=None):
-    """A copy of a view whose `kind` block has other row or column counts
-    (all rows valid when the row count changes)."""
-    n, d = getattr(view, f"{kind}_features").shape
-    mask = np.ones(rows, dtype=bool) if rows else getattr(view, f"{kind}_mask")
-    return replace(view, **{f"{kind}_features": Tensor(np.ones((rows or n, cols or d))),
-                            f"{kind}_mask": mask})
+def _reshaped(views, kind, shape):
+    """A copy of stacked views whose `kind` block has another shape."""
+    return replace(views, **{f"{kind}_features": Tensor(np.ones(shape))})
 
 
 class TestShapes:
@@ -213,9 +236,11 @@ class TestShapes:
         ("point", (loss_amra_point, loss_amra_channel)),
         ("voxel", (loss_amra_voxel, loss_amra_channel))])
     def test_unequal_row_counts_raise_shape_error(self, kind, terms):
+        # a block with two rows more than its (S, n) mask covers
         views_s, views_t = random_views(0, 3, d_t=3)
-        views_s[1] = _resized(views_s[1], kind, rows=9)
-        views_t[1] = _resized(views_t[1], kind, rows=9)
+        rows = getattr(views_s, f"{kind}_mask").size + 2
+        views_s = _reshaped(views_s, kind, (rows, 3))
+        views_t = _reshaped(views_t, kind, (rows, 3))
         for term in terms:
             with pytest.raises(ShapeError):
                 term(views_s, views_t)
@@ -223,9 +248,11 @@ class TestShapes:
     @pytest.mark.parametrize("term", [loss_amra_point, loss_amra_voxel,
                                       loss_amra_channel])
     def test_unequal_channel_counts_raise_shape_error(self, term):
+        # no single channel count per row: a 3-D student block
         views_s, views_t = random_views(0, 3, d_t=3)
         for kind in ("point", "voxel"):
-            views_s[2] = _resized(views_s[2], kind, cols=6)
+            rows = getattr(views_s, f"{kind}_mask").size
+            views_s = _reshaped(views_s, kind, (rows, 3, 2))
         with pytest.raises(ShapeError):
             term(views_s, views_t)
 
@@ -236,24 +263,39 @@ class TestShapes:
 
     def test_mask_length_must_match_rows(self):
         views_s, views_t = random_views(0, 2, d_t=3)
-        bad = np.ones(5, dtype=bool)
-        views_s = [replace(v, point_mask=bad) for v in views_s]
-        views_t = [replace(v, point_mask=bad) for v in views_t]
+        bad = np.ones((2, 5), dtype=bool)
+        views_s = replace(views_s, point_mask=bad)
+        views_t = replace(views_t, point_mask=bad)
         with pytest.raises(ShapeError):
             loss_amra_point(views_s, views_t)
 
     def test_channel_without_valid_rows_is_undefined(self):
         views_s, views_t = random_views(0, 2, d_t=3)
-        none = np.zeros(4, dtype=bool)
-        views_s[1] = replace(views_s[1], voxel_mask=none)
-        views_t[1] = replace(views_t[1], voxel_mask=none)
+        none = views_s.voxel_mask.copy()
+        none[1] = False
+        views_s = replace(views_s, voxel_mask=none)
+        views_t = replace(views_t, voxel_mask=none)
         with pytest.raises(UndefinedLossError):
             loss_amra_channel(views_s, views_t)
+
+    @pytest.mark.parametrize("term", [loss_amra_point, loss_amra_voxel,
+                                      loss_amra_channel])
+    def test_unpaired_or_empty_views_raise_pairing_error(self, term):
+        views_s, views_t = random_views(0, 3, d_t=3)
+        with pytest.raises(PairingError):
+            term(views_s, replace(views_t, weight=views_t.weight + 1.0))
+        with pytest.raises(PairingError):
+            term(views_s, replace(views_t, voxel_mask=~views_t.voxel_mask))
+        empty = SupervoxelFeatures(Tensor(np.zeros((0, 3))), Tensor(np.zeros((0, 3))),
+                                   np.zeros((0, 7), bool), np.zeros((0, 4), bool),
+                                   np.zeros(0))
+        with pytest.raises(PairingError):
+            term(empty, empty)
 
 
 class TestAffinityStack:
     def test_each_slice_matches_the_oracle_bitwise(self):
-        views_s, _ = random_views(4, 5)
+        views_s = per_view(random_views(4, 5)[0])
         keep = []
         for v in views_s:
             m = v.point_mask.astype(np.float64)

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from srkd.autodiff import Tensor, affine, concat_rows, finite_diff_gradient
+from srkd.autodiff import (Tensor, affine, concat_rows, finite_diff_gradient,
+                           segment_mean)
 from srkd.errors import NumericError, ShapeError, TapeError
 from srkd.models import knn_indices
 
@@ -112,21 +113,26 @@ class TestLinearAlgebraOps:
 
 class TestStructuredOps:
     def test_segment_mean(self):
-        # segments {4}, {0, 2}, {5, 1} of a 6-row input pooled into 5 rows:
-        # rows 3 and 4 are padding, input row 3 feeds nothing
-        members, starts = np.array([4, 0, 2, 5, 1]), np.array([0, 1, 3])
+        # segments {4}, {0, 2}, {5, 1} of a 4-row and a 2-row map (members 4
+        # and 5 are rows 0 and 1 of the second) pooled into rows 4, 0 and 2
+        # of 5: rows 1 and 3 are padding, stacked row 3 feeds nothing
+        members, starts, rows = np.array([4, 0, 2, 5, 1]), np.array([0, 1, 3]), [4, 0, 2]
         w = RNG.standard_normal((5, 3))
-        check_grad(lambda a: (sq(a.segment_mean(members, starts, 5)) * w).sum(),
-                   (6, 3))
+        check_grad(lambda a, b: (sq(segment_mean([a, b], members, starts, rows, 5))
+                                 * w).sum(), (4, 3), (2, 3))
 
     def test_segment_mean_values(self):
         x = RNG.standard_normal((6, 3))
-        out = Tensor(x).segment_mean([4, 0, 2, 5, 1], [0, 1, 3], 5).data
-        assert out[0].tobytes() == x[4].tobytes()  # a length-1 segment is its row
-        np.testing.assert_allclose(out[1:3], [(x[0] + x[2]) / 2, (x[5] + x[1]) / 2],
+        maps = [Tensor(x[:4], requires_grad=True), Tensor(x[4:], requires_grad=True)]
+        pooled = segment_mean(maps, [4, 0, 2, 5, 1], [0, 1, 3], [4, 0, 2], 5)
+        assert [p for p, _ in pooled._edges] == maps    # one edge per map
+        out = pooled.data
+        assert out[4].tobytes() == x[4].tobytes()  # a length-1 segment is its row
+        np.testing.assert_allclose(out[[0, 2]], [(x[0] + x[2]) / 2, (x[5] + x[1]) / 2],
                                    rtol=1e-15)
-        assert np.all(out[3:] == 0.0)
-        empty = Tensor(x).segment_mean(np.empty(0, np.intp), np.empty(0, np.intp), 2)
+        assert np.all(out[[1, 3]] == 0.0)
+        empty = segment_mean(maps, np.empty(0, np.intp), np.empty(0, np.intp),
+                             np.empty(0, np.intp), 2)
         assert empty.shape == (2, 3) and np.all(empty.data == 0.0)
 
     @pytest.mark.parametrize("members,starts,n_rows", [
@@ -143,9 +149,25 @@ class TestStructuredOps:
         ([[0, 1]], [0], 2),         # 2-D members
     ])
     def test_segment_mean_rejects(self, members, starts, n_rows):
+        # members index a 4-row and a 2-row map, stacked
+        maps = [Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 2)))]
         with pytest.raises(ShapeError):
-            Tensor(np.zeros((6, 2))).segment_mean(np.array(members, np.intp),
-                                                  np.array(starts, np.intp), n_rows)
+            segment_mean(maps, np.array(members, np.intp), np.array(starts, np.intp),
+                         np.arange(len(starts)), n_rows)
+
+    @pytest.mark.parametrize("shapes,rows", [
+        (((4, 2), (2, 2)), [1, 1]),     # two segments on one row
+        (((4, 2), (2, 2)), [0]),        # fewer rows than segments
+        (((4, 2), (2, 2)), [0, -1]),    # negative row
+        (((4, 2), (2, 3)), [0, 1]),     # maps of unequal width
+        (((4, 2), (2, 2, 1)), [0, 1]),  # a map that is not 2-D
+        ((), [0, 1]),                   # no maps
+    ], ids=["duplicate_row", "short_rows", "negative_row", "widths", "rank",
+            "no_maps"])
+    def test_segment_mean_rejects_rows_and_maps(self, shapes, rows):
+        maps = [Tensor(np.zeros(s)) for s in shapes]
+        with pytest.raises(ShapeError):
+            segment_mean(maps, [0, 1], [0, 1], rows, 3)
 
     def test_neighbor_mean(self):
         idx = RNG.integers(0, 5, (5, 3))

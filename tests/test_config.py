@@ -61,6 +61,23 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"{key}.*empty"):
             parse_config(line)
 
+    @pytest.mark.parametrize("line", [
+        "sweep.fractions = 0.0, 0.5", "sweep.fractions = 0.5, nan",
+        "sweep.fractions = 1.5", "sweep.fractions = -inf",
+        "sweep.dims = 1", "sweep.dims = 32, 1",
+        "sweep.batch_sizes = 0, 2", "sweep.batch_sizes = -1",
+    ])
+    def test_invalid_sweep_value_rejected(self, line):
+        key = line.split("=")[0].strip()
+        with pytest.raises(ConfigError, match=key):
+            parse_config(line)
+
+    def test_sweep_bounds_accepted(self):
+        cfg = parse_config("sweep.fractions = 1.0\nsweep.dims = 2\n"
+                           "sweep.batch_sizes = 1")
+        assert (cfg["sweep.fractions"], cfg["sweep.dims"],
+                cfg["sweep.batch_sizes"]) == ((1.0,), (2,), (1,))
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.cfg")

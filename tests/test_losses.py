@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,17 +27,28 @@ RNG = np.random.default_rng(777)
 
 
 def make_views(f_s, f_t, mask=None, weight=1.0, n_voxel=2):
-    """Wrap raw point blocks as a matched student/teacher supervoxel pair."""
+    """Wrap raw point blocks as matched student/teacher views of one
+    supervoxel (S = 1); the first n_voxel rows double as its voxel rows."""
     n = f_s.shape[0]
-    mask = np.ones(n, dtype=bool) if mask is None else mask
-    vmask = np.ones(n_voxel, dtype=bool)
+    mask = np.ones((1, n), dtype=bool) if mask is None else mask[None]
+    vmask = np.ones((1, n_voxel), dtype=bool)
     vs = SupervoxelFeatures(Tensor(np.asarray(f_s, dtype=np.float64)),
                             Tensor(np.asarray(f_s[:n_voxel], dtype=np.float64)),
-                            mask, vmask, weight)
+                            mask, vmask, np.array([weight]))
     vt = SupervoxelFeatures(Tensor(np.asarray(f_t, dtype=np.float64)),
                             Tensor(np.asarray(f_t[:n_voxel], dtype=np.float64)),
-                            mask, vmask, weight)
-    return [vs], [vt]
+                            mask, vmask, np.array([weight]))
+    return vs, vt
+
+
+def stacked(views):
+    """One SupervoxelFeatures holding the supervoxels of several, in order."""
+    return SupervoxelFeatures(
+        Tensor(np.concatenate([v.point_features.data for v in views])),
+        Tensor(np.concatenate([v.voxel_features.data for v in views])),
+        np.concatenate([v.point_mask for v in views]),
+        np.concatenate([v.voxel_mask for v in views]),
+        np.concatenate([v.weight for v in views]))
 
 
 def kl_vec(p, q):
@@ -168,8 +180,8 @@ class TestAMRAPoint:
             w = float(RNG.random() + 0.1)
             vs, vt = make_views(f_s * mask[:, None], f_t * mask[:, None],
                                 mask=mask, weight=w)
-            views_s += vs
-            views_t += vt
+            views_s.append(vs)
+            views_t.append(vt)
             acc = 0.0
             for i in range(n):
                 for j in range(n):
@@ -179,7 +191,7 @@ class TestAMRAPoint:
                     dt = w * ((f_t[i] - f_t[j]) ** 2).sum()
                     acc += (ds - dt) ** 2
             want.append(acc / n**2)
-        got = loss_amra_point(views_s, views_t).item()
+        got = loss_amra_point(stacked(views_s), stacked(views_t)).item()
         assert got == pytest.approx(np.mean(want), rel=1e-9)
 
 
@@ -238,17 +250,33 @@ def dense_voxel_matrix(sample, grid, cfg, seed, sv):
 
 class TestSupervoxelFeatures:
     def test_views_match_dense_and_gather_oracles(self):
+        # one call pools the supervoxels of two samples; each supervoxel's
+        # slice of the stacked views is checked against its own oracles
         spec = SceneSpec(seed=4)
         clouds = [generate_scene(spec, i) for i in range(2)]
-        sample = resample_fixed(clouds[0], 1024, seed=5)
+        samples = [resample_fixed(c, 1024, seed=5 + i) for i, c in enumerate(clouds)]
         grid = grid_for_clouds(clouds)
-        hist = batch_label_histogram([sample], spec.n_classes)
-        x = RNG.standard_normal((sample.n_fixed, 6))
+        hist = batch_label_histogram(samples, spec.n_classes)
+        xs = [RNG.standard_normal((s.n_fixed, 6)) for s in samples]
         seen = set()
         for cfg in (SamplerConfig(), SamplerConfig(n_point=4, n_voxel=2, sub_div=3),
                     SamplerConfig(n_point=64, n_voxel=64, sub_div=6)):
-            for sv in build_supervoxels(sample, grid, cfg, hist, seed=6):
-                dense = dense_voxel_matrix(sample, grid, cfg, 6, sv)
+            chosen = [build_supervoxels(s, grid, cfg, hist, seed=6) for s in samples]
+            maps = [Tensor(x.copy(), requires_grad=True) for x in xs]
+            v = supervoxel_features(maps, chosen)
+            svs = [(b, sv) for b, group in enumerate(chosen) for sv in group]
+            n_p, n_v = cfg.n_point, cfg.n_voxel
+            assert v.point_features.shape == (len(svs) * n_p, 6)
+            assert v.voxel_features.shape == (len(svs) * n_v, 6)
+            assert np.array_equal(v.point_mask, [sv.point_mask for _, sv in svs])
+            assert np.array_equal(v.voxel_mask, [sv.voxel_mask for _, sv in svs])
+            assert v.weight.tolist() == [sv.weight for _, sv in svs]
+            gp = RNG.standard_normal(v.point_features.shape)
+            gv = RNG.standard_normal(v.voxel_features.shape)
+            want = [np.zeros_like(x) for x in xs]
+            for s, (b, sv) in enumerate(svs):
+                x = xs[b]
+                dense = dense_voxel_matrix(samples[b], grid, cfg, 6, sv)
                 lengths = np.diff(sv.voxel_starts, append=sv.voxel_members.size)
                 seen.update(name for name, hit in (
                     ("voxels truncated", len(np.unique(dense.nonzero()[1]))
@@ -256,27 +284,60 @@ class TestSupervoxelFeatures:
                     ("points truncated", sv.member_indices.size > cfg.n_point),
                     ("single-member voxel", np.any(lengths == 1)),
                     ("all voxel rows valid", sv.voxel_mask.all())) if hit)
-                t = Tensor(x.copy(), requires_grad=True)
-                v = supervoxel_features(t, sv)
+                pf = v.point_features.data[s * n_p:(s + 1) * n_p]
+                vf = v.voxel_features.data[s * n_v:(s + 1) * n_v]
                 # point view: the gather-then-mask formula, bit for bit on kept rows
                 gathered = x[sv.point_indices] * sv.point_mask[:, None]
-                assert np.array_equal(v.point_features.data, gathered)
+                assert np.array_equal(pf, gathered)
                 m = sv.point_mask
-                assert v.point_features.data[m].tobytes() == gathered[m].tobytes()
+                assert pf[m].tobytes() == gathered[m].tobytes()
                 # voxel view: the dense matmul up to summation order
-                err = np.abs(v.voxel_features.data - dense @ x).max()
+                err = np.abs(vf - dense @ x).max()
                 assert err <= 1e-13 * np.abs(x).max()
-                assert np.all(v.voxel_features.data[~sv.voxel_mask] == 0.0)
-                # backward: assignment equals the scatter-add and dense.T @ g
-                gp = RNG.standard_normal(v.point_features.shape)
-                gv = RNG.standard_normal(v.voxel_features.shape)
-                ((v.point_features * gp).sum() + (v.voxel_features * gv).sum()).backward()
-                want = dense.T @ gv
-                np.add.at(want, sv.point_indices, gp * m[:, None])
-                np.testing.assert_allclose(t.grad, want, rtol=0,
-                                           atol=1e-13 * np.abs(want).max())
+                assert np.all(vf[~sv.voxel_mask] == 0.0)
+                # backward oracle: the scatter-add of the point rows and
+                # dense.T @ g of the voxel rows
+                want[b] += dense.T @ gv[s * n_v:(s + 1) * n_v]
+                np.add.at(want[b], sv.point_indices,
+                          gp[s * n_p:(s + 1) * n_p] * m[:, None])
+            ((v.point_features * gp).sum() + (v.voxel_features * gv).sum()).backward()
+            for t, w in zip(maps, want):
+                np.testing.assert_allclose(t.grad, w, rtol=0,
+                                           atol=1e-13 * np.abs(w).max())
         assert seen == {"voxels truncated", "points truncated",
                         "single-member voxel", "all voxel rows valid"}
+
+    def test_one_pooling_op_per_kind_with_one_edge_per_map(self):
+        spec = SceneSpec(seed=4)
+        clouds = [generate_scene(spec, i) for i in range(3)]
+        samples = [resample_fixed(c, 256, seed=i) for i, c in enumerate(clouds)]
+        hist = batch_label_histogram(samples, spec.n_classes)
+        cfg = SamplerConfig(n_point=16, n_voxel=4)
+        chosen = [build_supervoxels(s, grid_for_clouds(clouds), cfg, hist)[:2]
+                  for s in samples]
+        maps = [Tensor(RNG.standard_normal((256, 3)), requires_grad=True)
+                for _ in samples]
+        v = supervoxel_features(maps, chosen)
+        for pooled in (v.point_features, v.voxel_features):
+            assert [p for p, _ in pooled._edges] == maps
+        frozen = supervoxel_features([m.data for m in maps], chosen)
+        assert not frozen.point_features._edges and not frozen.voxel_features._edges
+        assert frozen.point_features.data.tobytes() == v.point_features.data.tobytes()
+
+    @pytest.mark.parametrize("chosen_of", [
+        lambda svs: [svs[:1], []],                 # one map per sample: three maps
+        lambda svs: [[], [], []],                  # no supervoxel at all
+        lambda svs: [svs[:1], [replace(svs[1], voxel_mask=np.ones(5, bool))], []],
+    ], ids=["map_count", "empty", "sizes"])
+    def test_rejects(self, chosen_of):
+        spec = SceneSpec(seed=4)
+        clouds = [generate_scene(spec, i) for i in range(2)]
+        sample = resample_fixed(clouds[0], 256, seed=0)
+        svs = build_supervoxels(sample, grid_for_clouds(clouds), SamplerConfig(),
+                                batch_label_histogram([sample], spec.n_classes))
+        maps = [np.zeros((256, 3))] * 3
+        with pytest.raises(ShapeError):
+            supervoxel_features(maps, chosen_of(svs))
 
 
 def cross_similarity(f_i: np.ndarray, f_j: np.ndarray) -> np.ndarray:
@@ -690,12 +751,12 @@ class TestTotals:
     def test_baseline_reduction(self):
         comps = dict(zip(LOSS_NAMES, [2.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
         report = loss_total(comps, LossWeights.zeros())
-        assert report.l_total == pytest.approx(2.0)
+        assert report["l_total"] == pytest.approx(2.0)
 
     def test_default_weights_arithmetic(self):
         comps = dict(zip(LOSS_NAMES, [1.0] * 6))
         report = loss_total(comps, LossWeights())
-        assert report.l_total == pytest.approx(1001.402)
+        assert report["l_total"] == pytest.approx(1001.402)
 
     def test_lambda_doubling_linearity(self):
         comps = dict(zip(LOSS_NAMES, [0.5, 0.2, 0.3, 0.1, 0.01, 0.4]))
@@ -704,12 +765,14 @@ class TestTotals:
                               lambda_c=2000.0, lambda_batch_gd=0.2)
         a = loss_total(comps, w)
         b = loss_total(comps, doubled)
-        assert (b.l_total - b.l_task) == pytest.approx(2 * (a.l_total - a.l_task))
+        assert (b["l_total"] - b["l_task"]) == \
+            pytest.approx(2 * (a["l_total"] - a["l_task"]))
 
     def test_report_serialization_fields(self):
         comps = dict(zip(LOSS_NAMES, [1, 2, 3, 4, 5, 6]))
-        d = loss_total(comps, LossWeights.zeros()).to_dict()
+        d = loss_total(comps, LossWeights.zeros())
         assert list(d.keys()) == list(LOSS_NAMES) + ["l_total"]
+        assert all(type(v) is float for v in d.values())
 
     def test_nonfinite_component_named(self):
         comps = dict(zip(LOSS_NAMES, [1.0, np.nan, 1.0, 1.0, 1.0, 1.0]))
@@ -732,4 +795,4 @@ class TestTotals:
         w = LossWeights()
         total = weighted_total(comps, w)
         report = loss_total({k: v.item() for k, v in comps.items()}, w)
-        assert total.item() == pytest.approx(report.l_total, rel=1e-12)
+        assert total.item() == pytest.approx(report["l_total"], rel=1e-12)

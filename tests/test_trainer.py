@@ -167,7 +167,8 @@ class TestTapeLifetime:
 
 def _oracle_objective(model, teacher, samples, nbrs, chosen, w):
     """Reference: the training loop's batch preparation and step body from
-    before `make_batch` and `distill_objective`, kept verbatim."""
+    before `make_batch` and `distill_objective`, kept verbatim except that
+    the supervoxel views are pooled by one stacked call per list of maps."""
     need_kd = teacher is not None and w.lambda_kd > 0
     need_amra = teacher is not None and (w.lambda_p > 0 or w.lambda_v > 0
                                          or w.lambda_c > 0)
@@ -190,17 +191,13 @@ def _oracle_objective(model, teacher, samples, nbrs, chosen, w):
     if need_kd:
         comps["l_kd"] = losses.loss_kd(logits, t_logits, w.t_logit, mask)
     if need_amra:
-        views_s, views_t, views_sp, views_tc = [], [], [], []
-        for svs, f_s, f_t in zip(chosen, feats, t_feats):
-            f_t_t = Tensor(f_t)
-            proj = model.projection.forward(f_s) \
-                if model.projection is not None else f_s
-            for sv in svs:
-                views_s.append(losses.supervoxel_features(f_s, sv))
-                views_t.append(losses.supervoxel_features(f_t_t, sv))
-                views_sp.append(losses.supervoxel_features(proj, sv))
-                views_tc.append(views_t[-1])
-        if views_s:
+        projs = [model.projection.forward(f_s) if model.projection is not None
+                 else f_s for f_s in feats]
+        if any(chosen):
+            views_s = losses.supervoxel_features(feats, chosen)
+            views_t = losses.supervoxel_features(t_feats, chosen)
+            views_sp = losses.supervoxel_features(projs, chosen)
+            views_tc = views_t
             if w.lambda_p > 0:
                 comps["l_amra_p"] = losses.loss_amra_point(views_s, views_t)
             if w.lambda_v > 0:
@@ -266,6 +263,20 @@ class TestObjective:
         assert type(comps[term]) is float and comps[term] == 0.0
         assert all(isinstance(v, Tensor) for k, v in comps.items() if k != term)
 
+    def test_no_sampled_supervoxel_leaves_amra_terms_zero(self, monkeypatch):
+        samples, nbrs, _, teacher, student = _objective_inputs(96)
+        w = LossWeights()
+
+        def pool(*args):
+            raise AssertionError("pooled without a supervoxel")
+
+        monkeypatch.setattr(losses, "supervoxel_features", pool)
+        comps = distill_objective(student, make_batch(samples, nbrs, teacher, w),
+                                  [[], []], w)
+        assert all(type(comps[n]) is float and comps[n] == 0.0
+                   for n in ("l_amra_p", "l_amra_v", "l_amra_c"))
+        assert isinstance(comps["l_batch_gd"], Tensor)
+
     def test_teacher_not_called_when_every_weight_is_zero(self):
         samples, nbrs, _, _, student = _objective_inputs(96)
 
@@ -295,18 +306,26 @@ class TestObjectiveTape:
         comps = distill_objective(student, make_batch(samples, nbrs, teacher, w),
                                   chosen, w)
         n_views = sum(len(svs) for svs in chosen)
-        for term, per_view in (("l_amra_p", 1), ("l_amra_v", 1), ("l_amra_c", 2)):
+        pooling = {}
+        for term, kinds in (("l_amra_p", 1), ("l_amra_v", 1), ("l_amra_c", 2)):
             parents = [p for p, _ in comps[term]._edges]
-            assert len(parents) == per_view * n_views == len(set(map(id, parents)))
-            for view in parents:       # a pooled view of one feature map
-                (feature_map, _), = view._edges
-                assert feature_map.shape[0] == samples[0].n_fixed
+            assert len(parents) == kinds == len(set(map(id, parents)))
+            for view in parents:  # one pooling op over every sample map
+                assert view.shape[0] in (16 * n_views, 4 * n_views)
+                maps = [p for p, _ in view._edges]
+                assert len(maps) == len(samples) == len(set(map(id, maps)))
+                assert all(m.shape[0] == samples[0].n_fixed for m in maps)
+                pooling[id(view)] = view
+        # point and voxel rows of the student and of its projection; the
+        # teacher's views carry no gradient and are not on the tape
+        assert len(pooling) == 4
 
     def test_peak_traced_memory(self):
         # distill_objective plus backward on the padded batch peaked at
         # 2.70 MB traced with a chain of tape ops per supervoxel and view,
-        # at 2.44 MB with one tape op per AMRA term, and at 2.15 MB with
-        # one tape op per encoder layer and batch-GD formed before AMRA.
+        # at 2.44 MB with one tape op per AMRA term, at 2.15 MB with one
+        # tape op per encoder layer and batch-GD formed before AMRA, and at
+        # still 2.15 MB with one pooling op per kind and list of maps.
         samples, nbrs, chosen, teacher, student = _objective_inputs(256)
         w = LossWeights()
         batch = make_batch(samples, nbrs, teacher, w)
@@ -403,6 +422,14 @@ class TestHarnesses:
         cfg, data, teacher = setup
         rows = batch_sensitivity(cfg, teacher, data, batch_sizes=(2, 4))
         assert [r["batch_size"] for r in rows] == [2, 4]
+
+    def test_dim_sensitivity_checks_every_dim_before_training(self, monkeypatch):
+        def train_teacher(*args, **kwargs):
+            raise AssertionError("trained before the dims were checked")
+
+        monkeypatch.setattr(trainer, "train_teacher", train_teacher)
+        with pytest.raises(ConfigError, match=">= 2"):
+            dim_sensitivity(tiny_config(), tiny_dataset(n_train=4), dims=(8, 1))
 
     def test_dim_sensitivity_rows(self):
         cfg = tiny_config(epochs=1, teacher_epochs=1)
