@@ -196,7 +196,7 @@ def cmd_noise(args, cfg: dict) -> int:
 def cmd_subsample(args, cfg: dict) -> int:
     rows = _teacher_sweep(args, cfg, "subsample.csv", trainer.subsample_sweep,
                           fractions=cfg["sweep.fractions"],
-                          seeds=cfg["sweep.seeds"][:3])
+                          seeds=cfg["sweep.seeds"])
     print(json.dumps(rows))
     return 0
 

@@ -6,6 +6,8 @@ plain arrays (the teacher is frozen). The cross-sample batch geometry
 loss, which dominates the training step at full scale, is a single fused
 tape op that walks the N x N block pairs of the stacked (B*N, D) maps on
 W worker threads and never forms the (B*N)^2 gram (`_fused_batch_gd`).
+Those threads come from `map_in_order`, the package's one thread pool,
+which also runs the trainer's per-scene passes.
 
 `supervoxel_features` pools the S sampled supervoxels of a batch from a
 list of per-sample maps into stacked (S*n, D) point and voxel Tensors, one
@@ -38,7 +40,7 @@ import ctypes
 import functools
 import operator
 import os
-import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,8 +56,8 @@ from .voxelize import Supervoxel
 
 # Rows of the P and Q strips the batch-GD gradient pass forms at a time.
 _STRIP_ROWS = 64
-# Smaller blocks cost less than handing them to a thread: at B=8 the
-# threaded walk breaks even near N=128 and is 4x slower at N=16.
+# Smaller blocks (and scenes) cost less than handing them to a thread: at
+# B=8 the threaded block walk breaks even near N=128 and is 4x slower at N=16.
 _MIN_THREADED_ROWS = 256
 
 LOSS_NAMES = ("l_task", "l_kd", "l_amra_p", "l_amra_v", "l_amra_c", "l_batch_gd")
@@ -382,9 +384,10 @@ def _blas_control():
 
 
 def _walk_workers(n: int) -> int:
-    """Threads for a walk over N x N block pairs: the BLAS thread count,
-    capped at the usable cores; 1 (the serial walk) without the BLAS
-    control, or for blocks below `_MIN_THREADED_ROWS` rows."""
+    """Threads for `map_in_order` over N x N block pairs or scenes of N
+    points: the BLAS thread count, capped at the usable cores; 1 (the
+    serial walk) without the BLAS control, or below `_MIN_THREADED_ROWS`
+    rows."""
     blas = _blas_control()
     if blas is None or n < _MIN_THREADED_ROWS:
         return 1
@@ -408,50 +411,57 @@ def _one_blas_thread():
         blas[1](saved)
 
 
+def map_in_order(work, items, n: int):
+    """Yield work(item) for each of `items`, in item order.
+
+    W = `_walk_workers(n)` threads, n the rows of the blocks or scenes the
+    items work on, capped at len(items) when items has a length. With
+    W > 1 the items run on a pool of W threads while OpenBLAS is pinned to
+    one thread, so numpy's elementwise passes run on every core, not only
+    the matmuls. Items are drawn from `items` lazily on the calling thread,
+    at most 2W in flight, so at most 2W finished results wait for the
+    calling thread (and the GIL) to take them. An exception raised by work
+    reaches the caller when that item's result is due. With W = 1 no pool
+    starts and the items run in turn on the calling thread.
+    """
+    workers = _walk_workers(n)
+    if hasattr(items, "__len__"):
+        workers = min(workers, len(items))
+    if workers <= 1:
+        yield from map(work, items)
+        return
+    # The pool exits (its threads joined) before BLAS threads are restored.
+    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        pending: collections.deque = collections.deque()
+        for item in items:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(work, item))
+        while pending:
+            yield pending.popleft().result()
+
+
 def _walk_block_pairs(b: int, n: int, work, new_scratch,
                       take=lambda out: None) -> None:
     """Call work(i, j, ri, rj, scratch) for each pair of `_block_pairs`, and
     take(result) on the calling thread in that order.
 
-    With W = `_walk_workers(n)` > 1 the pairs run on W threads, each with its
-    own scratch from new_scratch(), while OpenBLAS is pinned to one thread:
-    numpy's elementwise passes then run on every core, not only the
-    matmuls. Each worker writes only its own pair's entries; whatever a
-    pair adds to shared sums goes back through `take`, in pair order, so
-    every result is bit-identical to W = 1 with OpenBLAS at one thread.
-    (OpenBLAS's own results can depend on its thread count: at N = 1000 a
-    gemm differs in the last bits, at N = 1024 not.)
+    The pairs run through `map_in_order`, each thread with its own scratch
+    from new_scratch(). Each worker writes only its own pair's entries;
+    whatever a pair adds to shared sums goes back through `take`, in pair
+    order, so every result is bit-identical to W = 1 with OpenBLAS at one
+    thread. (OpenBLAS's own results can depend on its thread count: at
+    N = 1000 a gemm differs in the last bits, at N = 1024 not.)
     """
-    pairs = list(_block_pairs(b, n))
-    workers = min(_walk_workers(n), len(pairs))
-    if workers <= 1:
-        scratch = new_scratch()
-        for p in pairs:
-            take(work(*p, scratch))
-        return
-    free = queue.SimpleQueue()
-    for _ in range(workers):
-        free.put(new_scratch())
+    local = threading.local()
 
-    def run(p):
-        scratch = free.get()
-        try:
-            return work(*p, scratch)
-        finally:
-            free.put(scratch)
+    def run(pair):
+        if not hasattr(local, "scratch"):
+            local.scratch = new_scratch()
+        return work(*pair, local.scratch)
 
-    # At most 2W pairs are in flight, taken in pair order, so at most 2W
-    # finished results wait for the calling thread (and the GIL) to take
-    # them. The pool exits (its threads joined) before BLAS threads are
-    # restored.
-    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
-        pending: collections.deque = collections.deque()
-        for p in pairs:
-            if len(pending) == 2 * workers:
-                take(pending.popleft().result())
-            pending.append(pool.submit(run, p))
-        while pending:
-            take(pending.popleft().result())
+    for out in map_in_order(run, list(_block_pairs(b, n)), n):
+        take(out)
 
 
 def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],

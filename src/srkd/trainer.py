@@ -5,6 +5,15 @@ Batch composition is fixed at the start of a run (a seeded shuffle of the
 training scenes), which lets every frozen-teacher quantity -- per-scene
 features and logits, per-batch supervoxel candidates and similarity
 log-partitions -- be computed once and reused across epochs.
+
+Per-scene work that records no tape -- the k-NN of a run's samples, the
+frozen teacher's forward passes and `evaluate`'s passes -- runs through
+`losses.map_in_order`: on as many threads as OpenBLAS uses (capped at
+the usable cores; serial below 256 points per scene) with OpenBLAS pinned
+to one thread, results taken in scene order, so every output is
+bit-identical to the serial loop at one OpenBLAS thread.
+`build_supervoxels` (a per-cell Python loop, slower on two threads than
+on one) and the student's taped forward and backward passes stay serial.
 """
 
 from __future__ import annotations
@@ -140,7 +149,9 @@ def make_batch(samples: list[FixedSample], nbrs: list[np.ndarray],
     if need_feats or w.lambda_kd > 0:
         if teacher is None:
             raise ConfigError("distillation weights need a teacher")
-        outs = [teacher.forward(s, nbr)[1:] for s, nbr in zip(samples, nbrs)]
+        outs = list(losses.map_in_order(lambda s_nbr: teacher.forward(*s_nbr)[1:],
+                                        list(zip(samples, nbrs)),
+                                        samples[0].n_fixed))
         if need_feats:
             t_feats = [f.data for f, _ in outs]
         if w.lambda_kd > 0:
@@ -162,9 +173,10 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
     distillation term is a Tensor when its weight is positive and 0.0
     otherwise. `chosen` holds each sample's sampled supervoxels (None when
     no affinity term is enabled): one `losses.supervoxel_features` call
-    each pools them from the student, teacher and projected student maps,
-    and with none sampled the AMRA terms stay 0.0. Combine the terms with
-    `losses.weighted_total`.
+    each pools them from the teacher maps, from the student maps when
+    `lambda_p` or `lambda_v` is positive, and from the projected student
+    maps when `lambda_c` is; with none sampled the AMRA terms stay 0.0.
+    Combine the terms with `losses.weighted_total`.
 
     Batch-GD is formed before the AMRA terms: its walk over the N x N block
     pairs peaks while it runs, and run first it peaks before the pooled
@@ -187,16 +199,19 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
             feats, batch.teacher_feats, w.t_gd,
             [s.mask for s in batch.samples], teacher_log_z=batch.teacher_log_z)
     if _amra_enabled(w) and any(chosen):
-        proj = [model.projection.forward(f) for f in feats] if model.projection else feats
-        views_s = losses.supervoxel_features(feats, chosen)
+        # each student view only when a term that reads it has a weight
+        views_s = losses.supervoxel_features(feats, chosen) \
+            if w.lambda_p > 0 or w.lambda_v > 0 else None
         views_t = losses.supervoxel_features(batch.teacher_feats, chosen)
-        views_sp = losses.supervoxel_features(proj, chosen)
         if w.lambda_p > 0:
             comps["l_amra_p"] = losses.loss_amra_point(views_s, views_t)
         if w.lambda_v > 0:
             comps["l_amra_v"] = losses.loss_amra_voxel(views_s, views_t)
         if w.lambda_c > 0:
-            comps["l_amra_c"] = losses.loss_amra_channel(views_sp, views_t)
+            proj = [model.projection.forward(f) for f in feats] \
+                if model.projection else feats
+            comps["l_amra_c"] = losses.loss_amra_channel(
+                losses.supervoxel_features(proj, chosen), views_t)
     return comps
 
 
@@ -206,7 +221,9 @@ def _train_loop(model: SegModel, teacher: SegModel | None, cfg: TrainConfig,
     w = weights
     samples = [resample_fixed(c, cfg.n_fixed, _child_seed(cfg.seed, 11, i))
                for i, c in enumerate(train_clouds)]
-    nbrs = [knn_indices(s.cloud.positions, s.mask, cfg.knn_k) for s in samples]
+    nbrs = list(losses.map_in_order(
+        lambda s: knn_indices(s.cloud.positions, s.mask, cfg.knn_k),
+        samples, cfg.n_fixed))
     # Disjoint chunks of one permutation: each batch is prepared once.
     order = derive_seed(cfg.seed, 13).permutation(len(samples))
     chunks = [order[i:i + cfg.batch_size]
@@ -289,22 +306,31 @@ def evaluate(model: SegModel, clouds, n_fixed: int,
     """Confusion-matrix metrics over all valid points of a cloud list.
 
     With noise_tau > 0, seeded Gaussian noise of variance tau is added to
-    the L2-normalized feature map before the segmentation head.
+    the L2-normalized feature map before the segmentation head. The scenes
+    run through `losses.map_in_order`; the noise is drawn on the calling
+    thread in scene order, so the metrics do not depend on the threads.
     """
     if not clouds:
         raise DataError("evaluate needs at least one cloud")
     model = _frozen(model)
     n_classes = clouds[0].n_classes
-    conf = np.zeros((n_classes, n_classes), dtype=np.int64)
     rng = derive_seed(noise_seed, 29) if noise_tau > 0 else None
-    for i, cloud in enumerate(clouds):
+
+    def scenes():
+        for i, cloud in enumerate(clouds):
+            noise = None if rng is None else rng.normal(
+                0.0, np.sqrt(noise_tau), (n_fixed, model.encoder.d_out))
+            yield i, cloud, noise
+
+    def scene_confusion(item):
+        i, cloud, noise = item
         sample = resample_fixed(cloud, n_fixed, _child_seed(EVAL_SEED, i))
-        noise = None
-        if noise_tau > 0:
-            noise = rng.normal(0.0, np.sqrt(noise_tau),
-                               (n_fixed, model.encoder.d_out))
         preds = model.forward(sample, feature_noise=noise)[2].data.argmax(axis=1)
-        conf += confusion_matrix(sample.cloud.labels, preds, n_classes, sample.mask)
+        return confusion_matrix(sample.cloud.labels, preds, n_classes, sample.mask)
+
+    conf = np.zeros((n_classes, n_classes), dtype=np.int64)
+    for c in losses.map_in_order(scene_confusion, scenes(), n_fixed):
+        conf += c
     return metrics_from_confusion(conf)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srkd
-from srkd import cli
+from srkd import cli, trainer
 from srkd.cli import (GRADCHECK_TOL, _write_csv, _write_jsonl,
                       gradcheck_report, main)
 from srkd.cloud import atomic_open
@@ -115,6 +116,30 @@ class TestPipeline:
         capsys.readouterr()
         lines = (workdir / "run/subsample.csv").read_text().splitlines()
         assert len(lines) == 2 + 2 * 2  # two fractions, two seeds
+        rows = list(csv.DictReader(lines[1:]))
+        for frac in ("0.5", "1.0"):
+            assert sorted(r["seed"] for r in rows if r["fraction"] == frac) \
+                == ["0", "1"]
+
+    def test_subsample_runs_every_configured_seed(self, workdir, tmp_path,
+                                                  monkeypatch, capsys):
+        cfg = tmp_path / "five_seeds.cfg"
+        cfg.write_text(TINY_CFG.replace("sweep.seeds = 0, 1",
+                                        "sweep.seeds = 0, 1, 2, 3, 4"))
+        seen = []
+
+        def sweep(cfg, teacher, data, *, fractions, seeds, jobs):
+            seen.append(seeds)
+            return [{"fraction": f, "seed": s} for f in fractions for s in seeds]
+
+        out = tmp_path / "run"
+        shutil.copytree(workdir / "run/dataset", out / "dataset")
+        shutil.copy(workdir / "run/teacher.ckpt", out)
+        monkeypatch.setattr(trainer, "subsample_sweep", sweep)
+        assert main(["subsample", "--config", str(cfg), "--seed", "0",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert seen == [(0, 1, 2, 3, 4)]
 
     def test_batch_sweep_csv(self, workdir, capsys):
         assert run(workdir, "batch-sweep") == 0

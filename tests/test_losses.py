@@ -747,6 +747,71 @@ class TestThreadedWalk:
         assert partitions < (workers + 1) * n * n * 8
 
 
+class TestMapInOrder:
+    """`losses.map_in_order`, the pool behind the block walk and the
+    trainer's per-scene passes."""
+
+    @staticmethod
+    def use(monkeypatch, workers):
+        monkeypatch.setattr(losses, "_walk_workers", lambda n: workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_in_item_order_drawn_on_the_calling_thread(
+            self, monkeypatch, workers):
+        self.use(monkeypatch, workers)
+        caller, drawn, done = threading.get_ident(), [], []
+
+        def items():
+            for i in range(20):
+                assert threading.get_ident() == caller
+                assert len(drawn) - len(done) <= 2 * workers
+                drawn.append(i)
+                yield i
+
+        def work(i):
+            time.sleep(0.001 * (i % 3))       # finish out of order
+            return i * i
+
+        for out in losses.map_in_order(work, items(), 70):
+            done.append(out)
+        assert done == [i * i for i in range(20)]
+
+    def test_exception_reaches_the_caller_and_blas_is_restored(self, monkeypatch):
+        get, set_ = TestThreadedWalk.blas()
+        self.use(monkeypatch, 2)
+        saved, seen = get(), []
+
+        def work(i):
+            seen.append(get())
+            if i == 5:
+                raise NumericError("injected in item 5")
+            return i
+
+        try:
+            set_(2)
+            taken = []
+            with pytest.raises(NumericError, match="item 5"):
+                for out in losses.map_in_order(work, range(12), 70):
+                    taken.append(out)
+            assert taken == [0, 1, 2, 3, 4]
+            assert get() == 2
+            assert seen and set(seen) == {1}
+        finally:
+            set_(saved)
+
+    @pytest.mark.parametrize("workers, items", [(1, range(6)), (2, [7])])
+    def test_no_pool_for_one_worker(self, monkeypatch, workers, items):
+        # one worker, or more workers than a sized list has items
+        self.use(monkeypatch, workers)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(losses, "ThreadPoolExecutor", no_pool)
+        assert list(losses.map_in_order(lambda i: -i, items, 70)) \
+            == [-i for i in items]
+
+
 class TestTotals:
     def test_baseline_reduction(self):
         comps = dict(zip(LOSS_NAMES, [2.0, 1.0, 1.0, 1.0, 1.0, 1.0]))

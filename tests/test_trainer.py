@@ -294,6 +294,33 @@ class TestObjective:
             make_batch(samples, nbrs, None, LossWeights())
 
 
+    @pytest.mark.parametrize("off, pools, projections", [
+        (("lambda_c",), 2, 0),                  # student and teacher views
+        (("lambda_p", "lambda_v"), 2, 2),       # teacher and projected views
+        ((), 3, 2),
+    ], ids=["no_channel", "channel_only", "default"])
+    def test_views_pooled_only_for_weighted_terms(self, monkeypatch, off,
+                                                  pools, projections):
+        samples, nbrs, chosen, teacher, student = _objective_inputs(96)
+        w = replace(LossWeights(), **dict.fromkeys(off, 0.0))
+        batch = make_batch(samples, nbrs, teacher, w)
+        calls = {"pool": 0, "project": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(losses, "supervoxel_features",
+                            counted("pool", losses.supervoxel_features))
+        monkeypatch.setattr(student.projection, "forward",
+                            counted("project", student.projection.forward))
+        comps = distill_objective(student, batch, chosen, w)
+        assert calls == {"pool": pools, "project": projections}
+        weighted_total(comps, w).backward()
+
+
 class TestObjectiveThreaded(TestObjective):
     WALK_WORKERS = 2
 
@@ -358,8 +385,11 @@ class TestEvaluate:
         clean = evaluate(teacher, data.val, cfg.n_fixed)
         assert rows[0]["miou"] == clean.miou
 
+    @pytest.mark.usefixtures("walk_workers")
     def test_trainable_model_evaluated_without_a_tape(self, setup):
-        # default widths at N = 1024: the tape would outweigh the k-NN search
+        # default widths at N = 1024: the tape would outweigh the k-NN search.
+        # Serial scenes: on two threads the traced peak depends on how the
+        # scenes in flight overlap (1.9-3.6 MB for the same frozen model).
         _, data, _ = setup
         cloud = data.val[0]
         student = make_student_from_teacher(
@@ -389,6 +419,64 @@ class TestEvaluate:
                            NoiseConfig(taus=taus, trials=2, seed=1), cfg.n_fixed)
         assert [r["tau"] for r in rows] == list(taus)
         assert all(r["trials"] == 2 for r in rows)
+
+
+@pytest.mark.usefixtures("walk_workers")
+class TestSceneThreads:
+    """The per-scene passes on the class's walk threads give the serial
+    bits: each result is compared with a rerun at W = 1."""
+
+    @staticmethod
+    def serial(monkeypatch, fn):
+        with monkeypatch.context() as m:
+            m.setattr(losses, "_walk_workers", lambda n: 1)
+            return fn()
+
+    @staticmethod
+    def assert_same_metrics(got, want):
+        assert np.array_equal(got.confusion, want.confusion)
+        assert np.array_equal(got.iou, want.iou, equal_nan=True)
+        assert got.as_row() == want.as_row()
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_evaluate(self, setup, monkeypatch, tau):
+        cfg, data, teacher = setup
+        student = make_student_from_teacher(teacher, seed=3)
+        clouds = data.train + data.val       # more scenes than 2W in flight
+        for model in (teacher, student):
+            run = lambda: evaluate(model, clouds, cfg.n_fixed, noise_tau=tau,
+                                   noise_seed=4)
+            self.assert_same_metrics(run(), self.serial(monkeypatch, run))
+
+    def test_noise_sweep_rows(self, setup, monkeypatch):
+        cfg, data, teacher = setup
+        run = lambda: noise_sweep(teacher, data.train,
+                                  NoiseConfig(taus=(0.0, 0.1, 1.0), trials=2,
+                                              seed=1), cfg.n_fixed)
+        assert run() == self.serial(monkeypatch, run)
+
+    def test_make_batch_arrays(self, setup, monkeypatch):
+        cfg, data, teacher = setup
+        samples = [resample_fixed(c, cfg.n_fixed, i)
+                   for i, c in enumerate(data.train[:4])]
+        nbrs = [knn_indices(s.cloud.positions, s.mask, cfg.knn_k) for s in samples]
+        run = lambda: make_batch(samples, nbrs, teacher, LossWeights())
+        got, want = run(), self.serial(monkeypatch, run)
+        for name in ("labels", "mask", "teacher_logits", "teacher_log_z"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert all(np.array_equal(g, w) for g, w in
+                   zip(got.teacher_feats, want.teacher_feats, strict=True))
+
+    def test_train_distill_log(self, setup, monkeypatch):
+        cfg, data, teacher = setup
+        run = lambda: train_distill(replace(cfg, epochs=1), teacher, data)
+        (got, got_log), (want, want_log) = run(), self.serial(monkeypatch, run)
+        assert json.dumps(got_log) == json.dumps(want_log)
+        assert state_hash(got) == state_hash(want)
+
+
+class TestSceneThreadsTwoWorkers(TestSceneThreads):
+    WALK_WORKERS = 2
 
 
 class TestHarnesses:
