@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -252,7 +253,12 @@ def _gradcheck_batch(seed: int, weights: LossWeights):
 def gradcheck_report(seed: int, weights: LossWeights = LossWeights(),
                      h: float = 1e-5) -> dict[str, float]:
     """Max relative analytic-vs-finite-difference error of each term that
-    `trainer.distill_objective` computes under `weights`, and of l_total."""
+    `trainer.distill_objective` computes under `weights`, and of l_total.
+
+    The batch-GD walk runs in float64 whatever `weights.gd_precision` says:
+    central differences at h = 1e-5 cannot resolve a float32 loss.
+    """
+    weights = replace(weights, gd_precision="float64")
     student, batch, chosen = _gradcheck_batch(seed, weights)
 
     def terms() -> dict:

@@ -7,7 +7,11 @@ loss, which dominates the training step at full scale, is a single fused
 tape op that walks the N x N block pairs of the stacked (B*N, D) maps on
 W worker threads and never forms the (B*N)^2 gram (`_fused_batch_gd`).
 Those threads come from `map_in_order`, the package's one thread pool,
-which also runs the trainer's per-scene passes.
+which also runs the trainer's per-scene passes. The walk is the one place
+that may work below float64: `LossWeights.gd_precision` selects float32
+blocks (the fast path) or float64 ones (the reference that gradient checks
+and oracles use); its loss and gradient are float64 sums either way.
+Everything else is float64.
 
 `supervoxel_features` pools the S sampled supervoxels of a batch from a
 list of per-sample maps into stacked (S*n, D) point and voxel Tensors, one
@@ -60,6 +64,9 @@ _STRIP_ROWS = 64
 # B=8 the threaded block walk breaks even near N=128 and is 4x slower at N=16.
 _MIN_THREADED_ROWS = 256
 
+# Working precisions of the batch-GD block walk (`_fused_batch_gd`).
+GD_PRECISIONS = ("float32", "float64")
+
 LOSS_NAMES = ("l_task", "l_kd", "l_amra_p", "l_amra_v", "l_amra_c", "l_batch_gd")
 
 
@@ -74,6 +81,7 @@ class LossWeights:
     lambda_batch_gd: float = 0.1
     t_logit: float = 2.0
     t_gd: float = 2.0
+    gd_precision: str = "float32"      # batch-GD walk, one of GD_PRECISIONS
 
     def __post_init__(self):
         lambdas = (self.lambda_kd, self.lambda_p, self.lambda_v,
@@ -82,6 +90,9 @@ class LossWeights:
             raise ConfigError("loss weights must be finite and nonnegative")
         if any(not np.isfinite(t) or t <= 0 for t in (self.t_logit, self.t_gd)):
             raise ConfigError("temperatures must be finite and positive")
+        if self.gd_precision not in GD_PRECISIONS:
+            raise ConfigError(f"gd_precision must be one of "
+                              f"{', '.join(GD_PRECISIONS)}, got {self.gd_precision!r}")
 
     @classmethod
     def zeros(cls) -> "LossWeights":
@@ -466,13 +477,16 @@ def _walk_block_pairs(b: int, n: int, work, new_scratch,
 
 def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
                   temperature: float, masks: list[np.ndarray] | None = None,
-                  teacher_log_z: np.ndarray | None = None) -> Tensor:
+                  teacher_log_z: np.ndarray | None = None,
+                  dtype="float64") -> Tensor:
     """Batch geometry distillation over all ordered sample pairs.
 
     Feature maps are L2 row-normalized internally. For each ordered pair
     (i, j) the row-softmax KL of the cross-sample similarity matrices is
     averaged over the valid rows of sample i (softmax restricted to valid
     columns of sample j); pair losses are summed with a 1/B^2 normalizer.
+    dtype is the working precision of the block walk (`GD_PRECISIONS`);
+    the loss and gradient are float64 either way.
     """
     if not student_maps or len(student_maps) != len(teacher_maps):
         raise ShapeError("student and teacher map lists must match")
@@ -492,12 +506,13 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
     if teacher_log_z is None:
         teacher_log_z = gd_teacher_log_z(teacher_maps, temperature, masks)
     return _fused_batch_gd(fn_s, fn_t, b, n, temperature, mask,
-                           row_weight, teacher_log_z)
+                           row_weight, teacher_log_z, dtype)
 
 
 def _fused_batch_gd(fn_s: Tensor, fn_t: np.ndarray, b: int, n: int,
                     temperature: float, mask: np.ndarray,
-                    row_weight: np.ndarray, log_zt: np.ndarray) -> Tensor:
+                    row_weight: np.ndarray, log_zt: np.ndarray,
+                    dtype="float64") -> Tensor:
     """Loss and gradient of the pairwise row-softmax KL in one block-pair walk.
 
     The (B*N, B*N) gram of the stacked normalized maps is never formed. As
@@ -508,28 +523,39 @@ def _fused_batch_gd(fn_s: Tensor, fn_t: np.ndarray, b: int, n: int,
     H = G_ij + G_ji^T = E * (P * D - Q), P and Q rank-2; H @ F_j goes to the
     rows of i, H^T @ F_i to those of j. `_walk_block_pairs` runs the pairs on
     W workers (the BLAS thread count, capped at the usable cores), each
-    holding two N x N float64 blocks (16 MB at N=1024) and a 64-row strip;
-    the results are bit-identical to one worker. No gradient pass if the
-    student needs none. fn_t must be the caller's own stack: it is scaled
-    in place.
+    holding two N x N blocks and a 64-row strip; the results are
+    bit-identical to one worker. No gradient pass if the student needs
+    none. fn_t must be the caller's own stack: it is scaled in place.
+
+    dtype is the working precision of the walk: the stacked maps are cast
+    to it once per call, and E, H and the strip are held in it (each block
+    8 MB in float64, 4 MB in float32, at N=1024). Each pair's partitions,
+    expectations and gradient blocks are cast to float64 as they are
+    stored, so row_kl, the gradient and the loss are float64 sums; the
+    teacher log-partitions come in float64.
     """
-    inv_t, fs = 1.0 / temperature, fn_s.data
+    inv_t, fs, dt = 1.0 / temperature, fn_s.data, np.dtype(dtype)
     # Temperature folded into the (small) feature maps: grams come pre-scaled.
-    fs_c, ft_c = fs * np.sqrt(inv_t), fn_t
-    ft_c *= np.sqrt(inv_t)                            # the caller's own stack
+    fs_c = np.multiply(fs, np.sqrt(inv_t), dtype=dt)
+    fn_t *= np.sqrt(inv_t)                            # the caller's own stack
+    ft_c, fs_w, mask_w = (a.astype(dt, copy=False) for a in (fn_t, fs, mask))
     grad = np.zeros_like(fs) if fn_s.requires_grad else None
     row_kl = np.empty((b * n, b))
 
+    def f64(a):
+        return a.astype(np.float64, copy=False)
+
     def pair(i, j, ri, rj, scratch):
         e, h, strip = scratch
-        m_i, m_j = mask[ri], mask[rj]
+        m_i, m_j = mask_w[ri], mask_w[rj]
         np.matmul(fs_c[ri], fs_c[rj].T, out=e)        # student block S_ij
         np.matmul(ft_c[ri], ft_c[rj].T, out=h)        # teacher block T_ij
         np.subtract(e, h, out=h)                      # D = S_ij - T_ij
         np.exp(e, out=e)                              # E = exp(S_ij)
         h *= e                                        # E * D
-        z_i, z_j = e @ m_j, m_i @ e                   # partitions, both sides
-        q_i, q_j = (h @ m_j) / z_i, (m_i @ h) / z_j   # E_p[s - t], both sides
+        z_i, z_j = f64(e @ m_j), f64(m_i @ e)         # partitions, both sides
+        q_i = f64(h @ m_j) / z_i                      # E_p[s - t], both sides
+        q_j = f64(m_i @ h) / z_j
         row_kl[ri, j] = q_i - np.log(z_i) + log_zt[ri, j]
         if i != j:
             row_kl[rj, i] = q_j - np.log(z_j) + log_zt[rj, i]
@@ -540,8 +566,9 @@ def _fused_batch_gd(fn_s: Tensor, fn_t: np.ndarray, b: int, n: int,
         # Q = (alpha q_i) m_j^T + m_i (beta q_j)^T, each an (N x 2) @ (2 x N),
         # formed a strip of rows at a time.
         alpha, beta = inv_t * row_weight[ri] / z_i, inv_t * row_weight[rj] / z_j
-        p_left, p_right = np.stack([alpha, m_i], 1), np.stack([m_j, beta])
-        q_left, q_right = np.stack([alpha * q_i, m_i], 1), np.stack([m_j, beta * q_j])
+        p_left, p_right, q_left, q_right = (a.astype(dt, copy=False) for a in (
+            np.stack([alpha, m_i], 1), np.stack([m_j, beta]),
+            np.stack([alpha * q_i, m_i], 1), np.stack([m_j, beta * q_j])))
         for lo in range(0, n, len(strip)):
             hi = min(lo + len(strip), n)
             rows, t = slice(lo, hi), strip[:hi - lo]
@@ -549,16 +576,16 @@ def _fused_batch_gd(fn_s: Tensor, fn_t: np.ndarray, b: int, n: int,
             np.matmul(q_left[rows], q_right, out=t)
             h[rows] -= np.multiply(t, e[rows], out=t)  # H = P * E * D - Q * E
         if i == j:
-            return ((ri, h @ fs[rj]),)
-        return (ri, h @ fs[rj]), (rj, (fs[ri].T @ h).T)
+            return ((ri, h @ fs_w[rj]),)
+        return (ri, h @ fs_w[rj]), (rj, (fs_w[ri].T @ h).T)
 
     def take(parts):
         for rows, g in parts:
-            grad[rows] += g
+            grad[rows] += g                           # into float64
 
     _walk_block_pairs(b, n, pair,
-                      lambda: (np.empty((n, n)), np.empty((n, n)),
-                               np.empty((min(n, _STRIP_ROWS), n))), take)
+                      lambda: (np.empty((n, n), dt), np.empty((n, n), dt),
+                               np.empty((min(n, _STRIP_ROWS), n), dt)), take)
     loss = float((row_kl.sum(axis=1) * row_weight).sum())
     if not np.isfinite(loss):
         raise NumericError("batch geometry loss is non-finite")

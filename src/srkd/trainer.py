@@ -197,7 +197,8 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
     if w.lambda_batch_gd > 0:
         comps["l_batch_gd"] = losses.loss_batch_gd(
             feats, batch.teacher_feats, w.t_gd,
-            [s.mask for s in batch.samples], teacher_log_z=batch.teacher_log_z)
+            [s.mask for s in batch.samples], teacher_log_z=batch.teacher_log_z,
+            dtype=w.gd_precision)
     if _amra_enabled(w) and any(chosen):
         # each student view only when a term that reads it has a weight
         views_s = losses.supervoxel_features(feats, chosen) \
@@ -368,10 +369,10 @@ ABLATION_VARIANTS: tuple[tuple[str, tuple[str, ...]], ...] = (
 
 
 def variant_weights(full: LossWeights, enabled: tuple[str, ...]) -> LossWeights:
-    kw = {name: getattr(full, name) if name in enabled else 0.0
-          for name in ("lambda_kd", "lambda_p", "lambda_v", "lambda_c",
-                       "lambda_batch_gd")}
-    return LossWeights(**kw, t_logit=full.t_logit, t_gd=full.t_gd)
+    """`full` with the lambdas not named in `enabled` set to zero."""
+    return replace(full, **{name: 0.0 for name in (
+        "lambda_kd", "lambda_p", "lambda_v", "lambda_c", "lambda_batch_gd")
+        if name not in enabled})
 
 
 def _distill_eval(cfg: TrainConfig, teacher_state: dict, data: Dataset,
@@ -384,15 +385,26 @@ def _distill_eval(cfg: TrainConfig, teacher_state: dict, data: Dataset,
     return row
 
 
+def _one_blas_thread_worker():
+    """Pool initializer: the worker's OpenBLAS runs on one thread, so its
+    `map_in_order` passes are serial and --jobs N starts N threads, not N
+    times the cores."""
+    blas = losses._blas_control()
+    if blas is not None:
+        blas[1](1)
+
+
 def _run_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
     """Run `_distill_eval` over tasks, in at most min(jobs, len(tasks))
-    worker processes (the pool forks every worker up front)."""
+    worker processes on one OpenBLAS thread each (the pool forks every
+    worker up front)."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [_distill_eval(*t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers,
+                             initializer=_one_blas_thread_worker) as pool:
         return list(pool.map(_distill_eval, *zip(*tasks)))
 
 

@@ -443,13 +443,13 @@ def brute_force_batch_gd(student_maps, teacher_maps, temperature, masks=None):
 class TestBatchGD:
     def test_identity(self):
         maps = [RNG.standard_normal((6, 3)) for _ in range(3)]
-        got = loss_batch_gd([Tensor(m) for m in maps], maps, 2.0)
+        got = loss_batch_gd([Tensor(m) for m in maps], maps, 2.0, dtype="float64")
         assert got.item() == pytest.approx(0.0, abs=1e-14)
 
     def test_single_sample_reduces_to_pair(self):
         f_s = RNG.standard_normal((5, 3))
         f_t = RNG.standard_normal((5, 4))
-        got = loss_batch_gd([Tensor(f_s)], [f_t], 2.0).item()
+        got = loss_batch_gd([Tensor(f_s)], [f_t], 2.0, dtype="float64").item()
         m_s = cross_similarity(l2_normalize_rows(f_s), l2_normalize_rows(f_s))
         m_t = cross_similarity(l2_normalize_rows(f_t), l2_normalize_rows(f_t))
         assert got == pytest.approx(loss_gd_pair(m_s, m_t, 2.0))
@@ -458,7 +458,8 @@ class TestBatchGD:
     def test_brute_force_oracle(self, b, n):
         student = [RNG.standard_normal((n, 3)) for _ in range(b)]
         teacher = [RNG.standard_normal((n, 5)) for _ in range(b)]
-        got = loss_batch_gd([Tensor(m) for m in student], teacher, 2.0).item()
+        got = loss_batch_gd([Tensor(m) for m in student], teacher, 2.0,
+                            dtype="float64").item()
         want = brute_force_batch_gd(student, teacher, 2.0)
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -472,31 +473,35 @@ class TestBatchGD:
             for m in masks:
                 m[0] = True
             got = loss_batch_gd([Tensor(s) for s in student], teacher, 2.0,
-                                masks).item()
+                                masks, dtype="float64").item()
             want = brute_force_batch_gd(student, teacher, 2.0, masks)
             assert got == pytest.approx(want, rel=1e-9), (b, n)
 
     def test_permutation_invariance(self):
         student = [RNG.standard_normal((6, 3)) for _ in range(2)]
         teacher = [RNG.standard_normal((6, 4)) for _ in range(2)]
-        base = loss_batch_gd([Tensor(m) for m in student], teacher, 2.0).item()
+        base = loss_batch_gd([Tensor(m) for m in student], teacher, 2.0,
+                             dtype="float64").item()
         rng = np.random.default_rng(5)
         for _ in range(100):
             perm = rng.permutation(6)
             ps = [student[0][perm], student[1]]
             pt = [teacher[0][perm], teacher[1]]
-            got = loss_batch_gd([Tensor(m) for m in ps], pt, 2.0).item()
+            got = loss_batch_gd([Tensor(m) for m in ps], pt, 2.0,
+                                dtype="float64").item()
             assert got == pytest.approx(base, rel=1e-9)
 
     def test_row_rescale_invariance(self):
         student = [RNG.standard_normal((5, 3)) for _ in range(2)]
         teacher = [RNG.standard_normal((5, 4)) for _ in range(2)]
-        base = loss_batch_gd([Tensor(m) for m in student], teacher, 2.0).item()
+        base = loss_batch_gd([Tensor(m) for m in student], teacher, 2.0,
+                             dtype="float64").item()
         rng = np.random.default_rng(6)
         for _ in range(100):
             scales = rng.uniform(0.1, 10.0, (5, 1))
             scaled = [student[0] * scales, student[1]]
-            got = loss_batch_gd([Tensor(m) for m in scaled], teacher, 2.0).item()
+            got = loss_batch_gd([Tensor(m) for m in scaled], teacher, 2.0,
+                                dtype="float64").item()
             assert got == pytest.approx(base, rel=1e-9)
 
     def test_bad_temperature(self):
@@ -520,7 +525,7 @@ def padded_batch(b=3, n=6, masked=((0, 4), (0, 5), (2, 1))):
 class TestBatchGDGradient:
     def leaf_grads(self, student, teacher, masks=None, log_z=None):
         leaves = [Tensor(m, requires_grad=True) for m in student]
-        loss_batch_gd(leaves, teacher, 2.0, masks, log_z).backward()
+        loss_batch_gd(leaves, teacher, 2.0, masks, log_z, dtype="float64").backward()
         return [leaf.grad for leaf in leaves]
 
     @pytest.mark.parametrize("precompute", [True, False])
@@ -539,7 +544,7 @@ class TestBatchGDGradient:
                 def f(theta, i=i):
                     maps = [theta if k == i else m for k, m in enumerate(student)]
                     return loss_batch_gd([Tensor(m) for m in maps], teacher,
-                                         2.0, masks, log_z).item()
+                                         2.0, masks, log_z, dtype="float64").item()
 
                 fd = finite_diff_gradient(f, student[i].copy())
                 assert np.abs(analytic[i] - fd).max() <= 1e-6 * scale, \
@@ -556,7 +561,8 @@ class TestBatchGDGradient:
         graphs = []
         for student, teacher in batches:
             leaves = [Tensor(m, requires_grad=True) for m in student]
-            graphs.append((leaves, loss_batch_gd(leaves, teacher, 2.0)))
+            graphs.append((leaves, loss_batch_gd(leaves, teacher, 2.0,
+                                                 dtype="float64")))
         for _, loss in reversed(graphs):
             loss.backward()
         for (leaves, _), want in zip(graphs, isolated):
@@ -599,8 +605,21 @@ class TestBatchGDGradient:
         b, n = 8, 128
         student, teacher = self.working_set_batch(b, n)
         peak = self.traced_peak(
-            lambda: loss_batch_gd(student, teacher, 2.0).backward())
+            lambda: loss_batch_gd(student, teacher, 2.0, dtype="float64").backward())
         assert peak < 2 * n * (b * n) * 8
+
+    def test_float32_walk_working_set_half_of_float64(self, walk_workers):
+        # b = 2, n = 1024: the N x N blocks dominate the traced heap. The
+        # float64 walk's bound is 2W + 2 float64 blocks
+        # (`TestThreadedWalk.test_working_set_per_worker`; it peaks at
+        # 2.2 W blocks here); the float32 walk holds half-size blocks.
+        b, n = 2, 1024
+        student, teacher = self.working_set_batch(b, n, d=8)
+        log_z = gd_teacher_log_z(teacher, 2.0)
+        peak = self.traced_peak(
+            lambda: loss_batch_gd(student, teacher, 2.0, teacher_log_z=log_z,
+                                  dtype="float32").backward())
+        assert peak < (walk_workers + 1) * n * n * 8
 
     def test_teacher_log_z_working_set(self):
         b, n = 8, 128
@@ -617,13 +636,45 @@ class TestBatchGDGradientThreaded(TestBatchGDGradient):
     WALK_WORKERS = 2
 
 
+@pytest.mark.usefixtures("walk_workers")
+class TestFloat32Walk:
+    """The float32 block walk against the float64 reference."""
+
+    # n = 70: a full 64-row strip of the gradient pass and a partial one
+    @pytest.mark.parametrize("use_masks", [False, True])
+    @pytest.mark.parametrize("b", [1, 2, 3, 8])
+    def test_agrees_with_float64(self, b, use_masks):
+        student, teacher, masks = padded_batch(
+            b, 70, masked=((0, 4), (b - 1, 69), (b // 2, 0)) if use_masks else ())
+        masks = masks if use_masks else None
+        log_z = gd_teacher_log_z(teacher, 2.0, masks)
+        got, want = {}, {}
+        for dtype, out in (("float32", got), ("float64", want)):
+            leaves = [Tensor(m, requires_grad=True) for m in student]
+            loss = loss_batch_gd(leaves, teacher, 2.0, masks, log_z, dtype=dtype)
+            loss.backward()
+            out["loss"], out["grad"] = loss.item(), np.concatenate(
+                [leaf.grad for leaf in leaves])
+            assert out["grad"].dtype == np.float64
+        assert got["loss"] == pytest.approx(want["loss"], rel=1e-4)
+        scale = np.abs(want["grad"]).max()
+        assert np.abs(got["grad"] - want["grad"]).max() <= 1e-5 * scale
+        if masks is not None:
+            assert not got["grad"][~np.concatenate(masks)].any()
+
+
+class TestFloat32WalkThreaded(TestFloat32Walk):
+    WALK_WORKERS = 2
+
+
 class TestThreadedWalk:
     """The block-pair walk on worker threads against the serial walk."""
 
     @staticmethod
-    def walk(monkeypatch, workers, b, n, use_masks, grad=True):
-        """(loss, leaf gradients, teacher log partitions) on `workers`
-        threads, or on as many as `losses._walk_workers` picks if None."""
+    def walk(monkeypatch, workers, b, n, use_masks, grad=True, dtype="float64"):
+        """(loss, leaf gradients, teacher log partitions) of the `dtype`
+        walk on `workers` threads, or on as many as `losses._walk_workers`
+        picks if None."""
         if workers is not None:
             monkeypatch.setattr(losses, "_walk_workers", lambda n: workers)
         student, teacher, masks = padded_batch(
@@ -631,7 +682,7 @@ class TestThreadedWalk:
         masks = masks if use_masks else None
         log_z = gd_teacher_log_z(teacher, 2.0, masks)
         leaves = [Tensor(m, requires_grad=grad) for m in student]
-        loss = loss_batch_gd(leaves, teacher, 2.0, masks, log_z)
+        loss = loss_batch_gd(leaves, teacher, 2.0, masks, log_z, dtype=dtype)
         if grad:
             loss.backward()
         return loss.item(), [leaf.grad for leaf in leaves], log_z
@@ -646,11 +697,19 @@ class TestThreadedWalk:
     # n = 70: a full 64-row strip of the gradient pass and a partial one
     @pytest.mark.parametrize("use_masks", [False, True])
     @pytest.mark.parametrize("b", [1, 2, 3, 8])
-    def test_two_workers_bit_identical_to_serial(self, monkeypatch, b, use_masks):
+    def test_two_workers_bit_identical_to_serial(self, monkeypatch, b, use_masks,
+                                                  dtype="float64"):
         for grad in (True, False):
-            want = self.walk(monkeypatch, 1, b, 70, use_masks, grad)
-            self.assert_same_bits(self.walk(monkeypatch, 2, b, 70, use_masks, grad),
-                                  want)
+            want = self.walk(monkeypatch, 1, b, 70, use_masks, grad, dtype)
+            self.assert_same_bits(
+                self.walk(monkeypatch, 2, b, 70, use_masks, grad, dtype), want)
+
+    @pytest.mark.parametrize("use_masks", [False, True])
+    @pytest.mark.parametrize("b", [1, 2, 3, 8])
+    def test_float32_two_workers_bit_identical_to_serial(self, monkeypatch, b,
+                                                          use_masks):
+        self.test_two_workers_bit_identical_to_serial(monkeypatch, b, use_masks,
+                                                      "float32")
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         want = self.walk(monkeypatch, 1, 8, 70, True)
@@ -853,6 +912,11 @@ class TestTotals:
     def test_nonfinite_temperature_rejected(self, field, value):
         with pytest.raises(ConfigError):
             LossWeights(**{field: value})
+
+    @pytest.mark.parametrize("value", ["float16", "double", "Float32", ""])
+    def test_unknown_gd_precision_rejected(self, value):
+        with pytest.raises(ConfigError, match="gd_precision"):
+            LossWeights(gd_precision=value)
 
     def test_weighted_total_matches_report(self):
         comps = {n: Tensor(np.float64(v))

@@ -168,7 +168,8 @@ class TestTapeLifetime:
 def _oracle_objective(model, teacher, samples, nbrs, chosen, w):
     """Reference: the training loop's batch preparation and step body from
     before `make_batch` and `distill_objective`, kept verbatim except that
-    the supervoxel views are pooled by one stacked call per list of maps."""
+    the supervoxel views are pooled by one stacked call per list of maps
+    and the batch-GD walk runs in float64 whatever `w` says."""
     need_kd = teacher is not None and w.lambda_kd > 0
     need_amra = teacher is not None and (w.lambda_p > 0 or w.lambda_v > 0
                                          or w.lambda_c > 0)
@@ -206,7 +207,8 @@ def _oracle_objective(model, teacher, samples, nbrs, chosen, w):
                 comps["l_amra_c"] = losses.loss_amra_channel(views_sp, views_tc)
     if need_gd:
         comps["l_batch_gd"] = losses.loss_batch_gd(
-            feats, t_feats, w.t_gd, gd_masks, teacher_log_z=t_log_z)
+            feats, t_feats, w.t_gd, gd_masks, teacher_log_z=t_log_z,
+            dtype="float64")
     return comps
 
 
@@ -240,7 +242,7 @@ class TestObjective:
     @pytest.mark.parametrize("n_fixed", [96, 256], ids=["all_valid", "padded"])
     def test_matches_loop_oracle_bitwise(self, n_fixed):
         samples, nbrs, chosen, teacher, student = _objective_inputs(n_fixed)
-        w = LossWeights()
+        w = LossWeights(gd_precision="float64")
         batch = make_batch(samples, nbrs, teacher, w)
         got = distill_objective(student, batch, chosen, w)
         want = _oracle_objective(student, teacher, samples, nbrs, chosen, w)
@@ -486,6 +488,14 @@ class TestHarnesses:
         assert base.lambda_kd == base.lambda_c == 0.0
         kd = variant_weights(full, ("lambda_kd",))
         assert kd.lambda_kd == full.lambda_kd and kd.lambda_batch_gd == 0.0
+        # every field other than the disabled lambdas is kept
+        other = next(p for p in losses.GD_PRECISIONS if p != full.gd_precision)
+        w = LossWeights(lambda_kd=0.5, lambda_p=0.2, lambda_v=0.3, lambda_c=7.0,
+                        lambda_batch_gd=0.4, t_logit=1.5, t_gd=3.0,
+                        gd_precision=other)
+        assert variant_weights(w, dict(ABLATION_VARIANTS)["full"]) == w
+        assert variant_weights(w, ()) == replace(
+            LossWeights.zeros(), t_logit=1.5, t_gd=3.0, gd_precision=other)
 
     def test_ablate_rows(self, setup):
         cfg, data, teacher = setup
@@ -533,7 +543,7 @@ class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, runs nothing."""
     max_workers: list[int] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         type(self).max_workers.append(max_workers)
 
     def __enter__(self):
@@ -544,6 +554,11 @@ class _RecordingPool:
 
     def map(self, fn, *iterables):
         return [{"task": i} for i, _ in enumerate(zip(*iterables))]
+
+
+def _blas_threads(*task):
+    """Stands in for `trainer._distill_eval` in a pool worker."""
+    return {"blas_threads": losses._blas_control()[0]()}
 
 
 class TestJobs:
@@ -573,6 +588,21 @@ class TestJobs:
         serial = ablate(cfg, teacher, data, seeds=(0, 1), jobs=1)
         pooled = ablate(cfg, teacher, data, seeds=(0, 1), jobs=2)
         assert pooled == serial
+
+    def test_workers_run_on_one_blas_thread(self, monkeypatch):
+        control = losses._blas_control()
+        if control is None:
+            pytest.skip("the OpenBLAS thread control is not found")
+        get, set_ = control
+        saved = get()
+        monkeypatch.setattr(trainer, "_distill_eval", _blas_threads)
+        try:
+            set_(2)
+            assert trainer._run_tasks([(0,), (1,)], jobs=2) \
+                == [{"blas_threads": 1}] * 2
+            assert get() == 2
+        finally:
+            set_(saved)
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, setup, pool, jobs):
