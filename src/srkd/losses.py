@@ -9,8 +9,9 @@ W worker threads and never forms the (B*N)^2 gram (`_fused_batch_gd`).
 Those threads come from `map_in_order`, the package's one thread pool,
 which also runs the trainer's per-scene passes. The walk is the one place
 that may work below float64: `LossWeights.gd_precision` selects float32
-blocks (the fast path) or float64 ones (the reference that gradient checks
-and oracles use); its loss and gradient are float64 sums either way.
+blocks (the fast path, which every configured run trains) or float64 ones
+(the reference that gradient checks and oracles select in code); its loss
+and gradient are float64 sums either way.
 Everything else is float64.
 
 `supervoxel_features` pools the S sampled supervoxels of a batch from a
@@ -66,6 +67,9 @@ _MIN_THREADED_ROWS = 256
 
 # Working precisions of the batch-GD block walk (`_fused_batch_gd`).
 GD_PRECISIONS = ("float32", "float64")
+# |S_ij| <= 1/t_gd, so a float32 walk's exp(S_ij) and its row sums,
+# N exp(1/t) 2/t at most, stay finite for any N below 4e8 at t_gd >= 1/64.
+_FLOAT32_MIN_T_GD = 1 / 64
 
 LOSS_NAMES = ("l_task", "l_kd", "l_amra_p", "l_amra_v", "l_amra_c", "l_batch_gd")
 
@@ -93,6 +97,9 @@ class LossWeights:
         if self.gd_precision not in GD_PRECISIONS:
             raise ConfigError(f"gd_precision must be one of "
                               f"{', '.join(GD_PRECISIONS)}, got {self.gd_precision!r}")
+        if self.gd_precision == "float32" and self.t_gd < _FLOAT32_MIN_T_GD:
+            raise ConfigError(f"t_gd must be at least 1/64 for the float32 "
+                              f"batch-GD walk, got {self.t_gd}")
 
     @classmethod
     def zeros(cls) -> "LossWeights":

@@ -81,8 +81,8 @@ class TestCriterion2IdentityZero:
         assert abs(loss_amra_point(vs, vs).item()) < 1e-10
         assert abs(loss_amra_voxel(vs, vs).item()) < 1e-10
         assert abs(loss_amra_channel(vs, vs).item()) < 1e-10
-        assert abs(loss_batch_gd([Tensor(f) for f in feats], feats, 2.0,
-                                 dtype="float64").item()) < 1e-10
+        assert abs(loss_batch_gd([Tensor(f) for f in feats], feats,
+                                 2.0).item()) < 1e-10
 
 
 class TestCriterion3Oracles:
@@ -112,8 +112,7 @@ class TestCriterion3Oracles:
                       for f, m in zip(student, masks)]
         teacher_in = [np.where(m[:, None], f, 0.0)
                       for f, m in zip(teacher, masks)]
-        got = loss_batch_gd(student_in, teacher_in, 2.0, masks,
-                            dtype="float64").item()
+        got = loss_batch_gd(student_in, teacher_in, 2.0, masks).item()
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_amra_point_enumeration(self):
@@ -230,12 +229,12 @@ class TestCriterion5Invariance:
             student = [rng.standard_normal((n, d)) for _ in range(b)]
             teacher = [rng.standard_normal((n, d)) for _ in range(b)]
             base = loss_batch_gd([Tensor(m) for m in student], teacher,
-                                 2.0, dtype="float64").item()
+                                 2.0).item()
             perm = rng.permutation(n)
             scale = rng.uniform(0.1, 10.0, (n, 1))
             permuted = loss_batch_gd(
                 [Tensor(m[perm] * scale[perm]) for m in student],
-                [m[perm] for m in teacher], 2.0, dtype="float64").item()
+                [m[perm] for m in teacher], 2.0).item()
             assert permuted == pytest.approx(base, rel=1e-9, abs=1e-12)
 
     def test_affinity_losses_permutation(self):

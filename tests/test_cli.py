@@ -19,7 +19,7 @@ from srkd.cli import (GRADCHECK_TOL, _write_csv, _write_jsonl,
                       gradcheck_report, main)
 from srkd.cloud import atomic_open
 from srkd.config import load_config
-from srkd.losses import LOSS_NAMES
+from srkd.losses import LOSS_NAMES, LossWeights
 from srkd.models import make_teacher, save_checkpoint
 
 TINY_CFG = """
@@ -304,18 +304,12 @@ class TestGradcheck:
         assert payload["pass"] is True
         assert set(payload["errors"]) == set(LOSS_NAMES) - {"l_amra_c"} | {"l_total"}
 
-    def test_float32_walk_checked_in_float64(self, tmp_path, capsys):
-        # central differences cannot resolve a float32 batch-GD loss, so the
-        # check runs the float64 walk whatever the config says
-        payloads = []
-        for precision in ("float32", "float64"):
-            cfg = tmp_path / f"{precision}.cfg"
-            cfg.write_text(f"loss.gd_precision = {precision}\n")
-            assert main(["gradcheck", "--config", str(cfg),
-                         "--out", str(tmp_path)]) == 0
-            payloads.append(json.loads(capsys.readouterr().out.splitlines()[-1]))
-        assert payloads[0]["pass"] is True
-        assert payloads[0] == payloads[1]
+    def test_float32_walk_checked_in_float64(self):
+        # configured weights select the float32 walk; central differences
+        # cannot resolve its loss, so the check runs the float64 walk
+        got = cli.gradcheck_report(0, LossWeights())
+        assert got == cli.gradcheck_report(0, LossWeights(gd_precision="float64"))
+        assert all(err < GRADCHECK_TOL for err in got.values())
 
     def test_corrupted_gradients_fail(self, workdir, capsys, monkeypatch):
         exact = cli.finite_diff_gradient

@@ -100,7 +100,7 @@ class TestRendering:
     def test_default_hash_is_pinned(self):
         # the hash stamped into every output table; a drifted default or a
         # renamed key changes it
-        assert config_hash(DEFAULTS) == "ad3832152762"
+        assert config_hash(DEFAULTS) == "c745d7b79b28"
 
     def test_hash_stable_and_sensitive(self):
         base = config_hash(dict(DEFAULTS))

@@ -443,13 +443,13 @@ def brute_force_batch_gd(student_maps, teacher_maps, temperature, masks=None):
 class TestBatchGD:
     def test_identity(self):
         maps = [RNG.standard_normal((6, 3)) for _ in range(3)]
-        got = loss_batch_gd([Tensor(m) for m in maps], maps, 2.0, dtype="float64")
+        got = loss_batch_gd([Tensor(m) for m in maps], maps, 2.0)
         assert got.item() == pytest.approx(0.0, abs=1e-14)
 
     def test_single_sample_reduces_to_pair(self):
         f_s = RNG.standard_normal((5, 3))
         f_t = RNG.standard_normal((5, 4))
-        got = loss_batch_gd([Tensor(f_s)], [f_t], 2.0, dtype="float64").item()
+        got = loss_batch_gd([Tensor(f_s)], [f_t], 2.0).item()
         m_s = cross_similarity(l2_normalize_rows(f_s), l2_normalize_rows(f_s))
         m_t = cross_similarity(l2_normalize_rows(f_t), l2_normalize_rows(f_t))
         assert got == pytest.approx(loss_gd_pair(m_s, m_t, 2.0))
@@ -458,8 +458,7 @@ class TestBatchGD:
     def test_brute_force_oracle(self, b, n):
         student = [RNG.standard_normal((n, 3)) for _ in range(b)]
         teacher = [RNG.standard_normal((n, 5)) for _ in range(b)]
-        got = loss_batch_gd([Tensor(m) for m in student], teacher, 2.0,
-                            dtype="float64").item()
+        got = loss_batch_gd([Tensor(m) for m in student], teacher, 2.0).item()
         want = brute_force_batch_gd(student, teacher, 2.0)
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -473,35 +472,31 @@ class TestBatchGD:
             for m in masks:
                 m[0] = True
             got = loss_batch_gd([Tensor(s) for s in student], teacher, 2.0,
-                                masks, dtype="float64").item()
+                                masks).item()
             want = brute_force_batch_gd(student, teacher, 2.0, masks)
             assert got == pytest.approx(want, rel=1e-9), (b, n)
 
     def test_permutation_invariance(self):
         student = [RNG.standard_normal((6, 3)) for _ in range(2)]
         teacher = [RNG.standard_normal((6, 4)) for _ in range(2)]
-        base = loss_batch_gd([Tensor(m) for m in student], teacher, 2.0,
-                             dtype="float64").item()
+        base = loss_batch_gd([Tensor(m) for m in student], teacher, 2.0).item()
         rng = np.random.default_rng(5)
         for _ in range(100):
             perm = rng.permutation(6)
             ps = [student[0][perm], student[1]]
             pt = [teacher[0][perm], teacher[1]]
-            got = loss_batch_gd([Tensor(m) for m in ps], pt, 2.0,
-                                dtype="float64").item()
+            got = loss_batch_gd([Tensor(m) for m in ps], pt, 2.0).item()
             assert got == pytest.approx(base, rel=1e-9)
 
     def test_row_rescale_invariance(self):
         student = [RNG.standard_normal((5, 3)) for _ in range(2)]
         teacher = [RNG.standard_normal((5, 4)) for _ in range(2)]
-        base = loss_batch_gd([Tensor(m) for m in student], teacher, 2.0,
-                             dtype="float64").item()
+        base = loss_batch_gd([Tensor(m) for m in student], teacher, 2.0).item()
         rng = np.random.default_rng(6)
         for _ in range(100):
             scales = rng.uniform(0.1, 10.0, (5, 1))
             scaled = [student[0] * scales, student[1]]
-            got = loss_batch_gd([Tensor(m) for m in scaled], teacher, 2.0,
-                                dtype="float64").item()
+            got = loss_batch_gd([Tensor(m) for m in scaled], teacher, 2.0).item()
             assert got == pytest.approx(base, rel=1e-9)
 
     def test_bad_temperature(self):
@@ -525,7 +520,7 @@ def padded_batch(b=3, n=6, masked=((0, 4), (0, 5), (2, 1))):
 class TestBatchGDGradient:
     def leaf_grads(self, student, teacher, masks=None, log_z=None):
         leaves = [Tensor(m, requires_grad=True) for m in student]
-        loss_batch_gd(leaves, teacher, 2.0, masks, log_z, dtype="float64").backward()
+        loss_batch_gd(leaves, teacher, 2.0, masks, log_z).backward()
         return [leaf.grad for leaf in leaves]
 
     @pytest.mark.parametrize("precompute", [True, False])
@@ -544,7 +539,7 @@ class TestBatchGDGradient:
                 def f(theta, i=i):
                     maps = [theta if k == i else m for k, m in enumerate(student)]
                     return loss_batch_gd([Tensor(m) for m in maps], teacher,
-                                         2.0, masks, log_z, dtype="float64").item()
+                                         2.0, masks, log_z).item()
 
                 fd = finite_diff_gradient(f, student[i].copy())
                 assert np.abs(analytic[i] - fd).max() <= 1e-6 * scale, \
@@ -561,8 +556,7 @@ class TestBatchGDGradient:
         graphs = []
         for student, teacher in batches:
             leaves = [Tensor(m, requires_grad=True) for m in student]
-            graphs.append((leaves, loss_batch_gd(leaves, teacher, 2.0,
-                                                 dtype="float64")))
+            graphs.append((leaves, loss_batch_gd(leaves, teacher, 2.0)))
         for _, loss in reversed(graphs):
             loss.backward()
         for (leaves, _), want in zip(graphs, isolated):
@@ -605,7 +599,7 @@ class TestBatchGDGradient:
         b, n = 8, 128
         student, teacher = self.working_set_batch(b, n)
         peak = self.traced_peak(
-            lambda: loss_batch_gd(student, teacher, 2.0, dtype="float64").backward())
+            lambda: loss_batch_gd(student, teacher, 2.0).backward())
         assert peak < 2 * n * (b * n) * 8
 
     def test_float32_walk_working_set_half_of_float64(self, walk_workers):
@@ -640,18 +634,20 @@ class TestBatchGDGradientThreaded(TestBatchGDGradient):
 class TestFloat32Walk:
     """The float32 block walk against the float64 reference."""
 
-    # n = 70: a full 64-row strip of the gradient pass and a partial one
+    # n = 70: a full 64-row strip of the gradient pass and a partial one;
+    # 1/64, the smallest t_gd that LossWeights accepts for the float32 walk
+    @pytest.mark.parametrize("t", [2.0, 1 / 64])
     @pytest.mark.parametrize("use_masks", [False, True])
     @pytest.mark.parametrize("b", [1, 2, 3, 8])
-    def test_agrees_with_float64(self, b, use_masks):
+    def test_agrees_with_float64(self, b, use_masks, t):
         student, teacher, masks = padded_batch(
             b, 70, masked=((0, 4), (b - 1, 69), (b // 2, 0)) if use_masks else ())
         masks = masks if use_masks else None
-        log_z = gd_teacher_log_z(teacher, 2.0, masks)
+        log_z = gd_teacher_log_z(teacher, t, masks)
         got, want = {}, {}
         for dtype, out in (("float32", got), ("float64", want)):
             leaves = [Tensor(m, requires_grad=True) for m in student]
-            loss = loss_batch_gd(leaves, teacher, 2.0, masks, log_z, dtype=dtype)
+            loss = loss_batch_gd(leaves, teacher, t, masks, log_z, dtype=dtype)
             loss.backward()
             out["loss"], out["grad"] = loss.item(), np.concatenate(
                 [leaf.grad for leaf in leaves])
@@ -661,6 +657,16 @@ class TestFloat32Walk:
         assert np.abs(got["grad"] - want["grad"]).max() <= 1e-5 * scale
         if masks is not None:
             assert not got["grad"][~np.concatenate(masks)].any()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_exp_overflows_below_the_t_gd_floor(self):
+        # a self-similarity of 1/t = 90 puts exp(S_ii) past float32's range
+        student, teacher, _ = padded_batch(2, 70, masked=())
+        with pytest.raises(NumericError):
+            loss_batch_gd([Tensor(m) for m in student], teacher, 1 / 90,
+                          dtype="float32")
+        loss_batch_gd([Tensor(m) for m in student], teacher, 1 / 90)
 
 
 class TestFloat32WalkThreaded(TestFloat32Walk):
@@ -697,19 +703,11 @@ class TestThreadedWalk:
     # n = 70: a full 64-row strip of the gradient pass and a partial one
     @pytest.mark.parametrize("use_masks", [False, True])
     @pytest.mark.parametrize("b", [1, 2, 3, 8])
-    def test_two_workers_bit_identical_to_serial(self, monkeypatch, b, use_masks,
-                                                  dtype="float64"):
-        for grad in (True, False):
+    def test_two_workers_bit_identical_to_serial(self, monkeypatch, b, use_masks):
+        for dtype, grad in itertools.product(losses.GD_PRECISIONS, (True, False)):
             want = self.walk(monkeypatch, 1, b, 70, use_masks, grad, dtype)
             self.assert_same_bits(
                 self.walk(monkeypatch, 2, b, 70, use_masks, grad, dtype), want)
-
-    @pytest.mark.parametrize("use_masks", [False, True])
-    @pytest.mark.parametrize("b", [1, 2, 3, 8])
-    def test_float32_two_workers_bit_identical_to_serial(self, monkeypatch, b,
-                                                          use_masks):
-        self.test_two_workers_bit_identical_to_serial(monkeypatch, b, use_masks,
-                                                      "float32")
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         want = self.walk(monkeypatch, 1, 8, 70, True)
@@ -917,6 +915,12 @@ class TestTotals:
     def test_unknown_gd_precision_rejected(self, value):
         with pytest.raises(ConfigError, match="gd_precision"):
             LossWeights(gd_precision=value)
+
+    def test_float32_walk_needs_t_gd_of_at_least_1_over_64(self):
+        LossWeights(t_gd=1 / 64)
+        with pytest.raises(ConfigError, match="t_gd"):
+            LossWeights(t_gd=0.015)
+        LossWeights(t_gd=0.015, gd_precision="float64")
 
     def test_weighted_total_matches_report(self):
         comps = {n: Tensor(np.float64(v))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -169,7 +170,7 @@ def _oracle_objective(model, teacher, samples, nbrs, chosen, w):
     """Reference: the training loop's batch preparation and step body from
     before `make_batch` and `distill_objective`, kept verbatim except that
     the supervoxel views are pooled by one stacked call per list of maps
-    and the batch-GD walk runs in float64 whatever `w` says."""
+    and the batch-GD walk runs at `w.gd_precision`."""
     need_kd = teacher is not None and w.lambda_kd > 0
     need_amra = teacher is not None and (w.lambda_p > 0 or w.lambda_v > 0
                                          or w.lambda_c > 0)
@@ -208,7 +209,7 @@ def _oracle_objective(model, teacher, samples, nbrs, chosen, w):
     if need_gd:
         comps["l_batch_gd"] = losses.loss_batch_gd(
             feats, t_feats, w.t_gd, gd_masks, teacher_log_z=t_log_z,
-            dtype="float64")
+            dtype=w.gd_precision)
     return comps
 
 
@@ -242,15 +243,16 @@ class TestObjective:
     @pytest.mark.parametrize("n_fixed", [96, 256], ids=["all_valid", "padded"])
     def test_matches_loop_oracle_bitwise(self, n_fixed):
         samples, nbrs, chosen, teacher, student = _objective_inputs(n_fixed)
-        w = LossWeights(gd_precision="float64")
-        batch = make_batch(samples, nbrs, teacher, w)
-        got = distill_objective(student, batch, chosen, w)
-        want = _oracle_objective(student, teacher, samples, nbrs, chosen, w)
-        assert {k: v.item() for k, v in got.items()} \
-            == {k: v.item() for k, v in want.items()}
-        g_got, g_want = _grads(student, got, w), _grads(student, want, w)
-        for name in g_want:
-            assert np.array_equal(g_got[name], g_want[name]), name
+        for precision in losses.GD_PRECISIONS:
+            w = LossWeights(gd_precision=precision)
+            batch = make_batch(samples, nbrs, teacher, w)
+            got = distill_objective(student, batch, chosen, w)
+            want = _oracle_objective(student, teacher, samples, nbrs, chosen, w)
+            assert {k: v.item() for k, v in got.items()} \
+                == {k: v.item() for k, v in want.items()}, precision
+            g_got, g_want = _grads(student, got, w), _grads(student, want, w)
+            for name in g_want:
+                assert np.array_equal(g_got[name], g_want[name]), (precision, name)
 
     @pytest.mark.parametrize("off", ["lambda_kd", "lambda_p", "lambda_v",
                                      "lambda_c", "lambda_batch_gd"])
@@ -561,6 +563,14 @@ def _blas_threads(*task):
     return {"blas_threads": losses._blas_control()[0]()}
 
 
+def _distill_state(cfg, teacher_state, data, tag):
+    """Stands in for `trainer._distill_eval`: the student's state hash and
+    step log, which show every bit that an mIoU row can hide."""
+    teacher = SegModel.from_state(teacher_state).freeze()
+    student, log = train_distill(cfg, teacher, data)
+    return {**tag, "state": state_hash(student), "log": log}
+
+
 class TestJobs:
     @pytest.fixture
     def pool(self, monkeypatch):
@@ -601,6 +611,31 @@ class TestJobs:
             assert trainer._run_tasks([(0,), (1,)], jobs=2) \
                 == [{"blas_threads": 1}] * 2
             assert get() == 2
+        finally:
+            set_(saved)
+
+    def test_one_blas_thread_workers_train_the_serial_bits(self, monkeypatch):
+        # At n_fixed = 1000, not a multiple of OpenBLAS's gemm tiling, an
+        # N x N block times F differs between one and two BLAS threads. The
+        # serial loop's threaded walk and scene passes pin one BLAS thread,
+        # so a worker on one thread still trains the serial loop's bits.
+        control = losses._blas_control()
+        if control is None or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs the OpenBLAS thread control and two cores")
+        get, set_ = control
+        saved = get()
+        cfg = tiny_config(n_fixed=1000, epochs=1, eval_every=1)
+        spec = SceneSpec(n_scenes=5, points_per_scene=1100, seed=0)
+        data = Dataset(tuple(generate_scene(spec, i) for i in range(4)),
+                       (generate_scene(spec, 4),))
+        monkeypatch.setattr(trainer, "_distill_eval", _distill_state)
+        try:
+            set_(2)
+            teacher, _ = train_teacher(cfg, data)
+            tasks = [(replace(cfg, seed=s), teacher.state_dict(), data,
+                      {"seed": s}) for s in (0, 1)]
+            serial = trainer._run_tasks(tasks, jobs=1)
+            assert trainer._run_tasks(tasks, jobs=2) == serial
         finally:
             set_(saved)
 
