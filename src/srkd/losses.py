@@ -2,17 +2,19 @@
 
 Student-side inputs are autodiff Tensors so gradients flow back to the
 student encoder, head and channel projection; teacher-side inputs are
-plain arrays (the teacher is frozen). The cross-sample batch geometry
-loss, which dominates the training step at full scale, is a single fused
-tape op that walks the N x N block pairs of the stacked (B*N, D) maps on
-W worker threads and never forms the (B*N)^2 gram (`_fused_batch_gd`).
+plain arrays (the teacher is frozen). `l_task` is built from the tape's
+generic ops; each of the five distillation terms is one tape op whose
+hand-derived gradient is formed with its value, logit KD and the channel
+term by one masked softmax-KL kernel (`_softmax_kl`). The cross-sample
+batch geometry loss, which dominates the training step at full scale,
+walks the N x N block pairs of the stacked (B*N, D) maps on W worker
+threads and never forms the (B*N)^2 gram (`_fused_batch_gd`).
 Those threads come from `map_in_order`, the package's one thread pool,
 which also runs the trainer's per-scene passes. The walk is the one place
 that may work below float64: `LossWeights.gd_precision` selects float32
 blocks (the fast path, which every configured run trains) or float64 ones
 (the reference that gradient checks and oracles select in code); its loss
-and gradient are float64 sums either way.
-Everything else is float64.
+and gradient are float64 sums either way. Everything else is float64.
 
 `supervoxel_features` pools the S sampled supervoxels of a batch from a
 list of per-sample maps into stacked (S*n, D) point and voxel Tensors, one
@@ -133,11 +135,9 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _valid_row_mean(rows: Tensor, mask: np.ndarray) -> Tensor:
-    n = int(mask.sum())
-    if n == 0:
-        raise UndefinedLossError("no valid rows in reduction")
-    return (rows * mask.astype(np.float64)).sum() * (1.0 / n)
+def _grad_edge(t: Tensor, grad: np.ndarray):
+    """Edge of a scalar op into the stacked Tensor t: g * grad, in t's shape."""
+    return t, lambda g: float(g) * grad.reshape(t.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,27 @@ def loss_task(logits, labels: np.ndarray, mask: np.ndarray | None = None) -> Ten
     onehot[valid, labels[valid]] = 1.0
     log_p = logits.log_softmax_rows()
     picked = (log_p * onehot).sum(axis=1)
-    return -_valid_row_mean(picked, valid)
+    return -((picked * valid.astype(np.float64)).sum() * (1.0 / int(valid.sum())))
+
+
+def _softmax_kl(zs: np.ndarray, zt: np.ndarray, m: np.ndarray,
+                temperature: float, divisor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per group of a (G, n, C) stack, the mean of KL(softmax(zs/T) ||
+    softmax(zt/T)) over the n_valid rows the (G, n) 0/1 mask m keeps, and
+    the gradient of the means' sum / divisor with respect to zs/T: row r
+    gets m_r p_s (log p_s - log p_t - KL_r) / (n_valid divisor).
+    """
+    n_valid = m.sum(axis=1)
+    if np.any(n_valid == 0):
+        raise UndefinedLossError("no valid rows in reduction")
+    ls_s = log_softmax_rows(zs, temperature)
+    grad = ls_s - log_softmax_rows(zt, temperature)        # log p_s - log p_t
+    p_s = np.exp(ls_s)
+    kl = (p_s * grad).sum(axis=2)                          # (G, n)
+    grad -= kl[:, :, None]
+    grad *= p_s
+    grad *= (m / (n_valid[:, None] * divisor))[:, :, None]
+    return (kl * m).sum(axis=1) * (1.0 / n_valid), grad
 
 
 def loss_kd(student_logits, teacher_logits, temperature: float,
@@ -166,14 +186,12 @@ def loss_kd(student_logits, teacher_logits, temperature: float,
     """Mean per-point KL(softmax(Z_s/T) || softmax(Z_t/T)); student first."""
     zs = _as_tensor(student_logits)
     zt = np.asarray(teacher_logits, dtype=np.float64)
-    if zs.shape != zt.shape:
-        raise ShapeError(f"loss_kd shape mismatch: {zs.shape} vs {zt.shape}")
-    if mask is None:
-        mask = np.ones(zs.shape[0], dtype=bool)
-    ls_s = zs.log_softmax_rows(temperature)
-    ls_t = Tensor(log_softmax_rows(zt, temperature))
-    rows = (ls_s.exp() * (ls_s - ls_t)).sum(axis=1)
-    return _valid_row_mean(rows, np.asarray(mask, dtype=bool))
+    if zs.shape != zt.shape or zs.data.ndim != 2:
+        raise ShapeError(f"loss_kd needs equal (N, C) logits, got {zs.shape} vs {zt.shape}")
+    m = np.ones(zs.shape[0]) if mask is None else np.asarray(mask, bool).astype(np.float64)
+    # one group; divisor T turns the gradient at Z_s/T into the one at Z_s
+    value, grad = _softmax_kl(zs.data[None], zt[None], m[None], temperature, temperature)
+    return Tensor.from_op(value[0], [_grad_edge(zs, grad)])
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +283,6 @@ def _mean_in_order(values) -> float:
     return functools.reduce(operator.add, values) * (1.0 / len(values))
 
 
-def _grad_edge(t: Tensor, grad: np.ndarray):
-    """Edge of a scalar op into the stacked Tensor t: g * grad, in t's shape."""
-    return t, lambda g: float(g) * grad.reshape(t.shape)
-
-
 def _affinity_gap(views_s: SupervoxelFeatures, views_t: SupervoxelFeatures,
                   kind: str) -> Tensor:
     """Mean over the supervoxels of sum((D_s - D_t)^2) / n^2 as one tape op.
@@ -312,8 +325,7 @@ def loss_amra_channel(views_s: SupervoxelFeatures,
     The student views must already be projected to the teacher channel
     count. Each part is averaged over its valid rows, both parts are
     summed, and the result is averaged over the sampled supervoxels. One
-    tape op: row r of a part with n_valid rows gets the gradient
-    c_r p_s (log p_s - log p_t - KL_r), c_r = mask_r / (n_valid S).
+    tape op: `_softmax_kl` per part at T = 1, divisor S.
     """
     _check_paired(views_s, views_t)
     edges, parts = [], []
@@ -323,17 +335,8 @@ def loss_amra_channel(views_s: SupervoxelFeatures,
         if zs.shape[2] != zt.shape[2]:
             raise ShapeError("channel loss requires matching channel counts; "
                              "project the student features first")
-        n_valid = m.sum(axis=1)
-        if np.any(n_valid == 0):
-            raise UndefinedLossError("no valid rows in reduction")
-        ls_s = log_softmax_rows(zs)
-        grad = ls_s - log_softmax_rows(zt)                     # log p_s - log p_t
-        p_s = np.exp(ls_s)
-        kl = (p_s * grad).sum(axis=2)                          # (S, n)
-        parts.append((kl * m).sum(axis=1) * (1.0 / n_valid))
-        grad -= kl[:, :, None]
-        grad *= p_s
-        grad *= (m / (n_valid[:, None] * m.shape[0]))[:, :, None]
+        part, grad = _softmax_kl(zs, zt, m, 1.0, m.shape[0])
+        parts.append(part)
         edges.append(_grad_edge(getattr(views_s, f"{kind}_features"), grad))
     return Tensor.from_op(np.float64(_mean_in_order(parts[0] + parts[1])), edges)
 

@@ -78,12 +78,14 @@ class TrainConfig:
         if not all(np.isfinite(v) for v in reals):
             raise ConfigError("lr, weight_decay, warmup_frac, start_factor, "
                               "final_factor and train_fraction must be finite")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if self.lr <= 0 or self.weight_decay < 0:
+            raise ConfigError("lr must be positive and weight_decay nonnegative")
         if not 0.0 < self.warmup_frac < 1.0:
             raise ConfigError("warmup_frac must be in (0, 1)")
-        if self.epochs < 1 or self.batch_size < 1 or self.n_fixed < 1:
-            raise ConfigError("epochs, batch_size and n_fixed must be >= 1")
+        if min(self.epochs, self.batch_size, self.n_fixed, self.knn_k,
+               self.teacher_epochs, self.eval_every) < 1 or self.teacher_d_out < 2:
+            raise ConfigError("epochs, batch_size, n_fixed, knn_k, teacher_epochs and "
+                              "eval_every must be >= 1, teacher_d_out >= 2")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be in (0, 1)")
 
@@ -375,14 +377,15 @@ def variant_weights(full: LossWeights, enabled: tuple[str, ...]) -> LossWeights:
         if name not in enabled})
 
 
+def _final_metrics(log: list[dict]) -> dict:
+    """`Metrics.as_row` of the evaluation `_train_loop` logs last, read back."""
+    return {k: log[-1][f"val_{k}"] for k in ("miou", "macc", "allacc")}
+
+
 def _distill_eval(cfg: TrainConfig, teacher_state: dict, data: Dataset,
                   tag: dict) -> dict:
     teacher = SegModel.from_state(teacher_state).freeze()
-    student, _ = train_distill(cfg, teacher, data)
-    m = evaluate(student, data.val, cfg.n_fixed)
-    row = dict(tag)
-    row.update(m.as_row())
-    return row
+    return {**tag, **_final_metrics(train_distill(cfg, teacher, data)[1])}
 
 
 def _one_blas_thread_worker():
@@ -459,9 +462,7 @@ def dim_sensitivity(cfg: TrainConfig, data: Dataset, *,
     for dim in dims:
         dcfg = replace(cfg, teacher_d_out=int(dim))
         teacher, _ = train_teacher(dcfg, data)
-        student, _ = train_distill(dcfg, teacher, data)
-        m = evaluate(student, data.val, dcfg.n_fixed)
-        row = {"dim": int(dim), "student_dim": student.encoder.d_out}
-        row.update(m.as_row())
-        rows.append(row)
+        student, log = train_distill(dcfg, teacher, data)
+        rows.append({"dim": int(dim), "student_dim": student.encoder.d_out,
+                     **_final_metrics(log)})
     return rows

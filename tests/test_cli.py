@@ -241,6 +241,10 @@ class TestErrors:
         self._rejected_at_load(workdir, tmp_path, capsys, "loss.t_gd = nan",
                                "train-teacher")
 
+    def test_zero_eval_every_rejected(self, workdir, tmp_path, capsys):
+        self._rejected_at_load(workdir, tmp_path, capsys, "train.eval_every = 0",
+                               "train-teacher")
+
     def test_nonfinite_noise_tau_rejected(self, workdir, tmp_path, capsys):
         self._rejected_at_load(workdir, tmp_path, capsys,
                                "noise.taus = 0.1, nan", "noise")

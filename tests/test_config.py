@@ -54,6 +54,22 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(line)
 
+    @pytest.mark.parametrize("line", [
+        "train.eval_every = 0", "train.knn_k = 0", "train.knn_k = -2",
+        "train.teacher_epochs = 0", "train.teacher_d_out = 1",
+        "train.teacher_d_out = 0", "train.weight_decay = -0.5",
+    ])
+    def test_invalid_train_setting_rejected_at_load(self, line):
+        field = line.split("=")[0].strip().removeprefix("train.")
+        with pytest.raises(ConfigError, match=field):
+            parse_config(line)
+
+    def test_train_setting_bounds_accepted(self):
+        cfg = parse_config("train.eval_every = 1\ntrain.knn_k = 1\n"
+                           "train.teacher_epochs = 1\ntrain.teacher_d_out = 2\n"
+                           "train.weight_decay = 0.0")
+        assert train_config(cfg, 0).teacher_d_out == 2
+
     @pytest.mark.parametrize("line", ["sweep.seeds =", "sweep.dims = ",
                                       "sweep.fractions = ,", "sweep.batch_sizes = , ,"])
     def test_empty_sweep_list_rejected(self, line):

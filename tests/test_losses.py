@@ -109,6 +109,47 @@ class TestLossKD:
         assert loss_kd(Tensor(zs), zt, 2.0).item() == pytest.approx(want)
 
 
+def composed_loss_kd(zs: Tensor, zt, temperature, mask) -> Tensor:
+    """Reference: loss_kd as a chain of generic tape ops, softmax(zs * 1/T)."""
+    ls_s = (zs * (1.0 / temperature)).log_softmax_rows()
+    ls_t = Tensor(log_softmax_rows(zt, temperature))
+    rows = (ls_s.exp() * (ls_s - ls_t)).sum(axis=1)
+    mask = np.asarray(mask, dtype=bool)
+    return (rows * mask.astype(np.float64)).sum() * (1.0 / int(mask.sum()))
+
+
+class TestLossKDReference:
+    @pytest.mark.parametrize("temperature", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_composed_reference(self, seed, temperature):
+        rng = np.random.default_rng(seed)
+        zs, zt = 3.0 * rng.standard_normal((2, 257, 8))
+        mask = rng.random(257) > 0.25           # padded rows hold random logits
+        x, x_ref = Tensor(zs, requires_grad=True), Tensor(zs, requires_grad=True)
+        got, want = loss_kd(x, zt, temperature, mask), \
+            composed_loss_kd(x_ref, zt, temperature, mask)
+        if temperature in (1.0, 2.0):           # zs / T == zs * (1/T) exactly
+            assert got.item() == want.item()
+        else:
+            assert abs(got.item() - want.item()) <= 1e-14 * abs(want.item())
+        (parent, _), = got._edges               # one tape op over the logits
+        assert parent is x
+        got.backward()
+        want.backward()
+        assert np.abs(x.grad - x_ref.grad).max() <= 1e-12 * np.abs(x_ref.grad).max()
+        assert not x.grad[~mask].any()
+
+    def test_no_mask_is_all_rows(self):
+        zs, zt = RNG.standard_normal((2, 9, 4))
+        assert loss_kd(Tensor(zs), zt, 2.0).item() == \
+            loss_kd(Tensor(zs), zt, 2.0, np.ones(9, dtype=bool)).item()
+
+    def test_all_rows_padded(self):
+        with pytest.raises(UndefinedLossError):
+            loss_kd(Tensor(np.zeros((3, 2))), np.zeros((3, 2)), 2.0,
+                    np.zeros(3, dtype=bool))
+
+
 def pair_keep(mask, weight=1.0):
     """The (1, n, n) keep stack of one view: weight on the valid off-diagonal pairs."""
     m = np.asarray(mask, dtype=np.float64)

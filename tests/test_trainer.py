@@ -351,6 +351,16 @@ class TestObjectiveTape:
         # teacher's views carry no gradient and are not on the tape
         assert len(pooling) == 4
 
+    def test_kd_is_one_op_over_the_student_logits(self):
+        samples, nbrs, chosen, teacher, student = _objective_inputs(256)
+        w = LossWeights()
+        comps = distill_objective(student, make_batch(samples, nbrs, teacher, w),
+                                  chosen, w)
+        (logits, _), = comps["l_kd"]._edges
+        # the batch's concatenated student logits, one head output per sample
+        assert logits.shape == (len(samples) * samples[0].n_fixed, student.n_classes)
+        assert len(logits._edges) == len(samples)
+
     def test_peak_traced_memory(self):
         # distill_objective plus backward on the padded batch peaked at
         # 2.70 MB traced with a chain of tape ops per supervoxel and view,
@@ -522,6 +532,19 @@ class TestHarnesses:
         cfg, data, teacher = setup
         rows = batch_sensitivity(cfg, teacher, data, batch_sizes=(2, 4))
         assert [r["batch_size"] for r in rows] == [2, 4]
+
+    def test_rows_read_the_logged_evaluation(self, setup, monkeypatch):
+        """A sweep row holds the metrics its run logged after the last epoch,
+        which equal a fresh evaluation of the student; it evaluates no more."""
+        cfg, data, teacher = setup
+        student, _ = train_distill(cfg, teacher, data)
+        want = evaluate(student, data.val, cfg.n_fixed).as_row()
+        calls = []
+        monkeypatch.setattr(trainer, "evaluate",
+                            lambda *args: calls.append(args) or evaluate(*args))
+        rows = batch_sensitivity(cfg, teacher, data, batch_sizes=(cfg.batch_size,))
+        assert len(calls) == 1
+        assert {k: rows[0][k] for k in want} == want
 
     def test_dim_sensitivity_checks_every_dim_before_training(self, monkeypatch):
         def train_teacher(*args, **kwargs):
