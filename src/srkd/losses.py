@@ -15,6 +15,11 @@ that may work below float64: `LossWeights.gd_precision` selects float32
 blocks (the fast path, which every configured run trains) or float64 ones
 (the reference that gradient checks and oracles select in code); its loss
 and gradient are float64 sums either way. Everything else is float64.
+The teacher's log-partitions, a constant of each mini-batch, come either
+from `gd_teacher_log_z` (the float64 reference, precomputed once per batch
+for a float64 objective) or from the walk itself, which exponentiates the
+teacher blocks it forms anyway at its working precision; the trainer keeps
+the array the first float32 walk over a batch fills for its later epochs.
 
 `supervoxel_features` pools the S sampled supervoxels of a batch from a
 list of per-sample maps into stacked (S*n, D) point and voxel Tensors, one
@@ -69,8 +74,10 @@ _MIN_THREADED_ROWS = 256
 
 # Working precisions of the batch-GD block walk (`_fused_batch_gd`).
 GD_PRECISIONS = ("float32", "float64")
-# |S_ij| <= 1/t_gd, so a float32 walk's exp(S_ij) and its row sums,
-# N exp(1/t) 2/t at most, stay finite for any N below 4e8 at t_gd >= 1/64.
+# |S_ij| <= 1/t_gd, and the teacher block the float32 walk exponentiates for
+# its own log-partitions holds the same |T_ij| <= 1/t_gd, so exp(S_ij),
+# exp(T_ij) and their row sums, N exp(1/t) 2/t at most, stay finite for any
+# N below 4e8 at t_gd >= 1/64.
 _FLOAT32_MIN_T_GD = 1 / 64
 
 LOSS_NAMES = ("l_task", "l_kd", "l_amra_p", "l_amra_v", "l_amra_c", "l_batch_gd")
@@ -353,10 +360,13 @@ def gd_teacher_log_z(teacher_maps: list[np.ndarray], temperature: float,
     of sample j, for L2-normalized teacher rows t. Like the loss kernel it
     walks the block pairs i <= j: the row sums of exp(T_ij) serve the rows
     of i, its column sums those of j. Each walk worker holds one N x N
-    float64 block (8 MB at N=1024). The teacher is frozen, so
-    `trainer.make_batch` computes it once per mini-batch and every epoch
-    reuses it.
+    float64 block (8 MB at N=1024). This is the float64 reference: the
+    teacher is frozen, so for a float64 objective `trainer.make_batch`
+    computes it once per mini-batch and every epoch reuses it. A
+    `loss_batch_gd` call without teacher_log_z forms the same partitions in
+    its own walk, at its working precision (bit for bit these at float64).
     """
+    _check_temperature(temperature)
     b, n = len(teacher_maps), teacher_maps[0].shape[0]
     ft = np.concatenate([l2_normalize_rows(m) for m in teacher_maps], axis=0)
     ft *= np.sqrt(1.0 / temperature)
@@ -371,6 +381,11 @@ def gd_teacher_log_z(teacher_maps: list[np.ndarray], temperature: float,
 
     _walk_block_pairs(b, n, pair, lambda: np.empty((n, n)))
     return log_z
+
+
+def _check_temperature(temperature: float):
+    if not np.isfinite(temperature) or temperature <= 0:
+        raise ConfigError(f"temperature must be finite and positive, got {temperature}")
 
 
 def _column_mask(masks: list[np.ndarray] | None, size: int) -> np.ndarray:
@@ -488,7 +503,7 @@ def _walk_block_pairs(b: int, n: int, work, new_scratch,
 def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
                   temperature: float, masks: list[np.ndarray] | None = None,
                   teacher_log_z: np.ndarray | None = None,
-                  dtype="float64") -> Tensor:
+                  dtype="float64", log_z_out: np.ndarray | None = None) -> Tensor:
     """Batch geometry distillation over all ordered sample pairs.
 
     Feature maps are L2 row-normalized internally. For each ordered pair
@@ -497,11 +512,16 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
     columns of sample j); pair losses are summed with a 1/B^2 normalizer.
     dtype is the working precision of the block walk (`GD_PRECISIONS`);
     the loss and gradient are float64 either way.
+
+    teacher_log_z holds the (B*N, B) teacher log-partitions of
+    `gd_teacher_log_z`. Without it the walk computes them from its own
+    teacher blocks at its working precision and fills log_z_out, a (B*N, B)
+    float64 array, if one is given, so that later calls on the same teacher
+    maps can pass it back. They enter the loss only, never the gradient.
     """
     if not student_maps or len(student_maps) != len(teacher_maps):
         raise ShapeError("student and teacher map lists must match")
-    if temperature <= 0:
-        raise ConfigError("temperature must be positive")
+    _check_temperature(temperature)
     b, n = len(student_maps), student_maps[0].shape[0]
     if any(m.shape[0] != n for m in [*student_maps, *teacher_maps]):
         raise ShapeError("inconsistent point count across the batch")
@@ -513,15 +533,19 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
     if np.any(counts == 0):
         raise UndefinedLossError("loss_batch_gd: a sample has no valid rows")
     row_weight = mask * np.repeat(1.0 / (b * b * counts), n)
-    if teacher_log_z is None:
-        teacher_log_z = gd_teacher_log_z(teacher_maps, temperature, masks)
-    return _fused_batch_gd(fn_s, fn_t, b, n, temperature, mask,
-                           row_weight, teacher_log_z, dtype)
+    log_zt = teacher_log_z
+    if log_zt is None:
+        log_zt = np.empty((b * n, b)) if log_z_out is None else log_z_out
+    if np.shape(log_zt) != (b * n, b):
+        raise ShapeError(f"teacher log-partitions must be ({b * n}, {b}), "
+                         f"got {np.shape(log_zt)}")
+    return _fused_batch_gd(fn_s, fn_t, b, n, temperature, mask, row_weight,
+                           log_zt, teacher_log_z is None, dtype)
 
 
 def _fused_batch_gd(fn_s: Tensor, fn_t: np.ndarray, b: int, n: int,
                     temperature: float, mask: np.ndarray,
-                    row_weight: np.ndarray, log_zt: np.ndarray,
+                    row_weight: np.ndarray, log_zt: np.ndarray, fill: bool,
                     dtype="float64") -> Tensor:
     """Loss and gradient of the pairwise row-softmax KL in one block-pair walk.
 
@@ -541,8 +565,10 @@ def _fused_batch_gd(fn_s: Tensor, fn_t: np.ndarray, b: int, n: int,
     to it once per call, and E, H and the strip are held in it (each block
     8 MB in float64, 4 MB in float32, at N=1024). Each pair's partitions,
     expectations and gradient blocks are cast to float64 as they are
-    stored, so row_kl, the gradient and the loss are float64 sums; the
-    teacher log-partitions come in float64.
+    stored, so row_kl, the gradient and the loss are float64 sums. With
+    fill, each pair first exponentiates its teacher block T_ij into E and
+    stores the teacher log-partitions of both sides in log_zt, as
+    `gd_teacher_log_z` does, before the student block overwrites E.
     """
     inv_t, fs, dt = 1.0 / temperature, fn_s.data, np.dtype(dtype)
     # Temperature folded into the (small) feature maps: grams come pre-scaled.
@@ -558,8 +584,13 @@ def _fused_batch_gd(fn_s: Tensor, fn_t: np.ndarray, b: int, n: int,
     def pair(i, j, ri, rj, scratch):
         e, h, strip = scratch
         m_i, m_j = mask_w[ri], mask_w[rj]
-        np.matmul(fs_c[ri], fs_c[rj].T, out=e)        # student block S_ij
         np.matmul(ft_c[ri], ft_c[rj].T, out=h)        # teacher block T_ij
+        if fill:                                      # its partitions, both sides
+            np.exp(h, out=e)
+            np.log(f64(e @ m_j), out=log_zt[ri, j])
+            if i != j:
+                np.log(f64(m_i @ e), out=log_zt[rj, i])
+        np.matmul(fs_c[ri], fs_c[rj].T, out=e)        # student block S_ij
         np.subtract(e, h, out=h)                      # D = S_ij - T_ij
         np.exp(e, out=e)                              # E = exp(S_ij)
         h *= e                                        # E * D

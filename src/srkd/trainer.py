@@ -4,7 +4,10 @@
 Batch composition is fixed at the start of a run (a seeded shuffle of the
 training scenes), which lets every frozen-teacher quantity -- per-scene
 features and logits, per-batch supervoxel candidates and similarity
-log-partitions -- be computed once and reused across epochs.
+log-partitions -- be computed once and reused across epochs. The
+log-partitions are precomputed with the batch for a float64 batch-GD walk;
+a float32 walk fills them from its own teacher blocks on the batch's first
+step, and `_train_loop` keeps that array for the later epochs.
 
 Per-scene work that records no tape -- the k-NN of a run's samples, the
 frozen teacher's forward passes and `evaluate`'s passes -- runs through
@@ -132,6 +135,8 @@ class Batch:
     mask: np.ndarray                       # concatenated
     teacher_feats: list[np.ndarray] | None
     teacher_logits: np.ndarray | None      # concatenated
+    # batch-GD teacher log-partitions: precomputed for a float64 walk, else
+    # None until the batch's first float32 walk fills them
     teacher_log_z: np.ndarray | None
 
 
@@ -143,7 +148,9 @@ def make_batch(samples: list[FixedSample], nbrs: list[np.ndarray],
                teacher: SegModel | None, weights: LossWeights) -> Batch:
     """Concatenate a mini-batch and run the frozen teacher on it once.
 
-    The teacher is not called when every distillation weight is zero.
+    The teacher is not called when every distillation weight is zero. The
+    batch-GD teacher log-partitions are computed here only for a float64
+    walk (`losses.gd_teacher_log_z`, the reference).
     """
     w = weights
     need_feats = _amra_enabled(w) or w.lambda_batch_gd > 0
@@ -158,7 +165,7 @@ def make_batch(samples: list[FixedSample], nbrs: list[np.ndarray],
             t_feats = [f.data for f, _ in outs]
         if w.lambda_kd > 0:
             t_logits = np.concatenate([z.data for _, z in outs], axis=0)
-        if w.lambda_batch_gd > 0:
+        if w.lambda_batch_gd > 0 and w.gd_precision == "float64":
             t_log_z = losses.gd_teacher_log_z(t_feats, w.t_gd,
                                               [s.mask for s in samples])
     return Batch(samples, nbrs,
@@ -168,7 +175,8 @@ def make_batch(samples: list[FixedSample], nbrs: list[np.ndarray],
 
 
 def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
-                      weights: LossWeights) -> dict[str, Tensor | float]:
+                      weights: LossWeights,
+                      log_z_out: np.ndarray | None = None) -> dict[str, Tensor | float]:
     """The SRKD objective of one mini-batch, term by term (`LOSS_NAMES`).
 
     Runs the student forward pass. `l_task` is always a Tensor; a
@@ -178,7 +186,9 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
     each pools them from the teacher maps, from the student maps when
     `lambda_p` or `lambda_v` is positive, and from the projected student
     maps when `lambda_c` is; with none sampled the AMRA terms stay 0.0.
-    Combine the terms with `losses.weighted_total`.
+    Combine the terms with `losses.weighted_total`. When the batch has no
+    teacher log-partitions, the batch-GD walk forms them and fills
+    log_z_out, if given (`losses.loss_batch_gd`).
 
     Batch-GD is formed before the AMRA terms: its walk over the N x N block
     pairs peaks while it runs, and run first it peaks before the pooled
@@ -200,7 +210,7 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
         comps["l_batch_gd"] = losses.loss_batch_gd(
             feats, batch.teacher_feats, w.t_gd,
             [s.mask for s in batch.samples], teacher_log_z=batch.teacher_log_z,
-            dtype=w.gd_precision)
+            dtype=w.gd_precision, log_z_out=log_z_out)
     if _amra_enabled(w) and any(chosen):
         # each student view only when a term that reads it has a weight
         views_s = losses.supervoxel_features(feats, chosen) \
@@ -256,7 +266,13 @@ def _train_loop(model: SegModel, teacher: SegModel | None, cfg: TrainConfig,
                 sample_supervoxels(cand, cfg.sampler.k,
                                    seed=_child_seed(cfg.seed, 19, epoch, bi, si))
                 for si, cand in enumerate(candidates[bi])]
-            comps = distill_objective(model, batch, chosen, w)
+            # The first batch-GD walk over a batch fills its teacher
+            # log-partitions; the later epochs read them back.
+            log_z = np.empty((batch.mask.size, len(batch.samples))) \
+                if w.lambda_batch_gd > 0 and batch.teacher_log_z is None else None
+            comps = distill_objective(model, batch, chosen, w, log_z)
+            if log_z is not None:
+                batches[bi] = replace(batch, teacher_log_z=log_z)
             report = loss_total(comps, w)  # raises naming any non-finite term
             total = weighted_total(comps, w)
             model.zero_grads()

@@ -541,8 +541,21 @@ class TestBatchGD:
             assert got == pytest.approx(base, rel=1e-9)
 
     def test_bad_temperature(self):
-        with pytest.raises(ConfigError):
-            loss_batch_gd([Tensor(np.ones((2, 2)))], [np.ones((2, 2))], 0.0)
+        student, teacher, _ = padded_batch(masked=())
+        for t in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ConfigError, match="temperature"):
+                loss_batch_gd([Tensor(m) for m in student], teacher, t)
+            with pytest.raises(ConfigError, match="temperature"):
+                gd_teacher_log_z(teacher, t)
+
+    # b = 3, n = 8: one column too many or too few, one row too few
+    @pytest.mark.parametrize("shape", [(24, 4), (24, 2), (23, 3)])
+    def test_log_partitions_of_the_wrong_shape_rejected(self, shape):
+        student, teacher, _ = padded_batch(3, 8, masked=())
+        for log_z in ({"teacher_log_z": np.zeros(shape)},
+                      {"log_z_out": np.empty(shape)}):
+            with pytest.raises(ShapeError, match="log-partitions"):
+                loss_batch_gd([Tensor(m) for m in student], teacher, 2.0, **log_z)
 
 
 def padded_batch(b=3, n=6, masked=((0, 4), (0, 5), (2, 1))):
@@ -699,6 +712,36 @@ class TestFloat32Walk:
         if masks is not None:
             assert not got["grad"][~np.concatenate(masks)].any()
 
+    @pytest.mark.parametrize("t", [2.0, 1 / 64])
+    @pytest.mark.parametrize("use_masks", [False, True])
+    @pytest.mark.parametrize("b", [1, 2, 3, 8])
+    def test_filled_log_partitions_agree_with_float64(self, b, use_masks, t):
+        # The walk's own teacher log-partitions against the float64
+        # reference; they change the loss, never the gradient.
+        student, teacher, masks = padded_batch(
+            b, 70, masked=((0, 4), (b - 1, 69), (b // 2, 0)) if use_masks else ())
+        masks = masks if use_masks else None
+        want, filled = gd_teacher_log_z(teacher, t, masks), np.empty((b * 70, b))
+        runs = []
+        for log_z in ({"log_z_out": filled}, {"teacher_log_z": want}):
+            leaves = [Tensor(m, requires_grad=True) for m in student]
+            loss = loss_batch_gd(leaves, teacher, t, masks, dtype="float32", **log_z)
+            loss.backward()
+            runs.append((loss.item(), [leaf.grad for leaf in leaves]))
+        (got_loss, got_grad), (want_loss, want_grad) = runs
+        assert np.abs(filled / want - 1).max() <= 1e-6
+        assert got_loss == pytest.approx(want_loss, rel=1e-4)
+        assert all(np.array_equal(g, w) for g, w in zip(got_grad, want_grad))
+
+    @pytest.mark.parametrize("use_masks", [False, True])
+    def test_float64_walk_fills_the_reference_bits(self, use_masks):
+        student, teacher, masks = padded_batch(3, 70)
+        masks = masks if use_masks else None
+        filled = np.empty((210, 3))
+        loss_batch_gd([Tensor(m) for m in student], teacher, 2.0, masks,
+                      log_z_out=filled)
+        assert np.array_equal(filled, gd_teacher_log_z(teacher, 2.0, masks))
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_exp_overflows_below_the_t_gd_floor(self):
@@ -718,18 +761,20 @@ class TestThreadedWalk:
     """The block-pair walk on worker threads against the serial walk."""
 
     @staticmethod
-    def walk(monkeypatch, workers, b, n, use_masks, grad=True, dtype="float64"):
+    def walk(monkeypatch, workers, b, n, use_masks, grad=True, dtype="float64",
+             fill=False):
         """(loss, leaf gradients, teacher log partitions) of the `dtype`
         walk on `workers` threads, or on as many as `losses._walk_workers`
-        picks if None."""
+        picks if None; with fill, the walk forms the log partitions itself."""
         if workers is not None:
             monkeypatch.setattr(losses, "_walk_workers", lambda n: workers)
         student, teacher, masks = padded_batch(
             b, n, masked=((0, 4), (b - 1, n - 1), (b // 2, 0)) if use_masks else ())
         masks = masks if use_masks else None
-        log_z = gd_teacher_log_z(teacher, 2.0, masks)
+        log_z = np.empty((b * n, b)) if fill else gd_teacher_log_z(teacher, 2.0, masks)
         leaves = [Tensor(m, requires_grad=grad) for m in student]
-        loss = loss_batch_gd(leaves, teacher, 2.0, masks, log_z, dtype=dtype)
+        loss = loss_batch_gd(leaves, teacher, 2.0, masks, None if fill else log_z,
+                             dtype=dtype, log_z_out=log_z if fill else None)
         if grad:
             loss.backward()
         return loss.item(), [leaf.grad for leaf in leaves], log_z
@@ -745,10 +790,11 @@ class TestThreadedWalk:
     @pytest.mark.parametrize("use_masks", [False, True])
     @pytest.mark.parametrize("b", [1, 2, 3, 8])
     def test_two_workers_bit_identical_to_serial(self, monkeypatch, b, use_masks):
-        for dtype, grad in itertools.product(losses.GD_PRECISIONS, (True, False)):
-            want = self.walk(monkeypatch, 1, b, 70, use_masks, grad, dtype)
+        for dtype, grad, fill in itertools.product(losses.GD_PRECISIONS,
+                                                   (True, False), (False, True)):
+            want = self.walk(monkeypatch, 1, b, 70, use_masks, grad, dtype, fill)
             self.assert_same_bits(
-                self.walk(monkeypatch, 2, b, 70, use_masks, grad, dtype), want)
+                self.walk(monkeypatch, 2, b, 70, use_masks, grad, dtype, fill), want)
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         want = self.walk(monkeypatch, 1, 8, 70, True)

@@ -170,7 +170,8 @@ def _oracle_objective(model, teacher, samples, nbrs, chosen, w):
     """Reference: the training loop's batch preparation and step body from
     before `make_batch` and `distill_objective`, kept verbatim except that
     the supervoxel views are pooled by one stacked call per list of maps
-    and the batch-GD walk runs at `w.gd_precision`."""
+    and the batch-GD walk runs at `w.gd_precision`, which at float32 forms
+    the teacher log-partitions in the walk."""
     need_kd = teacher is not None and w.lambda_kd > 0
     need_amra = teacher is not None and (w.lambda_p > 0 or w.lambda_v > 0
                                          or w.lambda_c > 0)
@@ -182,7 +183,8 @@ def _oracle_objective(model, teacher, samples, nbrs, chosen, w):
     labels = np.concatenate([s.cloud.labels for s in samples])
     mask = np.concatenate([s.mask for s in samples])
     gd_masks = None if all(all_valid) else [s.mask for s in samples]
-    t_log_z = losses.gd_teacher_log_z(t_feats, w.t_gd, gd_masks)
+    t_log_z = losses.gd_teacher_log_z(t_feats, w.t_gd, gd_masks) \
+        if w.gd_precision == "float64" else None
 
     outs = [model.forward(s, nbr) for s, nbr in zip(samples, nbrs)]
     feats = [o[1] for o in outs]
@@ -474,7 +476,9 @@ class TestSceneThreads:
         samples = [resample_fixed(c, cfg.n_fixed, i)
                    for i, c in enumerate(data.train[:4])]
         nbrs = [knn_indices(s.cloud.positions, s.mask, cfg.knn_k) for s in samples]
-        run = lambda: make_batch(samples, nbrs, teacher, LossWeights())
+        # float64: the precision at which make_batch computes teacher_log_z
+        run = lambda: make_batch(samples, nbrs, teacher,
+                                 LossWeights(gd_precision="float64"))
         got, want = run(), self.serial(monkeypatch, run)
         for name in ("labels", "mask", "teacher_logits", "teacher_log_z"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -491,6 +495,60 @@ class TestSceneThreads:
 
 class TestSceneThreadsTwoWorkers(TestSceneThreads):
     WALK_WORKERS = 2
+
+
+class TestTeacherLogPartitions:
+    """A float32 run's batch-GD walk fills each batch's teacher
+    log-partitions on the batch's first step; later epochs read them back."""
+
+    def test_precomputed_only_for_float64(self, setup):
+        cfg, data, teacher = setup
+        samples = [resample_fixed(c, cfg.n_fixed, i)
+                   for i, c in enumerate(data.train[:2])]
+        nbrs = [knn_indices(s.cloud.positions, s.mask, cfg.knn_k) for s in samples]
+        assert make_batch(samples, nbrs, teacher, LossWeights()).teacher_log_z is None
+        log_z = make_batch(samples, nbrs, teacher,
+                           LossWeights(gd_precision="float64")).teacher_log_z
+        assert log_z.shape == (2 * cfg.n_fixed, 2)
+
+    def test_each_batch_filled_once(self, setup, monkeypatch):
+        cfg, data, teacher = setup
+        calls, inner = [], losses.loss_batch_gd
+
+        def spy(*args, **kwargs):
+            calls.append((kwargs["teacher_log_z"], kwargs["log_z_out"]))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(losses, "loss_batch_gd", spy)
+        train_distill(replace(cfg, epochs=3), teacher, data)
+        n_batches = len(data.train) // cfg.batch_size
+        filled = [out for given, out in calls[:n_batches]]
+        assert len(calls) == 3 * n_batches
+        assert all(given is None and out is not None
+                   for given, out in calls[:n_batches])
+        for step, (given, out) in enumerate(calls[n_batches:]):
+            assert given is filled[step % n_batches] and out is None
+
+    def test_trains_the_bits_of_precomputed_partitions(self, setup, monkeypatch):
+        cfg, data, teacher = setup
+        cfg = replace(cfg, epochs=3)
+        got, got_log = train_distill(cfg, teacher, data)
+        inner = trainer.make_batch
+
+        def precomputed(samples, nbrs, teacher, w):
+            batch = inner(samples, nbrs, teacher, w)
+            return replace(batch, teacher_log_z=losses.gd_teacher_log_z(
+                batch.teacher_feats, w.t_gd, [s.mask for s in samples]))
+
+        monkeypatch.setattr(trainer, "make_batch", precomputed)
+        want, want_log = train_distill(cfg, teacher, data)
+        assert state_hash(got) == state_hash(want)
+        assert len(got_log) == len(want_log)
+        for g, w in zip(got_log, want_log):
+            assert g.get("l_batch_gd") == pytest.approx(w.get("l_batch_gd"),
+                                                        rel=1e-4)
+            assert {k: v for k, v in g.items() if k not in ("l_batch_gd", "l_total")} \
+                == {k: v for k, v in w.items() if k not in ("l_batch_gd", "l_total")}
 
 
 class TestHarnesses:
