@@ -7,7 +7,9 @@ artifacts under --out. Dataset files live in <out>/dataset; training
 commands read them from there and fail with explicit errors when a
 prerequisite artifact (dataset, teacher checkpoint) is missing. Errors,
 usage errors included, are reported as one-line JSON on stderr with exit
-status 2. The sweeps ablate, subsample and batch-sweep also take --jobs.
+status 2. The sweeps ablate, subsample and batch-sweep run their
+trainings on as many worker processes as OpenBLAS has threads, capped at
+the usable cores and the number of runs (`trainer._run_tasks`).
 """
 
 from __future__ import annotations
@@ -163,8 +165,7 @@ def _teacher_sweep(args, cfg: dict, csv_name: str, sweep, **kwargs) -> list[dict
     h = _echo_config(cfg, out, args.seed)
     data = _load_dataset(out)
     teacher = _load_model(out, data, "teacher", "train-teacher")
-    rows = sweep(cfgmod.train_config(cfg, args.seed), teacher, data,
-                 jobs=args.jobs, **kwargs)
+    rows = sweep(cfgmod.train_config(cfg, args.seed), teacher, data, **kwargs)
     _write_csv(out / csv_name, rows, h)
     return rows
 
@@ -323,10 +324,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-# The commands that run independent sweeps in worker processes.
-_JOBS_COMMANDS = ("ablate", "subsample", "batch-sweep")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="srkd", description="SRKD distillation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -335,18 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="runs/default", help="artifact directory")
-        if name in _JOBS_COMMANDS:
-            p.add_argument("--jobs", type=int, default=1,
-                           help="worker processes for sweeps (>= 1, capped "
-                                "at the number of runs)")
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "jobs", 1) < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = cfgmod.load_config(args.config)
         return _COMMANDS[args.command](args, cfg)
     except SRKDError as exc:

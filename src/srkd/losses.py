@@ -60,8 +60,8 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, concat_rows, segment_mean
-from .errors import (ConfigError, NumericError, PairingError, ShapeError,
-                     UndefinedLossError)
+from .errors import (ConfigError, DataError, NumericError, PairingError,
+                     ShapeError, UndefinedLossError)
 from .cloud import IGNORE_LABEL
 from .numerics import l2_normalize_rows, log_softmax_rows
 from .voxelize import Supervoxel
@@ -142,6 +142,14 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _row_vector(a, n: int, what: str) -> np.ndarray:
+    """a as an array, ShapeError unless it is (n,): one entry per row."""
+    a = np.asarray(a)
+    if a.shape != (n,):
+        raise ShapeError(f"{what} must be ({n},), got {a.shape}")
+    return a
+
+
 def _grad_edge(t: Tensor, grad: np.ndarray):
     """Edge of a scalar op into the stacked Tensor t: g * grad, in t's shape."""
     return t, lambda g: float(g) * grad.reshape(t.shape)
@@ -152,15 +160,19 @@ def _grad_edge(t: Tensor, grad: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def loss_task(logits, labels: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
-    """Mean cross-entropy over unmasked labeled points."""
+    """Mean cross-entropy over unmasked labeled points. Raises ShapeError
+    unless labels and mask are (N,), and DataError for a counted label
+    outside [0, C)."""
     logits = _as_tensor(logits)
     n, c = logits.shape
-    labels = np.asarray(labels)
+    labels = _row_vector(labels, n, "loss_task labels")
     valid = labels != IGNORE_LABEL
     if mask is not None:
-        valid = valid & np.asarray(mask, dtype=bool)
+        valid = valid & _row_vector(mask, n, "loss_task mask").astype(bool)
     if not valid.any():
         raise UndefinedLossError("loss_task: zero labeled points")
+    if np.any((labels[valid] < 0) | (labels[valid] >= c)):
+        raise DataError(f"loss_task: a label outside [0, {c}) is not IGNORE_LABEL")
     onehot = np.zeros((n, c))
     onehot[valid, labels[valid]] = 1.0
     log_p = logits.log_softmax_rows()
@@ -190,12 +202,17 @@ def _softmax_kl(zs: np.ndarray, zt: np.ndarray, m: np.ndarray,
 
 def loss_kd(student_logits, teacher_logits, temperature: float,
             mask: np.ndarray | None = None) -> Tensor:
-    """Mean per-point KL(softmax(Z_s/T) || softmax(Z_t/T)); student first."""
+    """Mean per-point KL(softmax(Z_s/T) || softmax(Z_t/T)); student first.
+    Raises ConfigError for a non-finite or non-positive T and ShapeError
+    unless the mask is (N,)."""
+    _check_temperature(temperature)
     zs = _as_tensor(student_logits)
     zt = np.asarray(teacher_logits, dtype=np.float64)
     if zs.shape != zt.shape or zs.data.ndim != 2:
         raise ShapeError(f"loss_kd needs equal (N, C) logits, got {zs.shape} vs {zt.shape}")
-    m = np.ones(zs.shape[0]) if mask is None else np.asarray(mask, bool).astype(np.float64)
+    n = zs.shape[0]
+    m = np.ones(n) if mask is None else \
+        _row_vector(mask, n, "loss_kd mask").astype(bool).astype(np.float64)
     # one group; divisor T turns the gradient at Z_s/T into the one at Z_s
     value, grad = _softmax_kl(zs.data[None], zt[None], m[None], temperature, temperature)
     return Tensor.from_op(value[0], [_grad_edge(zs, grad)])
@@ -367,10 +384,10 @@ def gd_teacher_log_z(teacher_maps: list[np.ndarray], temperature: float,
     its own walk, at its working precision (bit for bit these at float64).
     """
     _check_temperature(temperature)
-    b, n = len(teacher_maps), teacher_maps[0].shape[0]
+    b, n = len(teacher_maps), _points_per_sample(teacher_maps)
     ft = np.concatenate([l2_normalize_rows(m) for m in teacher_maps], axis=0)
     ft *= np.sqrt(1.0 / temperature)
-    mask = _column_mask(masks, b * n)
+    mask = _column_mask(masks, b, n)
     log_z = np.empty((b * n, b))
 
     def pair(i, j, ri, rj, e):
@@ -388,10 +405,23 @@ def _check_temperature(temperature: float):
         raise ConfigError(f"temperature must be finite and positive, got {temperature}")
 
 
-def _column_mask(masks: list[np.ndarray] | None, size: int) -> np.ndarray:
-    """0/1 float64 vector of the valid rows of the stacked batch."""
-    return np.ones(size) if masks is None else \
-        np.concatenate([np.asarray(m, bool) for m in masks]).astype(np.float64)
+def _points_per_sample(maps) -> int:
+    """N, the rows every map of the batch must share (else ShapeError)."""
+    n = maps[0].shape[0]
+    if any(m.shape[0] != n for m in maps):
+        raise ShapeError("inconsistent point count across the batch")
+    return n
+
+
+def _column_mask(masks: list[np.ndarray] | None, b: int, n: int) -> np.ndarray:
+    """0/1 float64 vector of the valid rows of the stacked batch; ShapeError
+    unless there is one (N,) mask per sample."""
+    if masks is None:
+        return np.ones(b * n)
+    if len(masks) != b:
+        raise ShapeError(f"need one mask per sample, got {len(masks)} for {b}")
+    return np.concatenate([_row_vector(m, n, "batch-GD mask").astype(bool)
+                           for m in masks]).astype(np.float64)
 
 
 def _block_pairs(b: int, n: int):
@@ -419,17 +449,22 @@ def _blas_control():
     return None
 
 
-def _walk_workers(n: int) -> int:
-    """Threads for `map_in_order` over N x N block pairs or scenes of N
-    points: the BLAS thread count, capped at the usable cores; 1 (the
-    serial walk) without the BLAS control, or below `_MIN_THREADED_ROWS`
-    rows."""
+def _parallelism() -> int:
+    """P, which sizes `map_in_order` and the trainer's sweep processes: the
+    OpenBLAS thread count, capped at the usable cores; 1 without the BLAS
+    control."""
     blas = _blas_control()
-    if blas is None or n < _MIN_THREADED_ROWS:
+    if blas is None:
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
     return min(blas[0](), cores)
+
+
+def _walk_workers(n: int) -> int:
+    """Threads for `map_in_order` over N x N block pairs or scenes of N
+    points: P, or 1 (the serial walk) below `_MIN_THREADED_ROWS` rows."""
+    return 1 if n < _MIN_THREADED_ROWS else _parallelism()
 
 
 @contextlib.contextmanager
@@ -522,13 +557,11 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
     if not student_maps or len(student_maps) != len(teacher_maps):
         raise ShapeError("student and teacher map lists must match")
     _check_temperature(temperature)
-    b, n = len(student_maps), student_maps[0].shape[0]
-    if any(m.shape[0] != n for m in [*student_maps, *teacher_maps]):
-        raise ShapeError("inconsistent point count across the batch")
+    b, n = len(student_maps), _points_per_sample([*student_maps, *teacher_maps])
     fn_s = concat_rows([_as_tensor(m).l2_normalize_rows() for m in student_maps])
     fn_t = np.concatenate([l2_normalize_rows(np.asarray(m, dtype=np.float64))
                            for m in teacher_maps], axis=0)
-    mask = _column_mask(masks, b * n)
+    mask = _column_mask(masks, b, n)
     counts = mask.reshape(b, n).sum(axis=1)
     if np.any(counts == 0):
         raise UndefinedLossError("loss_batch_gd: a sample has no valid rows")

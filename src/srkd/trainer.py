@@ -406,20 +406,18 @@ def _distill_eval(cfg: TrainConfig, teacher_state: dict, data: Dataset,
 
 def _one_blas_thread_worker():
     """Pool initializer: the worker's OpenBLAS runs on one thread, so its
-    `map_in_order` passes are serial and --jobs N starts N threads, not N
+    `map_in_order` passes are serial and P workers start P threads, not P
     times the cores."""
     blas = losses._blas_control()
     if blas is not None:
         blas[1](1)
 
 
-def _run_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
-    """Run `_distill_eval` over tasks, in at most min(jobs, len(tasks))
-    worker processes on one OpenBLAS thread each (the pool forks every
-    worker up front)."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs, len(tasks))
+def _run_tasks(tasks: list[tuple]) -> list[dict]:
+    """Run `_distill_eval` over tasks in min(P, len(tasks)) forked worker
+    processes on one OpenBLAS thread each, P = `losses._parallelism()`;
+    with one worker, in process on the threaded walk."""
+    workers = min(losses._parallelism(), len(tasks))
     if workers <= 1:
         return [_distill_eval(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers,
@@ -428,8 +426,9 @@ def _run_tasks(tasks: list[tuple], jobs: int) -> list[dict]:
 
 
 def ablate(cfg: TrainConfig, teacher: SegModel, data: Dataset,
-           *, seeds: tuple[int, ...], jobs: int = 1) -> list[dict]:
-    """Four variants (CE only, +logit KD, +batch GD, full) over paired seeds."""
+           *, seeds: tuple[int, ...]) -> list[dict]:
+    """Four variants (CE only, +logit KD, +batch GD, full) over paired seeds,
+    run by `_run_tasks`."""
     state = teacher.state_dict()
     tasks = []
     for variant, enabled in ABLATION_VARIANTS:
@@ -437,13 +436,14 @@ def ablate(cfg: TrainConfig, teacher: SegModel, data: Dataset,
         for seed in seeds:
             vcfg = replace(cfg, seed=seed, weights=vw)
             tasks.append((vcfg, state, data, {"variant": variant, "seed": seed}))
-    return _run_tasks(tasks, jobs)
+    return _run_tasks(tasks)
 
 
 def subsample_sweep(cfg: TrainConfig, teacher: SegModel, data: Dataset,
-                    *, fractions: tuple[float, ...], seeds: tuple[int, ...],
-                    jobs: int = 1) -> list[dict]:
-    """Retrain on seeded training subsets; evaluate on the full val split."""
+                    *, fractions: tuple[float, ...],
+                    seeds: tuple[int, ...]) -> list[dict]:
+    """Retrain on seeded training subsets, run by `_run_tasks`; evaluate on
+    the full val split."""
     state = teacher.state_dict()
     tasks = []
     for frac in fractions:
@@ -458,15 +458,16 @@ def subsample_sweep(cfg: TrainConfig, teacher: SegModel, data: Dataset,
             sub = Dataset(tuple(data.train[int(i)] for i in np.sort(keep)), data.val)
             tasks.append((replace(cfg, seed=seed), state, sub,
                           {"fraction": frac, "seed": seed}))
-    return _run_tasks(tasks, jobs)
+    return _run_tasks(tasks)
 
 
 def batch_sensitivity(cfg: TrainConfig, teacher: SegModel, data: Dataset,
-                      *, batch_sizes: tuple[int, ...], jobs: int = 1) -> list[dict]:
+                      *, batch_sizes: tuple[int, ...]) -> list[dict]:
+    """One distillation run per batch size, run by `_run_tasks`."""
     state = teacher.state_dict()
     tasks = [(replace(cfg, batch_size=int(b)), state, data, {"batch_size": int(b)})
              for b in batch_sizes]
-    return _run_tasks(tasks, jobs)
+    return _run_tasks(tasks)
 
 
 def dim_sensitivity(cfg: TrainConfig, data: Dataset, *,

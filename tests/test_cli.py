@@ -128,7 +128,7 @@ class TestPipeline:
                                         "sweep.seeds = 0, 1, 2, 3, 4"))
         seen = []
 
-        def sweep(cfg, teacher, data, *, fractions, seeds, jobs):
+        def sweep(cfg, teacher, data, *, fractions, seeds):
             seen.append(seeds)
             return [{"fraction": f, "seed": s} for f in fractions for s in seeds]
 
@@ -193,17 +193,6 @@ class TestErrors:
             assert len(lines) == 1
             assert json.loads(lines[0])["error"] == "ConfigError"
 
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs_below_one_rejected(self, workdir, tmp_path, capsys, jobs):
-        out = tmp_path / "o"
-        assert main(["ablate", "--config", str(workdir / "tiny.cfg"),
-                     "--out", str(out), "--jobs", jobs]) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        err = json.loads(lines[0])
-        assert err["error"] == "ConfigError" and "--jobs" in err["message"]
-        assert not out.exists()
-
     @staticmethod
     def one_config_error(capsys) -> str:
         lines = capsys.readouterr().err.splitlines()
@@ -214,20 +203,18 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv", [
         ["train", "--jobs", "2"], ["train", "--seed", "abc"], ["nosuch"], [],
-        ["ablate", "--jobs", "x"]], ids=["jobs", "seed", "command", "empty", "int"])
+        ["ablate", "--seed", "x"]], ids=["jobs", "seed", "command", "empty", "int"])
     def test_usage_error_is_one_json_line(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "o")] if argv else argv) == 2
         self.one_config_error(capsys)
         assert not (tmp_path / "o").exists()
 
-    def test_jobs_only_on_sweeps(self, tmp_path, capsys):
+    def test_jobs_rejected_on_every_command(self, tmp_path, capsys):
+        # sweeps size their worker pool themselves (`trainer._run_tasks`)
         for name in cli._COMMANDS:
-            argv = [name, "--jobs", "2", "--out", str(tmp_path / "o")]
-            if name in ("ablate", "subsample", "batch-sweep"):
-                assert cli.build_parser().parse_args(argv).jobs == 2
-            else:
-                assert main(argv) == 2, name
-                assert "--jobs" in self.one_config_error(capsys)
+            assert main([name, "--jobs", "2", "--out", str(tmp_path / "o")]) == 2
+            assert "--jobs" in self.one_config_error(capsys), name
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [["-h"], ["train", "-h"], ["ablate", "--help"]])
     def test_help_exits_0(self, capsys, argv):

@@ -12,8 +12,8 @@ import pytest
 from srkd import losses
 from srkd.autodiff import Tensor, finite_diff_gradient
 from srkd.cloud import SceneSpec, derive_seed, generate_scene, resample_fixed
-from srkd.errors import (ConfigError, NumericError, PairingError, ShapeError,
-                         UndefinedLossError)
+from srkd.errors import (ConfigError, DataError, NumericError, PairingError,
+                         ShapeError, UndefinedLossError)
 from srkd.losses import (LOSS_NAMES, LossWeights, SupervoxelFeatures, affinity,
                          gd_teacher_log_z, loss_amra_channel, loss_amra_point,
                          loss_amra_voxel, loss_batch_gd, loss_kd, loss_task,
@@ -82,6 +82,26 @@ class TestLossTask:
         with pytest.raises(UndefinedLossError):
             loss_task(Tensor(np.zeros((2, 3))), np.array([255, 255]))
 
+    @pytest.mark.parametrize("label", [-1, 3, 254])
+    def test_label_out_of_range(self, label):
+        # C = 3: -1 would score as class 2, 254 would index past the classes
+        logits = Tensor(np.random.default_rng(3).standard_normal((6, 3)))
+        labels = np.array([0, 1, 2, label, 255, 1])
+        with pytest.raises(DataError, match="IGNORE_LABEL"):
+            loss_task(logits, labels)
+        mask = np.ones(6, dtype=bool)
+        mask[3] = False                        # a masked row is not counted
+        loss_task(logits, labels, mask)
+
+    @pytest.mark.parametrize("labels, mask", [
+        (np.zeros(5, dtype=int), None), (np.zeros((6, 1), dtype=int), None),
+        (np.zeros(6, dtype=int), np.ones(5, dtype=bool)),
+        (np.zeros(6, dtype=int), np.ones((1, 6), dtype=bool))],
+        ids=["labels5", "labels6x1", "mask5", "mask1x6"])
+    def test_labels_and_mask_must_be_rows(self, labels, mask):
+        with pytest.raises(ShapeError, match=r"\(6,\)"):
+            loss_task(Tensor(np.zeros((6, 3))), labels, mask)
+
 
 class TestLossKD:
     def test_identity(self):
@@ -107,6 +127,18 @@ class TestLossKD:
         pt = softmax_rows(zt, 2.0)
         want = np.mean([kl_vec(a, b) for a, b in zip(ps, pt)])
         assert loss_kd(Tensor(zs), zt, 2.0).item() == pytest.approx(want)
+
+    def test_bad_temperature(self):
+        zs, zt = np.random.default_rng(3).standard_normal((2, 6, 3))
+        for t in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ConfigError, match="temperature"):
+                loss_kd(Tensor(zs), zt, t)
+
+    @pytest.mark.parametrize("shape", [(5,), (7,), (6, 1)])
+    def test_mask_must_be_rows(self, shape):
+        zs, zt = np.random.default_rng(3).standard_normal((2, 6, 3))
+        with pytest.raises(ShapeError, match=r"\(6,\)"):
+            loss_kd(Tensor(zs), zt, 2.0, np.ones(shape, dtype=bool))
 
 
 def composed_loss_kd(zs: Tensor, zt, temperature, mask) -> Tensor:
@@ -547,6 +579,21 @@ class TestBatchGD:
                 loss_batch_gd([Tensor(m) for m in student], teacher, t)
             with pytest.raises(ConfigError, match="temperature"):
                 gd_teacher_log_z(teacher, t)
+
+    # b = 3, n = 8: masks one row short and one long, or one mask too few
+    @pytest.mark.parametrize("lengths", [(7, 9, 8), (8, 8)])
+    def test_masks_must_match_the_samples(self, lengths):
+        student, teacher, _ = padded_batch(3, 8, masked=())
+        masks = [np.ones(k, dtype=bool) for k in lengths]
+        with pytest.raises(ShapeError, match="mask"):
+            loss_batch_gd([Tensor(m) for m in student], teacher, 2.0, masks)
+        with pytest.raises(ShapeError, match="mask"):
+            gd_teacher_log_z(teacher, 2.0, masks)
+
+    def test_teacher_log_z_maps_of_unequal_rows_rejected(self):
+        _, teacher, _ = padded_batch(3, 8, masked=())
+        with pytest.raises(ShapeError, match="point count"):
+            gd_teacher_log_z([teacher[0], teacher[1][:7], teacher[2]], 2.0)
 
     # b = 3, n = 8: one column too many or too few, one row too few
     @pytest.mark.parametrize("shape", [(24, 4), (24, 2), (23, 3)])

@@ -653,49 +653,62 @@ def _distill_state(cfg, teacher_state, data, tag):
 
 
 class TestJobs:
+    """`trainer._run_tasks` forks min(P, runs) workers, P the parallelism
+    rule that also sizes `losses.map_in_order`."""
+
     @pytest.fixture
     def pool(self, monkeypatch):
         monkeypatch.setattr(trainer, "ProcessPoolExecutor", _RecordingPool)
         _RecordingPool.max_workers = []
         return _RecordingPool
 
-    @pytest.mark.parametrize("jobs, workers", [(1000, 8), (3, 3)])
-    def test_workers_capped_at_task_count(self, setup, pool, jobs, workers):
+    @pytest.mark.parametrize("p, workers", [(1000, 8), (3, 3)])
+    def test_workers_capped_at_task_count(self, setup, pool, parallelism,
+                                          p, workers):
         cfg, data, teacher = setup
-        rows = ablate(cfg, teacher, data, seeds=(0, 1), jobs=jobs)  # 8 runs
+        parallelism(p)
+        rows = ablate(cfg, teacher, data, seeds=(0, 1))  # 8 runs
         assert pool.max_workers == [workers]
         assert len(rows) == 8
 
-    def test_single_task_runs_in_process(self, setup, pool):
+    def test_single_task_runs_in_process(self, setup, pool, parallelism):
         cfg, data, teacher = setup
-        rows = subsample_sweep(cfg, teacher, data, fractions=(1.0,),
-                               seeds=(0,), jobs=4)
+        parallelism(4)
+        rows = subsample_sweep(cfg, teacher, data, fractions=(1.0,), seeds=(0,))
         assert pool.max_workers == []
         assert set(rows[0]) >= {"fraction", "seed", "miou"}
 
-    def test_process_pool_rows_equal_serial_rows(self, setup):
+    def test_parallelism_one_runs_in_process(self, setup, pool, parallelism):
+        cfg, data, teacher = setup
+        rows = batch_sensitivity(cfg, teacher, data, batch_sizes=(2, 4))
+        assert pool.max_workers == []
+        assert [r["batch_size"] for r in rows] == [2, 4]
+
+    def test_process_pool_rows_equal_serial_rows(self, setup, parallelism):
         # forked workers run the same seeded code as the serial loop
         cfg, data, teacher = setup
-        serial = ablate(cfg, teacher, data, seeds=(0, 1), jobs=1)
-        pooled = ablate(cfg, teacher, data, seeds=(0, 1), jobs=2)
+        serial = ablate(cfg, teacher, data, seeds=(0, 1))
+        parallelism(2)
+        pooled = ablate(cfg, teacher, data, seeds=(0, 1))
         assert pooled == serial
 
-    def test_workers_run_on_one_blas_thread(self, monkeypatch):
+    def test_workers_run_on_one_blas_thread(self, monkeypatch, parallelism):
         control = losses._blas_control()
         if control is None:
             pytest.skip("the OpenBLAS thread control is not found")
         get, set_ = control
         saved = get()
+        parallelism(2)
         monkeypatch.setattr(trainer, "_distill_eval", _blas_threads)
         try:
             set_(2)
-            assert trainer._run_tasks([(0,), (1,)], jobs=2) \
-                == [{"blas_threads": 1}] * 2
+            assert trainer._run_tasks([(0,), (1,)]) == [{"blas_threads": 1}] * 2
             assert get() == 2
         finally:
             set_(saved)
 
-    def test_one_blas_thread_workers_train_the_serial_bits(self, monkeypatch):
+    def test_one_blas_thread_workers_train_the_serial_bits(self, monkeypatch,
+                                                           parallelism):
         # At n_fixed = 1000, not a multiple of OpenBLAS's gemm tiling, an
         # N x N block times F differs between one and two BLAS threads. The
         # serial loop's threaded walk and scene passes pin one BLAS thread,
@@ -712,20 +725,26 @@ class TestJobs:
         monkeypatch.setattr(trainer, "_distill_eval", _distill_state)
         try:
             set_(2)
+            parallelism(2)          # the serial loop walks on two threads
             teacher, _ = train_teacher(cfg, data)
             tasks = [(replace(cfg, seed=s), teacher.state_dict(), data,
                       {"seed": s}) for s in (0, 1)]
-            serial = trainer._run_tasks(tasks, jobs=1)
-            assert trainer._run_tasks(tasks, jobs=2) == serial
+            serial = [_distill_state(*t) for t in tasks]
+            assert trainer._run_tasks(tasks) == serial
         finally:
             set_(saved)
 
-    @pytest.mark.parametrize("jobs", [0, -2])
-    def test_jobs_below_one_rejected(self, setup, pool, jobs):
-        cfg, data, teacher = setup
-        with pytest.raises(ConfigError, match="jobs"):
-            ablate(cfg, teacher, data, seeds=(0,), jobs=jobs)
-        assert pool.max_workers == []
+    @pytest.mark.parametrize("n", [16, 255, 256, 1024])
+    def test_walk_workers_unchanged(self, monkeypatch, n):
+        """`_walk_workers` is P from 256 rows, 1 below and without OpenBLAS."""
+        cores = len(os.sched_getaffinity(0))
+        for threads in (1, 3, 1000):
+            monkeypatch.setattr(losses, "_blas_control",
+                                lambda t=threads: (lambda: t, None))
+            assert losses._parallelism() == min(threads, cores)
+            assert losses._walk_workers(n) == (1 if n < 256 else min(threads, cores))
+        monkeypatch.setattr(losses, "_blas_control", lambda: None)
+        assert losses._parallelism() == losses._walk_workers(n) == 1
 
 
 class TestTrainConfig:
