@@ -644,6 +644,11 @@ def _blas_threads(*task):
     return {"blas_threads": losses._blas_control()[0]()}
 
 
+def _walk_threads(*task):
+    """Stands in for `trainer._distill_eval` in a pool worker."""
+    return {"walk_workers": losses._walk_workers(1000)}
+
+
 def _distill_state(cfg, teacher_state, data, tag):
     """Stands in for `trainer._distill_eval`: the student's state hash and
     step log, which show every bit that an mIoU row can hide."""
@@ -707,12 +712,13 @@ class TestJobs:
         finally:
             set_(saved)
 
-    def test_one_blas_thread_workers_train_the_serial_bits(self, monkeypatch,
-                                                           parallelism):
+    def test_one_blas_thread_workers_train_the_serial_bits(self, monkeypatch):
         # At n_fixed = 1000, not a multiple of OpenBLAS's gemm tiling, an
         # N x N block times F differs between one and two BLAS threads. The
         # serial loop's threaded walk and scene passes pin one BLAS thread,
         # so a worker on one thread still trains the serial loop's bits.
+        # P is not pinned: at two BLAS threads it is 2 here and 1 in each
+        # worker, as in a real sweep.
         control = losses._blas_control()
         if control is None or len(os.sched_getaffinity(0)) < 2:
             pytest.skip("needs the OpenBLAS thread control and two cores")
@@ -722,10 +728,12 @@ class TestJobs:
         spec = SceneSpec(n_scenes=5, points_per_scene=1100, seed=0)
         data = Dataset(tuple(generate_scene(spec, i) for i in range(4)),
                        (generate_scene(spec, 4),))
-        monkeypatch.setattr(trainer, "_distill_eval", _distill_state)
         try:
             set_(2)
-            parallelism(2)          # the serial loop walks on two threads
+            monkeypatch.setattr(trainer, "_distill_eval", _walk_threads)
+            assert trainer._run_tasks([(0,), (1,)]) == [{"walk_workers": 1}] * 2
+            assert losses._walk_workers(1000) == 2   # the serial loop's walk
+            monkeypatch.setattr(trainer, "_distill_eval", _distill_state)
             teacher, _ = train_teacher(cfg, data)
             tasks = [(replace(cfg, seed=s), teacher.state_dict(), data,
                       {"seed": s}) for s in (0, 1)]
