@@ -8,18 +8,18 @@ hand-derived gradient is formed with its value, logit KD and the channel
 term by one masked softmax-KL kernel (`_softmax_kl`). The cross-sample
 batch geometry loss, which dominates the training step at full scale,
 walks the N x N block pairs of the stacked (B*N, D) maps on W worker
-threads and never forms the (B*N)^2 gram (`_fused_batch_gd`).
+threads and never forms the (B*N)^2 gram (`loss_batch_gd`).
 Those threads come from `map_in_order`, the package's one thread pool,
 which also runs the trainer's per-scene passes. The walk is the one place
 that may work below float64: `LossWeights.gd_precision` selects float32
 blocks (the fast path, which every configured run trains) or float64 ones
 (the reference that gradient checks and oracles select in code); its loss
 and gradient are float64 sums either way. Everything else is float64.
-The teacher's log-partitions, a constant of each mini-batch, come either
-from `gd_teacher_log_z` (the float64 reference, precomputed once per batch
-for a float64 objective) or from the walk itself, which exponentiates the
-teacher blocks it forms anyway at its working precision; the trainer keeps
-the array the first float32 walk over a batch fills for its later epochs.
+The teacher's log-partitions, a constant of each mini-batch, come from
+the walk itself: the first walk over a batch exponentiates the teacher
+blocks it forms anyway, at its working precision, and the trainer keeps
+the array it fills for the batch's later epochs. `gd_teacher_log_z` is
+their independent float64 oracle.
 
 `supervoxel_features` pools the S sampled supervoxels of a batch from a
 list of per-sample maps into stacked (S*n, D) point and voxel Tensors, one
@@ -63,7 +63,7 @@ from .autodiff import Tensor, concat_rows, segment_mean
 from .errors import (ConfigError, DataError, NumericError, PairingError,
                      ShapeError, UndefinedLossError)
 from .cloud import IGNORE_LABEL
-from .numerics import l2_normalize_rows, log_softmax_rows
+from .numerics import check_temperature, l2_normalize_rows, log_softmax_rows
 from .voxelize import Supervoxel
 
 # Rows of the P and Q strips the batch-GD gradient pass forms at a time.
@@ -72,7 +72,7 @@ _STRIP_ROWS = 64
 # B=8 the threaded block walk breaks even near N=128 and is 4x slower at N=16.
 _MIN_THREADED_ROWS = 256
 
-# Working precisions of the batch-GD block walk (`_fused_batch_gd`).
+# Working precisions of the batch-GD block walk (`loss_batch_gd`).
 GD_PRECISIONS = ("float32", "float64")
 # |S_ij| <= 1/t_gd, and the teacher block the float32 walk exponentiates for
 # its own log-partitions holds the same |T_ij| <= 1/t_gd, so exp(S_ij),
@@ -101,8 +101,8 @@ class LossWeights:
                    self.lambda_c, self.lambda_batch_gd)
         if any(not np.isfinite(v) or v < 0 for v in lambdas):
             raise ConfigError("loss weights must be finite and nonnegative")
-        if any(not np.isfinite(t) or t <= 0 for t in (self.t_logit, self.t_gd)):
-            raise ConfigError("temperatures must be finite and positive")
+        for t in (self.t_logit, self.t_gd):
+            check_temperature(t)
         if self.gd_precision not in GD_PRECISIONS:
             raise ConfigError(f"gd_precision must be one of "
                               f"{', '.join(GD_PRECISIONS)}, got {self.gd_precision!r}")
@@ -205,7 +205,7 @@ def loss_kd(student_logits, teacher_logits, temperature: float,
     """Mean per-point KL(softmax(Z_s/T) || softmax(Z_t/T)); student first.
     Raises ConfigError for a non-finite or non-positive T and ShapeError
     unless the mask is (N,)."""
-    _check_temperature(temperature)
+    check_temperature(temperature)
     zs = _as_tensor(student_logits)
     zt = np.asarray(teacher_logits, dtype=np.float64)
     if zs.shape != zt.shape or zs.data.ndim != 2:
@@ -374,16 +374,15 @@ def gd_teacher_log_z(teacher_maps: list[np.ndarray], temperature: float,
     """Per-(row, target-sample) log partition of the teacher similarities.
 
     Entry [a, j] is log sum_c exp(<t_a, t_c> / T) over the valid columns c
-    of sample j, for L2-normalized teacher rows t. Like the loss kernel it
-    walks the block pairs i <= j: the row sums of exp(T_ij) serve the rows
-    of i, its column sums those of j. Each walk worker holds one N x N
-    float64 block (8 MB at N=1024). This is the float64 reference: the
-    teacher is frozen, so for a float64 objective `trainer.make_batch`
-    computes it once per mini-batch and every epoch reuses it. A
-    `loss_batch_gd` call without teacher_log_z forms the same partitions in
-    its own walk, at its working precision (bit for bit these at float64).
+    of sample j, for L2-normalized teacher rows t. Like the loss it walks
+    the block pairs i <= j in float64: the row sums of exp(T_ij) serve the
+    rows of i, its column sums those of j; each walk worker holds one N x N
+    block (8 MB at N=1024). The package never calls it: `loss_batch_gd`
+    forms the same partitions in its own walk (bit for bit these at
+    float64). It is the independent float64 oracle the tests hold that fill
+    against, and the benchmark's tracer times it.
     """
-    _check_temperature(temperature)
+    check_temperature(temperature)
     b, n = len(teacher_maps), _points_per_sample(teacher_maps)
     ft = np.concatenate([l2_normalize_rows(m) for m in teacher_maps], axis=0)
     ft *= np.sqrt(1.0 / temperature)
@@ -400,13 +399,12 @@ def gd_teacher_log_z(teacher_maps: list[np.ndarray], temperature: float,
     return log_z
 
 
-def _check_temperature(temperature: float):
-    if not np.isfinite(temperature) or temperature <= 0:
-        raise ConfigError(f"temperature must be finite and positive, got {temperature}")
-
-
 def _points_per_sample(maps) -> int:
-    """N, the rows every map of the batch must share (else ShapeError)."""
+    """N, the rows every map of the batch must share; ShapeError unless the
+    batch is a nonempty list of 2-D (N, D) maps."""
+    if not maps or any(len(m.shape) != 2 for m in maps):
+        raise ShapeError("a batch needs one or more 2-D (N, D) maps, got shapes "
+                         f"{[tuple(m.shape) for m in maps]}")
     n = maps[0].shape[0]
     if any(m.shape[0] != n for m in maps):
         raise ShapeError("inconsistent point count across the batch")
@@ -545,18 +543,36 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
     (i, j) the row-softmax KL of the cross-sample similarity matrices is
     averaged over the valid rows of sample i (softmax restricted to valid
     columns of sample j); pair losses are summed with a 1/B^2 normalizer.
-    dtype is the working precision of the block walk (`GD_PRECISIONS`);
-    the loss and gradient are float64 either way.
 
-    teacher_log_z holds the (B*N, B) teacher log-partitions of
-    `gd_teacher_log_z`. Without it the walk computes them from its own
-    teacher blocks at its working precision and fills log_z_out, a (B*N, B)
-    float64 array, if one is given, so that later calls on the same teacher
-    maps can pass it back. They enter the loss only, never the gradient.
+    Loss and gradient come from one walk over the block pairs; the
+    (B*N, B*N) gram of the stacked normalized maps is never formed. As
+    S_ji = S_ij^T, each block pair i <= j is computed once: from E = exp(S_ij)
+    and D = S_ij - T_ij the rows of i get their softmax over the columns of j
+    through E @ m_j, the rows of j theirs over the columns of i through
+    m_i @ E (m: 0/1 masks). Both sides' gradient blocks combine into
+    H = G_ij + G_ji^T = E * (P * D - Q), P and Q rank-2; H @ F_j goes to the
+    rows of i, H^T @ F_i to those of j. `_walk_block_pairs` runs the pairs on
+    W workers (the BLAS thread count, capped at the usable cores), each
+    holding two N x N blocks and a 64-row strip; the results are
+    bit-identical to one worker. No gradient pass if the student needs none.
+
+    dtype is the working precision of the walk (`GD_PRECISIONS`): the
+    stacked maps are cast to it once per call, and E, H and the strip are
+    held in it (each block 8 MB in float64, 4 MB in float32, at N=1024).
+    Each pair's partitions, expectations and gradient blocks are cast to
+    float64 as they are stored, so row_kl, the gradient and the loss are
+    float64 sums either way.
+
+    teacher_log_z holds the (B*N, B) teacher log-partitions of an earlier
+    call on the same teacher maps and masks. Without it, each pair first
+    exponentiates its teacher block T_ij into E and stores the
+    log-partitions of both sides, before the student block overwrites E, in
+    log_z_out, a (B*N, B) float64 array, if one is given, so that later
+    calls can pass it back. They enter the loss only, never the gradient.
     """
     if not student_maps or len(student_maps) != len(teacher_maps):
         raise ShapeError("student and teacher map lists must match")
-    _check_temperature(temperature)
+    check_temperature(temperature)
     b, n = len(student_maps), _points_per_sample([*student_maps, *teacher_maps])
     fn_s = concat_rows([_as_tensor(m).l2_normalize_rows() for m in student_maps])
     fn_t = np.concatenate([l2_normalize_rows(np.asarray(m, dtype=np.float64))
@@ -566,47 +582,17 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
     if np.any(counts == 0):
         raise UndefinedLossError("loss_batch_gd: a sample has no valid rows")
     row_weight = mask * np.repeat(1.0 / (b * b * counts), n)
+    fill = teacher_log_z is None
     log_zt = teacher_log_z
-    if log_zt is None:
+    if fill:
         log_zt = np.empty((b * n, b)) if log_z_out is None else log_z_out
     if np.shape(log_zt) != (b * n, b):
         raise ShapeError(f"teacher log-partitions must be ({b * n}, {b}), "
                          f"got {np.shape(log_zt)}")
-    return _fused_batch_gd(fn_s, fn_t, b, n, temperature, mask, row_weight,
-                           log_zt, teacher_log_z is None, dtype)
-
-
-def _fused_batch_gd(fn_s: Tensor, fn_t: np.ndarray, b: int, n: int,
-                    temperature: float, mask: np.ndarray,
-                    row_weight: np.ndarray, log_zt: np.ndarray, fill: bool,
-                    dtype="float64") -> Tensor:
-    """Loss and gradient of the pairwise row-softmax KL in one block-pair walk.
-
-    The (B*N, B*N) gram of the stacked normalized maps is never formed. As
-    S_ji = S_ij^T, each block pair i <= j is computed once: from E = exp(S_ij)
-    and D = S_ij - T_ij the rows of i get their softmax over the columns of j
-    through E @ m_j, the rows of j theirs over the columns of i through
-    m_i @ E (m: 0/1 masks). Both sides' gradient blocks combine into
-    H = G_ij + G_ji^T = E * (P * D - Q), P and Q rank-2; H @ F_j goes to the
-    rows of i, H^T @ F_i to those of j. `_walk_block_pairs` runs the pairs on
-    W workers (the BLAS thread count, capped at the usable cores), each
-    holding two N x N blocks and a 64-row strip; the results are
-    bit-identical to one worker. No gradient pass if the student needs
-    none. fn_t must be the caller's own stack: it is scaled in place.
-
-    dtype is the working precision of the walk: the stacked maps are cast
-    to it once per call, and E, H and the strip are held in it (each block
-    8 MB in float64, 4 MB in float32, at N=1024). Each pair's partitions,
-    expectations and gradient blocks are cast to float64 as they are
-    stored, so row_kl, the gradient and the loss are float64 sums. With
-    fill, each pair first exponentiates its teacher block T_ij into E and
-    stores the teacher log-partitions of both sides in log_zt, as
-    `gd_teacher_log_z` does, before the student block overwrites E.
-    """
     inv_t, fs, dt = 1.0 / temperature, fn_s.data, np.dtype(dtype)
     # Temperature folded into the (small) feature maps: grams come pre-scaled.
     fs_c = np.multiply(fs, np.sqrt(inv_t), dtype=dt)
-    fn_t *= np.sqrt(inv_t)                            # the caller's own stack
+    fn_t *= np.sqrt(inv_t)
     ft_c, fs_w, mask_w = (a.astype(dt, copy=False) for a in (fn_t, fs, mask))
     grad = np.zeros_like(fs) if fn_s.requires_grad else None
     row_kl = np.empty((b * n, b))

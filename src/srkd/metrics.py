@@ -37,7 +37,7 @@ def confusion_matrix(labels: np.ndarray, preds: np.ndarray, n_classes: int,
         valid &= np.asarray(mask, dtype=bool)
     lab = labels[valid]
     pred = preds[valid]
-    if np.any((pred < 0) | (pred >= n_classes)) or np.any(lab >= n_classes):
+    if any(np.any((a < 0) | (a >= n_classes)) for a in (lab, pred)):
         raise DataError("class index out of range for the confusion matrix")
     flat = lab * n_classes + pred
     return np.bincount(flat, minlength=n_classes * n_classes) \

@@ -162,15 +162,15 @@ class SegModel:
 
     def forward(self, sample: FixedSample, nbr_idx: np.ndarray | None = None,
                 feature_noise: np.ndarray | None = None):
-        """Returns (raw feature map, normalized feature map, logits)."""
+        """Returns (normalized feature map, logits)."""
         if nbr_idx is None:
             nbr_idx = knn_indices(sample.cloud.positions, sample.mask, self.k)
-        f_raw = self.encoder.forward(self.encoder_input(sample), nbr_idx, sample.mask)
-        f_norm = f_raw.l2_normalize_rows()
+        f_norm = self.encoder.forward(self.encoder_input(sample), nbr_idx,
+                                      sample.mask).l2_normalize_rows()
         if feature_noise is not None:
             f_norm = f_norm + feature_noise
         logits = self.head.forward(f_norm)
-        return f_raw, f_norm, logits
+        return f_norm, logits
 
     # -- parameters ----------------------------------------------------------
 

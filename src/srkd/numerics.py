@@ -1,4 +1,5 @@
-"""Plain-array row transforms: softmax, log-softmax and L2 normalization.
+"""Plain-array row transforms: softmax, log-softmax and L2 normalization,
+and the package's one temperature check.
 
 These are the non-differentiable counterparts of the tensor ops in
 :mod:`srkd.autodiff`; they serve the frozen-teacher side of the losses
@@ -9,13 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
+
+
+def check_temperature(temperature: float) -> None:
+    """ConfigError unless the temperature is finite and positive."""
+    if not np.isfinite(temperature) or temperature <= 0:
+        raise ConfigError(f"temperature must be finite and positive, got {temperature}")
 
 
 def softmax_rows(m: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Row-wise softmax of m / temperature with max-subtraction stability."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    check_temperature(temperature)
     m = np.asarray(m, dtype=np.float64)
     if not np.isfinite(m).all():
         raise NumericError("softmax input must be finite")
@@ -33,8 +39,7 @@ def l2_normalize_rows(m: np.ndarray, eps: float = 1e-12) -> np.ndarray:
 
 
 def log_softmax_rows(m: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    check_temperature(temperature)
     s = np.asarray(m, dtype=np.float64) / temperature
     s = s - s.max(axis=-1, keepdims=True)
     return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))

@@ -5,9 +5,9 @@ Batch composition is fixed at the start of a run (a seeded shuffle of the
 training scenes), which lets every frozen-teacher quantity -- per-scene
 features and logits, per-batch supervoxel candidates and similarity
 log-partitions -- be computed once and reused across epochs. The
-log-partitions are precomputed with the batch for a float64 batch-GD walk;
-a float32 walk fills them from its own teacher blocks on the batch's first
-step, and `_train_loop` keeps that array for the later epochs.
+batch-GD walk fills the log-partitions from its own teacher blocks on the
+batch's first step, at either precision, and `_train_loop` keeps that
+array for the later epochs.
 
 Per-scene work that records no tape -- the k-NN of a run's samples, the
 frozen teacher's forward passes and `evaluate`'s passes -- runs through
@@ -135,9 +135,9 @@ class Batch:
     mask: np.ndarray                       # concatenated
     teacher_feats: list[np.ndarray] | None
     teacher_logits: np.ndarray | None      # concatenated
-    # batch-GD teacher log-partitions: precomputed for a float64 walk, else
-    # None until the batch's first float32 walk fills them
-    teacher_log_z: np.ndarray | None
+    # batch-GD teacher log-partitions: None until the batch's first walk
+    # fills them
+    teacher_log_z: np.ndarray | None = None
 
 
 def _amra_enabled(w: LossWeights) -> bool:
@@ -148,30 +148,25 @@ def make_batch(samples: list[FixedSample], nbrs: list[np.ndarray],
                teacher: SegModel | None, weights: LossWeights) -> Batch:
     """Concatenate a mini-batch and run the frozen teacher on it once.
 
-    The teacher is not called when every distillation weight is zero. The
-    batch-GD teacher log-partitions are computed here only for a float64
-    walk (`losses.gd_teacher_log_z`, the reference).
+    The teacher is not called when every distillation weight is zero.
     """
     w = weights
     need_feats = _amra_enabled(w) or w.lambda_batch_gd > 0
-    t_feats = t_logits = t_log_z = None
+    t_feats = t_logits = None
     if need_feats or w.lambda_kd > 0:
         if teacher is None:
             raise ConfigError("distillation weights need a teacher")
-        outs = list(losses.map_in_order(lambda s_nbr: teacher.forward(*s_nbr)[1:],
+        outs = list(losses.map_in_order(lambda s_nbr: teacher.forward(*s_nbr),
                                         list(zip(samples, nbrs)),
                                         samples[0].n_fixed))
         if need_feats:
             t_feats = [f.data for f, _ in outs]
         if w.lambda_kd > 0:
             t_logits = np.concatenate([z.data for _, z in outs], axis=0)
-        if w.lambda_batch_gd > 0 and w.gd_precision == "float64":
-            t_log_z = losses.gd_teacher_log_z(t_feats, w.t_gd,
-                                              [s.mask for s in samples])
     return Batch(samples, nbrs,
                  np.concatenate([s.cloud.labels for s in samples]),
                  np.concatenate([s.mask for s in samples]),
-                 t_feats, t_logits, t_log_z)
+                 t_feats, t_logits)
 
 
 def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
@@ -198,8 +193,8 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
     """
     w = weights
     outs = [model.forward(s, nbr) for s, nbr in zip(batch.samples, batch.nbrs)]
-    feats = [o[1] for o in outs]
-    logits = concat_rows([o[2] for o in outs])
+    feats = [o[0] for o in outs]
+    logits = concat_rows([o[1] for o in outs])
 
     comps: dict[str, Tensor | float] = dict.fromkeys(losses.LOSS_NAMES, 0.0)
     comps["l_task"] = losses.loss_task(logits, batch.labels, batch.mask)
@@ -344,7 +339,7 @@ def evaluate(model: SegModel, clouds, n_fixed: int,
     def scene_confusion(item):
         i, cloud, noise = item
         sample = resample_fixed(cloud, n_fixed, _child_seed(EVAL_SEED, i))
-        preds = model.forward(sample, feature_noise=noise)[2].data.argmax(axis=1)
+        preds = model.forward(sample, feature_noise=noise)[1].data.argmax(axis=1)
         return confusion_matrix(sample.cloud.labels, preds, n_classes, sample.mask)
 
     conf = np.zeros((n_classes, n_classes), dtype=np.int64)

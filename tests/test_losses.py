@@ -590,6 +590,15 @@ class TestBatchGD:
         with pytest.raises(ShapeError, match="mask"):
             gd_teacher_log_z(teacher, 2.0, masks)
 
+    def test_batch_must_be_a_list_of_2d_maps(self):
+        student, teacher, _ = padded_batch(3, 8, masked=())
+        for maps in ([], [np.ones(4), np.ones(4)]):
+            with pytest.raises(ShapeError, match="2-D"):
+                gd_teacher_log_z(maps, 2.0)
+        with pytest.raises(ShapeError, match="2-D"):
+            loss_batch_gd([Tensor(m) for m in student],
+                          [teacher[0][None], *teacher[1:]], 2.0)
+
     def test_teacher_log_z_maps_of_unequal_rows_rejected(self):
         _, teacher, _ = padded_batch(3, 8, masked=())
         with pytest.raises(ShapeError, match="point count"):

@@ -27,6 +27,10 @@ class TestConfusion:
         with pytest.raises(DataError):
             confusion_matrix(np.array([0]), np.array([5]), 2)
 
+    def test_negative_label_rejected(self):
+        with pytest.raises(DataError, match="out of range"):
+            confusion_matrix(np.array([-1, 0]), np.array([0, 0]), 2)
+
 
 class TestMetrics:
     def test_perfect_prediction(self):

@@ -16,6 +16,12 @@ def sample(seed=0, n_fixed=64):
     return resample_fixed(cloud, n_fixed, seed=seed + 1)
 
 
+def raw_map(model, s):
+    """The encoder's feature map of a sample, before row normalization."""
+    nbr = knn_indices(s.cloud.positions, s.mask, model.k)
+    return model.encoder.forward(SegModel.encoder_input(s), nbr, s.mask)
+
+
 class TestKNN:
     def test_self_inclusive_brute_force(self):
         rng = np.random.default_rng(3)
@@ -99,21 +105,22 @@ class TestForward:
     def test_deterministic(self):
         model = make_teacher(2, 8, d_out=16, seed=4)
         s = sample()
-        a = model.forward(s)[2].data
-        b = model.forward(s)[2].data
+        a = model.forward(s)[1].data
+        b = model.forward(s)[1].data
         np.testing.assert_array_equal(a, b)
 
     def test_shapes(self):
         model = make_teacher(2, 8, d_out=16, seed=4)
-        f_raw, f_norm, logits = model.forward(sample())
-        assert f_raw.shape == (64, 16)
+        s = sample()
+        f_norm, logits = model.forward(s)
+        assert raw_map(model, s).shape == (64, 16)
         assert f_norm.shape == (64, 16)
         assert logits.shape == (64, 8)
 
     def test_padded_rows_zero_features(self):
         model = make_teacher(2, 8, d_out=16, seed=4)
         s = sample(n_fixed=200)  # forces padding (scene has 128 points)
-        f_raw, _, _ = model.forward(s)
+        f_raw = raw_map(model, s)
         assert not s.mask.all()
         assert np.all(f_raw.data[~s.mask] == 0.0)
 
@@ -121,8 +128,8 @@ class TestForward:
         model = make_teacher(2, 8, d_out=16, seed=4)
         s_small = sample(n_fixed=128)
         s_padded = sample(n_fixed=200)
-        f_small = model.forward(s_small)[0].data
-        f_padded = model.forward(s_padded)[0].data
+        f_small = raw_map(model, s_small).data
+        f_padded = raw_map(model, s_padded).data
         # both samples contain all 128 scene points; match rows by position
         for i in range(128):
             j = np.flatnonzero(
@@ -137,7 +144,7 @@ class TestForward:
             if name.startswith("w"):
                 p.data[...] = 0.0
         s = sample()
-        f_raw = model.forward(s)[0].data
+        f_raw = raw_map(model, s).data
         want = np.tanh(model.encoder.params["b1"].data)
         np.testing.assert_allclose(f_raw[s.mask],
                                    np.tile(want, (int(s.mask.sum()), 1)),
@@ -153,7 +160,7 @@ class TestForward:
 
     def test_each_layer_is_one_tape_node(self):
         model = make_teacher(2, 8, d_out=16, seed=4)
-        _, f_norm, logits = model.forward(sample())
+        f_norm, logits = model.forward(sample())
         nodes, stack = {}, [logits]
         while stack:
             t = stack.pop()
@@ -179,8 +186,8 @@ class TestForward:
         model = make_teacher(2, 8, d_out=16, seed=4)
         s = sample()
         noise = np.random.default_rng(1).normal(0, 0.5, (64, 16))
-        base = model.forward(s)[2].data
-        noisy = model.forward(s, feature_noise=noise)[2].data
+        base = model.forward(s)[1].data
+        noisy = model.forward(s, feature_noise=noise)[1].data
         want = base + noise @ model.head.w.data
         np.testing.assert_allclose(noisy, want, atol=1e-12)
 
@@ -225,8 +232,8 @@ class TestCheckpoints:
         save_checkpoint(model.state_dict(), path)
         back = SegModel.from_state(load_checkpoint(path))
         s = sample()
-        np.testing.assert_array_equal(model.forward(s)[2].data,
-                                      back.forward(s)[2].data)
+        np.testing.assert_array_equal(model.forward(s)[1].data,
+                                      back.forward(s)[1].data)
 
     def test_bytes_stable(self, tmp_path):
         model = make_teacher(2, 8, d_out=16, seed=4)

@@ -4,8 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from srkd.errors import NumericError
-from srkd.numerics import l2_normalize_rows, softmax_rows
+from srkd.errors import ConfigError, NumericError
+from srkd.numerics import l2_normalize_rows, log_softmax_rows, softmax_rows
 
 finite_rows = hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
                                                       min_side=1, max_side=12),
@@ -31,8 +31,10 @@ class TestSoftmax:
             softmax_rows(np.array([[np.inf, 0.0]]), 1.0)
 
     def test_rejects_bad_temperature(self):
-        with pytest.raises(Exception):
-            softmax_rows(np.zeros((1, 2)), 0.0)
+        for t in (0.0, -1.0, np.inf, np.nan):
+            for rows in (softmax_rows, log_softmax_rows):
+                with pytest.raises(ConfigError, match="temperature"):
+                    rows(np.zeros((1, 2)), t)
 
     @given(finite_rows)
     @settings(max_examples=150, deadline=None)

@@ -170,16 +170,17 @@ def _oracle_objective(model, teacher, samples, nbrs, chosen, w):
     """Reference: the training loop's batch preparation and step body from
     before `make_batch` and `distill_objective`, kept verbatim except that
     the supervoxel views are pooled by one stacked call per list of maps
-    and the batch-GD walk runs at `w.gd_precision`, which at float32 forms
-    the teacher log-partitions in the walk."""
+    and the batch-GD walk runs at `w.gd_precision`. At float64 the teacher
+    log-partitions are precomputed by the independent oracle
+    `losses.gd_teacher_log_z`; at float32 the walk forms them."""
     need_kd = teacher is not None and w.lambda_kd > 0
     need_amra = teacher is not None and (w.lambda_p > 0 or w.lambda_v > 0
                                          or w.lambda_c > 0)
     need_gd = teacher is not None and w.lambda_batch_gd > 0
     all_valid = [bool(s.mask.all()) for s in samples]
     outs = [teacher.forward(s, nbr) for s, nbr in zip(samples, nbrs)]
-    t_feats = [o[1].data.copy() for o in outs]
-    t_logits = np.concatenate([o[2].data.copy() for o in outs], axis=0)
+    t_feats = [o[0].data.copy() for o in outs]
+    t_logits = np.concatenate([o[1].data.copy() for o in outs], axis=0)
     labels = np.concatenate([s.cloud.labels for s in samples])
     mask = np.concatenate([s.mask for s in samples])
     gd_masks = None if all(all_valid) else [s.mask for s in samples]
@@ -187,8 +188,8 @@ def _oracle_objective(model, teacher, samples, nbrs, chosen, w):
         if w.gd_precision == "float64" else None
 
     outs = [model.forward(s, nbr) for s, nbr in zip(samples, nbrs)]
-    feats = [o[1] for o in outs]
-    logits = concat_rows([o[2] for o in outs])
+    feats = [o[0] for o in outs]
+    logits = concat_rows([o[1] for o in outs])
 
     comps = {name: 0.0 for name in losses.LOSS_NAMES}
     comps["l_task"] = losses.loss_task(logits, labels, mask)
@@ -412,8 +413,8 @@ class TestEvaluate:
             make_teacher(cloud.d_in, cloud.n_classes, seed=1), seed=3)
         frozen = SegModel.from_state(student.state_dict()).freeze()
         sample = resample_fixed(cloud, 1024, 0)
-        assert np.array_equal(student.forward(sample)[2].data,
-                              frozen.forward(sample)[2].data)
+        assert np.array_equal(student.forward(sample)[1].data,
+                              frozen.forward(sample)[1].data)
 
         def traced(model):
             tracemalloc.start()
@@ -476,11 +477,9 @@ class TestSceneThreads:
         samples = [resample_fixed(c, cfg.n_fixed, i)
                    for i, c in enumerate(data.train[:4])]
         nbrs = [knn_indices(s.cloud.positions, s.mask, cfg.knn_k) for s in samples]
-        # float64: the precision at which make_batch computes teacher_log_z
-        run = lambda: make_batch(samples, nbrs, teacher,
-                                 LossWeights(gd_precision="float64"))
+        run = lambda: make_batch(samples, nbrs, teacher, LossWeights())
         got, want = run(), self.serial(monkeypatch, run)
-        for name in ("labels", "mask", "teacher_logits", "teacher_log_z"):
+        for name in ("labels", "mask", "teacher_logits"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert all(np.array_equal(g, w) for g, w in
                    zip(got.teacher_feats, want.teacher_feats, strict=True))
@@ -497,22 +496,28 @@ class TestSceneThreadsTwoWorkers(TestSceneThreads):
     WALK_WORKERS = 2
 
 
-class TestTeacherLogPartitions:
-    """A float32 run's batch-GD walk fills each batch's teacher
-    log-partitions on the batch's first step; later epochs read them back."""
+def at_precision(cfg, precision):
+    return replace(cfg, weights=replace(cfg.weights, gd_precision=precision))
 
-    def test_precomputed_only_for_float64(self, setup):
+
+class TestTeacherLogPartitions:
+    """At either precision the batch-GD walk fills each batch's teacher
+    log-partitions on the batch's first step; later epochs read them back.
+    `losses.gd_teacher_log_z` is the independent oracle of that fill."""
+
+    @pytest.mark.parametrize("precision", losses.GD_PRECISIONS)
+    def test_make_batch_leaves_them_unset(self, setup, precision):
         cfg, data, teacher = setup
         samples = [resample_fixed(c, cfg.n_fixed, i)
                    for i, c in enumerate(data.train[:2])]
         nbrs = [knn_indices(s.cloud.positions, s.mask, cfg.knn_k) for s in samples]
-        assert make_batch(samples, nbrs, teacher, LossWeights()).teacher_log_z is None
-        log_z = make_batch(samples, nbrs, teacher,
-                           LossWeights(gd_precision="float64")).teacher_log_z
-        assert log_z.shape == (2 * cfg.n_fixed, 2)
+        batch = make_batch(samples, nbrs, teacher, LossWeights(gd_precision=precision))
+        assert batch.teacher_feats is not None and batch.teacher_log_z is None
 
-    def test_each_batch_filled_once(self, setup, monkeypatch):
+    @pytest.mark.parametrize("precision", losses.GD_PRECISIONS)
+    def test_each_batch_filled_once(self, setup, monkeypatch, precision):
         cfg, data, teacher = setup
+        cfg = at_precision(cfg, precision)
         calls, inner = [], losses.loss_batch_gd
 
         def spy(*args, **kwargs):
@@ -529,9 +534,11 @@ class TestTeacherLogPartitions:
         for step, (given, out) in enumerate(calls[n_batches:]):
             assert given is filled[step % n_batches] and out is None
 
-    def test_trains_the_bits_of_precomputed_partitions(self, setup, monkeypatch):
+    @pytest.mark.parametrize("precision", losses.GD_PRECISIONS)
+    def test_trains_the_bits_of_precomputed_partitions(self, setup, monkeypatch,
+                                                       precision):
         cfg, data, teacher = setup
-        cfg = replace(cfg, epochs=3)
+        cfg = replace(at_precision(cfg, precision), epochs=3)
         got, got_log = train_distill(cfg, teacher, data)
         inner = trainer.make_batch
 
@@ -543,6 +550,9 @@ class TestTeacherLogPartitions:
         monkeypatch.setattr(trainer, "make_batch", precomputed)
         want, want_log = train_distill(cfg, teacher, data)
         assert state_hash(got) == state_hash(want)
+        if precision == "float64":     # the fill is the oracle's bits
+            assert got_log == want_log
+            return
         assert len(got_log) == len(want_log)
         for g, w in zip(got_log, want_log):
             assert g.get("l_batch_gd") == pytest.approx(w.get("l_batch_gd"),
