@@ -26,9 +26,10 @@ samples = [resample_fixed(c, 64, seed=10 + i) for i, c in enumerate(clouds)]
 teacher = make_teacher(spec.d_in, spec.n_classes, d_out=16, k=4, seed=1)
 teacher.freeze()
 student = make_student_from_teacher(teacher, seed=2)
-# The float64 batch-GD walk: the checks below (identity < 1e-10, central
-# differences) are tighter than a float32 walk resolves.
-w = LossWeights(gd_precision="float64")
+# distill_objective walks batch-GD in float64 unless asked for float32: the
+# checks below (identity < 1e-10, central differences) are tighter than a
+# float32 walk resolves.
+w = LossWeights()
 
 # Supervoxels: class-balanced regions of the cylindrical grid, shared between
 # teacher and student so the affinity losses compare matched point sets.

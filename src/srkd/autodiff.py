@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericError, ShapeError, TapeError
+from .numerics import L2_EPS
 
 Array = np.ndarray
 
@@ -223,12 +224,12 @@ class Tensor:
 
         return Tensor.from_op(out, [(self, vjp)])
 
-    def l2_normalize_rows(self, eps: float = 1e-12) -> "Tensor":
-        """Divide each row by max(||row||_2, eps); zero rows stay zero."""
+    def l2_normalize_rows(self) -> "Tensor":
+        """Divide each row by max(||row||_2, L2_EPS); zero rows stay zero."""
         norms = np.linalg.norm(self.data, axis=-1, keepdims=True)
-        denom = np.maximum(norms, eps)
+        denom = np.maximum(norms, L2_EPS)
         out = self.data / denom
-        big = norms > eps
+        big = norms > L2_EPS
 
         def vjp(g):
             proj = (out * g).sum(axis=-1, keepdims=True)

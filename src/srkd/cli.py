@@ -19,7 +19,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +37,7 @@ from .voxelize import (CylGrid, SamplerConfig, batch_label_histogram,
                        build_supervoxels, sample_supervoxels)
 
 GRADCHECK_TOL = 1e-4
+GRADCHECK_H = 1e-5      # central-difference step
 
 
 def _out_dir(args) -> Path:
@@ -249,15 +249,13 @@ def _gradcheck_batch(seed: int, weights: LossWeights):
     return student, trainer.make_batch(samples, nbrs, teacher, weights), chosen
 
 
-def gradcheck_report(seed: int, weights: LossWeights = LossWeights(),
-                     h: float = 1e-5) -> dict[str, float]:
+def gradcheck_report(seed: int, weights: LossWeights = LossWeights()) -> dict[str, float]:
     """Max relative analytic-vs-finite-difference error of each term that
     `trainer.distill_objective` computes under `weights`, and of l_total.
 
-    The batch-GD walk runs in float64 whatever `weights.gd_precision` says:
-    central differences at h = 1e-5 cannot resolve a float32 loss.
+    The batch-GD walk runs at `distill_objective`'s float64 default:
+    central differences at GRADCHECK_H cannot resolve a float32 loss.
     """
-    weights = replace(weights, gd_precision="float64")
     student, batch, chosen = _gradcheck_batch(seed, weights)
 
     def terms() -> dict:
@@ -280,7 +278,7 @@ def gradcheck_report(seed: int, weights: LossWeights = LossWeights(),
                 return terms()[_name].item()
 
             orig = p.data.copy()
-            fd = finite_diff_gradient(f, orig.copy(), h)
+            fd = finite_diff_gradient(f, orig.copy(), GRADCHECK_H)
             p.data[...] = orig
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1.0)
             worst = max(worst, float(np.max(np.abs(analytic - fd) / denom)))

@@ -27,10 +27,8 @@ from .voxelize import SamplerConfig
 _SECTIONS = {"scene": SceneSpec, "train": TrainConfig, "loss": LossWeights,
              "sampler": SamplerConfig, "noise": NoiseConfig}
 # Fields that are not config keys: the seed comes from --seed, and
-# TrainConfig's weights and sampler are built from their own sections;
-# LossWeights' gd_precision stays at its float32 default in a configured
-# run, its float64 walk is the reference that gradient checks select in code.
-_NOT_KEYS = ("seed", "weights", "sampler", "gd_precision")
+# TrainConfig's weights and sampler are built from their own sections.
+_NOT_KEYS = ("seed", "weights", "sampler")
 
 
 def _key_fields(cls):

@@ -11,10 +11,10 @@ walks the N x N block pairs of the stacked (B*N, D) maps on W worker
 threads and never forms the (B*N)^2 gram (`loss_batch_gd`).
 Those threads come from `map_in_order`, the package's one thread pool,
 which also runs the trainer's per-scene passes. The walk is the one place
-that may work below float64: `LossWeights.gd_precision` selects float32
-blocks (the fast path, which every configured run trains) or float64 ones
-(the reference that gradient checks and oracles select in code); its loss
-and gradient are float64 sums either way. Everything else is float64.
+that may work below float64: its `dtype` selects float64 blocks (the
+default, the reference that gradient checks and oracles use) or float32
+ones (the fast path, which the training loop asks for); its loss and
+gradient are float64 sums either way. Everything else is float64.
 The teacher's log-partitions, a constant of each mini-batch, come from
 the walk itself: the first walk over a batch exponentiates the teacher
 blocks it forms anyway, at its working precision, and the trainer keeps
@@ -83,6 +83,19 @@ _FLOAT32_MIN_T_GD = 1 / 64
 LOSS_NAMES = ("l_task", "l_kd", "l_amra_p", "l_amra_v", "l_amra_c", "l_batch_gd")
 
 
+def _check_gd_walk(temperature: float, dtype) -> None:
+    """ConfigError unless a batch-GD walk at `dtype` can run at this
+    temperature: dtype is one of GD_PRECISIONS, the temperature finite and
+    positive, and at least 1/64 in float32."""
+    check_temperature(temperature)
+    if dtype not in GD_PRECISIONS:
+        raise ConfigError(f"batch-GD dtype must be one of "
+                          f"{', '.join(GD_PRECISIONS)}, got {dtype!r}")
+    if dtype == "float32" and temperature < _FLOAT32_MIN_T_GD:
+        raise ConfigError(f"t_gd must be at least 1/64 for the float32 "
+                          f"batch-GD walk, got {temperature}")
+
+
 @dataclass(frozen=True)
 class LossWeights:
     """Balancing weights and temperatures of the total objective."""
@@ -94,21 +107,15 @@ class LossWeights:
     lambda_batch_gd: float = 0.1
     t_logit: float = 2.0
     t_gd: float = 2.0
-    gd_precision: str = "float32"      # batch-GD walk, one of GD_PRECISIONS
 
     def __post_init__(self):
         lambdas = (self.lambda_kd, self.lambda_p, self.lambda_v,
                    self.lambda_c, self.lambda_batch_gd)
         if any(not np.isfinite(v) or v < 0 for v in lambdas):
             raise ConfigError("loss weights must be finite and nonnegative")
-        for t in (self.t_logit, self.t_gd):
-            check_temperature(t)
-        if self.gd_precision not in GD_PRECISIONS:
-            raise ConfigError(f"gd_precision must be one of "
-                              f"{', '.join(GD_PRECISIONS)}, got {self.gd_precision!r}")
-        if self.gd_precision == "float32" and self.t_gd < _FLOAT32_MIN_T_GD:
-            raise ConfigError(f"t_gd must be at least 1/64 for the float32 "
-                              f"batch-GD walk, got {self.t_gd}")
+        check_temperature(self.t_logit)
+        # every training run walks batch-GD in float32
+        _check_gd_walk(self.t_gd, "float32")
 
     @classmethod
     def zeros(cls) -> "LossWeights":
@@ -561,7 +568,9 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
     held in it (each block 8 MB in float64, 4 MB in float32, at N=1024).
     Each pair's partitions, expectations and gradient blocks are cast to
     float64 as they are stored, so row_kl, the gradient and the loss are
-    float64 sums either way.
+    float64 sums either way. Raises ConfigError, before walking, for a
+    dtype outside GD_PRECISIONS and for a float32 walk below t = 1/64,
+    where exp(S_ij) would overflow.
 
     teacher_log_z holds the (B*N, B) teacher log-partitions of an earlier
     call on the same teacher maps and masks. Without it, each pair first
@@ -572,7 +581,7 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
     """
     if not student_maps or len(student_maps) != len(teacher_maps):
         raise ShapeError("student and teacher map lists must match")
-    check_temperature(temperature)
+    _check_gd_walk(temperature, dtype)
     b, n = len(student_maps), _points_per_sample([*student_maps, *teacher_maps])
     fn_s = concat_rows([_as_tensor(m).l2_normalize_rows() for m in student_maps])
     fn_t = np.concatenate([l2_normalize_rows(np.asarray(m, dtype=np.float64))

@@ -23,8 +23,6 @@ from .errors import DataError, ParseError, ShapeError
 
 _CKPT_MAGIC = b"SRKDCKPT1"
 
-DEFAULT_HIDDEN = 128
-DEFAULT_K = 8
 AGG_ROUNDS = 2
 KNN_BLOCK_ENTRIES = 32768  # float64 entries per k-NN distance block (256 KB)
 
@@ -80,8 +78,7 @@ def _init_linear(rng, fan_in: int, fan_out: int):
 class PointEncoder:
     """Per-point MLP + k-NN mean aggregation; widths[0] is the input width."""
 
-    def __init__(self, widths: tuple[int, ...], k: int = DEFAULT_K,
-                 seed: int = 0):
+    def __init__(self, widths: tuple[int, ...], k: int, seed: int = 0):
         if len(widths) < 2:
             raise DataError("encoder needs at least one linear layer")
         self.widths = tuple(int(w) for w in widths)
@@ -137,9 +134,8 @@ class Linear:
 class SegModel:
     """Encoder plus head; students also carry the channel projection."""
 
-    def __init__(self, widths: tuple[int, ...], n_classes: int,
-                 k: int = DEFAULT_K, seed: int = 0,
-                 project_to: int | None = None):
+    def __init__(self, widths: tuple[int, ...], n_classes: int, k: int,
+                 seed: int = 0, project_to: int | None = None):
         self.widths = tuple(int(w) for w in widths)
         self.n_classes = int(n_classes)
         self.k = int(k)
@@ -247,8 +243,8 @@ def _meta(state: dict[str, np.ndarray], name: str, scalar: bool = True,
     return ints[0] if scalar else ints
 
 
-def make_teacher(d_in: int, n_classes: int, d_out: int = DEFAULT_HIDDEN,
-                 k: int = DEFAULT_K, seed: int = 0) -> SegModel:
+def make_teacher(d_in: int, n_classes: int, d_out: int, k: int,
+                 seed: int = 0) -> SegModel:
     """Frozen-to-be teacher: widths (3 + d_in, d_out, d_out)."""
     return SegModel((3 + d_in, d_out, d_out), n_classes, k=k, seed=seed)
 

@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 
+L2_EPS = 1e-12      # floor of a row norm in L2 normalization
+
 
 def check_temperature(temperature: float) -> None:
     """ConfigError unless the temperature is finite and positive."""
@@ -31,11 +33,11 @@ def softmax_rows(m: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def l2_normalize_rows(m: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Divide each row by max(||row||_2, eps); zero rows stay zero."""
+def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Divide each row by max(||row||_2, L2_EPS); zero rows stay zero."""
     m = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(m, axis=-1, keepdims=True)
-    return m / np.maximum(norms, eps)
+    return m / np.maximum(norms, L2_EPS)
 
 
 def log_softmax_rows(m: np.ndarray, temperature: float = 1.0) -> np.ndarray:

@@ -10,32 +10,30 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ConfigError
 
+BETAS = (0.9, 0.999)    # decay rates of the first and second moments
+EPS = 1e-8              # added to sqrt(v_hat)
+
 
 class AdamW:
     """Adam with decoupled weight decay.
 
-    Update: p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p).
-    With weight_decay=0 this is bitwise the plain adaptive update.
+    Update: p -= lr * (m_hat / (sqrt(v_hat) + EPS) + weight_decay * p), lr
+    given to each step by the schedule. With weight_decay=0 this is bitwise
+    the plain adaptive update.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        if lr < 0 or weight_decay < 0:
-            raise ConfigError("lr and weight_decay must be nonnegative")
+    def __init__(self, params: dict[str, Tensor], weight_decay: float):
+        if weight_decay < 0:
+            raise ConfigError("weight_decay must be nonnegative")
         self.params = dict(params)
-        self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
-    def step(self, lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
+    def step(self, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
@@ -48,7 +46,7 @@ class AdamW:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data -= lr * update
@@ -61,9 +59,8 @@ class OneCycleSchedule:
     lr(total) = peak * final_factor.
     """
 
-    def __init__(self, peak_lr: float, total_steps: int,
-                 warmup_frac: float = 0.3, start_factor: float = 0.04,
-                 final_factor: float = 1e-4):
+    def __init__(self, peak_lr: float, total_steps: int, warmup_frac: float,
+                 start_factor: float, final_factor: float):
         if peak_lr < 0:
             raise ConfigError("peak_lr must be nonnegative")
         if not 0.0 < warmup_frac < 1.0:

@@ -5,9 +5,9 @@ Batch composition is fixed at the start of a run (a seeded shuffle of the
 training scenes), which lets every frozen-teacher quantity -- per-scene
 features and logits, per-batch supervoxel candidates and similarity
 log-partitions -- be computed once and reused across epochs. The
-batch-GD walk fills the log-partitions from its own teacher blocks on the
-batch's first step, at either precision, and `_train_loop` keeps that
-array for the later epochs.
+training loop runs the batch-GD walk in float32; the walk fills the
+log-partitions from its own teacher blocks on the batch's first step, and
+`_train_loop` keeps that array for the later epochs.
 
 Per-scene work that records no tape -- the k-NN of a run's samples, the
 frozen teacher's forward passes and `evaluate`'s passes -- runs through
@@ -38,6 +38,7 @@ from .voxelize import (CylGrid, SamplerConfig, batch_label_histogram,
                        build_supervoxels, sample_supervoxels)
 
 EVAL_SEED = 90001
+GRID_H_MARGIN = 0.25   # meters of grid above and below the clouds
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,8 @@ class TrainConfig:
             raise ConfigError("lr must be positive and weight_decay nonnegative")
         if not 0.0 < self.warmup_frac < 1.0:
             raise ConfigError("warmup_frac must be in (0, 1)")
+        if not (0.0 <= self.start_factor <= 1.0 and 0.0 <= self.final_factor <= 1.0):
+            raise ConfigError("start_factor and final_factor must lie in [0, 1]")
         if min(self.epochs, self.batch_size, self.n_fixed, self.knn_k,
                self.teacher_epochs, self.eval_every) < 1 or self.teacher_d_out < 2:
             raise ConfigError("epochs, batch_size, n_fixed, knn_k, teacher_epochs and "
@@ -111,16 +114,18 @@ def _child_seed(*parts: int) -> int:
     return int(derive_seed(*parts).integers(0, 2**63 - 1))
 
 
-def grid_for_clouds(clouds, h_margin: float = 0.25) -> CylGrid:
-    """Default cylindrical grid sized to cover the given clouds."""
+def grid_for_clouds(clouds) -> CylGrid:
+    """The default partition, 4 rings x 8 sectors x 2 height slabs, of a
+    cylinder that covers the given clouds with GRID_H_MARGIN above and
+    below them."""
     r_max, z_min, z_max = 0.0, np.inf, -np.inf
     for c in clouds:
         r_max = max(r_max, float(np.hypot(c.positions[:, 0], c.positions[:, 1]).max()))
         z_min = min(z_min, float(c.positions[:, 2].min()))
         z_max = max(z_max, float(c.positions[:, 2].max()))
-    return CylGrid.for_extents(r_max * 1.001 + 1e-9,
-                               (z_max - z_min) + 2 * h_margin,
-                               h_min=z_min - h_margin)
+    r, h = r_max * 1.001 + 1e-9, (z_max - z_min) + 2 * GRID_H_MARGIN
+    return CylGrid(r, h, z_min - GRID_H_MARGIN,
+                   r_cell=r / 4.0, a_cell=np.pi / 4.0, h_cell=h / 2.0)
 
 
 @dataclass(frozen=True)
@@ -170,8 +175,8 @@ def make_batch(samples: list[FixedSample], nbrs: list[np.ndarray],
 
 
 def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
-                      weights: LossWeights,
-                      log_z_out: np.ndarray | None = None) -> dict[str, Tensor | float]:
+                      weights: LossWeights, log_z_out: np.ndarray | None = None,
+                      *, gd_dtype: str = "float64") -> dict[str, Tensor | float]:
     """The SRKD objective of one mini-batch, term by term (`LOSS_NAMES`).
 
     Runs the student forward pass. `l_task` is always a Tensor; a
@@ -183,7 +188,9 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
     maps when `lambda_c` is; with none sampled the AMRA terms stay 0.0.
     Combine the terms with `losses.weighted_total`. When the batch has no
     teacher log-partitions, the batch-GD walk forms them and fills
-    log_z_out, if given (`losses.loss_batch_gd`).
+    log_z_out, if given. gd_dtype is the walk's working precision: the
+    float64 reference by default, float32 in the training loop
+    (`losses.loss_batch_gd`).
 
     Batch-GD is formed before the AMRA terms: its walk over the N x N block
     pairs peaks while it runs, and run first it peaks before the pooled
@@ -205,7 +212,7 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
         comps["l_batch_gd"] = losses.loss_batch_gd(
             feats, batch.teacher_feats, w.t_gd,
             [s.mask for s in batch.samples], teacher_log_z=batch.teacher_log_z,
-            dtype=w.gd_precision, log_z_out=log_z_out)
+            dtype=gd_dtype, log_z_out=log_z_out)
     if _amra_enabled(w) and any(chosen):
         # each student view only when a term that reads it has a weight
         views_s = losses.supervoxel_features(feats, chosen) \
@@ -251,7 +258,7 @@ def _train_loop(model: SegModel, teacher: SegModel | None, cfg: TrainConfig,
     total_steps = cfg.epochs * len(batches)
     sched = OneCycleSchedule(cfg.lr, total_steps, cfg.warmup_frac,
                              cfg.start_factor, cfg.final_factor)
-    opt = AdamW(model.named_params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(model.named_params(), cfg.weight_decay)
     log: list[dict] = []
     gstep = 0
     for epoch in range(cfg.epochs):
@@ -265,7 +272,8 @@ def _train_loop(model: SegModel, teacher: SegModel | None, cfg: TrainConfig,
             # log-partitions; the later epochs read them back.
             log_z = np.empty((batch.mask.size, len(batch.samples))) \
                 if w.lambda_batch_gd > 0 and batch.teacher_log_z is None else None
-            comps = distill_objective(model, batch, chosen, w, log_z)
+            comps = distill_objective(model, batch, chosen, w, log_z,
+                                      gd_dtype="float32")
             if log_z is not None:
                 batches[bi] = replace(batch, teacher_log_z=log_z)
             report = loss_total(comps, w)  # raises naming any non-finite term

@@ -27,10 +27,10 @@ class CylGrid:
 
     radial_extent: float          # R, meters
     height_extent: float          # H, meters
-    h_min: float = 0.0            # height origin
-    r_cell: float = 2.5           # R_v
-    a_cell: float = math.pi / 4.0  # A_v, radians
-    h_cell: float = 2.0           # H_v
+    h_min: float                  # height origin
+    r_cell: float                 # R_v
+    a_cell: float                 # A_v, radians
+    h_cell: float                 # H_v
 
     def __post_init__(self):
         if self.radial_extent <= 0 or self.height_extent <= 0:
@@ -41,14 +41,6 @@ class CylGrid:
             raise ConfigError("need 0 < a_cell <= 2*pi")
         if not 0 < self.h_cell <= self.height_extent:
             raise ConfigError("need 0 < h_cell <= height_extent")
-
-    @classmethod
-    def for_extents(cls, radial_extent: float, height_extent: float,
-                    h_min: float = 0.0) -> "CylGrid":
-        """Default partition: 4 rings x 8 sectors x 2 height slabs."""
-        return cls(radial_extent, height_extent, h_min,
-                   r_cell=radial_extent / 4.0, a_cell=math.pi / 4.0,
-                   h_cell=height_extent / 2.0)
 
     @property
     def n_radial(self) -> int:

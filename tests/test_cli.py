@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import srkd
-from srkd import cli, trainer
+from srkd import cli, losses, trainer
 from srkd.cli import (GRADCHECK_TOL, _write_csv, _write_jsonl,
                       gradcheck_report, main)
 from srkd.cloud import atomic_open
@@ -232,6 +232,10 @@ class TestErrors:
         self._rejected_at_load(workdir, tmp_path, capsys, "train.eval_every = 0",
                                "train-teacher")
 
+    def test_negative_start_factor_rejected(self, workdir, tmp_path, capsys):
+        self._rejected_at_load(workdir, tmp_path, capsys, "train.start_factor = -1",
+                               "train-teacher")
+
     def test_nonfinite_noise_tau_rejected(self, workdir, tmp_path, capsys):
         self._rejected_at_load(workdir, tmp_path, capsys,
                                "noise.taus = 0.1, nan", "noise")
@@ -248,7 +252,7 @@ class TestErrors:
                      "--out", str(out)]) == 0
         capsys.readouterr()
         full = tmp_path / "full.ckpt"
-        save_checkpoint(make_teacher(2, 8, d_out=12, seed=0).state_dict(), full)
+        save_checkpoint(make_teacher(2, 8, d_out=12, k=8, seed=0).state_dict(), full)
         raw = full.read_bytes()
         (out / "student.ckpt").write_bytes(raw[:len(raw) // 2])
         assert main(["eval", "--config", str(workdir / "tiny.cfg"),
@@ -295,11 +299,19 @@ class TestGradcheck:
         assert payload["pass"] is True
         assert set(payload["errors"]) == set(LOSS_NAMES) - {"l_amra_c"} | {"l_total"}
 
-    def test_float32_walk_checked_in_float64(self):
-        # configured weights select the float32 walk; central differences
-        # cannot resolve its loss, so the check runs the float64 walk
+    def test_float32_walk_checked_in_float64(self, monkeypatch):
+        # training walks batch-GD in float32 (test_trainer.py,
+        # test_training_walks_in_float32); central differences cannot
+        # resolve that loss, so the check walks in float64
+        dtypes, inner = [], losses.loss_batch_gd
+
+        def spy(*args, **kwargs):
+            dtypes.append(kwargs["dtype"])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(losses, "loss_batch_gd", spy)
         got = cli.gradcheck_report(0, LossWeights())
-        assert got == cli.gradcheck_report(0, LossWeights(gd_precision="float64"))
+        assert dtypes and set(dtypes) == {"float64"}
         assert all(err < GRADCHECK_TOL for err in got.values())
 
     def test_corrupted_gradients_fail(self, workdir, capsys, monkeypatch):
@@ -370,7 +382,7 @@ def fuzz_root(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["generate", "--config", str(root / "tiny.cfg"),
                      "--out", str(root)]) == 0
-    save_checkpoint(make_teacher(2, 8, d_out=12, seed=0).state_dict(),
+    save_checkpoint(make_teacher(2, 8, d_out=12, k=8, seed=0).state_dict(),
                     root / "student.ckpt")
     return root
 
@@ -434,7 +446,7 @@ class TestModelDatasetMismatch:
     def test_exits_2(self, fuzz_root, tmp_path, capsys, command, ckpt, d_in,
                      n_classes):
         shutil.copytree(fuzz_root / "dataset", tmp_path / "dataset")
-        save_checkpoint(make_teacher(d_in, n_classes, d_out=12, seed=0).state_dict(),
+        save_checkpoint(make_teacher(d_in, n_classes, d_out=12, k=8, seed=0).state_dict(),
                         tmp_path / f"{ckpt}.ckpt")
         assert main([command, "--config", str(fuzz_root / "tiny.cfg"),
                      "--out", str(tmp_path)]) == 2

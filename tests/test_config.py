@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from srkd.cloud import SceneSpec
@@ -5,11 +7,27 @@ from srkd.config import (DEFAULTS, config_hash, load_config, loss_weights,
                          noise_config, parse_config, render_config,
                          sampler_config, scene_spec, train_config)
 from srkd.errors import ConfigError
+from srkd.losses import LossWeights
+from srkd.trainer import NoiseConfig, TrainConfig
+from srkd.voxelize import SamplerConfig
 
 
 class TestParsing:
     def test_empty_text_yields_defaults(self):
         assert parse_config("") == DEFAULTS
+
+    def test_keys_are_the_settings_fields(self):
+        # every init field of the five settings dataclasses is a key, but
+        # the seed (--seed) and TrainConfig's weights and sampler (their own
+        # sections); the CLI's sweep lists are the only other keys
+        sections = {"scene": SceneSpec, "train": TrainConfig, "loss": LossWeights,
+                    "sampler": SamplerConfig, "noise": NoiseConfig}
+        want = {f"{section}.{f.name}" for section, cls in sections.items()
+                for f in fields(cls)
+                if f.init and f.name not in ("seed", "weights", "sampler")}
+        assert {k for k in DEFAULTS if not k.startswith("sweep.")} == want
+        assert {k for k in DEFAULTS if k.startswith("sweep.")} == {
+            "sweep.fractions", "sweep.batch_sizes", "sweep.dims", "sweep.seeds"}
 
     def test_override_scalar(self):
         cfg = parse_config("train.lr = 0.01")
@@ -58,6 +76,8 @@ class TestParsing:
         "train.eval_every = 0", "train.knn_k = 0", "train.knn_k = -2",
         "train.teacher_epochs = 0", "train.teacher_d_out = 1",
         "train.teacher_d_out = 0", "train.weight_decay = -0.5",
+        "train.start_factor = -1",   # lr(0) = -0.006: gradient ascent on step 0
+        "train.final_factor = 5",    # ends at 5x the peak rate
     ])
     def test_invalid_train_setting_rejected_at_load(self, line):
         field = line.split("=")[0].strip().removeprefix("train.")
@@ -67,7 +87,8 @@ class TestParsing:
     def test_train_setting_bounds_accepted(self):
         cfg = parse_config("train.eval_every = 1\ntrain.knn_k = 1\n"
                            "train.teacher_epochs = 1\ntrain.teacher_d_out = 2\n"
-                           "train.weight_decay = 0.0")
+                           "train.weight_decay = 0.0\ntrain.start_factor = 0.0\n"
+                           "train.final_factor = 1.0")
         assert train_config(cfg, 0).teacher_d_out == 2
 
     @pytest.mark.parametrize("line", ["sweep.seeds =", "sweep.dims = ",

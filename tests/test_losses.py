@@ -614,6 +614,11 @@ class TestBatchGD:
                 loss_batch_gd([Tensor(m) for m in student], teacher, 2.0, **log_z)
 
 
+def walk_refused(*args, **kwargs):
+    """Stands in for `losses._walk_block_pairs` where no walk may start."""
+    raise AssertionError("the batch-GD walk started")
+
+
 def padded_batch(b=3, n=6, masked=((0, 4), (0, 5), (2, 1))):
     """Student/teacher maps with some rows masked and those rows zeroed."""
     rng = np.random.default_rng(41)
@@ -793,20 +798,28 @@ class TestFloat32Walk:
     def test_float64_walk_fills_the_reference_bits(self, use_masks):
         student, teacher, masks = padded_batch(3, 70)
         masks = masks if use_masks else None
-        filled = np.empty((210, 3))
-        loss_batch_gd([Tensor(m) for m in student], teacher, 2.0, masks,
-                      log_z_out=filled)
-        assert np.array_equal(filled, gd_teacher_log_z(teacher, 2.0, masks))
+        filled, want = np.empty((210, 3)), gd_teacher_log_z(teacher, 2.0, masks)
+        got = loss_batch_gd([Tensor(m) for m in student], teacher, 2.0, masks,
+                            log_z_out=filled)
+        assert np.array_equal(filled, want)
+        # and so is the loss of the walk that filled them
+        assert got.item() == loss_batch_gd([Tensor(m) for m in student], teacher,
+                                           2.0, masks, teacher_log_z=want).item()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
-    def test_exp_overflows_below_the_t_gd_floor(self):
-        # a self-similarity of 1/t = 90 puts exp(S_ii) past float32's range
+    @pytest.mark.filterwarnings("error")
+    def test_exp_overflows_below_the_t_gd_floor(self, monkeypatch):
+        # A self-similarity of 1/t = 90 would put exp(S_ii) past float32's
+        # range, so the float32 walk refuses t = 1/90 before walking; the
+        # float64 walk runs it. Unchecked, a float32 walk at t = 1e-3
+        # overflows through RuntimeWarnings into a late NumericError.
         student, teacher, _ = padded_batch(2, 70, masked=())
-        with pytest.raises(NumericError):
-            loss_batch_gd([Tensor(m) for m in student], teacher, 1 / 90,
-                          dtype="float32")
-        loss_batch_gd([Tensor(m) for m in student], teacher, 1 / 90)
+        want = loss_batch_gd([Tensor(m) for m in student], teacher, 1 / 90)
+        assert np.isfinite(want.item())
+        monkeypatch.setattr(losses, "_walk_block_pairs", walk_refused)
+        for t in (1 / 90, 1e-3):
+            with pytest.raises(ConfigError, match="1/64"):
+                loss_batch_gd([Tensor(m) for m in student], teacher, t,
+                              dtype="float32")
 
 
 class TestFloat32WalkThreaded(TestFloat32Walk):
@@ -1054,16 +1067,28 @@ class TestTotals:
         with pytest.raises(ConfigError):
             LossWeights(**{field: value})
 
-    @pytest.mark.parametrize("value", ["float16", "double", "Float32", ""])
-    def test_unknown_gd_precision_rejected(self, value):
-        with pytest.raises(ConfigError, match="gd_precision"):
-            LossWeights(gd_precision=value)
+    # The batch-GD walk takes its precision by name, one of GD_PRECISIONS,
+    # and checks it before walking. Unchecked, on this batch a float16 walk
+    # runs silently (0.050565 against float64's 0.050603) and an int32 one
+    # raises numpy's UFuncTypeError.
+    @pytest.mark.parametrize("value", ["float16", "int32", "double", "Float32", ""])
+    def test_unknown_gd_precision_rejected(self, monkeypatch, value):
+        student, teacher, _ = padded_batch(2, 8, masked=())
+        monkeypatch.setattr(losses, "_walk_block_pairs", walk_refused)
+        with pytest.raises(ConfigError, match="dtype must be one of"):
+            loss_batch_gd([Tensor(m) for m in student], teacher, 2.0, dtype=value)
 
     def test_float32_walk_needs_t_gd_of_at_least_1_over_64(self):
+        # every training run walks in float32, so the weights hold t_gd to
+        # the float32 floor; the float64 walk runs below it
         LossWeights(t_gd=1 / 64)
         with pytest.raises(ConfigError, match="t_gd"):
             LossWeights(t_gd=0.015)
-        LossWeights(t_gd=0.015, gd_precision="float64")
+        student, teacher, _ = padded_batch(2, 8, masked=())
+        with pytest.raises(ConfigError, match="t_gd"):
+            loss_batch_gd([Tensor(m) for m in student], teacher, 0.015,
+                          dtype="float32")
+        loss_batch_gd([Tensor(m) for m in student], teacher, 0.015)
 
     def test_weighted_total_matches_report(self):
         comps = {n: Tensor(np.float64(v))

@@ -103,14 +103,14 @@ class TestKNNBlocked:
 
 class TestForward:
     def test_deterministic(self):
-        model = make_teacher(2, 8, d_out=16, seed=4)
+        model = make_teacher(2, 8, d_out=16, k=8, seed=4)
         s = sample()
         a = model.forward(s)[1].data
         b = model.forward(s)[1].data
         np.testing.assert_array_equal(a, b)
 
     def test_shapes(self):
-        model = make_teacher(2, 8, d_out=16, seed=4)
+        model = make_teacher(2, 8, d_out=16, k=8, seed=4)
         s = sample()
         f_norm, logits = model.forward(s)
         assert raw_map(model, s).shape == (64, 16)
@@ -118,14 +118,14 @@ class TestForward:
         assert logits.shape == (64, 8)
 
     def test_padded_rows_zero_features(self):
-        model = make_teacher(2, 8, d_out=16, seed=4)
+        model = make_teacher(2, 8, d_out=16, k=8, seed=4)
         s = sample(n_fixed=200)  # forces padding (scene has 128 points)
         f_raw = raw_map(model, s)
         assert not s.mask.all()
         assert np.all(f_raw.data[~s.mask] == 0.0)
 
     def test_padding_does_not_leak_into_valid_rows(self):
-        model = make_teacher(2, 8, d_out=16, seed=4)
+        model = make_teacher(2, 8, d_out=16, k=8, seed=4)
         s_small = sample(n_fixed=128)
         s_padded = sample(n_fixed=200)
         f_small = raw_map(model, s_small).data
@@ -151,7 +151,7 @@ class TestForward:
                                    atol=1e-12)
 
     def test_head_affine_oracle(self):
-        model = make_teacher(2, 4, d_out=8, seed=1)
+        model = make_teacher(2, 4, d_out=8, k=8, seed=1)
         f = np.random.default_rng(0).standard_normal((3, 8))
         from srkd.autodiff import Tensor
         got = model.head.forward(Tensor(f)).data
@@ -159,7 +159,7 @@ class TestForward:
         np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_each_layer_is_one_tape_node(self):
-        model = make_teacher(2, 8, d_out=16, seed=4)
+        model = make_teacher(2, 8, d_out=16, k=8, seed=4)
         f_norm, logits = model.forward(sample())
         nodes, stack = {}, [logits]
         while stack:
@@ -183,7 +183,7 @@ class TestForward:
             [f_norm, model.head.w, model.head.b]
 
     def test_feature_noise_injection_point(self):
-        model = make_teacher(2, 8, d_out=16, seed=4)
+        model = make_teacher(2, 8, d_out=16, k=8, seed=4)
         s = sample()
         noise = np.random.default_rng(1).normal(0, 0.5, (64, 16))
         base = model.forward(s)[1].data
@@ -194,32 +194,32 @@ class TestForward:
 
 class TestStudentConstruction:
     def test_width_halving(self):
-        teacher = make_teacher(13, 8, d_out=128)  # widths (16, 128, 128)
+        teacher = make_teacher(13, 8, d_out=128, k=8)  # widths (16, 128, 128)
         student = make_student_from_teacher(teacher, seed=1)
         assert teacher.widths == (16, 128, 128)
         assert student.widths == (16, 64, 64)
 
     def test_projection_shape(self):
-        teacher = make_teacher(2, 8, d_out=128)
+        teacher = make_teacher(2, 8, d_out=128, k=8)
         student = make_student_from_teacher(teacher, seed=1)
         assert student.encoder.d_out == 64
         assert student.projection.w.shape == (64, 128)
 
     def test_projection_near_orthogonal(self):
-        teacher = make_teacher(2, 8, d_out=128)
+        teacher = make_teacher(2, 8, d_out=128, k=8)
         student = make_student_from_teacher(teacher, seed=1)
         w = student.projection.w.data
         np.testing.assert_allclose(w @ w.T, np.eye(64), atol=1e-10)
 
     def test_parameter_ratio(self):
-        teacher = make_teacher(2, 8, d_out=128)
+        teacher = make_teacher(2, 8, d_out=128, k=8)
         student = make_student_from_teacher(teacher, seed=1)
         dense = sum(t.data.size for n, t in student.named_params().items()
                     if not n.startswith("proj."))
         assert dense * 3 < teacher.param_count()
 
     def test_hidden_layer_ratio_quarter(self):
-        teacher = make_teacher(2, 8, d_out=128)
+        teacher = make_teacher(2, 8, d_out=128, k=8)
         student = make_student_from_teacher(teacher, seed=1)
         assert teacher.encoder.params["w1"].data.size == 128 * 128
         assert student.encoder.params["w1"].data.size == 64 * 64
@@ -227,7 +227,7 @@ class TestStudentConstruction:
 
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
-        model = make_teacher(2, 8, d_out=16, seed=4)
+        model = make_teacher(2, 8, d_out=16, k=8, seed=4)
         path = tmp_path / "m.ckpt"
         save_checkpoint(model.state_dict(), path)
         back = SegModel.from_state(load_checkpoint(path))
@@ -236,7 +236,7 @@ class TestCheckpoints:
                                       back.forward(s)[1].data)
 
     def test_bytes_stable(self, tmp_path):
-        model = make_teacher(2, 8, d_out=16, seed=4)
+        model = make_teacher(2, 8, d_out=16, k=8, seed=4)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(model.state_dict(), p1)
         save_checkpoint(load_checkpoint(p1), p2)
@@ -295,13 +295,13 @@ class TestCheckpoints:
     @pytest.mark.parametrize("key", ["meta.widths", "meta.n_classes", "meta.k",
                                      "meta.project_to"])
     def test_missing_meta_is_data_error(self, key):
-        state = make_teacher(2, 8, d_out=16, seed=4).state_dict()
+        state = make_teacher(2, 8, d_out=16, k=8, seed=4).state_dict()
         del state[key]
         with pytest.raises(DataError, match=key):
             SegModel.from_state(state)
 
     def test_invalid_meta_is_data_error(self):
-        state = make_teacher(2, 8, d_out=16, seed=4).state_dict()
+        state = make_teacher(2, 8, d_out=16, k=8, seed=4).state_dict()
         state["meta.k"] = np.array([np.nan])
         with pytest.raises(DataError, match="meta.k"):
             SegModel.from_state(state)
@@ -311,20 +311,20 @@ class TestCheckpoints:
                                             ("meta.project_to", [16])])
     def test_meta_disagreeing_with_weights_is_data_error(self, key, value):
         """Checked before the model is built: these sizes would not fit in memory."""
-        state = make_teacher(2, 8, d_out=16, seed=4).state_dict()
+        state = make_teacher(2, 8, d_out=16, k=8, seed=4).state_dict()
         state[key] = np.array(value)
         with pytest.raises(DataError):
             SegModel.from_state(state)
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        model = make_teacher(2, 8, d_out=16, seed=4)
+        model = make_teacher(2, 8, d_out=16, k=8, seed=4)
         state = model.state_dict()
         state["head.b"] = np.zeros(3)
         with pytest.raises(DataError):
             SegModel.from_state(state)
 
     def test_freeze(self):
-        model = make_teacher(2, 8, d_out=16, seed=4)
+        model = make_teacher(2, 8, d_out=16, k=8, seed=4)
         assert not model.frozen
         assert model.freeze() is model and model.frozen
         assert all(not p.requires_grad for p in model.named_params().values())

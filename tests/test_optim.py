@@ -3,6 +3,7 @@ import pytest
 
 from srkd.autodiff import Tensor
 from srkd.optim import AdamW, OneCycleSchedule
+from srkd.trainer import TrainConfig
 
 
 def make_param(value, grad):
@@ -14,8 +15,7 @@ def make_param(value, grad):
 class TestAdamW:
     def test_first_step_reference_math(self):
         p = make_param([1.0, -2.0], [0.5, -1.0])
-        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
-        opt.step()
+        AdamW({"p": p}, 0.0).step(0.1)
         g = np.array([0.5, -1.0])
         m_hat = (0.1 * g) / 0.1          # bias-corrected first moment
         v_hat = (0.001 * g * g) / 0.001
@@ -25,8 +25,8 @@ class TestAdamW:
     def test_decoupled_decay(self):
         p_plain = make_param([2.0], [0.3])
         p_decay = make_param([2.0], [0.3])
-        AdamW({"p": p_plain}, lr=0.1, weight_decay=0.0).step()
-        AdamW({"p": p_decay}, lr=0.1, weight_decay=0.5).step()
+        AdamW({"p": p_plain}, 0.0).step(0.1)
+        AdamW({"p": p_decay}, 0.5).step(0.1)
         # decay subtracts lr * wd * theta on top of the plain update
         np.testing.assert_allclose(p_decay.data,
                                    p_plain.data - 0.1 * 0.5 * 2.0, rtol=1e-12)
@@ -37,43 +37,50 @@ class TestAdamW:
         g = rng.standard_normal(5)
         a = make_param(v, g)
         b = make_param(v, g)
-        AdamW({"p": a}, lr=0.05, weight_decay=0.0).step()
-        AdamW({"p": b}, lr=0.05, weight_decay=0.0).step()
+        AdamW({"p": a}, 0.0).step(0.05)
+        AdamW({"p": b}, 0.0).step(0.05)
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_zero_lr_leaves_params(self):
         p = make_param([1.0], [5.0])
-        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.05)
-        opt.step(lr=0.0)
+        AdamW({"p": p}, 0.05).step(0.0)
         np.testing.assert_array_equal(p.data, [1.0])
 
     def test_none_grad_skipped(self):
         p = Tensor(np.ones(3), requires_grad=True)
-        AdamW({"p": p}, lr=0.1, weight_decay=0.0).step()
+        AdamW({"p": p}, 0.0).step(0.1)
         np.testing.assert_array_equal(p.data, np.ones(3))
+
+
+def one_cycle(peak_lr, total_steps):
+    """The schedule at the default TrainConfig's warmup_frac 0.3,
+    start_factor 0.04 and final_factor 1e-4."""
+    cfg = TrainConfig()
+    return OneCycleSchedule(peak_lr, total_steps, cfg.warmup_frac,
+                            cfg.start_factor, cfg.final_factor)
 
 
 class TestOneCycle:
     def test_warmup_start(self):
-        sched = OneCycleSchedule(1.0, 100, warmup_frac=0.3, start_factor=0.04)
+        sched = one_cycle(1.0, 100)
         assert sched.lr(0) == pytest.approx(0.04)
 
     def test_peak_at_warmup_end(self):
-        sched = OneCycleSchedule(1.0, 100, warmup_frac=0.3)
+        sched = one_cycle(1.0, 100)
         assert sched.lr(30) == pytest.approx(1.0)
 
     def test_final_floor(self):
-        sched = OneCycleSchedule(1.0, 100, final_factor=1e-4)
+        sched = one_cycle(1.0, 100)
         assert sched.lr(99) <= sched.lr(50)
         assert sched.lr(100) == pytest.approx(1e-4, rel=1e-2)
 
     def test_monotone_phases(self):
-        sched = OneCycleSchedule(0.006, 480, warmup_frac=0.3)
+        sched = one_cycle(0.006, 480)
         lrs = [sched.lr(s) for s in range(480)]
         warm_end = int(480 * 0.3)
         assert all(a <= b + 1e-15 for a, b in zip(lrs[:warm_end], lrs[1:warm_end]))
         assert all(a >= b - 1e-15 for a, b in zip(lrs[warm_end:], lrs[warm_end + 1:]))
 
     def test_positive_everywhere(self):
-        sched = OneCycleSchedule(0.006, 480)
+        sched = one_cycle(0.006, 480)
         assert min(sched.lr(s) for s in range(480)) > 0.0

@@ -2,8 +2,10 @@
 
 A public top-level function, or a public method or property of a public
 class, must be referenced (as a name, an attribute or an import) by the
-package itself, a demo or the benchmark. The match is by name only, so it
-catches an orphan whose name nothing else uses.
+package itself, a demo or the benchmark, or be a target that the
+benchmark's tracer wraps (an attribute named by a string in its
+SETUP_TARGETS or LAYER_TARGETS). The match is by name only, so it catches
+an orphan whose name nothing else uses.
 """
 
 import ast
@@ -13,10 +15,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "srkd"
 
 # numerics.softmax_rows is the tests' reference oracle for the softmax
-# terms, and losses.gd_teacher_log_z the independent oracle of the batch-GD
-# walk's teacher log-partitions (the benchmark's tracer wraps it by its
-# name, a string); nothing in the package needs them.
-ALLOWED = {"numerics.softmax_rows", "losses.gd_teacher_log_z"}
+# terms; nothing in the package needs it.
+ALLOWED = {"numerics.softmax_rows"}
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _defined(path: Path):
@@ -45,11 +46,23 @@ def _referenced(paths) -> set[str]:
     return names
 
 
+def _traced(path: Path) -> set[str]:
+    """The attribute names, strings at index 1 of each (owner, attribute,
+    span) entry, of the tracer's SETUP_TARGETS and LAYER_TARGETS tables."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in ("SETUP_TARGETS", "LAYER_TARGETS")
+                for t in node.targets):
+            names.update(entry.elts[1].value for entry in node.value.elts)
+    return names
+
+
 def test_every_public_name_has_a_caller():
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     callers = modules + sorted((ROOT / "demos").glob("*.py")) \
         + sorted((ROOT / "bench").rglob("*.py"))
-    used = _referenced(callers)
+    used = _referenced(callers) | _traced(TRACER)
     orphans = [qual for path in modules for qual, name in _defined(path)
                if name not in used and qual not in ALLOWED]
     assert not orphans, f"public names without a caller: {orphans}"

@@ -103,7 +103,7 @@ class TestTraining:
     def test_unfrozen_teacher_rejected(self, setup):
         cfg, data, _ = setup
         from srkd.models import make_teacher
-        live = make_teacher(2, 8, d_out=12)
+        live = make_teacher(2, 8, d_out=12, k=8)
         with pytest.raises(ConfigError):
             train_distill(cfg, live, data)
 
@@ -166,11 +166,11 @@ class TestTapeLifetime:
         self._assert_tape_freed(heaps)
 
 
-def _oracle_objective(model, teacher, samples, nbrs, chosen, w):
+def _oracle_objective(model, teacher, samples, nbrs, chosen, w, precision):
     """Reference: the training loop's batch preparation and step body from
     before `make_batch` and `distill_objective`, kept verbatim except that
     the supervoxel views are pooled by one stacked call per list of maps
-    and the batch-GD walk runs at `w.gd_precision`. At float64 the teacher
+    and the batch-GD walk runs at `precision`. At float64 the teacher
     log-partitions are precomputed by the independent oracle
     `losses.gd_teacher_log_z`; at float32 the walk forms them."""
     need_kd = teacher is not None and w.lambda_kd > 0
@@ -185,7 +185,7 @@ def _oracle_objective(model, teacher, samples, nbrs, chosen, w):
     mask = np.concatenate([s.mask for s in samples])
     gd_masks = None if all(all_valid) else [s.mask for s in samples]
     t_log_z = losses.gd_teacher_log_z(t_feats, w.t_gd, gd_masks) \
-        if w.gd_precision == "float64" else None
+        if precision == "float64" else None
 
     outs = [model.forward(s, nbr) for s, nbr in zip(samples, nbrs)]
     feats = [o[0] for o in outs]
@@ -212,7 +212,7 @@ def _oracle_objective(model, teacher, samples, nbrs, chosen, w):
     if need_gd:
         comps["l_batch_gd"] = losses.loss_batch_gd(
             feats, t_feats, w.t_gd, gd_masks, teacher_log_z=t_log_z,
-            dtype=w.gd_precision)
+            dtype=precision)
     return comps
 
 
@@ -246,11 +246,12 @@ class TestObjective:
     @pytest.mark.parametrize("n_fixed", [96, 256], ids=["all_valid", "padded"])
     def test_matches_loop_oracle_bitwise(self, n_fixed):
         samples, nbrs, chosen, teacher, student = _objective_inputs(n_fixed)
+        w = LossWeights()
         for precision in losses.GD_PRECISIONS:
-            w = LossWeights(gd_precision=precision)
             batch = make_batch(samples, nbrs, teacher, w)
-            got = distill_objective(student, batch, chosen, w)
-            want = _oracle_objective(student, teacher, samples, nbrs, chosen, w)
+            got = distill_objective(student, batch, chosen, w, gd_dtype=precision)
+            want = _oracle_objective(student, teacher, samples, nbrs, chosen, w,
+                                     precision)
             assert {k: v.item() for k, v in got.items()} \
                 == {k: v.item() for k, v in want.items()}, precision
             g_got, g_want = _grads(student, got, w), _grads(student, want, w)
@@ -410,7 +411,8 @@ class TestEvaluate:
         _, data, _ = setup
         cloud = data.val[0]
         student = make_student_from_teacher(
-            make_teacher(cloud.d_in, cloud.n_classes, seed=1), seed=3)
+            make_teacher(cloud.d_in, cloud.n_classes, d_out=128, k=8, seed=1),
+            seed=3)
         frozen = SegModel.from_state(student.state_dict()).freeze()
         sample = resample_fixed(cloud, 1024, 0)
         assert np.array_equal(student.forward(sample)[1].data,
@@ -496,28 +498,47 @@ class TestSceneThreadsTwoWorkers(TestSceneThreads):
     WALK_WORKERS = 2
 
 
-def at_precision(cfg, precision):
-    return replace(cfg, weights=replace(cfg.weights, gd_precision=precision))
-
-
 class TestTeacherLogPartitions:
-    """At either precision the batch-GD walk fills each batch's teacher
+    """The training loop's float32 batch-GD walk fills each batch's teacher
     log-partitions on the batch's first step; later epochs read them back.
     `losses.gd_teacher_log_z` is the independent oracle of that fill."""
 
     @pytest.mark.parametrize("precision", losses.GD_PRECISIONS)
     def test_make_batch_leaves_them_unset(self, setup, precision):
+        # ... to the first walk, at either precision of distill_objective;
+        # the float64 fill is the oracle's bits
         cfg, data, teacher = setup
         samples = [resample_fixed(c, cfg.n_fixed, i)
                    for i, c in enumerate(data.train[:2])]
         nbrs = [knn_indices(s.cloud.positions, s.mask, cfg.knn_k) for s in samples]
-        batch = make_batch(samples, nbrs, teacher, LossWeights(gd_precision=precision))
+        w = LossWeights()
+        batch = make_batch(samples, nbrs, teacher, w)
         assert batch.teacher_feats is not None and batch.teacher_log_z is None
+        filled = np.full((batch.mask.size, len(samples)), np.nan)
+        distill_objective(make_student_from_teacher(teacher, seed=0), batch,
+                          [[] for _ in samples], w, filled, gd_dtype=precision)
+        want = losses.gd_teacher_log_z(batch.teacher_feats, w.t_gd,
+                                       [s.mask for s in samples])
+        if precision == "float64":
+            assert np.array_equal(filled, want)
+        else:
+            assert np.abs(filled / want - 1).max() <= 1e-6
 
-    @pytest.mark.parametrize("precision", losses.GD_PRECISIONS)
-    def test_each_batch_filled_once(self, setup, monkeypatch, precision):
+    def test_training_walks_in_float32(self, setup, monkeypatch):
         cfg, data, teacher = setup
-        cfg = at_precision(cfg, precision)
+        dtypes, inner = [], losses.loss_batch_gd
+
+        def spy(*args, **kwargs):
+            dtypes.append(kwargs["dtype"])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(losses, "loss_batch_gd", spy)
+        train_distill(cfg, teacher, data)
+        n_steps = cfg.epochs * (len(data.train) // cfg.batch_size)
+        assert dtypes == ["float32"] * n_steps
+
+    def test_each_batch_filled_once(self, setup, monkeypatch):
+        cfg, data, teacher = setup
         calls, inner = [], losses.loss_batch_gd
 
         def spy(*args, **kwargs):
@@ -534,11 +555,12 @@ class TestTeacherLogPartitions:
         for step, (given, out) in enumerate(calls[n_batches:]):
             assert given is filled[step % n_batches] and out is None
 
-    @pytest.mark.parametrize("precision", losses.GD_PRECISIONS)
-    def test_trains_the_bits_of_precomputed_partitions(self, setup, monkeypatch,
-                                                       precision):
+    def test_trains_the_bits_of_precomputed_partitions(self, setup, monkeypatch):
+        # The float32 fill moves l_batch_gd within float32's precision and
+        # never the gradient; a float64 fill is the oracle's bits, loss
+        # included (test_losses.py, test_float64_walk_fills_the_reference_bits).
         cfg, data, teacher = setup
-        cfg = replace(at_precision(cfg, precision), epochs=3)
+        cfg = replace(cfg, epochs=3)
         got, got_log = train_distill(cfg, teacher, data)
         inner = trainer.make_batch
 
@@ -550,9 +572,6 @@ class TestTeacherLogPartitions:
         monkeypatch.setattr(trainer, "make_batch", precomputed)
         want, want_log = train_distill(cfg, teacher, data)
         assert state_hash(got) == state_hash(want)
-        if precision == "float64":     # the fill is the oracle's bits
-            assert got_log == want_log
-            return
         assert len(got_log) == len(want_log)
         for g, w in zip(got_log, want_log):
             assert g.get("l_batch_gd") == pytest.approx(w.get("l_batch_gd"),
@@ -569,13 +588,11 @@ class TestHarnesses:
         kd = variant_weights(full, ("lambda_kd",))
         assert kd.lambda_kd == full.lambda_kd and kd.lambda_batch_gd == 0.0
         # every field other than the disabled lambdas is kept
-        other = next(p for p in losses.GD_PRECISIONS if p != full.gd_precision)
         w = LossWeights(lambda_kd=0.5, lambda_p=0.2, lambda_v=0.3, lambda_c=7.0,
-                        lambda_batch_gd=0.4, t_logit=1.5, t_gd=3.0,
-                        gd_precision=other)
+                        lambda_batch_gd=0.4, t_logit=1.5, t_gd=3.0)
         assert variant_weights(w, dict(ABLATION_VARIANTS)["full"]) == w
         assert variant_weights(w, ()) == replace(
-            LossWeights.zeros(), t_logit=1.5, t_gd=3.0, gd_precision=other)
+            LossWeights.zeros(), t_logit=1.5, t_gd=3.0)
 
     def test_ablate_rows(self, setup):
         cfg, data, teacher = setup
