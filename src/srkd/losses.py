@@ -15,11 +15,9 @@ that may work below float64: its `dtype` selects float64 blocks (the
 default, the reference that gradient checks and oracles use) or float32
 ones (the fast path, which the training loop asks for); its loss and
 gradient are float64 sums either way. Everything else is float64.
-The teacher's log-partitions, a constant of each mini-batch, come from
-the walk itself: the first walk over a batch exponentiates the teacher
-blocks it forms anyway, at its working precision, and the trainer keeps
-the array it fills for the batch's later epochs. `gd_teacher_log_z` is
-their independent float64 oracle.
+The teacher's log-partitions come from the walk itself: every walk
+exponentiates the teacher blocks it forms anyway, at its working
+precision. `gd_teacher_log_z` is their independent float64 oracle.
 
 `supervoxel_features` pools the S sampled supervoxels of a batch from a
 list of per-sample maps into stacked (S*n, D) point and voxel Tensors, one
@@ -543,7 +541,7 @@ def _walk_block_pairs(b: int, n: int, work, new_scratch,
 def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
                   temperature: float, masks: list[np.ndarray] | None = None,
                   teacher_log_z: np.ndarray | None = None,
-                  dtype="float64", log_z_out: np.ndarray | None = None) -> Tensor:
+                  dtype="float64") -> Tensor:
     """Batch geometry distillation over all ordered sample pairs.
 
     Feature maps are L2 row-normalized internally. For each ordered pair
@@ -572,12 +570,11 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
     dtype outside GD_PRECISIONS and for a float32 walk below t = 1/64,
     where exp(S_ij) would overflow.
 
-    teacher_log_z holds the (B*N, B) teacher log-partitions of an earlier
-    call on the same teacher maps and masks. Without it, each pair first
-    exponentiates its teacher block T_ij into E and stores the
-    log-partitions of both sides, before the student block overwrites E, in
-    log_z_out, a (B*N, B) float64 array, if one is given, so that later
-    calls can pass it back. They enter the loss only, never the gradient.
+    Each pair first exponentiates its teacher block T_ij into E and stores
+    the teacher log-partitions of both sides, before the student block
+    overwrites E. teacher_log_z, a (B*N, B) array of the same teacher maps
+    and masks such as `gd_teacher_log_z` forms, replaces them if given.
+    They enter the loss only, never the gradient.
     """
     if not student_maps or len(student_maps) != len(teacher_maps):
         raise ShapeError("student and teacher map lists must match")
@@ -592,9 +589,7 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
         raise UndefinedLossError("loss_batch_gd: a sample has no valid rows")
     row_weight = mask * np.repeat(1.0 / (b * b * counts), n)
     fill = teacher_log_z is None
-    log_zt = teacher_log_z
-    if fill:
-        log_zt = np.empty((b * n, b)) if log_z_out is None else log_z_out
+    log_zt = np.empty((b * n, b)) if fill else teacher_log_z
     if np.shape(log_zt) != (b * n, b):
         raise ShapeError(f"teacher log-partitions must be ({b * n}, {b}), "
                          f"got {np.shape(log_zt)}")

@@ -2,12 +2,11 @@
 (ablation, noise robustness, subsampling, batch-size and dimension sweeps).
 
 Batch composition is fixed at the start of a run (a seeded shuffle of the
-training scenes), which lets every frozen-teacher quantity -- per-scene
-features and logits, per-batch supervoxel candidates and similarity
-log-partitions -- be computed once and reused across epochs. The
-training loop runs the batch-GD walk in float32; the walk fills the
-log-partitions from its own teacher blocks on the batch's first step, and
-`_train_loop` keeps that array for the later epochs.
+training scenes), which lets the frozen-teacher quantities -- per-scene
+features and logits, per-batch supervoxel candidates -- be computed once
+and reused across epochs. The training loop runs the batch-GD walk in
+float32; every walk forms the teacher similarity log-partitions from its
+own teacher blocks.
 
 Per-scene work that records no tape -- the k-NN of a run's samples, the
 frozen teacher's forward passes and `evaluate`'s passes -- runs through
@@ -29,7 +28,7 @@ import numpy as np
 from . import losses
 from .autodiff import Tensor, concat_rows
 from .cloud import FixedSample, PointCloud, derive_seed, resample_fixed
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError
 from .losses import LossWeights, loss_total, weighted_total
 from .metrics import Metrics, confusion_matrix, metrics_from_confusion
 from .models import SegModel, knn_indices, make_student_from_teacher, make_teacher
@@ -140,9 +139,6 @@ class Batch:
     mask: np.ndarray                       # concatenated
     teacher_feats: list[np.ndarray] | None
     teacher_logits: np.ndarray | None      # concatenated
-    # batch-GD teacher log-partitions: None until the batch's first walk
-    # fills them
-    teacher_log_z: np.ndarray | None = None
 
 
 def _amra_enabled(w: LossWeights) -> bool:
@@ -175,8 +171,8 @@ def make_batch(samples: list[FixedSample], nbrs: list[np.ndarray],
 
 
 def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
-                      weights: LossWeights, log_z_out: np.ndarray | None = None,
-                      *, gd_dtype: str = "float64") -> dict[str, Tensor | float]:
+                      weights: LossWeights, *,
+                      gd_dtype: str = "float64") -> dict[str, Tensor | float]:
     """The SRKD objective of one mini-batch, term by term (`LOSS_NAMES`).
 
     Runs the student forward pass. `l_task` is always a Tensor; a
@@ -186,11 +182,11 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
     each pools them from the teacher maps, from the student maps when
     `lambda_p` or `lambda_v` is positive, and from the projected student
     maps when `lambda_c` is; with none sampled the AMRA terms stay 0.0.
-    Combine the terms with `losses.weighted_total`. When the batch has no
-    teacher log-partitions, the batch-GD walk forms them and fills
-    log_z_out, if given. gd_dtype is the walk's working precision: the
-    float64 reference by default, float32 in the training loop
-    (`losses.loss_batch_gd`).
+    chosen None while an affinity term has a weight raises ShapeError
+    before the forward pass. Combine the terms with
+    `losses.weighted_total`. gd_dtype is the batch-GD walk's working
+    precision: the float64 reference by default, float32 in the training
+    loop (`losses.loss_batch_gd`).
 
     Batch-GD is formed before the AMRA terms: its walk over the N x N block
     pairs peaks while it runs, and run first it peaks before the pooled
@@ -199,6 +195,9 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
     changes no value, and the backward graph is the same.
     """
     w = weights
+    if chosen is None and _amra_enabled(w):
+        raise ShapeError("chosen must hold each sample's sampled supervoxels "
+                         "when an affinity term has a positive weight, got None")
     outs = [model.forward(s, nbr) for s, nbr in zip(batch.samples, batch.nbrs)]
     feats = [o[0] for o in outs]
     logits = concat_rows([o[1] for o in outs])
@@ -211,8 +210,7 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
     if w.lambda_batch_gd > 0:
         comps["l_batch_gd"] = losses.loss_batch_gd(
             feats, batch.teacher_feats, w.t_gd,
-            [s.mask for s in batch.samples], teacher_log_z=batch.teacher_log_z,
-            dtype=gd_dtype, log_z_out=log_z_out)
+            [s.mask for s in batch.samples], dtype=gd_dtype)
     if _amra_enabled(w) and any(chosen):
         # each student view only when a term that reads it has a weight
         views_s = losses.supervoxel_features(feats, chosen) \
@@ -268,14 +266,7 @@ def _train_loop(model: SegModel, teacher: SegModel | None, cfg: TrainConfig,
                 sample_supervoxels(cand, cfg.sampler.k,
                                    seed=_child_seed(cfg.seed, 19, epoch, bi, si))
                 for si, cand in enumerate(candidates[bi])]
-            # The first batch-GD walk over a batch fills its teacher
-            # log-partitions; the later epochs read them back.
-            log_z = np.empty((batch.mask.size, len(batch.samples))) \
-                if w.lambda_batch_gd > 0 and batch.teacher_log_z is None else None
-            comps = distill_objective(model, batch, chosen, w, log_z,
-                                      gd_dtype="float32")
-            if log_z is not None:
-                batches[bi] = replace(batch, teacher_log_z=log_z)
+            comps = distill_objective(model, batch, chosen, w, gd_dtype="float32")
             report = loss_total(comps, w)  # raises naming any non-finite term
             total = weighted_total(comps, w)
             model.zero_grads()
@@ -331,9 +322,13 @@ def evaluate(model: SegModel, clouds, n_fixed: int,
     the L2-normalized feature map before the segmentation head. The scenes
     run through `losses.map_in_order`; the noise is drawn on the calling
     thread in scene order, so the metrics do not depend on the threads.
+    Raises ConfigError for a negative or non-finite noise_tau.
     """
     if not clouds:
         raise DataError("evaluate needs at least one cloud")
+    if not np.isfinite(noise_tau) or noise_tau < 0:
+        raise ConfigError(f"noise variance must be finite and nonnegative, "
+                          f"got {noise_tau}")
     model = _frozen(model)
     n_classes = clouds[0].n_classes
     rng = derive_seed(noise_seed, 29) if noise_tau > 0 else None

@@ -608,10 +608,9 @@ class TestBatchGD:
     @pytest.mark.parametrize("shape", [(24, 4), (24, 2), (23, 3)])
     def test_log_partitions_of_the_wrong_shape_rejected(self, shape):
         student, teacher, _ = padded_batch(3, 8, masked=())
-        for log_z in ({"teacher_log_z": np.zeros(shape)},
-                      {"log_z_out": np.empty(shape)}):
-            with pytest.raises(ShapeError, match="log-partitions"):
-                loss_batch_gd([Tensor(m) for m in student], teacher, 2.0, **log_z)
+        with pytest.raises(ShapeError, match="log-partitions"):
+            loss_batch_gd([Tensor(m) for m in student], teacher, 2.0,
+                          teacher_log_z=np.zeros(shape))
 
 
 def walk_refused(*args, **kwargs):
@@ -782,27 +781,28 @@ class TestFloat32Walk:
         student, teacher, masks = padded_batch(
             b, 70, masked=((0, 4), (b - 1, 69), (b // 2, 0)) if use_masks else ())
         masks = masks if use_masks else None
-        want, filled = gd_teacher_log_z(teacher, t, masks), np.empty((b * 70, b))
+        want = gd_teacher_log_z(teacher, t, masks)
         runs = []
-        for log_z in ({"log_z_out": filled}, {"teacher_log_z": want}):
+        for log_z in (None, want):
             leaves = [Tensor(m, requires_grad=True) for m in student]
-            loss = loss_batch_gd(leaves, teacher, t, masks, dtype="float32", **log_z)
+            loss = loss_batch_gd(leaves, teacher, t, masks, log_z, dtype="float32")
             loss.backward()
             runs.append((loss.item(), [leaf.grad for leaf in leaves]))
         (got_loss, got_grad), (want_loss, want_grad) = runs
-        assert np.abs(filled / want - 1).max() <= 1e-6
         assert got_loss == pytest.approx(want_loss, rel=1e-4)
+        # The loss weights its (B*N, B) partitions by a total of 1, so
+        # partitions within 1e-6 relative move it by at most this much.
+        assert abs(got_loss - want_loss) <= 1e-6 * np.abs(want).max()
         assert all(np.array_equal(g, w) for g, w in zip(got_grad, want_grad))
 
     @pytest.mark.parametrize("use_masks", [False, True])
     def test_float64_walk_fills_the_reference_bits(self, use_masks):
+        # The loss of the walk that forms its own partitions is the loss
+        # the oracle's partitions give, bit for bit.
         student, teacher, masks = padded_batch(3, 70)
         masks = masks if use_masks else None
-        filled, want = np.empty((210, 3)), gd_teacher_log_z(teacher, 2.0, masks)
-        got = loss_batch_gd([Tensor(m) for m in student], teacher, 2.0, masks,
-                            log_z_out=filled)
-        assert np.array_equal(filled, want)
-        # and so is the loss of the walk that filled them
+        want = gd_teacher_log_z(teacher, 2.0, masks)
+        got = loss_batch_gd([Tensor(m) for m in student], teacher, 2.0, masks)
         assert got.item() == loss_batch_gd([Tensor(m) for m in student], teacher,
                                            2.0, masks, teacher_log_z=want).item()
 
@@ -832,28 +832,26 @@ class TestThreadedWalk:
     @staticmethod
     def walk(monkeypatch, workers, b, n, use_masks, grad=True, dtype="float64",
              fill=False):
-        """(loss, leaf gradients, teacher log partitions) of the `dtype`
-        walk on `workers` threads, or on as many as `losses._walk_workers`
-        picks if None; with fill, the walk forms the log partitions itself."""
+        """(loss, leaf gradients) of the `dtype` walk on `workers` threads,
+        or on as many as `losses._walk_workers` picks if None; with fill, the
+        walk forms the teacher log partitions itself."""
         if workers is not None:
             monkeypatch.setattr(losses, "_walk_workers", lambda n: workers)
         student, teacher, masks = padded_batch(
             b, n, masked=((0, 4), (b - 1, n - 1), (b // 2, 0)) if use_masks else ())
         masks = masks if use_masks else None
-        log_z = np.empty((b * n, b)) if fill else gd_teacher_log_z(teacher, 2.0, masks)
+        log_z = None if fill else gd_teacher_log_z(teacher, 2.0, masks)
         leaves = [Tensor(m, requires_grad=grad) for m in student]
-        loss = loss_batch_gd(leaves, teacher, 2.0, masks, None if fill else log_z,
-                             dtype=dtype, log_z_out=log_z if fill else None)
+        loss = loss_batch_gd(leaves, teacher, 2.0, masks, log_z, dtype=dtype)
         if grad:
             loss.backward()
-        return loss.item(), [leaf.grad for leaf in leaves], log_z
+        return loss.item(), [leaf.grad for leaf in leaves]
 
     @staticmethod
     def assert_same_bits(got, want):
         assert got[0] == want[0]
         assert all(g is w is None or np.array_equal(g, w)
                    for g, w in zip(got[1], want[1], strict=True))
-        assert np.array_equal(got[2], want[2])
 
     # n = 70: a full 64-row strip of the gradient pass and a partial one
     @pytest.mark.parametrize("use_masks", [False, True])

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from srkd import losses, trainer
 from srkd.autodiff import Tensor, concat_rows
 from srkd.cloud import PointCloud, SceneSpec, generate_scene, resample_fixed
-from srkd.errors import ConfigError, DataError
+from srkd.errors import ConfigError, DataError, ShapeError
 from srkd.losses import LOSS_NAMES, LossWeights, weighted_total
 from srkd.models import (SegModel, knn_indices, make_student_from_teacher,
                          make_teacher, save_checkpoint)
@@ -302,6 +303,21 @@ class TestObjective:
             make_batch(samples, nbrs, None, LossWeights())
 
 
+    @pytest.mark.parametrize("weight", ["lambda_p", "lambda_v", "lambda_c"])
+    def test_chosen_none_with_an_affinity_weight_rejected(self, monkeypatch,
+                                                          weight):
+        samples, nbrs, _, teacher, student = _objective_inputs(96)
+        w = replace(LossWeights(), **{k: 0.0 for k in ("lambda_p", "lambda_v",
+                                                      "lambda_c") if k != weight})
+        batch = make_batch(samples, nbrs, teacher, w)
+
+        def forward(*args, **kwargs):
+            raise AssertionError("the student ran")
+
+        monkeypatch.setattr(student, "forward", forward)
+        with pytest.raises(ShapeError, match="chosen"):
+            distill_objective(student, batch, None, w)
+
     @pytest.mark.parametrize("off, pools, projections", [
         (("lambda_c",), 2, 0),                  # student and teacher views
         (("lambda_p", "lambda_v"), 2, 2),       # teacher and projected views
@@ -394,6 +410,12 @@ class TestEvaluate:
         a = evaluate(teacher, data.val, cfg.n_fixed)
         b = evaluate(teacher, data.val, cfg.n_fixed)
         assert a.miou == b.miou
+
+    @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+    def test_bad_noise_variance_rejected(self, setup, tau):
+        cfg, data, teacher = setup
+        with pytest.raises(ConfigError, match="noise variance"):
+            evaluate(teacher, data.val, cfg.n_fixed, noise_tau=tau)
 
     def test_noise_zero_equals_evaluate(self, setup):
         cfg, data, teacher = setup
@@ -498,31 +520,52 @@ class TestSceneThreadsTwoWorkers(TestSceneThreads):
     WALK_WORKERS = 2
 
 
+def inject_oracle_log_z(monkeypatch) -> list[np.ndarray]:
+    """Make every `losses.loss_batch_gd` call read the teacher
+    log-partitions of the float64 oracle `losses.gd_teacher_log_z` instead
+    of forming them in its walk; returns the arrays it passes, in order."""
+    inner, passed = losses.loss_batch_gd, []
+
+    def precomputed(student_maps, teacher_maps, temperature, masks=None, **kwargs):
+        passed.append(losses.gd_teacher_log_z(teacher_maps, temperature, masks))
+        return inner(student_maps, teacher_maps, temperature, masks,
+                     teacher_log_z=passed[-1], **kwargs)
+
+    monkeypatch.setattr(losses, "loss_batch_gd", precomputed)
+    return passed
+
+
 class TestTeacherLogPartitions:
-    """The training loop's float32 batch-GD walk fills each batch's teacher
-    log-partitions on the batch's first step; later epochs read them back.
+    """Every batch-GD walk of the training loop forms its batch's teacher
+    log-partitions from its own teacher blocks; no batch carries them.
     `losses.gd_teacher_log_z` is the independent oracle of that fill."""
 
     @pytest.mark.parametrize("precision", losses.GD_PRECISIONS)
-    def test_make_batch_leaves_them_unset(self, setup, precision):
-        # ... to the first walk, at either precision of distill_objective;
-        # the float64 fill is the oracle's bits
+    def test_make_batch_leaves_them_unset(self, setup, monkeypatch, precision):
+        # ... to the walk, at either precision of distill_objective; the
+        # float64 walk's loss is the oracle's bits
         cfg, data, teacher = setup
         samples = [resample_fixed(c, cfg.n_fixed, i)
                    for i, c in enumerate(data.train[:2])]
         nbrs = [knn_indices(s.cloud.positions, s.mask, cfg.knn_k) for s in samples]
         w = LossWeights()
         batch = make_batch(samples, nbrs, teacher, w)
-        assert batch.teacher_feats is not None and batch.teacher_log_z is None
-        filled = np.full((batch.mask.size, len(samples)), np.nan)
-        distill_objective(make_student_from_teacher(teacher, seed=0), batch,
-                          [[] for _ in samples], w, filled, gd_dtype=precision)
-        want = losses.gd_teacher_log_z(batch.teacher_feats, w.t_gd,
-                                       [s.mask for s in samples])
+        assert batch.teacher_feats is not None
+        assert not hasattr(batch, "teacher_log_z")
+        student = make_student_from_teacher(teacher, seed=0)
+        chosen = [[] for _ in samples]
+        got = distill_objective(student, batch, chosen, w,
+                                gd_dtype=precision)["l_batch_gd"].item()
+        passed = inject_oracle_log_z(monkeypatch)
+        want = distill_objective(student, batch, chosen, w,
+                                 gd_dtype=precision)["l_batch_gd"].item()
+        log_z, = passed
         if precision == "float64":
-            assert np.array_equal(filled, want)
+            assert got == want
         else:
-            assert np.abs(filled / want - 1).max() <= 1e-6
+            # partitions within 1e-6 relative, each weighted into the loss
+            # by a total weight of 1
+            assert abs(got - want) <= 1e-6 * np.abs(log_z).max()
 
     def test_training_walks_in_float32(self, setup, monkeypatch):
         cfg, data, teacher = setup
@@ -537,23 +580,22 @@ class TestTeacherLogPartitions:
         n_steps = cfg.epochs * (len(data.train) // cfg.batch_size)
         assert dtypes == ["float32"] * n_steps
 
-    def test_each_batch_filled_once(self, setup, monkeypatch):
+    def test_every_walk_forms_them(self, setup, monkeypatch):
+        # later epochs too: nothing hands a walk the partitions of an
+        # earlier one
         cfg, data, teacher = setup
-        calls, inner = [], losses.loss_batch_gd
+        given, inner = [], losses.loss_batch_gd
+        signature = inspect.signature(inner)
 
         def spy(*args, **kwargs):
-            calls.append((kwargs["teacher_log_z"], kwargs["log_z_out"]))
+            bound = signature.bind(*args, **kwargs)
+            given.append(bound.arguments.get("teacher_log_z"))
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(losses, "loss_batch_gd", spy)
         train_distill(replace(cfg, epochs=3), teacher, data)
-        n_batches = len(data.train) // cfg.batch_size
-        filled = [out for given, out in calls[:n_batches]]
-        assert len(calls) == 3 * n_batches
-        assert all(given is None and out is not None
-                   for given, out in calls[:n_batches])
-        for step, (given, out) in enumerate(calls[n_batches:]):
-            assert given is filled[step % n_batches] and out is None
+        assert len(given) == 3 * (len(data.train) // cfg.batch_size)
+        assert all(log_z is None for log_z in given)
 
     def test_trains_the_bits_of_precomputed_partitions(self, setup, monkeypatch):
         # The float32 fill moves l_batch_gd within float32's precision and
@@ -562,14 +604,7 @@ class TestTeacherLogPartitions:
         cfg, data, teacher = setup
         cfg = replace(cfg, epochs=3)
         got, got_log = train_distill(cfg, teacher, data)
-        inner = trainer.make_batch
-
-        def precomputed(samples, nbrs, teacher, w):
-            batch = inner(samples, nbrs, teacher, w)
-            return replace(batch, teacher_log_z=losses.gd_teacher_log_z(
-                batch.teacher_feats, w.t_gd, [s.mask for s in samples]))
-
-        monkeypatch.setattr(trainer, "make_batch", precomputed)
+        inject_oracle_log_z(monkeypatch)
         want, want_log = train_distill(cfg, teacher, data)
         assert state_hash(got) == state_hash(want)
         assert len(got_log) == len(want_log)
