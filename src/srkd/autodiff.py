@@ -1,11 +1,11 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-The op set is exactly what the task loss and the tiny encoders need:
-+, - (binary and unary) and * with broadcasting, exp/log, sum, k-NN mean
-aggregation, row L2 normalization, row log-softmax, row concatenation,
-segment mean pooling over a list of maps and the fused affine layer
-(matmul, bias and optional tanh in one op). Each distillation loss term
-is one `Tensor.from_op` node carrying its own hand-derived gradient.
+The op set is exactly what the tiny encoders and the loss recombination
+need: + and * with broadcasting, k-NN mean aggregation, row L2
+normalization, row concatenation, segment mean pooling over a list of maps
+and the fused affine layer (matmul, bias and optional tanh in one op).
+Each loss term, the task loss included, is one `Tensor.from_op` node
+carrying its own hand-derived gradient.
 Gradients are checked against central finite differences in the tests.
 """
 
@@ -151,18 +151,6 @@ class Tensor:
             (o, lambda g: _unbroadcast(g, o.data.shape)),
         ])
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Tensor.from_op(-self.data, [(self, lambda g: -g)])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Tensor.from_op(self.data - o.data, [
-            (self, lambda g: _unbroadcast(g, self.data.shape)),
-            (o, lambda g: _unbroadcast(-g, o.data.shape)),
-        ])
-
     def __mul__(self, other):
         o = self._coerce(other)
         return Tensor.from_op(self.data * o.data, [
@@ -171,26 +159,6 @@ class Tensor:
         ])
 
     __rmul__ = __mul__
-
-    # -- elementwise transcendentals -----------------------------------------
-
-    def exp(self):
-        out = np.exp(self.data)
-        return Tensor.from_op(out, [(self, lambda g: g * out)])
-
-    def log(self):
-        return Tensor.from_op(np.log(self.data), [(self, lambda g: g / self.data)])
-
-    # -- reductions ----------------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        out = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def vjp(g):
-            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-            return np.broadcast_to(gg, self.data.shape).copy()
-
-        return Tensor.from_op(out, [(self, vjp)])
 
     # -- structural ops ------------------------------------------------------
 
@@ -236,11 +204,6 @@ class Tensor:
             return (g - np.where(big, out * proj, 0.0)) / denom
 
         return Tensor.from_op(out, [(self, vjp)])
-
-    def log_softmax_rows(self) -> "Tensor":
-        shift = Tensor(self.data.max(axis=-1, keepdims=True))
-        z = self - shift
-        return z - z.exp().sum(axis=-1, keepdims=True).log()
 
 
 def concat_rows(tensors: Sequence[Tensor]) -> Tensor:

@@ -6,10 +6,11 @@ optional flat key-value config (--config), a seed (--seed), and writes its
 artifacts under --out. Dataset files live in <out>/dataset; training
 commands read them from there and fail with explicit errors when a
 prerequisite artifact (dataset, teacher checkpoint) is missing. Errors,
-usage errors included, are reported as one-line JSON on stderr with exit
-status 2. The sweeps ablate, subsample and batch-sweep run their
-trainings on as many worker processes as OpenBLAS has threads, capped at
-the usable cores and the number of runs (`trainer._run_tasks`).
+usage and file-system errors included, are reported as one-line JSON on
+stderr with exit status 2, and every artifact is written atomically. The
+sweeps ablate, subsample and batch-sweep run their trainings on as many
+worker processes as OpenBLAS has threads, capped at the usable cores and
+the number of runs (`trainer._run_tasks`).
 """
 
 from __future__ import annotations
@@ -42,15 +43,23 @@ GRADCHECK_H = 1e-5      # central-difference step
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"--out {out} exists and is not a directory")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _echo_config(cfg: dict, out: Path, seed: int) -> str:
     h = cfgmod.config_hash(cfg)
-    (out / "config.txt").write_text(
-        f"# effective config, hash {h}, seed {seed}\n" + cfgmod.render_config(cfg))
+    with atomic_open(out / "config.txt") as f:
+        f.write(f"# effective config, hash {h}, seed {seed}\n" + cfgmod.render_config(cfg))
     return h
+
+
+def _write_json(path: Path, obj: dict) -> None:
+    with atomic_open(path) as f:
+        json.dump(obj, f, sort_keys=True, indent=2)
+        f.write("\n")
 
 
 def _write_csv(path: Path, rows: list[dict], cfg_hash: str) -> None:
@@ -115,8 +124,7 @@ def cmd_generate(args, cfg: dict) -> int:
                 "n_classes": spec.n_classes,
                 "class_histogram": hist.tolist(), "unlabeled": n_unlabeled,
                 "config_hash": h}
-    (out / "dataset" / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "dataset" / "manifest.json", manifest)
     print(json.dumps(manifest, sort_keys=True))
     return 0
 
@@ -153,8 +161,7 @@ def cmd_eval(args, cfg: dict) -> int:
     m = trainer.evaluate(model, data.val, cfg["train.n_fixed"])
     result = m.as_row()
     result["per_class_iou"] = [None if np.isnan(v) else v for v in m.iou]
-    (out / "metrics.json").write_text(json.dumps(result, sort_keys=True,
-                                                 indent=2) + "\n")
+    _write_json(out / "metrics.json", result)
     print(json.dumps(result, sort_keys=True))
     return 0
 
@@ -338,7 +345,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = cfgmod.load_config(args.config)
         return _COMMANDS[args.command](args, cfg)
-    except SRKDError as exc:
+    except (SRKDError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

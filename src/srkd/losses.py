@@ -2,10 +2,10 @@
 
 Student-side inputs are autodiff Tensors so gradients flow back to the
 student encoder, head and channel projection; teacher-side inputs are
-plain arrays (the teacher is frozen). `l_task` is built from the tape's
-generic ops; each of the five distillation terms is one tape op whose
-hand-derived gradient is formed with its value, logit KD and the channel
-term by one masked softmax-KL kernel (`_softmax_kl`). The cross-sample
+plain arrays (the teacher is frozen). Each of the six terms is one tape
+op whose hand-derived gradient is formed with its value: the task loss
+from the row log-softmax of the logits, logit KD and the channel term by
+one masked softmax-KL kernel (`_softmax_kl`). The cross-sample
 batch geometry loss, which dominates the training step at full scale,
 walks the N x N block pairs of the stacked (B*N, D) maps on W worker
 threads and never forms the (B*N)^2 gram (`loss_batch_gd`).
@@ -165,9 +165,16 @@ def _grad_edge(t: Tensor, grad: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def loss_task(logits, labels: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
-    """Mean cross-entropy over unmasked labeled points. Raises ShapeError
-    unless labels and mask are (N,), and DataError for a counted label
-    outside [0, C)."""
+    """Mean cross-entropy over unmasked labeled points, one tape op. Raises
+    ShapeError unless labels and mask are (N,), and DataError for a counted
+    label outside [0, C).
+
+    With z = x - rowmax(x), e = exp(z) and s = rowsum(e), a counted row
+    scores z[label] - log(s), and its gradient is w e / s less w at the
+    label, w = 1 / n_valid; other rows get +0.0. These are the numpy
+    operations of the composed log-softmax tape chain the tests keep as the
+    reference, so values and gradients equal that chain's bit for bit.
+    """
     logits = _as_tensor(logits)
     n, c = logits.shape
     labels = _row_vector(labels, n, "loss_task labels")
@@ -178,11 +185,16 @@ def loss_task(logits, labels: np.ndarray, mask: np.ndarray | None = None) -> Ten
         raise UndefinedLossError("loss_task: zero labeled points")
     if np.any((labels[valid] < 0) | (labels[valid] >= c)):
         raise DataError(f"loss_task: a label outside [0, {c}) is not IGNORE_LABEL")
-    onehot = np.zeros((n, c))
-    onehot[valid, labels[valid]] = 1.0
-    log_p = logits.log_softmax_rows()
-    picked = (log_p * onehot).sum(axis=1)
-    return -((picked * valid.astype(np.float64)).sum() * (1.0 / int(valid.sum())))
+    rows, cols = np.flatnonzero(valid), labels[valid]
+    w = 1.0 / rows.size
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=-1, keepdims=True)
+    picked = np.zeros(n)
+    picked[rows] = z[rows, cols] - np.log(s[rows, 0])      # log p at the label
+    grad = (valid * w)[:, None] / s * e
+    grad[rows, cols] -= w
+    return Tensor.from_op(-(picked.sum() * w), [_grad_edge(logits, grad)])
 
 
 def _softmax_kl(zs: np.ndarray, zt: np.ndarray, m: np.ndarray,

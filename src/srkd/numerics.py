@@ -1,9 +1,10 @@
 """Plain-array row transforms: softmax, log-softmax and L2 normalization,
 and the package's one temperature check.
 
-These are the non-differentiable counterparts of the tensor ops in
-:mod:`srkd.autodiff`; they serve the frozen-teacher side of the losses
-and the tests' oracles. All computation is float64.
+They serve the frozen-teacher side of the losses, the softmax-KL kernel
+and the tests' oracles; `losses.loss_task` forms its log-softmax with the
+same operations at T = 1. `l2_normalize_rows` is the plain-array
+counterpart of `Tensor.l2_normalize_rows`. All computation is float64.
 """
 
 from __future__ import annotations

@@ -18,27 +18,19 @@ from srkd.errors import PairingError, ShapeError, UndefinedLossError
 from srkd.losses import (SupervoxelFeatures, affinity, loss_amra_channel,
                          loss_amra_point, loss_amra_voxel)
 from srkd.numerics import log_softmax_rows
+from tape_ops import matmul, texp, tlog_softmax_rows, transpose, tsub, tsum
 
 # ---------------------------------------------------------------------------
-# Oracle: the per-supervoxel tape formulation, with the transpose and
-# matmul tape ops it was written with (the package no longer has them)
+# Oracle: the per-supervoxel tape formulation, with the generic tape ops it
+# was written with (the package no longer has them)
 # ---------------------------------------------------------------------------
-
-
-def _transpose(x: Tensor) -> Tensor:
-    return Tensor.from_op(x.data.T, [(x, lambda g: g.T)])
-
-
-def _matmul(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor.from_op(a.data @ b.data, [(a, lambda g: g @ b.data.T),
-                                            (b, lambda g: a.data.T @ g)])
 
 
 def oracle_affinity(f: Tensor, mask, weight: float) -> Tensor:
     """Weighted squared-L2 pairwise distance matrix w * ||F_i - F_j||^2."""
     n = f.shape[0]
-    sq = (f * f).sum(axis=1, keepdims=True)          # (n, 1)
-    d = sq + _transpose(sq) - 2.0 * _matmul(f, _transpose(f))
+    sq = tsum(f * f, axis=1, keepdims=True)          # (n, 1)
+    d = tsub(sq + transpose(sq), 2.0 * matmul(f, transpose(f)))
     keep = 1.0 - np.eye(n)
     if mask is not None:
         m = np.asarray(mask, dtype=np.float64)
@@ -54,17 +46,17 @@ def oracle_affinity_gap(views_s, views_t, kind: str) -> Tensor:
         n = mask.size
         ds = oracle_affinity(fs, mask, vs.weight)
         dt = oracle_affinity(Tensor(ft.data), mask, vt.weight)
-        diff = ds - dt
-        gap = (diff * diff).sum() * (1.0 / (n * n))
+        diff = tsub(ds, dt)
+        gap = tsum(diff * diff) * (1.0 / (n * n))
         total = gap if total is None else total + gap
     return total * (1.0 / len(views_s))
 
 
 def oracle_masked_channel_kl(rows_s: Tensor, rows_t: Tensor, mask) -> Tensor:
-    ls_s = rows_s.log_softmax_rows()
+    ls_s = tlog_softmax_rows(rows_s)
     ls_t = Tensor(log_softmax_rows(rows_t.data))
-    kl = (ls_s.exp() * (ls_s - ls_t)).sum(axis=1)
-    return (kl * mask.astype(np.float64)).sum() * (1.0 / int(mask.sum()))
+    kl = tsum(texp(ls_s) * tsub(ls_s, ls_t), axis=1)
+    return tsum(kl * mask.astype(np.float64)) * (1.0 / int(mask.sum()))
 
 
 def oracle_channel(views_s, views_t) -> Tensor:

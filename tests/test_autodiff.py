@@ -7,6 +7,7 @@ from srkd.autodiff import (Tensor, affine, concat_rows, finite_diff_gradient,
                            segment_mean)
 from srkd.errors import NumericError, ShapeError, TapeError
 from srkd.models import knn_indices
+from tape_ops import texp, tlog, tlog_softmax_rows, tneg, tsub, tsum
 
 RNG = np.random.default_rng(12345)
 
@@ -33,20 +34,23 @@ def check_grad(build, *shapes, atol=1e-7, rtol=1e-6):
 
 class TestElementwiseOps:
     def test_add_mul(self):
-        check_grad(lambda a, b: ((a + b) * a).sum(), (3, 4), (3, 4))
+        check_grad(lambda a, b: tsum((a + b) * a), (3, 4), (3, 4))
 
     def test_sub_div(self):
-        check_grad(lambda a, b: (a * (b * b + 3.0) - b).sum(), (2, 5), (2, 5))
+        check_grad(lambda a, b: tsum(tsub(a * (b * b + 3.0), b)), (2, 5), (2, 5))
 
     def test_scalar_mixing(self):
-        check_grad(lambda a: sq(1.0 + 2.5 * a).sum(), (4, 3))
+        check_grad(lambda a: tsum(sq(2.5 * a + 1.0)), (4, 3))
+
+    def test_neg(self):
+        check_grad(lambda a, b: tsum(tneg(a) * b), (3, 4), (3, 4))
 
     def test_exp_log(self):
-        check_grad(lambda a: (a.exp() + (a * a + 0.5).log()).sum(), (6,))
+        check_grad(lambda a: tsum(texp(a) + tlog(a * a + 0.5)), (6,))
 
     def test_broadcasting(self):
-        check_grad(lambda a, b: sq(a + b).sum(), (3, 4), (4,))
-        check_grad(lambda a, b: (a * b).sum(), (3, 1), (3, 4))
+        check_grad(lambda a, b: tsum(sq(a + b)), (3, 4), (4,))
+        check_grad(lambda a, b: tsum(a * b), (3, 1), (3, 4))
 
 
 def unfused_affine(x: Tensor, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
@@ -63,7 +67,7 @@ def unfused_affine(x: Tensor, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
 class TestAffine:
     @pytest.mark.parametrize("tanh", [False, True])
     def test_matches_finite_differences(self, tanh):
-        check_grad(lambda x, w, b: sq(affine(x, w, b, tanh)).sum(),
+        check_grad(lambda x, w, b: tsum(sq(affine(x, w, b, tanh))),
                    (5, 4), (4, 3), (3,))
 
     @pytest.mark.parametrize("x_grad", [False, True])
@@ -82,7 +86,7 @@ class TestAffine:
                       Tensor(w.copy(), requires_grad=True),
                       Tensor(b.copy(), requires_grad=True)]
             out = op(*leaves, tanh=tanh) * mask
-            loss = (sq(out) * probe).sum()
+            loss = tsum(sq(out) * probe)
             loss.backward()
             runs.append((out.data, loss.item(), [t.grad for t in leaves]))
         (out, loss, grads), (want_out, want_loss, want_grads) = runs
@@ -107,7 +111,7 @@ class TestAffine:
 
 class TestLinearAlgebraOps:
     def test_sum_axis_keepdims(self):
-        check_grad(lambda a: (a * sq(a).sum(axis=1, keepdims=True)).sum(),
+        check_grad(lambda a: tsum(a * tsum(sq(a), axis=1, keepdims=True)),
                    (4, 3))
 
 
@@ -118,8 +122,8 @@ class TestStructuredOps:
         # of 5: rows 1 and 3 are padding, stacked row 3 feeds nothing
         members, starts, rows = np.array([4, 0, 2, 5, 1]), np.array([0, 1, 3]), [4, 0, 2]
         w = RNG.standard_normal((5, 3))
-        check_grad(lambda a, b: (sq(segment_mean([a, b], members, starts, rows, 5))
-                                 * w).sum(), (4, 3), (2, 3))
+        check_grad(lambda a, b: tsum(sq(segment_mean([a, b], members, starts, rows, 5))
+                                      * w), (4, 3), (2, 3))
 
     def test_segment_mean_values(self):
         x = RNG.standard_normal((6, 3))
@@ -171,23 +175,23 @@ class TestStructuredOps:
 
     def test_neighbor_mean(self):
         idx = RNG.integers(0, 5, (5, 3))
-        check_grad(lambda a: sq(a.neighbor_mean(idx)).sum(), (5, 2))
+        check_grad(lambda a: tsum(sq(a.neighbor_mean(idx))), (5, 2))
 
     def test_l2_normalize(self):
         w = RNG.standard_normal((4, 3))
-        check_grad(lambda a: (a.l2_normalize_rows() * w).sum(), (4, 3))
+        check_grad(lambda a: tsum(a.l2_normalize_rows() * w), (4, 3))
 
     def test_l2_normalize_zero_row_safe(self):
         t = Tensor(np.zeros((2, 3)), requires_grad=True)
-        t.l2_normalize_rows().sum().backward()
+        tsum(t.l2_normalize_rows()).backward()
         assert np.all(np.isfinite(t.grad))
 
     def test_log_softmax_rows(self):
         w = RNG.standard_normal((3, 5))
-        check_grad(lambda a: (a.log_softmax_rows() * w).sum(), (3, 5))
+        check_grad(lambda a: tsum(tlog_softmax_rows(a) * w), (3, 5))
 
     def test_concat_rows(self):
-        check_grad(lambda a, b: sq(concat_rows([a, b])).sum(), (2, 3), (4, 3))
+        check_grad(lambda a, b: tsum(sq(concat_rows([a, b]))), (2, 3), (4, 3))
 
 
 def neighbor_mean_oracle(x, idx, g):
@@ -202,7 +206,7 @@ def neighbor_mean_oracle(x, idx, g):
 def neighbor_mean_passes(x, idx, g):
     t = Tensor(x, requires_grad=True)
     out = t.neighbor_mean(idx)
-    (out * g).sum().backward()  # the upstream gradient of out is exactly g
+    tsum(out * g).backward()  # the upstream gradient of out is exactly g
     return out.data, t.grad
 
 
@@ -279,26 +283,26 @@ class TestNeighborMeanBits:
 class TestBackwardSemantics:
     def test_quadratic(self):
         t = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-        sq(t).sum().backward()
+        tsum(sq(t)).backward()
         np.testing.assert_allclose(t.grad, 2 * t.data)
 
     def test_independent_parameter_gets_no_grad(self):
         a = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
-        sq(a).sum().backward()
+        tsum(sq(a)).backward()
         assert b.grad is None
 
     def test_diamond_graph_accumulates(self):
         # y = x*x used twice: dy/dx must include both paths
         x = Tensor(np.array([2.0]), requires_grad=True)
         y = x * x
-        (y + y).sum().backward()
+        tsum(y + y).backward()
         np.testing.assert_allclose(x.grad, [8.0])
 
     def test_grad_accumulates_across_backwards(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
-        sq(x).sum().backward()
-        sq(x).sum().backward()
+        tsum(sq(x)).backward()
+        tsum(sq(x)).backward()
         np.testing.assert_allclose(x.grad, [12.0])
         x.zero_grad()
         assert x.grad is None
@@ -310,11 +314,11 @@ class TestBackwardSemantics:
     def test_nonfinite_loss_rejected(self):
         t = Tensor(np.array([0.0]), requires_grad=True)
         with np.errstate(divide="ignore"), pytest.raises(NumericError):
-            (t.log()).sum().backward()
+            tsum(tlog(t)).backward()
 
     def test_tensor_of_data_blocks_gradient(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        (Tensor(x.data) * x).sum().backward()
+        tsum(Tensor(x.data) * x).backward()
         np.testing.assert_allclose(x.grad, np.ones(3))
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import srkd
 from srkd import cli, losses, trainer
-from srkd.cli import (GRADCHECK_TOL, _write_csv, _write_jsonl,
+from srkd.cli import (GRADCHECK_TOL, _write_csv, _write_json, _write_jsonl,
                       gradcheck_report, main)
 from srkd.cloud import atomic_open
 from srkd.config import load_config
@@ -261,6 +261,25 @@ class TestErrors:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ParseError"
 
+    def test_out_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "o").write_text("not a directory\n")
+        assert main(["generate", "--out", str(tmp_path / "o")]) == 2
+        assert "not a directory" in self.one_config_error(capsys)
+        assert (tmp_path / "o").read_text() == "not a directory\n"
+
+    def test_file_system_error_is_one_json_line(self, workdir, tmp_path, capsys):
+        # a directory where train-teacher expects a scene file
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(workdir / "tiny.cfg"),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        (out / "dataset" / "train" / "zz.pcbin").mkdir()
+        assert main(["train-teacher", "--config", str(workdir / "tiny.cfg"),
+                     "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "IsADirectoryError"
+
     def test_eval_without_student(self, workdir, tmp_path, capsys):
         out = tmp_path / "fresh"
         assert main(["generate", "--config", str(workdir / "tiny.cfg"),
@@ -344,6 +363,7 @@ ARTIFACT_WRITERS = {
     "csv": (lambda path, rows: _write_csv(path, rows, "h"), [{"x": 1}],
             [{"x": 2}, {"y": 3}]),
     "jsonl": (_write_jsonl, [{"x": 1}], [{"x": 2}, {"y": object()}]),
+    "json": (_write_json, {"x": 1}, {"x": 2, "y": object()}),
 }
 
 

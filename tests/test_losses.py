@@ -11,7 +11,8 @@ import pytest
 
 from srkd import losses
 from srkd.autodiff import Tensor, finite_diff_gradient
-from srkd.cloud import SceneSpec, derive_seed, generate_scene, resample_fixed
+from srkd.cloud import (IGNORE_LABEL, SceneSpec, derive_seed, generate_scene,
+                        resample_fixed)
 from srkd.errors import (ConfigError, DataError, NumericError, PairingError,
                          ShapeError, UndefinedLossError)
 from srkd.losses import (LOSS_NAMES, LossWeights, SupervoxelFeatures, affinity,
@@ -22,6 +23,7 @@ from srkd.numerics import l2_normalize_rows, log_softmax_rows, softmax_rows
 from srkd.trainer import grid_for_clouds
 from srkd.voxelize import (SamplerConfig, _fixed_subset, batch_label_histogram,
                            build_supervoxels, coarse_indices, fine_indices)
+from tape_ops import texp, tlog_softmax_rows, tneg, tsub, tsum
 
 RNG = np.random.default_rng(777)
 
@@ -103,6 +105,52 @@ class TestLossTask:
             loss_task(Tensor(np.zeros((6, 3))), labels, mask)
 
 
+def composed_loss_task(logits: Tensor, labels, mask) -> Tensor:
+    """Reference: loss_task as the chain of generic tape ops it was built
+    from, a log-softmax, a one-hot pick and a masked mean."""
+    n, c = logits.shape
+    valid = (labels != IGNORE_LABEL) & mask
+    onehot = np.zeros((n, c))
+    onehot[valid, labels[valid]] = 1.0
+    picked = tsum(tlog_softmax_rows(logits) * onehot, axis=1)
+    return tneg(tsum(picked * valid.astype(np.float64)) * (1.0 / int(valid.sum())))
+
+
+class TestLossTaskReference:
+    @staticmethod
+    def _check(logits, labels, mask):
+        x, x_ref = Tensor(logits, requires_grad=True), Tensor(logits, requires_grad=True)
+        got, want = loss_task(x, labels, mask), composed_loss_task(x_ref, labels, mask)
+        assert got.data.tobytes() == want.data.tobytes()
+        (parent, _), = got._edges               # one tape op over the logits
+        assert parent is x
+        got.backward()
+        want.backward()
+        assert x.grad.tobytes() == x_ref.grad.tobytes()
+        skipped = x.grad[~mask | (labels == IGNORE_LABEL)]
+        assert not skipped.any() and not np.signbit(skipped).any()   # +0.0
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 50.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_composed_reference(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        logits = scale * rng.standard_normal((257, 8))
+        labels = rng.integers(0, 8, 257)
+        labels[rng.random(257) < 0.2] = IGNORE_LABEL
+        mask = rng.random(257) > 0.25           # padded rows hold random logits
+        self._check(logits, labels, mask)
+
+    def test_saturated_rows_score_zero_bitwise(self):
+        # a margin of 1e3 at every label: exp underflows off the label, so
+        # log(s) is 0 and the loss is exactly -0.0
+        rng = np.random.default_rng(4)
+        logits = rng.standard_normal((33, 5))
+        labels = rng.integers(0, 5, 33)
+        logits[np.arange(33), labels] += 1e3
+        labels[::4] = IGNORE_LABEL
+        self._check(logits, labels, np.arange(33) % 5 != 1)
+
+
 class TestLossKD:
     def test_identity(self):
         z = RNG.standard_normal((5, 4))
@@ -143,11 +191,11 @@ class TestLossKD:
 
 def composed_loss_kd(zs: Tensor, zt, temperature, mask) -> Tensor:
     """Reference: loss_kd as a chain of generic tape ops, softmax(zs * 1/T)."""
-    ls_s = (zs * (1.0 / temperature)).log_softmax_rows()
+    ls_s = tlog_softmax_rows(zs * (1.0 / temperature))
     ls_t = Tensor(log_softmax_rows(zt, temperature))
-    rows = (ls_s.exp() * (ls_s - ls_t)).sum(axis=1)
+    rows = tsum(texp(ls_s) * tsub(ls_s, ls_t), axis=1)
     mask = np.asarray(mask, dtype=bool)
-    return (rows * mask.astype(np.float64)).sum() * (1.0 / int(mask.sum()))
+    return tsum(rows * mask.astype(np.float64)) * (1.0 / int(mask.sum()))
 
 
 class TestLossKDReference:
@@ -373,7 +421,7 @@ class TestSupervoxelFeatures:
                 want[b] += dense.T @ gv[s * n_v:(s + 1) * n_v]
                 np.add.at(want[b], sv.point_indices,
                           gp[s * n_p:(s + 1) * n_p] * m[:, None])
-            ((v.point_features * gp).sum() + (v.voxel_features * gv).sum()).backward()
+            (tsum(v.point_features * gp) + tsum(v.voxel_features * gv)).backward()
             for t, w in zip(maps, want):
                 np.testing.assert_allclose(t.grad, w, rtol=0,
                                            atol=1e-13 * np.abs(w).max())

@@ -6,10 +6,23 @@ package itself, a demo or the benchmark, or be a target that the
 benchmark's tracer wraps (an attribute named by a string in its
 SETUP_TARGETS or LAYER_TARGETS). The match is by name only, so it catches
 an orphan whose name nothing else uses.
+
+Names that numpy shares (`sum`, `exp`, `T`, the arithmetic dunders) always
+look used by name, so `Tensor` is also checked at run time: every public
+method and property and every arithmetic dunder of it must be called on
+the package's own paths.
 """
 
 import ast
+import collections
+import contextlib
+import io
+import runpy
 from pathlib import Path
+
+from srkd import cli, losses, trainer
+from srkd.autodiff import Tensor
+from srkd.cloud import SceneSpec, generate_scene
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "srkd"
@@ -66,3 +79,49 @@ def test_every_public_name_has_a_caller():
     orphans = [qual for path in modules for qual, name in _defined(path)
                if name not in used and qual not in ALLOWED]
     assert not orphans, f"public names without a caller: {orphans}"
+
+
+ARITHMETIC = {f"__{side}{op}__" for side in ("", "r", "i")
+              for op in ("add", "sub", "mul", "matmul", "truediv", "pow")} \
+    | {"__neg__", "__pos__", "__abs__"}
+
+
+def _tensor_surface() -> list[str]:
+    """Tensor's public methods and properties and its arithmetic dunders."""
+    return [name for name, attr in vars(Tensor).items()
+            if (not name.startswith("_") or name in ARITHMETIC)
+            and (callable(attr) or isinstance(attr, property))]
+
+
+def _counted(attr, name: str, calls: collections.Counter):
+    """attr (a function, staticmethod or property) counting its calls in calls[name]."""
+    fn = attr.fget if isinstance(attr, property) else getattr(attr, "__func__", attr)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    if isinstance(attr, property):
+        return property(wrapper)
+    return staticmethod(wrapper) if isinstance(attr, staticmethod) else wrapper
+
+
+def test_every_tensor_method_runs_on_a_package_path(monkeypatch):
+    calls = collections.Counter()
+    names = _tensor_surface()
+    for name in names:
+        monkeypatch.setattr(Tensor, name, _counted(vars(Tensor)[name], name, calls))
+    # one training step's objective and backward at the default weights
+    weights = losses.LossWeights()
+    student, batch, chosen = cli._gradcheck_batch(0, weights)
+    comps = trainer.distill_objective(student, batch, chosen, weights)
+    student.zero_grads()
+    losses.weighted_total(comps, weights).backward()
+    # the noisy evaluation, and a demo that reads losses with item()
+    cloud = generate_scene(SceneSpec(n_classes=4, points_per_scene=48, n_scenes=1), 0)
+    trainer.evaluate(student, [cloud], 16, noise_tau=0.1)
+    with contextlib.redirect_stdout(io.StringIO()):
+        runpy.run_path(str(ROOT / "demos" / "loss_anatomy.py"))
+    assert {"item", "backward", "__add__", "__mul__"} <= set(names)
+    unused = [name for name in names if not calls[name]]
+    assert not unused, f"Tensor members no package path calls: {unused}"
