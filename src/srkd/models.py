@@ -19,53 +19,135 @@ import numpy as np
 
 from .autodiff import Tensor, affine
 from .cloud import FixedSample, atomic_open, derive_seed
-from .errors import DataError, ParseError, ShapeError
+from .errors import ConfigError, DataError, ParseError, ShapeError
 
 _CKPT_MAGIC = b"SRKDCKPT1"
 
 AGG_ROUNDS = 2
-KNN_BLOCK_ENTRIES = 32768  # float64 entries per k-NN distance block (256 KB)
+_KNN_WINDOW = 33       # fewest points next to a row in the spatial order
+_KNN_SLACK = 1e-9      # relative slack of the gemm filter
+_KNN_BLOCK = 1 << 17   # float64 entries per (rows, m) filter block (1 MB)
 
 
 def knn_indices(positions: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
-    """(N, k') nearest valid neighbors per point, self included.
+    """(N, k') nearest valid neighbors per point, nearest first, self included.
 
     Padded rows point at themselves so they never mix with real points;
-    k' = min(k, number of valid points).
+    k' = min(k, number of valid points m). Row i lists the first k' valid
+    points j in the order of (d_ij, j), where d_ij is the squared distance
+    in the float order of the full m x m matrix, ((p_i - p_j) ** 2).sum(-1):
+    dx^2, then += dy^2, then += dz^2. So exact ties go to the lower index,
+    and a point appears in its own row unless more than k' points share
+    its position.
 
-    The m valid points are walked in blocks of rows = max(1, 32768 // m).
-    For each block the squared distances to all m valid points are built
-    one coordinate at a time, (x_i - x_j)^2, then += (y_i - y_j)^2, then
-    += (z_i - z_j)^2, which is the float operation order of the full-matrix
-    ((p_i - p_j) ** 2).sum(axis=-1); the block's rows are then selected with
-    argpartition (argsort when k' = m). Selection works row by row, so each
-    row sees the same bits as in the full m x m matrix and the result is
-    byte-identical to it, neighbour order and tie choices included. The
-    working set is two (rows, m) float64 buffers of about 32K entries each
-    instead of an (m, m, 3) difference tensor.
+    The search is exact and runs in three stages:
+    1. Bound. The valid points are ordered in x strips, by y within a
+       strip. Row i's bound b_i is the k'th smallest d_ij over the
+       w = max(33, k') points next to it in that order (all m if fewer),
+       so at least k' points lie within it.
+    2. Filter. A block of rows at a time, one (rows, 5) @ (5, m) gemm on
+       coordinates c centred on the bounding box gives
+       [c_i, 1, b_i - |c_i|^2 + s_i] . [2 c_j, -|c_j|^2, 1]
+       = b_i + s_i - |c_i - c_j|^2, and every pair where it is >= 0 is
+       kept. The slack s_i = 1e-9 (b_i + |c_i|^2 + max_j |c_j|^2) is at
+       least five orders of magnitude above the rounding of the centring,
+       the gemm and d_ij (at worst a few 1e-15 of the same sum), so the
+       filter keeps every pair with d_ij <= b_i, and maybe a few more,
+       whatever the BLAS or its thread count. Centring keeps |c|^2 near the
+       squared scene radius, so the slack stays far below neighbor
+       distances even for coordinates far from the origin.
+    3. Exact pass. d_ij is recomputed from the positions for the kept
+       pairs (about 10-20 per row), which a stable sort of each row's
+       pairs, held in index order and padded with inf, puts in (d_ij, j)
+       order; the first k' are the answer.
+
+    All three stages run one block of rows at a time, so the working set
+    is one (rows, m) float64 gemm block of at most 128K entries (1 MB), its
+    mask, the block's window distances and kept pairs, and a few (m,)
+    vectors, instead of the m x m distance matrix.
+
+    Raises ShapeError unless positions is (N, 3) and mask is (N,),
+    ConfigError for k < 1 and DataError for a non-finite valid position.
     """
+    positions = np.asarray(positions, dtype=np.float64)
+    mask = np.asarray(mask)
+    if positions.ndim != 2 or positions.shape[1] != 3:
+        raise ShapeError(f"knn_indices needs (N, 3) positions, got {positions.shape}")
     n = positions.shape[0]
+    if mask.shape != (n,):
+        raise ShapeError(f"knn_indices needs a ({n},) mask, got {mask.shape}")
+    if k < 1:
+        raise ConfigError(f"knn_indices needs k >= 1, got {k}")
     valid = np.flatnonzero(mask)
     m = valid.size
     kk = min(k, m)
     idx = np.tile(np.arange(n, dtype=np.intp)[:, None], (1, kk))
-    if m:
-        first, *rest = positions[valid].T.copy()  # one contiguous row per axis
-        rows = max(1, KNN_BLOCK_ENTRIES // m)
-        d_buf, t_buf = np.empty((rows, m)), np.empty((rows, m))
-        for lo in range(0, m, rows):
-            hi = min(lo + rows, m)
-            d, t = d_buf[:hi - lo], t_buf[:hi - lo]
-            np.subtract(first[lo:hi, None], first, out=d)
-            d *= d
-            for col in rest:
-                np.subtract(col[lo:hi, None], col, out=t)
-                t *= t
-                d += t
-            near = np.argpartition(d, kk - 1, axis=1)[:, :kk] if kk < m \
-                else np.argsort(d, axis=1)
-            idx[valid[lo:hi]] = valid[near]
+    if not m:
+        return idx
+    p = positions[valid]
+    if not np.isfinite(p).all():
+        raise DataError("knn_indices needs finite positions at valid points")
+    axes = p.T.copy()  # one contiguous row per axis
+    w = min(m, max(_KNN_WINDOW, kk))
+    order = _strip_order(axes, w)
+    rank = np.empty(m, dtype=np.intp)
+    rank[order] = np.arange(m)
+    first = np.clip(rank - w // 2, 0, m - w)  # each row's window in that order
+    c = p - (p.max(axis=0) + p.min(axis=0)) / 2
+    cc = np.einsum("ij,ij->i", c, c)
+    rhs = np.vstack([2 * c.T, -cc, np.ones(m)])
+    lhs = np.column_stack([c, np.ones(m), -cc])
+    lhs[:, 4] += _KNN_SLACK * (cc + cc.max())  # each block adds (1 + 1e-9) b_i
+    rows = max(1, _KNN_BLOCK // m)
+    offsets = np.arange(w)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        window = order[first[lo:hi, None] + offsets]
+        bound = np.partition(_sq_dist(axes, np.s_[lo:hi, None], window), kk - 1,
+                             axis=1)[:, kk - 1]
+        block = lhs[lo:hi]
+        block[:, 4] += (1 + _KNN_SLACK) * bound
+        kept = np.flatnonzero(block @ rhs >= 0)
+        idx[valid[lo:hi]] = valid[_first_by_distance(axes, lo, hi - lo, kept, kk)]
     return idx
+
+
+def _sq_dist(axes: np.ndarray, i, j) -> np.ndarray:
+    """Squared distances of points i to points j (indices or slices that
+    broadcast), in the full matrix's float order: dx^2, then += dy^2, then
+    += dz^2."""
+    first, *rest = axes
+    d = first[i] - first[j]
+    d *= d
+    for col in rest:
+        t = col[i] - col[j]
+        t *= t
+        d += t
+    return d
+
+
+def _strip_order(axes: np.ndarray, w: int) -> np.ndarray:
+    """The points in about sqrt(m / w) strips of equal count along x, by y
+    within a strip, so a run of w points in it covers a compact patch."""
+    x, y, _ = axes
+    m = x.size
+    order = np.argsort(x)
+    strip = np.arange(m) * max(1, round(math.sqrt(m / w))) // m
+    return order[np.lexsort((y[order], strip))]
+
+
+def _first_by_distance(axes: np.ndarray, lo: int, rows: int, kept: np.ndarray,
+                       kk: int) -> np.ndarray:
+    """(rows, kk) valid-point indices: for each row lo + r of the block, the
+    first kk of its kept pairs (flat indices r * m + j, ascending) by
+    (d_ij, j) (stage 3 of `knn_indices`)."""
+    r, j = np.divmod(kept, axes.shape[1])
+    count = np.bincount(r, minlength=rows)
+    start = np.cumsum(count) - count
+    padded = np.full((rows, count.max()), np.inf)
+    padded[r, np.arange(kept.size) - start[r]] = _sq_dist(axes, r + lo, j)
+    first = np.argsort(padded, axis=1, kind="stable")[:, :kk]
+    return j[first + start[:, None]]
 
 
 def _init_linear(rng, fan_in: int, fan_out: int):

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from srkd import losses, models
 from srkd.cloud import SceneSpec, generate_scene, resample_fixed
-from srkd.errors import DataError, ParseError
+from srkd.errors import ConfigError, DataError, ParseError, ShapeError
 from srkd.models import (AGG_ROUNDS, SegModel, knn_indices, load_checkpoint,
                          make_teacher, make_student_from_teacher,
                          save_checkpoint)
@@ -44,19 +45,19 @@ class TestKNN:
 
 
 def knn_oracle(positions, mask, ks):
-    """Full-matrix k-NN: the (m, m, 3) difference tensor, reduced on axis 2."""
+    """Full-matrix k-NN: the (m, m, 3) difference tensor, reduced on axis 2,
+    and each row's first k by (distance, index) from a stable argsort."""
     n = positions.shape[0]
     valid = np.flatnonzero(mask)
     pv = positions[valid]
     d2 = ((pv[:, None, :] - pv[None, :, :]) ** 2).sum(axis=2)
+    order = np.argsort(d2, axis=1, kind="stable")
     out = []
     for k in ks:
         kk = min(k, valid.size)
         idx = np.tile(np.arange(n, dtype=np.intp)[:, None], (1, kk))
         if valid.size:
-            near = np.argpartition(d2, kk - 1, axis=1)[:, :kk] if kk < valid.size \
-                else np.argsort(d2, axis=1)
-            idx[valid] = valid[near]
+            idx[valid] = valid[order[:, :kk]]
         out.append(idx)
     return out
 
@@ -79,7 +80,7 @@ class TestKNNBlocked:
     def test_byte_identical_to_full_matrix(self, m, kind):
         rng = np.random.default_rng(m * 7 + len(kind))
         pos = knn_points(kind, m, rng)
-        ks = (1, 4, 8)
+        ks = (1, 4, 8, 40)  # 40: more than the 33 points of the bound's window
         for mask in (np.ones(m, dtype=bool), rng.random(m) < 0.6,
                      np.zeros(m, dtype=bool)):
             for k, want in zip(ks, knn_oracle(pos, mask, ks)):
@@ -98,7 +99,99 @@ class TestKNNBlocked:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < m * m * 8
+        assert peak < m * m * 8 / 4  # a quarter of the m x m float64 matrix
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    @pytest.mark.parametrize("kind", ["random", "decimal_lattice"])
+    def test_exact_far_from_the_origin(self, monkeypatch, offset, kind):
+        # The filter works on centred coordinates: uncentred, its slack
+        # grows with |p|^2 and it keeps nearly every pair at +1e6.
+        kept = []
+        first_by_distance = models._first_by_distance
+
+        def spy(axes, lo, rows, pairs, kk):
+            kept.append(pairs.size)
+            return first_by_distance(axes, lo, rows, pairs, kk)
+
+        monkeypatch.setattr(models, "_first_by_distance", spy)
+        m = 1024
+        pos = knn_points(kind, m, np.random.default_rng(7)) + offset
+        mask = np.ones(m, dtype=bool)
+        want, = knn_oracle(pos, mask, (8,))
+        assert np.array_equal(knn_indices(pos, mask, 8), want)
+        if kind == "random":
+            assert sum(kept) < 64 * m
+
+    def test_rows_ascend_by_distance_then_index(self):
+        rng = np.random.default_rng(5)
+        for kind in ("random", "lattice", "duplicates"):
+            pos = knn_points(kind, 500, rng)
+            idx = knn_indices(pos, np.ones(500, dtype=bool), 8)
+            d = ((pos[:, None, :] - pos[idx]) ** 2).sum(axis=2)
+            later = (d[:, 1:] > d[:, :-1]) | ((d[:, 1:] == d[:, :-1])
+                                               & (idx[:, 1:] > idx[:, :-1]))
+            assert later.all(), kind
+
+    def test_equidistant_lattice_neighbours_lowest_indices_first(self):
+        # A shuffled 3 x 3 x 3 unit lattice: the centre has six neighbours
+        # at distance 1, and k = 4 takes the three of lowest index.
+        grid = np.stack(np.meshgrid(*[np.arange(3.0)] * 3, indexing="ij"), -1)
+        pos = np.random.default_rng(1).permutation(grid.reshape(-1, 3))
+        centre = int(np.flatnonzero((pos == 1.0).all(axis=1))[0])
+        faces = np.flatnonzero(np.abs(pos - 1.0).sum(axis=1) == 1.0)
+        idx = knn_indices(pos, np.ones(27, dtype=bool), 4)
+        assert list(idx[centre]) == [centre, *sorted(faces)[:3]]
+
+
+@pytest.mark.usefixtures("walk_workers")
+class TestKNNThreads:
+    """k-NN through `losses.map_in_order` against the calling thread: at
+    W = 2 the scenes run with OpenBLAS pinned to one thread, the calling
+    thread's calls with OpenBLAS at P threads."""
+
+    @pytest.mark.parametrize("m", [1000, 1024])
+    def test_same_at_every_blas_thread_count(self, m):
+        rng = np.random.default_rng(m)
+        scenes = [(knn_points(kind, m, rng), rng.random(m) < 0.9)
+                  for kind in ("random", "lattice", "decimal_lattice", "duplicates")]
+        want = [knn_indices(pos, mask, 8) for pos, mask in scenes]
+        got = losses.map_in_order(lambda s: knn_indices(*s, 8), scenes, m)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+class TestKNNThreadsThreaded(TestKNNThreads):
+    WALK_WORKERS = 2
+
+
+class TestKNNInputs:
+    def test_positions_must_be_n_by_3(self):
+        mask = np.ones(6, dtype=bool)
+        for pos in (np.zeros((6, 2)), np.zeros((6, 4)), np.zeros(6), np.zeros((6, 3, 1))):
+            with pytest.raises(ShapeError, match="positions"):
+                knn_indices(pos, mask, 2)
+
+    def test_mask_must_match_the_points(self):
+        pos = np.random.default_rng(0).standard_normal((6, 3))
+        for mask in (np.ones(5, dtype=bool), np.ones(7, dtype=bool),
+                     np.ones((6, 1), dtype=bool)):
+            with pytest.raises(ShapeError, match="mask"):
+                knn_indices(pos, mask, 2)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        with pytest.raises(ConfigError, match="k >= 1"):
+            knn_indices(np.zeros((4, 3)), np.ones(4, dtype=bool), k)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_valid_position(self, bad):
+        pos = np.random.default_rng(0).standard_normal((6, 3))
+        pos[2, 1] = bad
+        with pytest.raises(DataError, match="finite"):
+            knn_indices(pos, np.ones(6, dtype=bool), 2)
+        mask = np.ones(6, dtype=bool)
+        mask[2] = False  # a padded row is never read
+        want, = knn_oracle(np.where(mask[:, None], pos, 0.0), mask, (2,))
+        assert np.array_equal(knn_indices(pos, mask, 2), want)
 
 
 class TestForward:
