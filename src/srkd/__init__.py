@@ -15,7 +15,7 @@ from .losses import (LOSS_NAMES, LossWeights, affinity,
 from .metrics import Metrics, confusion_matrix, metrics_from_confusion
 from .models import (SegModel, load_checkpoint, make_student_from_teacher,
                      make_teacher, save_checkpoint)
-from .numerics import l2_normalize_rows, log_softmax_rows, softmax_rows
+from .numerics import l2_normalize_rows, log_softmax_rows
 from .optim import AdamW, OneCycleSchedule
 from .trainer import (Dataset, NoiseConfig, TrainConfig, ablate,
                       batch_sensitivity, dim_sensitivity, evaluate,

@@ -7,6 +7,13 @@ and the fused affine layer (matmul, bias and optional tanh in one op).
 Each loss term, the task loss included, is one `Tensor.from_op` node
 carrying its own hand-derived gradient.
 Gradients are checked against central finite differences in the tests.
+
+The tape holds no Tensor data of its own. An op result's edges live on a
+data-free `_Node` and point at the parents' nodes, not at the parent
+Tensors; a leaf is its own node, and backward() sets .grad on it. Each
+vjp captures only the arrays it reads, so an intermediate's array is freed
+as soon as the caller drops its Tensor unless a vjp reads it. There are no
+reference cycles, so refcounting frees it without waiting for `gc`.
 """
 
 from __future__ import annotations
@@ -72,27 +79,46 @@ def _scatter_rows(src: Array, idx: Array, n: int) -> Array:
     return out
 
 
-class Tensor:
-    """A float64 array plus the tape edges needed for backward()."""
+class _Node:
+    """An op result's place on the tape: its edges into the parents' nodes,
+    as (node, vjp: upstream grad -> parent grad contribution). No data."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_edges")
+    __slots__ = ("_edges",)
+
+    def __init__(self, edges: list[tuple["Tensor | _Node", Callable[[Array], Array]]]):
+        self._edges = edges
+
+
+class Tensor:
+    """A float64 array; an op result also carries its tape node."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
-        # list of (parent Tensor, vjp: upstream grad -> parent grad contribution)
-        self._edges: list[tuple["Tensor", Callable[[Array], Array]]] = []
+        self._op: _Node | None = None       # None for a leaf
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def from_op(data: Array, edges: Sequence[tuple["Tensor", Callable]]) -> "Tensor":
         """Build a tensor produced by a (possibly fused) differentiable op."""
-        live = [(p, f) for p, f in edges if p.requires_grad]
+        live = [(p._node, f) for p, f in edges if p.requires_grad]
         out = Tensor(data, requires_grad=bool(live))
-        out._edges = live
+        if live:
+            out._op = _Node(live)
         return out
+
+    @property
+    def _node(self) -> "Tensor | _Node":
+        """Where a child's edge points: the op's node, or a leaf itself."""
+        return self if self._op is None else self._op
+
+    @property
+    def _edges(self) -> list:
+        return [] if self._op is None else self._op._edges
 
     @property
     def shape(self):
@@ -109,9 +135,10 @@ class Tensor:
             raise TapeError(f"backward requires a scalar loss, got shape {self.shape}")
         if not np.isfinite(self.data):
             raise NumericError("backward called on a non-finite loss")
-        topo: list[Tensor] = []
+        root = self._node
+        topo: list[Tensor | _Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Tensor | _Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -124,12 +151,12 @@ class Tensor:
             for parent, _ in node._edges:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        grads: dict[int, Array] = {id(self): np.ones_like(self.data)}
+        grads: dict[int, Array] = {id(root): np.ones_like(self.data)}
         for node in reversed(topo):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad and not node._edges:  # leaf parameter
+            if not node._edges and node.requires_grad:  # leaf parameter
                 node.grad = g if node.grad is None else node.grad + g
             for parent, vjp in node._edges:
                 contrib = vjp(g)
@@ -146,16 +173,19 @@ class Tensor:
 
     def __add__(self, other):
         o = self._coerce(other)
+        sa, so = self.shape, o.shape
         return Tensor.from_op(self.data + o.data, [
-            (self, lambda g: _unbroadcast(g, self.data.shape)),
-            (o, lambda g: _unbroadcast(g, o.data.shape)),
+            (self, lambda g: _unbroadcast(g, sa)),
+            (o, lambda g: _unbroadcast(g, so)),
         ])
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return Tensor.from_op(self.data * o.data, [
-            (self, lambda g: _unbroadcast(g * o.data, self.data.shape)),
-            (o, lambda g: _unbroadcast(g * self.data, o.data.shape)),
+        a, b = self.data, o.data
+        sa, sb = a.shape, b.shape
+        return Tensor.from_op(a * b, [
+            (self, lambda g: _unbroadcast(g * b, sa)),
+            (o, lambda g: _unbroadcast(g * a, sb)),
         ])
 
     __rmul__ = __mul__
@@ -259,8 +289,10 @@ def segment_mean(maps: Sequence[Tensor], members: Array, starts: Array,
     row_of, count_of = np.repeat(rows, lengths), np.repeat(counts, lengths, axis=0)
 
     def edge(t, pick, lo):
+        shape = t.shape
+
         def vjp(g):
-            gx = np.zeros_like(t.data)
+            gx = np.zeros(shape)
             gx[members[pick] - lo] = g[row_of[pick]] / count_of[pick]
             return gx
         return t, vjp
@@ -272,31 +304,32 @@ def affine(x: Tensor, w: Tensor, b: Tensor, tanh: bool = False) -> Tensor:
     """x @ w + b, through tanh if `tanh`, as one tape op.
 
     The forward adds b into the matmul output and applies tanh in place, so
-    the tape keeps one (N, D_out) array where separate matmul, add and tanh
-    ops kept three. The vjp forms dz = g * (1 - out^2) (g itself without
-    tanh) once for all three edges and returns dz @ w.T, x.T @ dz and
-    dz.sum(axis=0): the numpy operations of the separate ops, so values and
-    gradients equal theirs bit for bit. Raises ShapeError unless x is
+    the tape keeps at most one (N, D_out) array, `out`, which only the tanh
+    vjp reads; where separate matmul, add and tanh ops kept three. The w
+    edge also keeps x's array. The vjp forms dz = g * (1 - out^2) (g itself
+    without tanh) once for all three edges and returns dz @ w.T, x.T @ dz
+    and dz.sum(axis=0): the numpy operations of the separate ops, so values
+    and gradients equal theirs bit for bit. Raises ShapeError unless x is
     (N, D_in), w is (D_in, D_out) and b is (D_out,).
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] \
             or b.shape != (w.shape[1],):
         raise ShapeError(f"affine shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
-    out = x.data @ w.data
+    xd, wd = x.data, w.data
+    out = xd @ wd
     out += b.data
-    if tanh:
-        np.tanh(out, out=out)
-    parts = [(x, lambda dz: dz @ w.data.T), (w, lambda dz: x.data.T @ dz),
+    parts = [(x, lambda dz: dz @ wd.T), (w, lambda dz: xd.T @ dz),
              (b, lambda dz: dz.sum(axis=0))]
     live = [(t, f) for t, f in parts if t.requires_grad]
+    if not tanh:
+        return Tensor.from_op(out, live)
+    np.tanh(out, out=out)
     # backward calls a node's edges one after another with the same g: dz is
     # formed for the first live edge and dropped by the last one
     held: list[tuple[Array, Array]] = []     # (g, dz) in between
 
     def edge(f, last):
         def vjp(g):
-            if not tanh:
-                return f(g)
             if not held or held[0][0] is not g:
                 held[:] = [(g, g * (1.0 - out * out))]
             dz = held[0][1]

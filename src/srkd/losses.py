@@ -157,7 +157,8 @@ def _row_vector(a, n: int, what: str) -> np.ndarray:
 
 def _grad_edge(t: Tensor, grad: np.ndarray):
     """Edge of a scalar op into the stacked Tensor t: g * grad, in t's shape."""
-    return t, lambda g: float(g) * grad.reshape(t.shape)
+    shape = t.shape
+    return t, lambda g: float(g) * grad.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -619,13 +620,16 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
     def pair(i, j, ri, rj, scratch):
         e, h, strip = scratch
         m_i, m_j = mask_w[ri], mask_w[rj]
-        np.matmul(ft_c[ri], ft_c[rj].T, out=h)        # teacher block T_ij
+        t_j, s_j = ft_c[rj], fs_c[rj]
+        if i == j:  # A @ A.T on one buffer goes to syrk, 2-3x slower than gemm
+            t_j, s_j = t_j.copy(), s_j.copy()
+        np.matmul(ft_c[ri], t_j.T, out=h)             # teacher block T_ij
         if fill:                                      # its partitions, both sides
             np.exp(h, out=e)
             np.log(f64(e @ m_j), out=log_zt[ri, j])
             if i != j:
                 np.log(f64(m_i @ e), out=log_zt[rj, i])
-        np.matmul(fs_c[ri], fs_c[rj].T, out=e)        # student block S_ij
+        np.matmul(fs_c[ri], s_j.T, out=e)             # student block S_ij
         np.subtract(e, h, out=h)                      # D = S_ij - T_ij
         np.exp(e, out=e)                              # E = exp(S_ij)
         h *= e                                        # E * D

@@ -1,5 +1,5 @@
-"""Plain-array row transforms: softmax, log-softmax and L2 normalization,
-and the package's one temperature check.
+"""Plain-array row transforms: log-softmax and L2 normalization, and the
+package's one temperature check.
 
 They serve the frozen-teacher side of the losses, the softmax-KL kernel
 and the tests' oracles; `losses.loss_task` forms its log-softmax with the
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 
 L2_EPS = 1e-12      # floor of a row norm in L2 normalization
 
@@ -20,18 +20,6 @@ def check_temperature(temperature: float) -> None:
     """ConfigError unless the temperature is finite and positive."""
     if not np.isfinite(temperature) or temperature <= 0:
         raise ConfigError(f"temperature must be finite and positive, got {temperature}")
-
-
-def softmax_rows(m: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Row-wise softmax of m / temperature with max-subtraction stability."""
-    check_temperature(temperature)
-    m = np.asarray(m, dtype=np.float64)
-    if not np.isfinite(m).all():
-        raise NumericError("softmax input must be finite")
-    s = m / temperature
-    s = s - s.max(axis=-1, keepdims=True)
-    e = np.exp(s)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:

@@ -56,15 +56,12 @@ class OneCycleSchedule:
     """Linear warmup to the peak rate, then cosine decay.
 
     lr(0) = peak * start_factor; lr at the end of warmup = peak;
-    lr(total) = peak * final_factor.
+    lr(total) = peak * final_factor. `TrainConfig`, which every run builds
+    it from, checks peak_lr and warmup_frac; only total_steps is checked here.
     """
 
     def __init__(self, peak_lr: float, total_steps: int, warmup_frac: float,
                  start_factor: float, final_factor: float):
-        if peak_lr < 0:
-            raise ConfigError("peak_lr must be nonnegative")
-        if not 0.0 < warmup_frac < 1.0:
-            raise ConfigError("warmup_frac must be in (0, 1)")
         if total_steps < 1:
             raise ConfigError("total_steps must be >= 1")
         self.peak_lr = peak_lr

@@ -22,12 +22,13 @@ from srkd.losses import (LOSS_NAMES, SupervoxelFeatures, loss_amra_channel,
                          loss_amra_point, loss_amra_voxel, loss_batch_gd,
                          loss_kd)
 from srkd.metrics import confusion_matrix, metrics_from_confusion
-from srkd.numerics import l2_normalize_rows, softmax_rows
+from srkd.numerics import l2_normalize_rows
 from srkd.trainer import (ABLATION_VARIANTS, Dataset, NoiseConfig, _run_tasks,
                           noise_sweep, subsample_sweep, train_distill,
                           train_teacher, variant_weights)
 from srkd.voxelize import (CylGrid, sample_supervoxels, supervoxel_weight,
                            voxel_count)
+from numeric_oracles import softmax_rows
 
 RNG = np.random.default_rng(4242)
 

@@ -206,7 +206,7 @@ class TestFusedAgainstOracle:
         fields = {"point": ("point_features",), "voxel": ("voxel_features",),
                   "channel": ("point_features", "voxel_features")}[term]
         want = [getattr(views_s, f) for f in fields]
-        assert [id(p) for p, _ in loss._edges] == [id(t) for t in want]
+        assert [id(p) for p, _ in loss._edges] == [id(t._node) for t in want]
 
     def test_no_edges_without_grad(self, term):
         fused, oracle = ORACLES[term]

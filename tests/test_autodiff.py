@@ -129,7 +129,7 @@ class TestStructuredOps:
         x = RNG.standard_normal((6, 3))
         maps = [Tensor(x[:4], requires_grad=True), Tensor(x[4:], requires_grad=True)]
         pooled = segment_mean(maps, [4, 0, 2, 5, 1], [0, 1, 3], [4, 0, 2], 5)
-        assert [p for p, _ in pooled._edges] == maps    # one edge per map
+        assert [p for p, _ in pooled._edges] == [m._node for m in maps]  # one edge per map
         out = pooled.data
         assert out[4].tobytes() == x[4].tobytes()  # a length-1 segment is its row
         np.testing.assert_allclose(out[[0, 2]], [(x[0] + x[2]) / 2, (x[5] + x[1]) / 2],

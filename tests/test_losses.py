@@ -19,10 +19,11 @@ from srkd.losses import (LOSS_NAMES, LossWeights, SupervoxelFeatures, affinity,
                          gd_teacher_log_z, loss_amra_channel, loss_amra_point,
                          loss_amra_voxel, loss_batch_gd, loss_kd, loss_task,
                          loss_total, supervoxel_features, weighted_total)
-from srkd.numerics import l2_normalize_rows, log_softmax_rows, softmax_rows
+from srkd.numerics import l2_normalize_rows, log_softmax_rows
 from srkd.trainer import grid_for_clouds
 from srkd.voxelize import (SamplerConfig, _fixed_subset, batch_label_histogram,
                            build_supervoxels, coarse_indices, fine_indices)
+from numeric_oracles import softmax_rows
 from tape_ops import texp, tlog_softmax_rows, tneg, tsub, tsum
 
 RNG = np.random.default_rng(777)
@@ -123,7 +124,7 @@ class TestLossTaskReference:
         got, want = loss_task(x, labels, mask), composed_loss_task(x_ref, labels, mask)
         assert got.data.tobytes() == want.data.tobytes()
         (parent, _), = got._edges               # one tape op over the logits
-        assert parent is x
+        assert parent is x._node
         got.backward()
         want.backward()
         assert x.grad.tobytes() == x_ref.grad.tobytes()
@@ -213,7 +214,7 @@ class TestLossKDReference:
         else:
             assert abs(got.item() - want.item()) <= 1e-14 * abs(want.item())
         (parent, _), = got._edges               # one tape op over the logits
-        assert parent is x
+        assert parent is x._node
         got.backward()
         want.backward()
         assert np.abs(x.grad - x_ref.grad).max() <= 1e-12 * np.abs(x_ref.grad).max()
@@ -440,7 +441,7 @@ class TestSupervoxelFeatures:
                 for _ in samples]
         v = supervoxel_features(maps, chosen)
         for pooled in (v.point_features, v.voxel_features):
-            assert [p for p, _ in pooled._edges] == maps
+            assert [p for p, _ in pooled._edges] == [m._node for m in maps]
         frozen = supervoxel_features([m.data for m in maps], chosen)
         assert not frozen.point_features._edges and not frozen.voxel_features._edges
         assert frozen.point_features.data.tobytes() == v.point_features.data.tobytes()

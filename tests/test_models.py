@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -254,7 +255,7 @@ class TestForward:
     def test_each_layer_is_one_tape_node(self):
         model = make_teacher(2, 8, d_out=16, k=8, seed=4)
         f_norm, logits = model.forward(sample())
-        nodes, stack = {}, [logits]
+        nodes, stack = {}, [logits._node]
         while stack:
             t = stack.pop()
             if id(t) not in nodes:
@@ -273,7 +274,7 @@ class TestForward:
             assert [p for p, _ in users[0]._edges][-2:] == \
                 [enc.params[f"w{i}"], enc.params[f"b{i}"]]
         assert [p for p, _ in logits._edges] == \
-            [f_norm, model.head.w, model.head.b]
+            [f_norm._node, model.head.w, model.head.b]
 
     def test_feature_noise_injection_point(self):
         model = make_teacher(2, 8, d_out=16, k=8, seed=4)
@@ -283,6 +284,43 @@ class TestForward:
         noisy = model.forward(s, feature_noise=noise)[1].data
         want = base + noise @ model.head.w.data
         np.testing.assert_allclose(noisy, want, atol=1e-12)
+
+
+class TestLeanTape:
+    """The tape keeps only the arrays its vjps read."""
+
+    @staticmethod
+    def _teacher_inputs():
+        cloud = generate_scene(SceneSpec(seed=3), 0)
+        s = resample_fixed(cloud, 1024, seed=4)
+        model = make_teacher(cloud.d_in, cloud.n_classes, 128, k=8, seed=5)
+        return model, s, knn_indices(s.cloud.positions, s.mask, model.k)
+
+    def test_working_set_of_a_live_teacher_tape(self):
+        model, s, nbr = self._teacher_inputs()
+        n, d, c = s.n_fixed, model.encoder.d_out, model.n_classes
+        losses.loss_task(model.forward(s, nbr)[1], s.cloud.labels, s.mask)
+        tracemalloc.start()
+        try:
+            loss = losses.loss_task(model.forward(s, nbr)[1], s.cloud.labels, s.mask)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # layer 0's tanh output, the first neighbour mean (layer 1's input),
+        # layer 1's tanh output and the normalized map: four (N, D) arrays.
+        # Within four (N, C): the loss gradient, the input and (N, 1) columns.
+        assert live < 4 * n * d * 8 + 4 * n * c * 8
+        loss.backward()
+        assert all(p.grad is not None for p in model.named_params().values())
+
+    def test_pre_normalization_map_freed_under_a_live_loss(self):
+        model, s, nbr = self._teacher_inputs()
+        raw = model.encoder.forward(SegModel.encoder_input(s), nbr, s.mask)
+        ref = weakref.ref(raw.data)
+        loss = losses.loss_task(model.head.forward(raw.l2_normalize_rows()),
+                                s.cloud.labels, s.mask)
+        del raw
+        assert ref() is None and loss.requires_grad
 
 
 class TestStudentConstruction:

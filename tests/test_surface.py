@@ -27,9 +27,6 @@ from srkd.cloud import SceneSpec, generate_scene
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "srkd"
 
-# numerics.softmax_rows is the tests' reference oracle for the softmax
-# terms; nothing in the package needs it.
-ALLOWED = {"numerics.softmax_rows"}
 TRACER = ROOT / "bench" / "tracer.py"
 
 
@@ -77,7 +74,7 @@ def test_every_public_name_has_a_caller():
         + sorted((ROOT / "bench").rglob("*.py"))
     used = _referenced(callers) | _traced(TRACER)
     orphans = [qual for path in modules for qual, name in _defined(path)
-               if name not in used and qual not in ALLOWED]
+               if name not in used]
     assert not orphans, f"public names without a caller: {orphans}"
 
 

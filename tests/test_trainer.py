@@ -359,13 +359,15 @@ class TestObjectiveTape:
         n_views = sum(len(svs) for svs in chosen)
         pooling = {}
         for term, kinds in (("l_amra_p", 1), ("l_amra_v", 1), ("l_amra_c", 2)):
-            parents = [p for p, _ in comps[term]._edges]
-            assert len(parents) == kinds == len(set(map(id, parents)))
-            for view in parents:  # one pooling op over every sample map
-                assert view.shape[0] in (16 * n_views, 4 * n_views)
-                maps = [p for p, _ in view._edges]
-                assert len(maps) == len(samples) == len(set(map(id, maps)))
-                assert all(m.shape[0] == samples[0].n_fixed for m in maps)
+            edges = comps[term]._edges
+            assert len(edges) == kinds == len(set(id(p) for p, _ in edges))
+            for view, vjp in edges:  # one pooling op over every sample map
+                # a node holds no data: each edge's gradient has its parent's shape
+                g_view = vjp(np.float64(1.0))
+                assert g_view.shape[0] in (16 * n_views, 4 * n_views)
+                maps = view._edges
+                assert len(maps) == len(samples) == len(set(id(m) for m, _ in maps))
+                assert all(f(g_view).shape[0] == samples[0].n_fixed for _, f in maps)
                 pooling[id(view)] = view
         # point and voxel rows of the student and of its projection; the
         # teacher's views carry no gradient and are not on the tape
@@ -376,9 +378,10 @@ class TestObjectiveTape:
         w = LossWeights()
         comps = distill_objective(student, make_batch(samples, nbrs, teacher, w),
                                   chosen, w)
-        (logits, _), = comps["l_kd"]._edges
+        (logits, vjp), = comps["l_kd"]._edges
         # the batch's concatenated student logits, one head output per sample
-        assert logits.shape == (len(samples) * samples[0].n_fixed, student.n_classes)
+        assert vjp(np.float64(1.0)).shape == \
+            (len(samples) * samples[0].n_fixed, student.n_classes)
         assert len(logits._edges) == len(samples)
 
     def test_peak_traced_memory(self):
@@ -402,6 +405,47 @@ class TestObjectiveTape:
             if started:
                 tracemalloc.stop()
         assert peak < 2_290_000
+
+    def test_no_vjp_captures_an_op_result(self):
+        # A vjp that captures a non-leaf Tensor keeps its array alive for as
+        # long as the tape, read or not; the package's vjps capture arrays
+        # and shapes. (The tests' own tape_ops are not on this tape.)
+        samples, nbrs, chosen, teacher, student = _objective_inputs(256)
+        w = LossWeights()
+        comps = distill_objective(student, make_batch(samples, nbrs, teacher, w),
+                                  chosen, w)
+        assert all(isinstance(comps[name], Tensor) for name in losses.LOSS_NAMES)
+        held, seen = [], set()
+
+        def scan(obj, vjp):
+            if id(obj) in seen:
+                return
+            seen.add(id(obj))
+            if isinstance(obj, Tensor):
+                if obj._op is not None:
+                    held.append(vjp.__qualname__)
+            elif isinstance(obj, (list, tuple)):
+                for item in obj:
+                    scan(item, vjp)
+            elif inspect.isfunction(obj):
+                for cell in obj.__closure__ or ():
+                    try:
+                        scan(cell.cell_contents, vjp)
+                    except ValueError:              # an empty cell
+                        pass
+                for item in obj.__defaults__ or ():
+                    scan(item, vjp)
+
+        nodes, stack, n_vjps = set(), [weighted_total(comps, w)._node], 0
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes.add(id(node))
+                for parent, vjp in node._edges:
+                    scan(vjp, vjp)
+                    n_vjps += 1
+                    stack.append(parent)
+        assert n_vjps > 40 and not held, held
 
 
 class TestEvaluate:
