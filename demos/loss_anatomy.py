@@ -63,7 +63,7 @@ for name in LOSS_NAMES[1:]:
 # matches central finite differences.
 student.zero_grads()
 total.backward()
-pname, p = next(iter(student.named_params().items()))
+pname, p = next(iter(student.params.items()))
 analytic = p.grad.copy()
 
 

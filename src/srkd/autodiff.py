@@ -81,12 +81,19 @@ def _scatter_rows(src: Array, idx: Array, n: int) -> Array:
 
 class _Node:
     """An op result's place on the tape: its edges into the parents' nodes,
-    as (node, vjp: upstream grad -> parent grad contribution). No data."""
+    as (node, vjp: upstream grad -> parent grad contribution). No data.
+    A node can itself be an op's parent (`affine` with tanh), so it answers
+    `from_op`'s requires_grad and _node like a Tensor."""
 
     __slots__ = ("_edges",)
+    requires_grad = True
 
     def __init__(self, edges: list[tuple["Tensor | _Node", Callable[[Array], Array]]]):
         self._edges = edges
+
+    @property
+    def _node(self) -> "_Node":
+        return self
 
 
 class Tensor:
@@ -103,7 +110,7 @@ class Tensor:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def from_op(data: Array, edges: Sequence[tuple["Tensor", Callable]]) -> "Tensor":
+    def from_op(data: Array, edges: Sequence[tuple["Tensor | _Node", Callable]]) -> "Tensor":
         """Build a tensor produced by a (possibly fused) differentiable op."""
         live = [(p._node, f) for p, f in edges if p.requires_grad]
         out = Tensor(data, requires_grad=bool(live))
@@ -306,11 +313,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor, tanh: bool = False) -> Tensor:
     The forward adds b into the matmul output and applies tanh in place, so
     the tape keeps at most one (N, D_out) array, `out`, which only the tanh
     vjp reads; where separate matmul, add and tanh ops kept three. The w
-    edge also keeps x's array. The vjp forms dz = g * (1 - out^2) (g itself
-    without tanh) once for all three edges and returns dz @ w.T, x.T @ dz
-    and dz.sum(axis=0): the numpy operations of the separate ops, so values
-    and gradients equal theirs bit for bit. Raises ShapeError unless x is
-    (N, D_in), w is (D_in, D_out) and b is (D_out,).
+    edge also keeps x's array. The edges into x, w and b return dz @ w.T,
+    x.T @ dz and dz.sum(axis=0) of dz = g without tanh. With tanh, the
+    result's one edge forms dz = g * (1 - out^2) once and hands it to a
+    data-free node that carries those three edges. These are the numpy
+    operations of the separate ops, so values and gradients equal theirs
+    bit for bit. Raises ShapeError unless x is (N, D_in), w is
+    (D_in, D_out) and b is (D_out,).
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] \
             or b.shape != (w.shape[1],):
@@ -321,25 +330,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor, tanh: bool = False) -> Tensor:
     parts = [(x, lambda dz: dz @ wd.T), (w, lambda dz: xd.T @ dz),
              (b, lambda dz: dz.sum(axis=0))]
     live = [(t, f) for t, f in parts if t.requires_grad]
-    if not tanh:
-        return Tensor.from_op(out, live)
-    np.tanh(out, out=out)
-    # backward calls a node's edges one after another with the same g: dz is
-    # formed for the first live edge and dropped by the last one
-    held: list[tuple[Array, Array]] = []     # (g, dz) in between
-
-    def edge(f, last):
-        def vjp(g):
-            if not held or held[0][0] is not g:
-                held[:] = [(g, g * (1.0 - out * out))]
-            dz = held[0][1]
-            if last:
-                held.clear()
-            return f(dz)
-        return vjp
-
-    return Tensor.from_op(out, [(t, edge(f, k == len(live) - 1))
-                                for k, (t, f) in enumerate(live)])
+    if tanh:
+        np.tanh(out, out=out)
+        if live:  # one edge forms dz into a node that carries the three edges
+            inner = _Node([(t._node, f) for t, f in live])
+            live = [(inner, lambda g: g * (1.0 - out * out))]
+    return Tensor.from_op(out, live)
 
 
 def finite_diff_gradient(f: Callable[[Array], float], theta: Array,

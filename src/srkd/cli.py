@@ -271,13 +271,12 @@ def gradcheck_report(seed: int, weights: LossWeights = LossWeights()) -> dict[st
         return comps
 
     names = [n for n, v in terms().items() if isinstance(v, Tensor)]
-    params = student.named_params()
     report = {}
     for name in names:
         student.zero_grads()
         terms()[name].backward()
         worst = 0.0
-        for pname, p in params.items():
+        for pname, p in student.params.items():
             analytic = np.zeros_like(p.data) if p.grad is None else p.grad.copy()
 
             def f(theta, _p=p, _name=name):

@@ -1,12 +1,15 @@
-"""Tiny geometry-aware point encoders, segmentation heads, and the
-student-to-teacher channel projection.
+"""Exact k-NN, the segmentation model and its checkpoint format.
 
-The encoder is a per-point MLP over (position, input features) interleaved
-with two rounds of k-nearest-neighbor mean aggregation among valid points;
-it is a deliberately small stand-in for a transformer backbone that still
-makes relation-based distillation non-degenerate. The segmentation head
-consumes the L2-normalized feature map, which is also where evaluation-time
-feature noise is injected.
+`SegModel` is a tiny point encoder, a segmentation head and, in a student,
+the channel projection to the teacher's width. The encoder is a per-point
+MLP over (position, input features) interleaved with two rounds of
+k-nearest-neighbor mean aggregation among valid points; it is a
+deliberately small stand-in for a transformer backbone that still makes
+relation-based distillation non-degenerate. The head and the projection
+read the L2-normalized feature map, which is also where evaluation-time
+feature noise is injected. Every parameter lives in one table,
+`SegModel.params`, keyed by its checkpoint name; `_param_shapes` writes
+each name and shape once, for the constructor and for `from_state`.
 """
 
 from __future__ import annotations
@@ -150,135 +153,117 @@ def _first_by_distance(axes: np.ndarray, lo: int, rows: int, kept: np.ndarray,
     return j[first + start[:, None]]
 
 
-def _init_linear(rng, fan_in: int, fan_out: int):
-    bound = 1.0 / np.sqrt(fan_in)
-    w = Tensor(rng.uniform(-bound, bound, (fan_in, fan_out)), requires_grad=True)
-    b = Tensor(rng.uniform(-bound, bound, fan_out), requires_grad=True)
-    return w, b
+def _param_shapes(widths: tuple[int, ...], n_classes: int,
+                  project_to: int | None) -> dict[str, tuple[int, ...]]:
+    """Checkpoint name -> shape of every `SegModel` parameter, in init
+    order: encoder layer i's w{i} (widths[i], widths[i + 1]) and b{i}, the
+    head, then the channel projection unless project_to is None."""
+    if len(widths) < 2:
+        raise DataError("encoder needs at least one linear layer")
+    shapes: dict[str, tuple[int, ...]] = {}
+    for i, (fi, fo) in enumerate(zip(widths[:-1], widths[1:])):
+        shapes[f"encoder.w{i}"], shapes[f"encoder.b{i}"] = (fi, fo), (fo,)
+    shapes["head.w"], shapes["head.b"] = (widths[-1], n_classes), (n_classes,)
+    if project_to is not None:
+        shapes["proj.w"], shapes["proj.b"] = (widths[-1], project_to), (project_to,)
+    return shapes
 
 
-class PointEncoder:
-    """Per-point MLP + k-NN mean aggregation; widths[0] is the input width."""
-
-    def __init__(self, widths: tuple[int, ...], k: int, seed: int = 0):
-        if len(widths) < 2:
-            raise DataError("encoder needs at least one linear layer")
-        self.widths = tuple(int(w) for w in widths)
-        self.k = int(k)
-        rng = derive_seed(seed)
-        self.params: dict[str, Tensor] = {}
-        for i, (fi, fo) in enumerate(zip(self.widths[:-1], self.widths[1:])):
-            w, b = _init_linear(rng, fi, fo)
-            self.params[f"w{i}"] = w
-            self.params[f"b{i}"] = b
-
-    @property
-    def d_out(self) -> int:
-        return self.widths[-1]
-
-    def forward(self, x, nbr_idx: np.ndarray, mask: np.ndarray) -> Tensor:
-        """Feature map (N, d_out); padded rows are exactly zero."""
-        h = x if isinstance(x, Tensor) else Tensor(x)
-        if h.shape[1] != self.widths[0]:
-            raise ShapeError(f"encoder expects width {self.widths[0]}, got {h.shape[1]}")
-        n_layers = len(self.widths) - 1
-        for i in range(n_layers):
-            h = affine(h, self.params[f"w{i}"], self.params[f"b{i}"], tanh=True)
-            if i < AGG_ROUNDS:
-                h = h.neighbor_mean(nbr_idx)
-        return h * np.asarray(mask, dtype=np.float64)[:, None]
-
-
-class Linear:
-    """Row-wise affine map (segmentation head or channel projection)."""
-
-    def __init__(self, d_in: int, d_out: int, seed: int = 0,
-                 orthogonal: bool = False):
-        self.d_in, self.d_out = int(d_in), int(d_out)
-        rng = derive_seed(seed)
-        if orthogonal:
-            # near-orthogonal rows: QR of a random (d_out, d_in) Gaussian
-            q, _ = np.linalg.qr(rng.standard_normal((max(d_in, d_out), min(d_in, d_out))))
-            w = q[:d_in, :d_out] if d_in >= d_out else q[:d_out, :d_in].T
-            self.w = Tensor(np.ascontiguousarray(w), requires_grad=True)
-            self.b = Tensor(np.zeros(d_out), requires_grad=True)
-        else:
-            self.w, self.b = _init_linear(rng, d_in, d_out)
-        self.params = {"w": self.w, "b": self.b}
-
-    def forward(self, x) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.shape[1] != self.d_in:
-            raise ShapeError(f"linear expects width {self.d_in}, got {x.shape[1]}")
-        return affine(x, self.w, self.b)
+def _init_param(rng, name: str, shapes: dict[str, tuple[int, ...]]) -> np.ndarray:
+    """A w uniform in +-1/sqrt(fan_in), its b likewise with the w's fan_in;
+    the projection's w near-orthogonal (QR of a Gaussian) and its b zero."""
+    group, leaf = name.split(".")
+    if group == "proj":
+        if leaf == "b":
+            return np.zeros(shapes[name])
+        d_in, d_out = shapes[name]
+        q, _ = np.linalg.qr(rng.standard_normal((max(d_in, d_out), min(d_in, d_out))))
+        w = q[:d_in, :d_out] if d_in >= d_out else q[:d_out, :d_in].T
+        return np.ascontiguousarray(w)
+    bound = 1.0 / np.sqrt(shapes[f"{group}.w{leaf[1:]}"][0])
+    return rng.uniform(-bound, bound, shapes[name])
 
 
 class SegModel:
-    """Encoder plus head; students also carry the channel projection."""
+    """Encoder plus head; students also carry the channel projection.
+    `params` maps each checkpoint name to its Tensor, in init order."""
 
     def __init__(self, widths: tuple[int, ...], n_classes: int, k: int,
                  seed: int = 0, project_to: int | None = None):
         self.widths = tuple(int(w) for w in widths)
         self.n_classes = int(n_classes)
         self.k = int(k)
-        self.project_to = project_to
-        rng = derive_seed(seed)
-        self.encoder = PointEncoder(widths, k=k, seed=int(rng.integers(2**62)))
-        self.head = Linear(self.encoder.d_out, n_classes,
-                           seed=int(rng.integers(2**62)))
-        self.projection = None
-        if project_to is not None:
-            self.projection = Linear(self.encoder.d_out, int(project_to),
-                                     seed=int(rng.integers(2**62)),
-                                     orthogonal=True)
+        self.project_to = None if project_to is None else int(project_to)
+        shapes = _param_shapes(self.widths, self.n_classes, self.project_to)
+        # the encoder, head and projection each draw from their own
+        # generator, seeded from derive_seed(seed) in that order
+        rng, groups = derive_seed(seed), {}
+        self.params: dict[str, Tensor] = {}
+        for name in shapes:
+            group = name.split(".")[0]
+            if group not in groups:
+                groups[group] = derive_seed(int(rng.integers(2**62)))
+            self.params[name] = Tensor(_init_param(groups[group], name, shapes),
+                                       requires_grad=True)
+
+    @property
+    def d_out(self) -> int:
+        """Width of the feature map."""
+        return self.widths[-1]
 
     # -- forward ------------------------------------------------------------
 
-    @staticmethod
-    def encoder_input(sample: FixedSample) -> np.ndarray:
-        return np.hstack([sample.cloud.positions, sample.cloud.features])
+    def encode(self, sample: FixedSample, nbr_idx: np.ndarray) -> Tensor:
+        """Feature map (N, d_out) before row normalization; padded rows are
+        exactly zero."""
+        h = Tensor(np.hstack([sample.cloud.positions, sample.cloud.features]))
+        for i in range(len(self.widths) - 1):
+            h = affine(h, self.params[f"encoder.w{i}"], self.params[f"encoder.b{i}"],
+                       tanh=True)
+            if i < AGG_ROUNDS:
+                h = h.neighbor_mean(nbr_idx)
+        return h * np.asarray(sample.mask, dtype=np.float64)[:, None]
 
     def forward(self, sample: FixedSample, nbr_idx: np.ndarray | None = None,
                 feature_noise: np.ndarray | None = None):
         """Returns (normalized feature map, logits)."""
         if nbr_idx is None:
             nbr_idx = knn_indices(sample.cloud.positions, sample.mask, self.k)
-        f_norm = self.encoder.forward(self.encoder_input(sample), nbr_idx,
-                                      sample.mask).l2_normalize_rows()
+        f_norm = self.encode(sample, nbr_idx).l2_normalize_rows()
         if feature_noise is not None:
             f_norm = f_norm + feature_noise
-        logits = self.head.forward(f_norm)
+        logits = affine(f_norm, self.params["head.w"], self.params["head.b"])
         return f_norm, logits
+
+    def project(self, f: Tensor) -> Tensor:
+        """A feature map in teacher channels: its channel projection, or the
+        map itself for a model without one."""
+        if self.project_to is None:
+            return f
+        return affine(f, self.params["proj.w"], self.params["proj.b"])
 
     # -- parameters ----------------------------------------------------------
 
-    def named_params(self) -> dict[str, Tensor]:
-        out = {f"encoder.{k}": v for k, v in self.encoder.params.items()}
-        out.update({f"head.{k}": v for k, v in self.head.params.items()})
-        if self.projection is not None:
-            out.update({f"proj.{k}": v for k, v in self.projection.params.items()})
-        return out
-
     def param_count(self) -> int:
-        return sum(t.data.size for t in self.named_params().values())
+        return sum(t.data.size for t in self.params.values())
 
     def zero_grads(self) -> None:
-        for t in self.named_params().values():
+        for t in self.params.values():
             t.zero_grad()
 
     @property
     def frozen(self) -> bool:
         """True when no parameter needs a gradient (see `freeze`)."""
-        return not any(t.requires_grad for t in self.named_params().values())
+        return not any(t.requires_grad for t in self.params.values())
 
     def freeze(self) -> "SegModel":
         """Stop every parameter from recording a tape; returns the model."""
-        for t in self.named_params().values():
+        for t in self.params.values():
             t.requires_grad = False
         return self
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        state = {name: t.data.copy() for name, t in self.named_params().items()}
+        state = {name: t.data.copy() for name, t in self.params.items()}
         state["meta.widths"] = np.array(self.widths, dtype=np.float64)
         state["meta.n_classes"] = np.array([self.n_classes], dtype=np.float64)
         state["meta.k"] = np.array([self.k], dtype=np.float64)
@@ -294,20 +279,15 @@ class SegModel:
         widths = tuple(_meta(state, "meta.widths", scalar=False))
         n_classes = _meta(state, "meta.n_classes")
         project_to = _meta(state, "meta.project_to", minimum=-1)
-        shapes = {"head.w": (widths[-1], n_classes), "head.b": (n_classes,)}
-        for i, (fi, fo) in enumerate(zip(widths[:-1], widths[1:])):
-            shapes[f"encoder.w{i}"], shapes[f"encoder.b{i}"] = (fi, fo), (fo,)
-        if project_to >= 0:
-            shapes["proj.w"], shapes["proj.b"] = (widths[-1], project_to), (project_to,)
-        for name, shape in shapes.items():
+        project_to = None if project_to < 0 else project_to
+        for name, shape in _param_shapes(widths, n_classes, project_to).items():
             if name not in state:
                 raise DataError(f"checkpoint is missing buffer {name!r}")
             if state[name].shape != shape:
                 raise DataError(f"checkpoint buffer {name!r} has shape "
                                 f"{state[name].shape}, but meta.* implies {shape}")
-        model = cls(widths, n_classes, k=_meta(state, "meta.k"),
-                    project_to=None if project_to < 0 else project_to)
-        for name, t in model.named_params().items():
+        model = cls(widths, n_classes, k=_meta(state, "meta.k"), project_to=project_to)
+        for name, t in model.params.items():
             t.data[...] = state[name]
         return model
 
@@ -342,15 +322,15 @@ def make_student_from_teacher(teacher: SegModel, seed: int) -> SegModel:
     """
     widths = (teacher.widths[0],) + tuple(-(-w // 2) for w in teacher.widths[1:])
     student = SegModel(widths, teacher.n_classes, k=teacher.k, seed=seed,
-                       project_to=teacher.encoder.d_out)
-    student.head.w.data[...] = student.projection.w.data @ teacher.head.w.data
-    student.head.b.data[...] = teacher.head.b.data
+                       project_to=teacher.d_out)
+    params, t_params = student.params, teacher.params
+    params["head.w"].data[...] = params["proj.w"].data @ t_params["head.w"].data
+    params["head.b"].data[...] = t_params["head.b"].data
     dense_teacher = teacher.param_count()
-    dense_student = sum(t.data.size for n, t in student.named_params().items()
-                        if not n.startswith("proj."))
+    dense_student = sum(t.data.size for n, t in params.items() if not n.startswith("proj."))
     # The 3x compression ratio only holds once weight matrices dominate the
     # bias vectors, so skip the check for very narrow debug models.
-    if teacher.encoder.d_out >= 64 and dense_student * 3 >= dense_teacher:
+    if teacher.d_out >= 64 and dense_student * 3 >= dense_teacher:
         raise DataError("student is not small enough: "
                         f"{dense_student} vs teacher {dense_teacher}")
     return student

@@ -221,19 +221,19 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
         if w.lambda_v > 0:
             comps["l_amra_v"] = losses.loss_amra_voxel(views_s, views_t)
         if w.lambda_c > 0:
-            proj = [model.projection.forward(f) for f in feats] \
-                if model.projection else feats
+            proj = [model.project(f) for f in feats]
             comps["l_amra_c"] = losses.loss_amra_channel(
                 losses.supervoxel_features(proj, chosen), views_t)
     return comps
 
 
 def _train_loop(model: SegModel, teacher: SegModel | None, cfg: TrainConfig,
-                weights: LossWeights, train_clouds, val_clouds,
-                grid: CylGrid) -> list[dict]:
-    w = weights
+                data: Dataset) -> list[dict]:
+    """Train `model` on data.train under `cfg.weights` for `cfg.epochs`,
+    evaluating on data.val; returns the log."""
+    w = cfg.weights
     samples = [resample_fixed(c, cfg.n_fixed, _child_seed(cfg.seed, 11, i))
-               for i, c in enumerate(train_clouds)]
+               for i, c in enumerate(data.train)]
     nbrs = list(losses.map_in_order(
         lambda s: knn_indices(s.cloud.positions, s.mask, cfg.knn_k),
         samples, cfg.n_fixed))
@@ -245,6 +245,7 @@ def _train_loop(model: SegModel, teacher: SegModel | None, cfg: TrainConfig,
                           teacher, w) for idx in chunks]
     candidates = None           # supervoxel candidates per batch and sample
     if _amra_enabled(w):
+        grid = grid_for_clouds(data.train)
         candidates = []
         for idx, batch in zip(chunks, batches):
             hist = batch_label_histogram(batch.samples, model.n_classes)
@@ -256,7 +257,7 @@ def _train_loop(model: SegModel, teacher: SegModel | None, cfg: TrainConfig,
     total_steps = cfg.epochs * len(batches)
     sched = OneCycleSchedule(cfg.lr, total_steps, cfg.warmup_frac,
                              cfg.start_factor, cfg.final_factor)
-    opt = AdamW(model.named_params(), cfg.weight_decay)
+    opt = AdamW(model.params, cfg.weight_decay)
     log: list[dict] = []
     gstep = 0
     for epoch in range(cfg.epochs):
@@ -278,7 +279,7 @@ def _train_loop(model: SegModel, teacher: SegModel | None, cfg: TrainConfig,
             log.append({"epoch": epoch, "step": gstep, **report, "lr": lr})
             gstep += 1
         if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            m = evaluate(model, val_clouds, cfg.n_fixed)
+            m = evaluate(model, data.val, cfg.n_fixed)
             log.append({"epoch": epoch, "val_miou": m.miou,
                         "val_macc": m.macc, "val_allacc": m.allacc})
     return log
@@ -289,10 +290,8 @@ def train_teacher(cfg: TrainConfig, data: Dataset) -> tuple[SegModel, list[dict]
     d_in = data.train[0].d_in
     teacher = make_teacher(d_in, data.train[0].n_classes, cfg.teacher_d_out,
                            cfg.knn_k, seed=_child_seed(cfg.seed, 2))
-    t_cfg = replace(cfg, epochs=cfg.teacher_epochs)
-    grid = grid_for_clouds(data.train)
-    log = _train_loop(teacher, None, t_cfg, LossWeights.zeros(),
-                      data.train, data.val, grid)
+    t_cfg = replace(cfg, epochs=cfg.teacher_epochs, weights=LossWeights.zeros())
+    log = _train_loop(teacher, None, t_cfg, data)
     return teacher.freeze(), log
 
 
@@ -308,10 +307,7 @@ def train_distill(cfg: TrainConfig, teacher: SegModel,
     if not teacher.frozen:
         raise ConfigError("teacher must be frozen before distillation")
     student = make_student_from_teacher(teacher, seed=_child_seed(cfg.seed, 3))
-    grid = grid_for_clouds(data.train)
-    log = _train_loop(student, teacher, cfg, cfg.weights,
-                      data.train, data.val, grid)
-    return student, log
+    return student, _train_loop(student, teacher, cfg, data)
 
 
 def evaluate(model: SegModel, clouds, n_fixed: int,
@@ -336,7 +332,7 @@ def evaluate(model: SegModel, clouds, n_fixed: int,
     def scenes():
         for i, cloud in enumerate(clouds):
             noise = None if rng is None else rng.normal(
-                0.0, np.sqrt(noise_tau), (n_fixed, model.encoder.d_out))
+                0.0, np.sqrt(noise_tau), (n_fixed, model.d_out))
             yield i, cloud, noise
 
     def scene_confusion(item):
@@ -478,6 +474,6 @@ def dim_sensitivity(cfg: TrainConfig, data: Dataset, *,
         dcfg = replace(cfg, teacher_d_out=int(dim))
         teacher, _ = train_teacher(dcfg, data)
         student, log = train_distill(dcfg, teacher, data)
-        rows.append({"dim": int(dim), "student_dim": student.encoder.d_out,
+        rows.append({"dim": int(dim), "student_dim": student.d_out,
                      **_final_metrics(log)})
     return rows

@@ -55,7 +55,7 @@ class TestElementwiseOps:
 
 def unfused_affine(x: Tensor, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
     """Reference: x @ w + b (then tanh) as the three separate tape ops the
-    encoder layers and `Linear` recorded before `affine` fused them."""
+    encoder layers and the head recorded before `affine` fused them."""
     z = Tensor.from_op(x.data @ w.data, [(x, lambda g: g @ w.data.T),
                                          (w, lambda g: x.data.T @ g)]) + b
     if not tanh:
@@ -74,7 +74,7 @@ class TestAffine:
     @pytest.mark.parametrize("tanh", [False, True])
     def test_bit_identical_to_unfused_ops(self, tanh, x_grad):
         # rows 1 and 4 are padding: zero inputs, masked out of the output
-        # as in `PointEncoder.forward`
+        # as in `SegModel.encode`
         x = RNG.standard_normal((6, 5))
         x[[1, 4]] = 0.0
         w, b = RNG.standard_normal((5, 4)), RNG.standard_normal(4)

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 import weakref
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from srkd import losses, models
+from srkd.autodiff import affine
 from srkd.cloud import SceneSpec, generate_scene, resample_fixed
 from srkd.errors import ConfigError, DataError, ParseError, ShapeError
 from srkd.models import (AGG_ROUNDS, SegModel, knn_indices, load_checkpoint,
@@ -21,7 +23,7 @@ def sample(seed=0, n_fixed=64):
 def raw_map(model, s):
     """The encoder's feature map of a sample, before row normalization."""
     nbr = knn_indices(s.cloud.positions, s.mask, model.k)
-    return model.encoder.forward(SegModel.encoder_input(s), nbr, s.mask)
+    return model.encode(s, nbr)
 
 
 class TestKNN:
@@ -234,23 +236,26 @@ class TestForward:
         # with k=1 the aggregation is the identity, so the hand-rolled
         # forward is tanh(b_last) after propagating biases through layers
         model = SegModel((5, 4, 3), n_classes=2, k=1, seed=0)
-        for name, p in model.encoder.params.items():
-            if name.startswith("w"):
+        for name, p in model.params.items():
+            if name.startswith("encoder.w"):
                 p.data[...] = 0.0
         s = sample()
         f_raw = raw_map(model, s).data
-        want = np.tanh(model.encoder.params["b1"].data)
+        want = np.tanh(model.params["encoder.b1"].data)
         np.testing.assert_allclose(f_raw[s.mask],
                                    np.tile(want, (int(s.mask.sum()), 1)),
                                    atol=1e-12)
 
     def test_head_affine_oracle(self):
         model = make_teacher(2, 4, d_out=8, k=8, seed=1)
-        f = np.random.default_rng(0).standard_normal((3, 8))
-        from srkd.autodiff import Tensor
-        got = model.head.forward(Tensor(f)).data
-        want = f @ model.head.w.data + model.head.b.data
-        np.testing.assert_allclose(got, want, atol=1e-14)
+        f_norm, logits = model.forward(sample())
+        want = f_norm.data @ model.params["head.w"].data + model.params["head.b"].data
+        np.testing.assert_allclose(logits.data, want, atol=1e-14)
+
+    def test_wrong_input_width_is_shape_error(self):
+        model = make_teacher(3, 8, d_out=16, k=8, seed=4)  # the sample has d_in 2
+        with pytest.raises(ShapeError):
+            model.forward(sample())
 
     def test_each_layer_is_one_tape_node(self):
         model = make_teacher(2, 8, d_out=16, k=8, seed=4)
@@ -262,19 +267,21 @@ class TestForward:
                 nodes[id(t)] = t
                 stack.extend(p for p, _ in t._edges)
         inner = [t for t in nodes.values() if t._edges]
-        enc = model.encoder
-        n_layers = len(enc.widths) - 1
-        # one node per layer, per aggregation round, for the padding mask,
-        # the row normalization and the head
-        assert len(inner) == n_layers + min(n_layers, AGG_ROUNDS) + 3
+        params = model.params
+        n_layers = len(model.widths) - 1
+        # two nodes per layer (its tanh output, whose one edge leads to a
+        # data-free node carrying the x, w and b edges), one per aggregation
+        # round, for the padding mask, the row normalization and the head
+        assert len(inner) == 2 * n_layers + min(n_layers, AGG_ROUNDS) + 3
         for i in range(n_layers):
-            users = [t for t in inner
-                     if any(p is enc.params[f"w{i}"] for p, _ in t._edges)]
-            assert len(users) == 1
-            assert [p for p, _ in users[0]._edges][-2:] == \
-                [enc.params[f"w{i}"], enc.params[f"b{i}"]]
+            w, b = params[f"encoder.w{i}"], params[f"encoder.b{i}"]
+            users = [t for t in inner if any(p is w for p, _ in t._edges)]
+            assert len(users) == 1 and not hasattr(users[0], "data")
+            assert [p for p, _ in users[0]._edges][-2:] == [w, b]
+            tanh_out = [t for t in inner if any(p is users[0] for p, _ in t._edges)]
+            assert len(tanh_out) == 1 and len(tanh_out[0]._edges) == 1
         assert [p for p, _ in logits._edges] == \
-            [f_norm._node, model.head.w, model.head.b]
+            [f_norm._node, params["head.w"], params["head.b"]]
 
     def test_feature_noise_injection_point(self):
         model = make_teacher(2, 8, d_out=16, k=8, seed=4)
@@ -282,7 +289,7 @@ class TestForward:
         noise = np.random.default_rng(1).normal(0, 0.5, (64, 16))
         base = model.forward(s)[1].data
         noisy = model.forward(s, feature_noise=noise)[1].data
-        want = base + noise @ model.head.w.data
+        want = base + noise @ model.params["head.w"].data
         np.testing.assert_allclose(noisy, want, atol=1e-12)
 
 
@@ -298,7 +305,7 @@ class TestLeanTape:
 
     def test_working_set_of_a_live_teacher_tape(self):
         model, s, nbr = self._teacher_inputs()
-        n, d, c = s.n_fixed, model.encoder.d_out, model.n_classes
+        n, d, c = s.n_fixed, model.d_out, model.n_classes
         losses.loss_task(model.forward(s, nbr)[1], s.cloud.labels, s.mask)
         tracemalloc.start()
         try:
@@ -311,16 +318,51 @@ class TestLeanTape:
         # Within four (N, C): the loss gradient, the input and (N, 1) columns.
         assert live < 4 * n * d * 8 + 4 * n * c * 8
         loss.backward()
-        assert all(p.grad is not None for p in model.named_params().values())
+        assert all(p.grad is not None for p in model.params.values())
 
     def test_pre_normalization_map_freed_under_a_live_loss(self):
         model, s, nbr = self._teacher_inputs()
-        raw = model.encoder.forward(SegModel.encoder_input(s), nbr, s.mask)
+        raw = model.encode(s, nbr)
         ref = weakref.ref(raw.data)
-        loss = losses.loss_task(model.head.forward(raw.l2_normalize_rows()),
-                                s.cloud.labels, s.mask)
+        logits = affine(raw.l2_normalize_rows(), model.params["head.w"],
+                        model.params["head.b"])
+        loss = losses.loss_task(logits, s.cloud.labels, s.mask)
         del raw
         assert ref() is None and loss.requires_grad
+
+
+class TestParamTable:
+    """`SegModel.params` is the one parameter store, keyed by checkpoint name."""
+
+    @staticmethod
+    def digest(state, names):
+        h = hashlib.sha256()
+        for name in sorted(names):
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(state[name]).tobytes())
+        return h.hexdigest()
+
+    def test_init_draws_pinned(self):
+        # uniform draws only (the projection's QR is left out); recorded when
+        # the encoder, head and projection were three classes
+        teacher = make_teacher(2, 8, 128, k=8, seed=5)
+        state = teacher.state_dict()
+        assert self.digest(state, state) == \
+            "a65cf2f79141e8f5b465f1a4cadbd5970c972781342eb2222ca23799b281a238"
+        student = make_student_from_teacher(teacher, seed=3).state_dict()
+        assert self.digest(student, [n for n in student if n.startswith("encoder.")]) == \
+            "ebfb0d611cba87615f72e80d7528c1a233763095fc2384de9daef71b9068b09e"
+
+    def test_keys_are_the_checkpoint_names_in_init_order(self, tmp_path):
+        teacher = make_teacher(2, 8, d_out=16, k=8, seed=4)
+        student = make_student_from_teacher(teacher, seed=1)
+        layers = ["encoder.w0", "encoder.b0", "encoder.w1", "encoder.b1", "head.w", "head.b"]
+        for model, names in ((teacher, layers), (student, layers + ["proj.w", "proj.b"])):
+            path = tmp_path / "m.ckpt"
+            save_checkpoint(model.state_dict(), path)
+            assert list(model.params) == names
+            assert sorted(model.params) == \
+                [n for n in load_checkpoint(path) if not n.startswith("meta.")]
 
 
 class TestStudentConstruction:
@@ -333,27 +375,27 @@ class TestStudentConstruction:
     def test_projection_shape(self):
         teacher = make_teacher(2, 8, d_out=128, k=8)
         student = make_student_from_teacher(teacher, seed=1)
-        assert student.encoder.d_out == 64
-        assert student.projection.w.shape == (64, 128)
+        assert student.d_out == 64
+        assert student.params["proj.w"].shape == (64, 128)
 
     def test_projection_near_orthogonal(self):
         teacher = make_teacher(2, 8, d_out=128, k=8)
         student = make_student_from_teacher(teacher, seed=1)
-        w = student.projection.w.data
+        w = student.params["proj.w"].data
         np.testing.assert_allclose(w @ w.T, np.eye(64), atol=1e-10)
 
     def test_parameter_ratio(self):
         teacher = make_teacher(2, 8, d_out=128, k=8)
         student = make_student_from_teacher(teacher, seed=1)
-        dense = sum(t.data.size for n, t in student.named_params().items()
+        dense = sum(t.data.size for n, t in student.params.items()
                     if not n.startswith("proj."))
         assert dense * 3 < teacher.param_count()
 
     def test_hidden_layer_ratio_quarter(self):
         teacher = make_teacher(2, 8, d_out=128, k=8)
         student = make_student_from_teacher(teacher, seed=1)
-        assert teacher.encoder.params["w1"].data.size == 128 * 128
-        assert student.encoder.params["w1"].data.size == 64 * 64
+        assert teacher.params["encoder.w1"].data.size == 128 * 128
+        assert student.params["encoder.w1"].data.size == 64 * 64
 
 
 class TestCheckpoints:
@@ -458,4 +500,4 @@ class TestCheckpoints:
         model = make_teacher(2, 8, d_out=16, k=8, seed=4)
         assert not model.frozen
         assert model.freeze() is model and model.frozen
-        assert all(not p.requires_grad for p in model.named_params().values())
+        assert all(not p.requires_grad for p in model.params.values())

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from srkd import losses, trainer
-from srkd.autodiff import Tensor, concat_rows
+from srkd.autodiff import Tensor, affine, concat_rows
 from srkd.cloud import PointCloud, SceneSpec, generate_scene, resample_fixed
 from srkd.errors import ConfigError, DataError, ShapeError
 from srkd.losses import LOSS_NAMES, LossWeights, weighted_total
@@ -197,8 +197,8 @@ def _oracle_objective(model, teacher, samples, nbrs, chosen, w, precision):
     if need_kd:
         comps["l_kd"] = losses.loss_kd(logits, t_logits, w.t_logit, mask)
     if need_amra:
-        projs = [model.projection.forward(f_s) if model.projection is not None
-                 else f_s for f_s in feats]
+        projs = [affine(f_s, model.params["proj.w"], model.params["proj.b"])
+                 if model.project_to is not None else f_s for f_s in feats]
         if any(chosen):
             views_s = losses.supervoxel_features(feats, chosen)
             views_t = losses.supervoxel_features(t_feats, chosen)
@@ -239,7 +239,7 @@ def _objective_inputs(n_fixed):
 def _grads(model, comps, w):
     model.zero_grads()
     weighted_total(comps, w).backward()
-    return {k: p.grad.copy() for k, p in model.named_params().items()}
+    return {k: p.grad.copy() for k, p in model.params.items()}
 
 
 @pytest.mark.usefixtures("walk_workers")
@@ -338,8 +338,7 @@ class TestObjective:
 
         monkeypatch.setattr(losses, "supervoxel_features",
                             counted("pool", losses.supervoxel_features))
-        monkeypatch.setattr(student.projection, "forward",
-                            counted("project", student.projection.forward))
+        monkeypatch.setattr(student, "project", counted("project", student.project))
         comps = distill_objective(student, batch, chosen, w)
         assert calls == {"pool": pools, "project": projections}
         weighted_total(comps, w).backward()
@@ -495,7 +494,7 @@ class TestEvaluate:
         (got, peak), (want, frozen_peak) = traced(student), traced(frozen)
         assert got.miou == want.miou
         assert peak <= 1.1 * frozen_peak
-        assert all(p.grad is None for p in student.named_params().values())
+        assert all(p.grad is None for p in student.params.values())
 
     def test_noise_rows_and_trials(self, setup):
         cfg, data, teacher = setup
