@@ -1,11 +1,12 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-The op set is exactly what the tiny encoders and the loss recombination
-need: + and * with broadcasting, k-NN mean aggregation, row L2
-normalization, row concatenation, segment mean pooling over a list of maps
-and the fused affine layer (matmul, bias and optional tanh in one op).
-Each loss term, the task loss included, is one `Tensor.from_op` node
-carrying its own hand-derived gradient.
+The op set is exactly what the tiny encoders need: k-NN mean aggregation,
+row L2 normalization, row concatenation, segment mean pooling over a list
+of maps and the fused affine layer (matmul, bias and optional tanh in one
+op). Each loss term, the task loss included, and the weighted
+recombination of the six terms are each one `Tensor.from_op` node
+carrying its own hand-derived gradient; so are the model's padded-row mask
+and its evaluation-time feature noise. `Tensor` has no arithmetic.
 Gradients are checked against central finite differences in the tests.
 
 The tape holds no Tensor data of its own. An op result's edges live on a
@@ -26,19 +27,6 @@ from .errors import NumericError, ShapeError, TapeError
 from .numerics import L2_EPS
 
 Array = np.ndarray
-
-
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum a gradient over axes that were broadcast in the forward pass."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 def _scatter_rows(src: Array, idx: Array, n: int) -> Array:
@@ -172,30 +160,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        sa, so = self.shape, o.shape
-        return Tensor.from_op(self.data + o.data, [
-            (self, lambda g: _unbroadcast(g, sa)),
-            (o, lambda g: _unbroadcast(g, so)),
-        ])
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        a, b = self.data, o.data
-        sa, sb = a.shape, b.shape
-        return Tensor.from_op(a * b, [
-            (self, lambda g: _unbroadcast(g * b, sa)),
-            (o, lambda g: _unbroadcast(g * a, sb)),
-        ])
-
-    __rmul__ = __mul__
 
     # -- structural ops ------------------------------------------------------
 

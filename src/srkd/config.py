@@ -6,10 +6,10 @@ settings dataclass (`scene` SceneSpec, `train` TrainConfig, `loss`
 LossWeights, `sampler` SamplerConfig, `noise` NoiseConfig), and its default
 is that field's default; the dataclass also checks the value. The `sweep`
 keys, which only the CLI reads, are defined and checked here. Unknown keys
-are rejected. Lists (noise variances, sweep fractions) are comma separated
-and may not be empty. The effective merged config can be rendered back to
-canonical text, whose SHA-256 prefix serves as the provenance hash stamped
-into output tables.
+and keys set twice are rejected. Lists (noise variances, sweep fractions)
+are comma separated and may not be empty. The effective merged config can
+be rendered back to canonical text, whose SHA-256 prefix serves as the
+provenance hash stamped into output tables.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ def parse_config(text: str, source: str = "<config>") -> dict[str, object]:
     ConfigError here, whichever command later reads it.
     """
     cfg = dict(DEFAULTS)
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -76,6 +77,10 @@ def parse_config(text: str, source: str = "<config>") -> dict[str, object]:
         key = key.strip()
         if key not in DEFAULTS:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{source}:{lineno}: config key {key!r} is already "
+                              f"set on line {seen[key]}")
+        seen[key] = lineno
         cfg[key] = _parse_value(key, value, DEFAULTS[key])
     scene_spec(cfg, 0)
     train_config(cfg, 0)

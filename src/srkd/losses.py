@@ -79,6 +79,8 @@ GD_PRECISIONS = ("float32", "float64")
 _FLOAT32_MIN_T_GD = 1 / 64
 
 LOSS_NAMES = ("l_task", "l_kd", "l_amra_p", "l_amra_v", "l_amra_c", "l_batch_gd")
+# The `LossWeights` field that weighs each of LOSS_NAMES[1:], in that order.
+LAMBDAS = ("lambda_kd", "lambda_p", "lambda_v", "lambda_c", "lambda_batch_gd")
 
 
 def _check_gd_walk(temperature: float, dtype) -> None:
@@ -107,28 +109,35 @@ class LossWeights:
     t_gd: float = 2.0
 
     def __post_init__(self):
-        lambdas = (self.lambda_kd, self.lambda_p, self.lambda_v,
-                   self.lambda_c, self.lambda_batch_gd)
-        if any(not np.isfinite(v) or v < 0 for v in lambdas):
+        if any(not np.isfinite(v) or v < 0 for v in self.lambdas()):
             raise ConfigError("loss weights must be finite and nonnegative")
         check_temperature(self.t_logit)
         # every training run walks batch-GD in float32
         _check_gd_walk(self.t_gd, "float32")
 
+    def lambdas(self) -> tuple[float, ...]:
+        """The `LAMBDAS` values, in that order."""
+        return tuple(getattr(self, name) for name in LAMBDAS)
+
     @classmethod
     def zeros(cls) -> "LossWeights":
-        return cls(lambda_kd=0.0, lambda_p=0.0, lambda_v=0.0, lambda_c=0.0,
-                   lambda_batch_gd=0.0)
+        return cls(**dict.fromkeys(LAMBDAS, 0.0))
 
 
 def weighted_total(components: dict, weights: LossWeights):
-    """Recombination l_task + sum(lambda_i * l_i); works on floats or Tensors."""
-    return (components["l_task"]
-            + weights.lambda_kd * components["l_kd"]
-            + weights.lambda_p * components["l_amra_p"]
-            + weights.lambda_v * components["l_amra_v"]
-            + weights.lambda_c * components["l_amra_c"]
-            + weights.lambda_batch_gd * components["l_batch_gd"])
+    """Recombination l_task + sum(lambda_i * l_i), summed left to right in
+    `LOSS_NAMES` order. On floats it is a float; with any Tensor component
+    it is one tape op whose edge into each Tensor term returns g * lambda_i
+    (g * 1.0 for l_task). A float component is a constant."""
+    scales = (1.0,) + weights.lambdas()
+    terms = [components[name] for name in LOSS_NAMES]
+    values = [getattr(t, "data", t) for t in terms]
+    total = values[0]
+    for scale, value in zip(scales[1:], values[1:]):
+        total = total + scale * value
+    edges = [(t, lambda g, s=s: g * s) for t, s in zip(terms, scales)
+             if isinstance(t, Tensor)]
+    return Tensor.from_op(total, edges) if edges else total
 
 
 def loss_total(components: dict, weights: LossWeights) -> dict[str, float]:

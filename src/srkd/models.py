@@ -222,7 +222,8 @@ class SegModel:
                        tanh=True)
             if i < AGG_ROUNDS:
                 h = h.neighbor_mean(nbr_idx)
-        return h * np.asarray(sample.mask, dtype=np.float64)[:, None]
+        keep = np.asarray(sample.mask, dtype=np.float64)[:, None]
+        return Tensor.from_op(h.data * keep, [(h, lambda g: g * keep)])
 
     def forward(self, sample: FixedSample, nbr_idx: np.ndarray | None = None,
                 feature_noise: np.ndarray | None = None):
@@ -231,7 +232,8 @@ class SegModel:
             nbr_idx = knn_indices(sample.cloud.positions, sample.mask, self.k)
         f_norm = self.encode(sample, nbr_idx).l2_normalize_rows()
         if feature_noise is not None:
-            f_norm = f_norm + feature_noise
+            f_norm = Tensor.from_op(f_norm.data + feature_noise,
+                                    [(f_norm, lambda g: g)])
         logits = affine(f_norm, self.params["head.w"], self.params["head.b"])
         return f_norm, logits
 

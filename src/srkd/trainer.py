@@ -29,7 +29,7 @@ from . import losses
 from .autodiff import Tensor, concat_rows
 from .cloud import FixedSample, PointCloud, derive_seed, resample_fixed
 from .errors import ConfigError, DataError, ShapeError
-from .losses import LossWeights, loss_total, weighted_total
+from .losses import LAMBDAS, LossWeights, loss_total, weighted_total
 from .metrics import Metrics, confusion_matrix, metrics_from_confusion
 from .models import SegModel, knn_indices, make_student_from_teacher, make_teacher
 from .optim import AdamW, OneCycleSchedule
@@ -235,7 +235,7 @@ def _train_loop(model: SegModel, teacher: SegModel | None, cfg: TrainConfig,
     samples = [resample_fixed(c, cfg.n_fixed, _child_seed(cfg.seed, 11, i))
                for i, c in enumerate(data.train)]
     nbrs = list(losses.map_in_order(
-        lambda s: knn_indices(s.cloud.positions, s.mask, cfg.knn_k),
+        lambda s: knn_indices(s.cloud.positions, s.mask, model.k),
         samples, cfg.n_fixed))
     # Disjoint chunks of one permutation: each batch is prepared once.
     order = derive_seed(cfg.seed, 13).permutation(len(samples))
@@ -302,10 +302,14 @@ def train_distill(cfg: TrainConfig, teacher: SegModel,
     All feature-level distillation terms consume the L2-normalized feature
     map, the same representation the segmentation head reads. The terms
     are weighted by `cfg.weights` as given; nothing rescales one against
-    another. Raises ConfigError unless the teacher is frozen.
+    another. The student inherits the teacher's k-NN count. Raises
+    ConfigError unless the teacher is frozen and cfg.knn_k is its k.
     """
     if not teacher.frozen:
         raise ConfigError("teacher must be frozen before distillation")
+    if cfg.knn_k != teacher.k:
+        raise ConfigError(f"train.knn_k = {cfg.knn_k} differs from the "
+                          f"teacher's k-NN count {teacher.k}")
     student = make_student_from_teacher(teacher, seed=_child_seed(cfg.seed, 3))
     return student, _train_loop(student, teacher, cfg, data)
 
@@ -372,19 +376,18 @@ def noise_sweep(model: SegModel, clouds, cfg: NoiseConfig,
 # Experiment harnesses
 # ---------------------------------------------------------------------------
 
+_KD, _P, _V, _C, _GD = LAMBDAS
 ABLATION_VARIANTS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("baseline", ()),
-    ("+kd", ("lambda_kd",)),
-    ("+kd+csmbgd", ("lambda_kd", "lambda_batch_gd")),
-    ("full", ("lambda_kd", "lambda_batch_gd", "lambda_p", "lambda_v", "lambda_c")),
+    ("+kd", (_KD,)),
+    ("+kd+csmbgd", (_KD, _GD)),
+    ("full", (_KD, _GD, _P, _V, _C)),
 )
 
 
 def variant_weights(full: LossWeights, enabled: tuple[str, ...]) -> LossWeights:
     """`full` with the lambdas not named in `enabled` set to zero."""
-    return replace(full, **{name: 0.0 for name in (
-        "lambda_kd", "lambda_p", "lambda_v", "lambda_c", "lambda_batch_gd")
-        if name not in enabled})
+    return replace(full, **{name: 0.0 for name in LAMBDAS if name not in enabled})
 
 
 def _final_metrics(log: list[dict]) -> dict:

@@ -1,26 +1,60 @@
 """Generic tape ops that only the tests' reference formulations use.
 
-The package builds every loss term as one fused tape op, so it has no
-elementwise exp/log, reductions, subtraction or transposes on `Tensor`.
-The oracles here compose those terms from small ops instead, and these are
-the ops they are written with; test_autodiff checks each against finite
-differences.
+The package builds every loss term and their weighted recombination as
+one fused tape op each, so `Tensor` has no arithmetic, elementwise exp/log,
+reductions or transposes. The oracles here compose those terms from small
+ops instead, and these are the ops they are written with; test_autodiff
+checks each against finite differences. The binary ops take a Tensor or
+anything numpy turns into an array, and broadcast as numpy does.
 """
 
 import numpy as np
 
-from srkd.autodiff import Tensor, _unbroadcast
+from srkd.autodiff import Tensor
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient over axes that were broadcast in the forward pass."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def _tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def tadd(a, b) -> Tensor:
+    a, b = _tensor(a), _tensor(b)
+    return Tensor.from_op(a.data + b.data, [
+        (a, lambda g: _unbroadcast(g, a.data.shape)),
+        (b, lambda g: _unbroadcast(g, b.data.shape)),
+    ])
+
+
+def tmul(a, b) -> Tensor:
+    a, b = _tensor(a), _tensor(b)
+    return Tensor.from_op(a.data * b.data, [
+        (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+        (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
+    ])
 
 
 def tneg(t: Tensor) -> Tensor:
     return Tensor.from_op(-t.data, [(t, lambda g: -g)])
 
 
-def tsub(a: Tensor, b) -> Tensor:
-    o = a._coerce(b)
-    return Tensor.from_op(a.data - o.data, [
+def tsub(a, b) -> Tensor:
+    a, b = _tensor(a), _tensor(b)
+    return Tensor.from_op(a.data - b.data, [
         (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (o, lambda g: _unbroadcast(-g, o.data.shape)),
+        (b, lambda g: _unbroadcast(-g, b.data.shape)),
     ])
 
 

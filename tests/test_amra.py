@@ -18,7 +18,7 @@ from srkd.errors import PairingError, ShapeError, UndefinedLossError
 from srkd.losses import (SupervoxelFeatures, affinity, loss_amra_channel,
                          loss_amra_point, loss_amra_voxel)
 from srkd.numerics import log_softmax_rows
-from tape_ops import matmul, texp, tlog_softmax_rows, transpose, tsub, tsum
+from tape_ops import matmul, tadd, texp, tlog_softmax_rows, tmul, transpose, tsub, tsum
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-supervoxel tape formulation, with the generic tape ops it
@@ -29,13 +29,13 @@ from tape_ops import matmul, texp, tlog_softmax_rows, transpose, tsub, tsum
 def oracle_affinity(f: Tensor, mask, weight: float) -> Tensor:
     """Weighted squared-L2 pairwise distance matrix w * ||F_i - F_j||^2."""
     n = f.shape[0]
-    sq = tsum(f * f, axis=1, keepdims=True)          # (n, 1)
-    d = tsub(sq + transpose(sq), 2.0 * matmul(f, transpose(f)))
+    sq = tsum(tmul(f, f), axis=1, keepdims=True)     # (n, 1)
+    d = tsub(tadd(sq, transpose(sq)), tmul(2.0, matmul(f, transpose(f))))
     keep = 1.0 - np.eye(n)
     if mask is not None:
         m = np.asarray(mask, dtype=np.float64)
         keep = keep * np.outer(m, m)
-    return d * (keep * weight)
+    return tmul(d, keep * weight)
 
 
 def oracle_affinity_gap(views_s, views_t, kind: str) -> Tensor:
@@ -47,27 +47,27 @@ def oracle_affinity_gap(views_s, views_t, kind: str) -> Tensor:
         ds = oracle_affinity(fs, mask, vs.weight)
         dt = oracle_affinity(Tensor(ft.data), mask, vt.weight)
         diff = tsub(ds, dt)
-        gap = tsum(diff * diff) * (1.0 / (n * n))
-        total = gap if total is None else total + gap
-    return total * (1.0 / len(views_s))
+        gap = tmul(tsum(tmul(diff, diff)), 1.0 / (n * n))
+        total = gap if total is None else tadd(total, gap)
+    return tmul(total, 1.0 / len(views_s))
 
 
 def oracle_masked_channel_kl(rows_s: Tensor, rows_t: Tensor, mask) -> Tensor:
     ls_s = tlog_softmax_rows(rows_s)
     ls_t = Tensor(log_softmax_rows(rows_t.data))
-    kl = tsum(texp(ls_s) * tsub(ls_s, ls_t), axis=1)
-    return tsum(kl * mask.astype(np.float64)) * (1.0 / int(mask.sum()))
+    kl = tsum(tmul(texp(ls_s), tsub(ls_s, ls_t)), axis=1)
+    return tmul(tsum(tmul(kl, mask.astype(np.float64))), 1.0 / int(mask.sum()))
 
 
 def oracle_channel(views_s, views_t) -> Tensor:
     total = None
     for vs, vt in zip(views_s, views_t):
-        term = (oracle_masked_channel_kl(vs.point_features, vt.point_features,
-                                         vs.point_mask)
-                + oracle_masked_channel_kl(vs.voxel_features, vt.voxel_features,
-                                           vs.voxel_mask))
-        total = term if total is None else total + term
-    return total * (1.0 / len(views_s))
+        term = tadd(oracle_masked_channel_kl(vs.point_features, vt.point_features,
+                                             vs.point_mask),
+                    oracle_masked_channel_kl(vs.voxel_features, vt.voxel_features,
+                                             vs.voxel_mask))
+        total = term if total is None else tadd(total, term)
+    return tmul(total, 1.0 / len(views_s))
 
 
 ORACLES = {

@@ -7,13 +7,13 @@ from srkd.autodiff import (Tensor, affine, concat_rows, finite_diff_gradient,
                            segment_mean)
 from srkd.errors import NumericError, ShapeError, TapeError
 from srkd.models import knn_indices
-from tape_ops import texp, tlog, tlog_softmax_rows, tneg, tsub, tsum
+from tape_ops import tadd, texp, tlog, tlog_softmax_rows, tmul, tneg, tsub, tsum
 
 RNG = np.random.default_rng(12345)
 
 
 def sq(t: Tensor) -> Tensor:
-    return t * t
+    return tmul(t, t)
 
 
 def check_grad(build, *shapes, atol=1e-7, rtol=1e-6):
@@ -34,30 +34,31 @@ def check_grad(build, *shapes, atol=1e-7, rtol=1e-6):
 
 class TestElementwiseOps:
     def test_add_mul(self):
-        check_grad(lambda a, b: tsum((a + b) * a), (3, 4), (3, 4))
+        check_grad(lambda a, b: tsum(tmul(tadd(a, b), a)), (3, 4), (3, 4))
 
     def test_sub_div(self):
-        check_grad(lambda a, b: tsum(tsub(a * (b * b + 3.0), b)), (2, 5), (2, 5))
+        check_grad(lambda a, b: tsum(tsub(tmul(a, tadd(tmul(b, b), 3.0)), b)),
+                   (2, 5), (2, 5))
 
     def test_scalar_mixing(self):
-        check_grad(lambda a: tsum(sq(2.5 * a + 1.0)), (4, 3))
+        check_grad(lambda a: tsum(sq(tadd(tmul(2.5, a), 1.0))), (4, 3))
 
     def test_neg(self):
-        check_grad(lambda a, b: tsum(tneg(a) * b), (3, 4), (3, 4))
+        check_grad(lambda a, b: tsum(tmul(tneg(a), b)), (3, 4), (3, 4))
 
     def test_exp_log(self):
-        check_grad(lambda a: tsum(texp(a) + tlog(a * a + 0.5)), (6,))
+        check_grad(lambda a: tsum(tadd(texp(a), tlog(tadd(tmul(a, a), 0.5)))), (6,))
 
     def test_broadcasting(self):
-        check_grad(lambda a, b: tsum(sq(a + b)), (3, 4), (4,))
-        check_grad(lambda a, b: tsum(a * b), (3, 1), (3, 4))
+        check_grad(lambda a, b: tsum(sq(tadd(a, b))), (3, 4), (4,))
+        check_grad(lambda a, b: tsum(tmul(a, b)), (3, 1), (3, 4))
 
 
 def unfused_affine(x: Tensor, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
     """Reference: x @ w + b (then tanh) as the three separate tape ops the
     encoder layers and the head recorded before `affine` fused them."""
-    z = Tensor.from_op(x.data @ w.data, [(x, lambda g: g @ w.data.T),
-                                         (w, lambda g: x.data.T @ g)]) + b
+    z = tadd(Tensor.from_op(x.data @ w.data, [(x, lambda g: g @ w.data.T),
+                                              (w, lambda g: x.data.T @ g)]), b)
     if not tanh:
         return z
     out = np.tanh(z.data)
@@ -85,8 +86,8 @@ class TestAffine:
             leaves = [Tensor(x.copy(), requires_grad=x_grad),
                       Tensor(w.copy(), requires_grad=True),
                       Tensor(b.copy(), requires_grad=True)]
-            out = op(*leaves, tanh=tanh) * mask
-            loss = tsum(sq(out) * probe)
+            out = tmul(op(*leaves, tanh=tanh), mask)
+            loss = tsum(tmul(sq(out), probe))
             loss.backward()
             runs.append((out.data, loss.item(), [t.grad for t in leaves]))
         (out, loss, grads), (want_out, want_loss, want_grads) = runs
@@ -111,7 +112,7 @@ class TestAffine:
 
 class TestLinearAlgebraOps:
     def test_sum_axis_keepdims(self):
-        check_grad(lambda a: tsum(a * tsum(sq(a), axis=1, keepdims=True)),
+        check_grad(lambda a: tsum(tmul(a, tsum(sq(a), axis=1, keepdims=True))),
                    (4, 3))
 
 
@@ -122,8 +123,9 @@ class TestStructuredOps:
         # of 5: rows 1 and 3 are padding, stacked row 3 feeds nothing
         members, starts, rows = np.array([4, 0, 2, 5, 1]), np.array([0, 1, 3]), [4, 0, 2]
         w = RNG.standard_normal((5, 3))
-        check_grad(lambda a, b: tsum(sq(segment_mean([a, b], members, starts, rows, 5))
-                                      * w), (4, 3), (2, 3))
+        check_grad(lambda a, b: tsum(tmul(sq(segment_mean([a, b], members, starts,
+                                                          rows, 5)), w)),
+                   (4, 3), (2, 3))
 
     def test_segment_mean_values(self):
         x = RNG.standard_normal((6, 3))
@@ -179,7 +181,7 @@ class TestStructuredOps:
 
     def test_l2_normalize(self):
         w = RNG.standard_normal((4, 3))
-        check_grad(lambda a: tsum(a.l2_normalize_rows() * w), (4, 3))
+        check_grad(lambda a: tsum(tmul(a.l2_normalize_rows(), w)), (4, 3))
 
     def test_l2_normalize_zero_row_safe(self):
         t = Tensor(np.zeros((2, 3)), requires_grad=True)
@@ -188,7 +190,7 @@ class TestStructuredOps:
 
     def test_log_softmax_rows(self):
         w = RNG.standard_normal((3, 5))
-        check_grad(lambda a: tsum(tlog_softmax_rows(a) * w), (3, 5))
+        check_grad(lambda a: tsum(tmul(tlog_softmax_rows(a), w)), (3, 5))
 
     def test_concat_rows(self):
         check_grad(lambda a, b: tsum(sq(concat_rows([a, b]))), (2, 3), (4, 3))
@@ -206,7 +208,7 @@ def neighbor_mean_oracle(x, idx, g):
 def neighbor_mean_passes(x, idx, g):
     t = Tensor(x, requires_grad=True)
     out = t.neighbor_mean(idx)
-    tsum(out * g).backward()  # the upstream gradient of out is exactly g
+    tsum(tmul(out, g)).backward()  # the upstream gradient of out is exactly g
     return out.data, t.grad
 
 
@@ -295,8 +297,8 @@ class TestBackwardSemantics:
     def test_diamond_graph_accumulates(self):
         # y = x*x used twice: dy/dx must include both paths
         x = Tensor(np.array([2.0]), requires_grad=True)
-        y = x * x
-        tsum(y + y).backward()
+        y = tmul(x, x)
+        tsum(tadd(y, y)).backward()
         np.testing.assert_allclose(x.grad, [8.0])
 
     def test_grad_accumulates_across_backwards(self):
@@ -318,7 +320,7 @@ class TestBackwardSemantics:
 
     def test_tensor_of_data_blocks_gradient(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        tsum(Tensor(x.data) * x).backward()
+        tsum(tmul(Tensor(x.data), x)).backward()
         np.testing.assert_allclose(x.grad, np.ones(3))
 
 

@@ -471,3 +471,17 @@ class TestModelDatasetMismatch:
         assert main([command, "--config", str(fuzz_root / "tiny.cfg"),
                      "--out", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "DataError"
+
+    def test_knn_count_differs_from_teacher(self, fuzz_root, tmp_path, capsys):
+        # a student inherits the teacher's k, which the config must match
+        shutil.copytree(fuzz_root / "dataset", tmp_path / "dataset")
+        save_checkpoint(make_teacher(2, 8, d_out=12, k=8, seed=0).state_dict(),
+                        tmp_path / "teacher.ckpt")
+        assert main(["train", "--config", str(fuzz_root / "tiny.cfg"),
+                     "--out", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert "train.knn_k = 4" in err["message"] and "count 8" in err["message"]
+        assert not (tmp_path / "student.ckpt").exists()

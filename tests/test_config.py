@@ -53,6 +53,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="myfile:2"):
             parse_config("\ntrain.learning_rate = 0.01", source="myfile")
 
+    def test_repeated_key_rejected_with_both_lines(self):
+        text = "train.lr = 0.1\n# the same key again\ntrain.lr = 0.2\n"
+        with pytest.raises(ConfigError, match=r"myfile:3: config key 'train.lr' "
+                                              r"is already set on line 1"):
+            parse_config(text, source="myfile")
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="expected"):
             parse_config("train.lr 0.01")

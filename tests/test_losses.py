@@ -9,22 +9,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from srkd import losses
+from srkd import cli, losses
 from srkd.autodiff import Tensor, finite_diff_gradient
 from srkd.cloud import (IGNORE_LABEL, SceneSpec, derive_seed, generate_scene,
                         resample_fixed)
 from srkd.errors import (ConfigError, DataError, NumericError, PairingError,
                          ShapeError, UndefinedLossError)
-from srkd.losses import (LOSS_NAMES, LossWeights, SupervoxelFeatures, affinity,
+from srkd.losses import (LAMBDAS, LOSS_NAMES, LossWeights, SupervoxelFeatures, affinity,
                          gd_teacher_log_z, loss_amra_channel, loss_amra_point,
                          loss_amra_voxel, loss_batch_gd, loss_kd, loss_task,
                          loss_total, supervoxel_features, weighted_total)
 from srkd.numerics import l2_normalize_rows, log_softmax_rows
-from srkd.trainer import grid_for_clouds
+from srkd.trainer import (ABLATION_VARIANTS, distill_objective, grid_for_clouds,
+                          variant_weights)
 from srkd.voxelize import (SamplerConfig, _fixed_subset, batch_label_histogram,
                            build_supervoxels, coarse_indices, fine_indices)
 from numeric_oracles import softmax_rows
-from tape_ops import texp, tlog_softmax_rows, tneg, tsub, tsum
+from tape_ops import tadd, texp, tlog_softmax_rows, tmul, tneg, tsub, tsum
 
 RNG = np.random.default_rng(777)
 
@@ -113,8 +114,9 @@ def composed_loss_task(logits: Tensor, labels, mask) -> Tensor:
     valid = (labels != IGNORE_LABEL) & mask
     onehot = np.zeros((n, c))
     onehot[valid, labels[valid]] = 1.0
-    picked = tsum(tlog_softmax_rows(logits) * onehot, axis=1)
-    return tneg(tsum(picked * valid.astype(np.float64)) * (1.0 / int(valid.sum())))
+    picked = tsum(tmul(tlog_softmax_rows(logits), onehot), axis=1)
+    return tneg(tmul(tsum(tmul(picked, valid.astype(np.float64))),
+                     1.0 / int(valid.sum())))
 
 
 class TestLossTaskReference:
@@ -192,11 +194,11 @@ class TestLossKD:
 
 def composed_loss_kd(zs: Tensor, zt, temperature, mask) -> Tensor:
     """Reference: loss_kd as a chain of generic tape ops, softmax(zs * 1/T)."""
-    ls_s = tlog_softmax_rows(zs * (1.0 / temperature))
+    ls_s = tlog_softmax_rows(tmul(zs, 1.0 / temperature))
     ls_t = Tensor(log_softmax_rows(zt, temperature))
-    rows = tsum(texp(ls_s) * tsub(ls_s, ls_t), axis=1)
+    rows = tsum(tmul(texp(ls_s), tsub(ls_s, ls_t)), axis=1)
     mask = np.asarray(mask, dtype=bool)
-    return tsum(rows * mask.astype(np.float64)) * (1.0 / int(mask.sum()))
+    return tmul(tsum(tmul(rows, mask.astype(np.float64))), 1.0 / int(mask.sum()))
 
 
 class TestLossKDReference:
@@ -422,7 +424,8 @@ class TestSupervoxelFeatures:
                 want[b] += dense.T @ gv[s * n_v:(s + 1) * n_v]
                 np.add.at(want[b], sv.point_indices,
                           gp[s * n_p:(s + 1) * n_p] * m[:, None])
-            (tsum(v.point_features * gp) + tsum(v.voxel_features * gv)).backward()
+            tadd(tsum(tmul(v.point_features, gp)),
+                 tsum(tmul(v.voxel_features, gv))).backward()
             for t, w in zip(maps, want):
                 np.testing.assert_allclose(t.grad, w, rtol=0,
                                            atol=1e-13 * np.abs(w).max())
@@ -1144,3 +1147,39 @@ class TestTotals:
         total = weighted_total(comps, w)
         report = loss_total({k: v.item() for k, v in comps.items()}, w)
         assert total.item() == pytest.approx(report["l_total"], rel=1e-12)
+
+
+def composed_weighted_total(comps: dict, weights: LossWeights) -> Tensor:
+    """Reference: the recombination as the chain of generic + and * tape ops
+    it was built from, l_task + l_kd * lambda_kd + ..., left to right."""
+    total = comps["l_task"]
+    for name, lam in zip(LOSS_NAMES[1:], LAMBDAS):
+        total = tadd(total, tmul(comps[name], getattr(weights, lam)))
+    return total
+
+
+class TestWeightedTotalReference:
+    @pytest.mark.parametrize("weights", [
+        LossWeights(), LossWeights.zeros(),
+        variant_weights(LossWeights(), dict(ABLATION_VARIANTS)["+kd+csmbgd"])],
+        ids=["default", "zeros", "kd_gd"])
+    def test_matches_composed_reference(self, weights):
+        runs = []
+        for recombine in (weighted_total, composed_weighted_total):
+            student, batch, chosen = cli._gradcheck_batch(0, weights)
+            comps = distill_objective(student, batch, chosen, weights)
+            total = recombine(comps, weights)
+            student.zero_grads()
+            total.backward()
+            runs.append((comps, total, [p.grad for p in student.params.values()]))
+        (comps, got, grads), (_, want, want_grads) = runs
+        live = [comps[n] for n in LOSS_NAMES if isinstance(comps[n], Tensor)]
+        assert [p for p, _ in got._edges] == [t._node for t in live]  # one op
+        assert got.data.tobytes() == want.data.tobytes()
+        for g, w in zip(grads, want_grads, strict=True):
+            assert g is w is None or g.tobytes() == w.tobytes()
+        # on the floats of the same terms it is a float of the same value
+        floats = {n: float(getattr(v, "data", v)) for n, v in comps.items()}
+        value = weighted_total(floats, weights)
+        assert type(value) is float and value == got.item()
+

@@ -119,6 +119,6 @@ def test_every_tensor_method_runs_on_a_package_path(monkeypatch):
     trainer.evaluate(student, [cloud], 16, noise_tau=0.1)
     with contextlib.redirect_stdout(io.StringIO()):
         runpy.run_path(str(ROOT / "demos" / "loss_anatomy.py"))
-    assert {"item", "backward", "__add__", "__mul__"} <= set(names)
+    assert {"item", "backward"} <= set(names)
     unused = [name for name in names if not calls[name]]
     assert not unused, f"Tensor members no package path calls: {unused}"

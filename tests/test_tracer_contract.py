@@ -19,6 +19,7 @@ from srkd.losses import LossWeights, SupervoxelFeatures
 from srkd.models import knn_indices, make_student_from_teacher, make_teacher
 from srkd.voxelize import (SamplerConfig, batch_label_histogram,
                            build_supervoxels, sample_supervoxels)
+from tape_ops import tmul
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -43,7 +44,7 @@ def test_leaf_rebuilds_supervoxel_views():
     assert {"point_features", "voxel_features"} <= fields
     # two supervoxels of three point rows and one voxel row each, stacked
     source = Tensor(np.arange(12.0).reshape(6, 2), requires_grad=True)
-    pf = source * 2.0
+    pf = tmul(source, 2.0)
     vf = segment_mean([source], [0, 1, 2, 3], [0, 2], [0, 1], 2)
     view = SupervoxelFeatures(pf, vf, np.ones((2, 3), bool), np.ones((2, 1), bool),
                               np.array([0.5, 1.0]))
