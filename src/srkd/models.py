@@ -28,8 +28,9 @@ _CKPT_MAGIC = b"SRKDCKPT1"
 
 AGG_ROUNDS = 2
 _KNN_WINDOW = 33       # fewest points next to a row in the spatial order
-_KNN_SLACK = 1e-9      # relative slack of the gemm filter
-_KNN_BLOCK = 1 << 17   # float64 entries per (rows, m) filter block (1 MB)
+_KNN_SLACK = 1e-5      # relative slack of the float32 gemm filter
+_KNN_BLOCK = 1 << 17   # float32 entries per (rows, m) filter block (512 KB)
+_KNN_PAIRS = 1 << 15   # kept pairs that start an exact pass (stage 3)
 
 
 def knn_indices(positions: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
@@ -43,34 +44,33 @@ def knn_indices(positions: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
     and a point appears in its own row unless more than k' points share
     its position.
 
-    The search is exact and runs in three stages:
-    1. Bound. The valid points are ordered in x strips, by y within a
-       strip. Row i's bound b_i is the k'th smallest d_ij over the
-       w = max(33, k') points next to it in that order (all m if fewer),
-       so at least k' points lie within it.
-    2. Filter. A block of rows at a time, one (rows, 5) @ (5, m) gemm on
-       coordinates c centred on the bounding box gives
-       [c_i, 1, b_i - |c_i|^2 + s_i] . [2 c_j, -|c_j|^2, 1]
-       = b_i + s_i - |c_i - c_j|^2, and every pair where it is >= 0 is
-       kept. The slack s_i = 1e-9 (b_i + |c_i|^2 + max_j |c_j|^2) is at
-       least five orders of magnitude above the rounding of the centring,
-       the gemm and d_ij (at worst a few 1e-15 of the same sum), so the
-       filter keeps every pair with d_ij <= b_i, and maybe a few more,
-       whatever the BLAS or its thread count. Centring keeps |c|^2 near the
-       squared scene radius, so the slack stays far below neighbor
-       distances even for coordinates far from the origin.
-    3. Exact pass. d_ij is recomputed from the positions for the kept
-       pairs (about 10-20 per row), which a stable sort of each row's
-       pairs, held in index order and padded with inf, puts in (d_ij, j)
-       order; the first k' are the answer.
+    The search is exact; each stage is a few numpy calls over the scene:
+    1. Bound. In the order of x strips, by y within a strip, row i's bound
+       b_i is the k'th smallest d_ij over the w = max(33, k') points next
+       to it (all m if fewer): one (m, w) distance array, one partition.
+    2. Filter. A block of rows at a time, one (rows, 5) @ (5, m) float32
+       gemm on coordinates c, centred on the bounding box and scaled to
+       |c| <= 1 (b_i with them), gives [c_i, 1, b_i + s_i - |c_i|^2] .
+       [2 c_j, -|c_j|^2, 1] = b_i + s_i - |c_i - c_j|^2, and the pairs where
+       it is >= 0 are kept. With S_i = b_i + |c_i|^2 + max_j |c_j|^2 and
+       u = 2^-24, rounding the inputs to float32 moves it by at most
+       u (3 S_i + s_i), the length-5 dot product by at most 5.01u times its
+       absolute terms, 2 S_i + s_i, in any summation order, and the float64
+       centring, scaling and d_ij by under 2e-15 S_i: under 13.1u S_i <
+       7.9e-7 S_i in all. The slack s_i = 1e-5 S_i is over 12 times that,
+       so every pair with d_ij <= b_i is kept at any BLAS thread count, and
+       centring keeps s_i far below neighbor distances far from the origin.
+    3. Exact pass. d_ij is recomputed in float64 for the kept pairs (about
+       15 per row), one sort puts them in (row, d_ij, j) order, and the
+       first k' of each row are read through its start offset.
+    The working set, the window distances, one filter block and the kept
+    pairs, is about 2 MB at m = 1024 (the m x m matrix takes 8 MB). Stage
+    3 runs whenever 32K pairs are pending (at m = 1024, once at the end),
+    so a scene where most pairs pass the filter stays near 10 MB.
 
-    All three stages run one block of rows at a time, so the working set
-    is one (rows, m) float64 gemm block of at most 128K entries (1 MB), its
-    mask, the block's window distances and kept pairs, and a few (m,)
-    vectors, instead of the m x m distance matrix.
-
-    Raises ShapeError unless positions is (N, 3) and mask is (N,),
-    ConfigError for k < 1 and DataError for a non-finite valid position.
+    Raises ShapeError unless positions is (N, 3) and mask (N,) with under
+    2^20 valid points, ConfigError for k < 1, DataError for a non-finite
+    valid position.
     """
     positions = np.asarray(positions, dtype=np.float64)
     mask = np.asarray(mask)
@@ -83,6 +83,8 @@ def knn_indices(positions: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
         raise ConfigError(f"knn_indices needs k >= 1, got {k}")
     valid = np.flatnonzero(mask)
     m = valid.size
+    if m >= 1 << 20:  # keeps stage 3's sort key below 2^63
+        raise ShapeError(f"knn_indices needs under 2^20 valid points, got {m}")
     kk = min(k, m)
     idx = np.tile(np.arange(n, dtype=np.intp)[:, None], (1, kk))
     if not m:
@@ -92,65 +94,63 @@ def knn_indices(positions: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
         raise DataError("knn_indices needs finite positions at valid points")
     axes = p.T.copy()  # one contiguous row per axis
     w = min(m, max(_KNN_WINDOW, kk))
-    order = _strip_order(axes, w)
-    rank = np.empty(m, dtype=np.intp)
-    rank[order] = np.arange(m)
-    first = np.clip(rank - w // 2, 0, m - w)  # each row's window in that order
-    c = p - (p.max(axis=0) + p.min(axis=0)) / 2
-    cc = np.einsum("ij,ij->i", c, c)
-    rhs = np.vstack([2 * c.T, -cc, np.ones(m)])
-    lhs = np.column_stack([c, np.ones(m), -cc])
-    lhs[:, 4] += _KNN_SLACK * (cc + cc.max())  # each block adds (1 + 1e-9) b_i
+    # x strips of equal count, by y within a strip, so that row t's window,
+    # the w points from clip(t - w // 2) in that order, is a compact patch
+    strips = max(1, round(math.sqrt(m / w)))
+    order = np.argsort(axes[0])
+    order = order[np.lexsort((axes[1][order], np.arange(m) * strips // m))]
+    first = np.clip(np.arange(m) - w // 2, 0, m - w)
+    bound = np.empty(m)
+    bound[order] = np.partition(_sq_dist(
+        (x[:, None], np.lib.stride_tricks.sliding_window_view(x, w)[first])
+        for x in axes[:, order]), kk - 1, axis=1)[:, kk - 1]
+    c = axes - (axes.max(axis=1) + axes.min(axis=1))[:, None] / 2
+    scale = np.abs(c).max() or 1.0
+    c, bound = c / scale, bound / (scale * scale)
+    cc = np.einsum("ij,ij->j", c, c)
+    lhs = np.vstack([c, np.ones(m), bound - cc + _KNN_SLACK * (bound + cc + cc.max())])
+    lhs, rhs = lhs.T.astype(np.float32), np.vstack([2 * c, -cc, np.ones(m)]).astype(np.float32)
     rows = max(1, _KNN_BLOCK // m)
-    offsets = np.arange(w)
+    kept, done = [], 0
     for lo in range(0, m, rows):
+        kept.append(np.flatnonzero(lhs[lo:lo + rows] @ rhs >= 0) + lo * m)
         hi = min(lo + rows, m)
-        window = order[first[lo:hi, None] + offsets]
-        bound = np.partition(_sq_dist(axes, np.s_[lo:hi, None], window), kk - 1,
-                             axis=1)[:, kk - 1]
-        block = lhs[lo:hi]
-        block[:, 4] += (1 + _KNN_SLACK) * bound
-        kept = np.flatnonzero(block @ rhs >= 0)
-        idx[valid[lo:hi]] = valid[_first_by_distance(axes, lo, hi - lo, kept, kk)]
+        if hi == m or sum(map(len, kept)) >= _KNN_PAIRS:
+            idx[valid[done:hi]] = valid[_nearest_kept(axes, kept, done, hi, kk)]
+            kept, done = [], hi
     return idx
 
 
-def _sq_dist(axes: np.ndarray, i, j) -> np.ndarray:
-    """Squared distances of points i to points j (indices or slices that
-    broadcast), in the full matrix's float order: dx^2, then += dy^2, then
-    += dz^2."""
-    first, *rest = axes
-    d = first[i] - first[j]
-    d *= d
-    for col in rest:
-        t = col[i] - col[j]
+def _sq_dist(pairs) -> np.ndarray:
+    """Squared distances from (coordinates of points i, of points j) pairs
+    for x, y and z, which broadcast, in the full matrix's float order."""
+    d = None
+    for a, b in pairs:
+        t = a - b
         t *= t
-        d += t
+        d = t if d is None else np.add(d, t, out=d)
     return d
 
 
-def _strip_order(axes: np.ndarray, w: int) -> np.ndarray:
-    """The points in about sqrt(m / w) strips of equal count along x, by y
-    within a strip, so a run of w points in it covers a compact patch."""
-    x, y, _ = axes
-    m = x.size
-    order = np.argsort(x)
-    strip = np.arange(m) * max(1, round(math.sqrt(m / w))) // m
-    return order[np.lexsort((y[order], strip))]
-
-
-def _first_by_distance(axes: np.ndarray, lo: int, rows: int, kept: np.ndarray,
-                       kk: int) -> np.ndarray:
-    """(rows, kk) valid-point indices: for each row lo + r of the block, the
-    first kk of its kept pairs (flat indices r * m + j, ascending) by
-    (d_ij, j) (stage 3 of `knn_indices`)."""
-    r, j = np.divmod(kept, axes.shape[1])
-    count = np.bincount(r, minlength=rows)
-    start = np.cumsum(count) - count
-    padded = np.full((rows, count.max()), np.inf)
-    padded[r, np.arange(kept.size) - start[r]] = _sq_dist(axes, r + lo, j)
-    first = np.argsort(padded, axis=1, kind="stable")[:, :kk]
-    return j[first + start[:, None]]
+def _nearest_kept(axes: np.ndarray, kept: list[np.ndarray], lo: int, hi: int,
+                  kk: int) -> np.ndarray:
+    """(hi - lo, kk) valid-point indices: for each row lo..hi - 1, the first
+    kk of its kept pairs (flat indices i * m + j, ascending) by (d_ij, j)
+    (stage 3 of `knn_indices`)."""
+    m = axes.shape[1]
+    r, j = np.divmod(np.concatenate(kept), m)
+    d = _sq_dist((x[r], x[j]) for x in axes)
+    by_d = d.argsort()
+    d = d[by_d]
+    # A pair's rank among the distinct d_ij makes (row, d_ij, j) one integer
+    # key, below (hi - lo) * r.size * m < 2^61, so one unstable sort is exact.
+    rank = np.empty_like(r)
+    rank[by_d] = np.cumsum(np.concatenate(([False], d[1:] != d[:-1])))
+    del d, by_d
+    r -= lo
+    key = (r * r.size + rank) * m + j
+    count = np.bincount(r, minlength=hi - lo)
+    return j[key.argsort()[(np.cumsum(count) - count)[:, None] + np.arange(kk)]]
 
 
 def _param_shapes(widths: tuple[int, ...], n_classes: int,

@@ -72,14 +72,38 @@ def knn_points(kind, m, rng):
         return rng.integers(0, 4, (m, 3)).astype(np.float64)
     if kind == "decimal_lattice":  # ties that only rounding order breaks
         return rng.integers(0, 5, (m, 3)) * 0.1
+    if kind == "cluster":
+        # Sparse outliers in a cube of radius 4 and, near its corner, a
+        # cluster whose neighbours lie about 4e-4 (1e-4 of the radius)
+        # apart: their squared distances, about 2e-7, are far below the
+        # float32 rounding of |c|^2 ~ 40 there (a few 1e-6).
+        pos = rng.uniform(-4.0, 4.0, (m, 3))
+        dense = rng.random(m) < 0.8
+        side = 4e-4 * max(1.0, dense.sum()) ** (1 / 3)
+        pos[dense] = 3.5 + rng.random((dense.sum(), 3)) * side
+        return pos
     base = rng.standard_normal((m // 3 + 1, 3))  # every point appears ~3 times
     return base[rng.integers(0, base.shape[0], m)]
+
+
+def count_kept_pairs(monkeypatch):
+    """The kept pairs of every `knn_indices` call from here on: a list that
+    grows by the pair count of each exact pass (stage 3)."""
+    kept = []
+    nearest_kept = models._nearest_kept
+
+    def spy(axes, pairs, lo, hi, kk):
+        kept.append(sum(part.size for part in pairs))
+        return nearest_kept(axes, pairs, lo, hi, kk)
+
+    monkeypatch.setattr(models, "_nearest_kept", spy)
+    return kept
 
 
 class TestKNNBlocked:
     @pytest.mark.parametrize("m", [1, 2, 33, 1025, 2048])
     @pytest.mark.parametrize("kind", ["random", "lattice", "decimal_lattice",
-                                      "duplicates"])
+                                      "duplicates", "cluster"])
     def test_byte_identical_to_full_matrix(self, m, kind):
         rng = np.random.default_rng(m * 7 + len(kind))
         pos = knn_points(kind, m, rng)
@@ -104,26 +128,59 @@ class TestKNNBlocked:
             tracemalloc.stop()
         assert peak < m * m * 8 / 4  # a quarter of the m x m float64 matrix
 
+    @pytest.mark.parametrize("kind", ["identical", "cluster"])
+    def test_working_set_when_most_pairs_pass_the_filter(self, kind):
+        # Every pair of identical points, and most pairs of the cluster,
+        # pass the filter; the exact pass takes them a run of rows at a
+        # time, so the working set stays far below the m x m matrix.
+        m = 2048
+        pos = (np.ones((m, 3)) if kind == "identical"
+               else knn_points(kind, m, np.random.default_rng(3)))
+        mask = np.ones(m, dtype=bool)
+        want, = knn_oracle(pos, mask, (8,))
+        tracemalloc.start()
+        try:
+            got = knn_indices(pos, mask, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < m * m * 8 / 2
+
     @pytest.mark.parametrize("offset", [1e3, 1e6])
     @pytest.mark.parametrize("kind", ["random", "decimal_lattice"])
     def test_exact_far_from_the_origin(self, monkeypatch, offset, kind):
         # The filter works on centred coordinates: uncentred, its slack
         # grows with |p|^2 and it keeps nearly every pair at +1e6.
-        kept = []
-        first_by_distance = models._first_by_distance
-
-        def spy(axes, lo, rows, pairs, kk):
-            kept.append(pairs.size)
-            return first_by_distance(axes, lo, rows, pairs, kk)
-
-        monkeypatch.setattr(models, "_first_by_distance", spy)
+        kept = count_kept_pairs(monkeypatch)
         m = 1024
         pos = knn_points(kind, m, np.random.default_rng(7)) + offset
         mask = np.ones(m, dtype=bool)
         want, = knn_oracle(pos, mask, (8,))
         assert np.array_equal(knn_indices(pos, mask, 8), want)
+        assert sum(kept) >= 8 * m  # each row keeps at least its 8 neighbours
         if kind == "random":
             assert sum(kept) < 64 * m
+
+    @pytest.mark.parametrize("scale", [1e-22, 1e30])
+    def test_exact_at_any_coordinate_scale(self, scale):
+        # float32 holds |c|^2 to full precision only between about 1e-38
+        # and 3e38, so the filter rescales the centred coordinates first.
+        m = 1024
+        pos = knn_points("random", m, np.random.default_rng(11)) * scale
+        mask = np.ones(m, dtype=bool)
+        want, = knn_oracle(pos, mask, (8,))
+        assert np.array_equal(knn_indices(pos, mask, 8), want)
+
+    def test_filter_stays_tight_on_a_default_scene(self, monkeypatch):
+        # A filter that kept far more pairs would still be exact, so only a
+        # count shows it: the benchmark's scene shape (2048 generated
+        # points resampled to 1024, k = 8) keeps about 12-21 pairs per row.
+        kept = count_kept_pairs(monkeypatch)
+        s = resample_fixed(generate_scene(SceneSpec(seed=0), 0), 1024, seed=1)
+        m = int(s.mask.sum())
+        knn_indices(s.cloud.positions, s.mask, 8)
+        assert 8 * m <= sum(kept) < 32 * m
 
     def test_rows_ascend_by_distance_then_index(self):
         rng = np.random.default_rng(5)
@@ -156,7 +213,8 @@ class TestKNNThreads:
     def test_same_at_every_blas_thread_count(self, m):
         rng = np.random.default_rng(m)
         scenes = [(knn_points(kind, m, rng), rng.random(m) < 0.9)
-                  for kind in ("random", "lattice", "decimal_lattice", "duplicates")]
+                  for kind in ("random", "lattice", "decimal_lattice", "duplicates",
+                               "cluster")]
         want = [knn_indices(pos, mask, 8) for pos, mask in scenes]
         got = losses.map_in_order(lambda s: knn_indices(*s, 8), scenes, m)
         assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
@@ -179,6 +237,12 @@ class TestKNNInputs:
                      np.ones((6, 1), dtype=bool)):
             with pytest.raises(ShapeError, match="mask"):
                 knn_indices(pos, mask, 2)
+
+    def test_fewer_than_2_20_valid_points(self):
+        # Stage 3's int64 sort key is only bounded below 2^63 for smaller scenes.
+        n = 1 << 20
+        with pytest.raises(ShapeError, match="2\\^20"):
+            knn_indices(np.zeros((n, 3)), np.ones(n, dtype=bool), 8)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one(self, k):
