@@ -8,7 +8,7 @@ from .cloud import (IGNORE_LABEL, FixedSample, PointCloud, SceneSpec,
 from .errors import (ConfigError, DataError, NumericError, PairingError,
                      ParseError, ShapeError, SRKDError, TapeError,
                      UndefinedLossError)
-from .losses import (LOSS_NAMES, LossWeights, affinity,
+from .losses import (LOSS_NAMES, LossWeights,
                      loss_amra_channel, loss_amra_point, loss_amra_voxel,
                      loss_batch_gd, loss_kd, loss_task, loss_total,
                      supervoxel_features, weighted_total)

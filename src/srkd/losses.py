@@ -23,10 +23,14 @@ precision. `gd_teacher_log_z` is their independent float64 oracle.
 list of per-sample maps into stacked (S*n, D) point and voxel Tensors, one
 tape op per kind. Each affinity (AMRA) term is one tape op over such
 stacks, viewed as (S, n, D): loss and gradient come from batched numpy in
-the forward pass, working on a few (S, n, n) float64 arrays (4 MB each at
-S=32, n=128). Each supervoxel's sum runs over its own slice and the
-supervoxels are added left to right, so the values are bit-identical to a
-loop over them.
+the forward pass, whose elementwise work runs on the valid rows and row
+pairs only. The point and voxel terms hold at most two (S, n, n) float64
+arrays at once (4 MB each at S=32, n=128): one stacked gram, then the
+zero-filled buffer of the per-supervoxel sums; the rest are vectors over
+the valid pairs. The channel term works on the gathered valid rows. Each
+supervoxel's sum runs over its own zero-filled slice and the supervoxels
+are added left to right, so the values are bit-identical to a loop over
+the padded views.
 
 Formula conventions (documented because the source material is loose):
   * Logit and similarity KL use softmax(Z / T), with the student
@@ -210,21 +214,33 @@ def loss_task(logits, labels: np.ndarray, mask: np.ndarray | None = None) -> Ten
 def _softmax_kl(zs: np.ndarray, zt: np.ndarray, m: np.ndarray,
                 temperature: float, divisor: float) -> tuple[np.ndarray, np.ndarray]:
     """Per group of a (G, n, C) stack, the mean of KL(softmax(zs/T) ||
-    softmax(zt/T)) over the n_valid rows the (G, n) 0/1 mask m keeps, and
-    the gradient of the means' sum / divisor with respect to zs/T: row r
-    gets m_r p_s (log p_s - log p_t - KL_r) / (n_valid divisor).
+    softmax(zt/T)) over the n_valid rows the (G, n) bool mask m keeps, and
+    the gradient of the means' sum / divisor with respect to zs/T: a kept
+    row r gets p_s (log p_s - log p_t - KL_r) / (n_valid divisor), the
+    others zero.
+
+    Every row operation is row-local, so it runs on the kept rows only,
+    gathered into one (sum n_valid, C) block (a view when no row is
+    padded). Their KL values are put back in a zero-filled (G, n) array
+    before the group sums, which therefore add in the same order as over
+    the padded stack.
     """
     n_valid = m.sum(axis=1)
     if np.any(n_valid == 0):
         raise UndefinedLossError("no valid rows in reduction")
-    ls_s = log_softmax_rows(zs, temperature)
-    grad = ls_s - log_softmax_rows(zt, temperature)        # log p_s - log p_t
+    rows = slice(None) if n_valid.sum() == m.size else np.flatnonzero(m)
+    c = zs.shape[-1]
+    ls_s = log_softmax_rows(zs.reshape(-1, c)[rows], temperature)
+    g = ls_s - log_softmax_rows(zt.reshape(-1, c)[rows], temperature)
     p_s = np.exp(ls_s)
-    kl = (p_s * grad).sum(axis=2)                          # (G, n)
-    grad -= kl[:, :, None]
-    grad *= p_s
-    grad *= (m / (n_valid[:, None] * divisor))[:, :, None]
-    return (kl * m).sum(axis=1) * (1.0 / n_valid), grad
+    kl_rows = (p_s * g).sum(axis=1)
+    g -= kl_rows[:, None]
+    g *= p_s
+    g *= np.repeat(1.0 / (n_valid * divisor), n_valid)[:, None]
+    kl, grad = np.zeros(m.shape), np.zeros(zs.shape)
+    kl.flat[rows] = kl_rows
+    grad.reshape(-1, c)[rows] = g
+    return kl.sum(axis=1) * (1.0 / n_valid), grad
 
 
 def loss_kd(student_logits, teacher_logits, temperature: float,
@@ -238,8 +254,8 @@ def loss_kd(student_logits, teacher_logits, temperature: float,
     if zs.shape != zt.shape or zs.data.ndim != 2:
         raise ShapeError(f"loss_kd needs equal (N, C) logits, got {zs.shape} vs {zt.shape}")
     n = zs.shape[0]
-    m = np.ones(n) if mask is None else \
-        _row_vector(mask, n, "loss_kd mask").astype(bool).astype(np.float64)
+    m = np.ones(n, dtype=bool) if mask is None else \
+        _row_vector(mask, n, "loss_kd mask").astype(bool)
     # one group; divisor T turns the gradient at Z_s/T into the one at Z_s
     value, grad = _softmax_kl(zs.data[None], zt[None], m[None], temperature, temperature)
     return Tensor.from_op(value[0], [_grad_edge(zs, grad)])
@@ -248,21 +264,6 @@ def loss_kd(student_logits, teacher_logits, temperature: float,
 # ---------------------------------------------------------------------------
 # Affinity (AMRA) losses
 # ---------------------------------------------------------------------------
-
-def affinity(features: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """keep * ||F_i - F_j||^2 for each (n, D) view of an (S, n, D) stack.
-
-    keep (S, n, n) holds each view's weight on the row pairs that count and
-    zero on the rest: the diagonal and the padded rows and columns.
-    """
-    sq = (features * features).sum(axis=2, keepdims=True)     # (S, n, 1)
-    gram = features @ features.transpose(0, 2, 1)
-    gram *= 2.0
-    d = sq + sq.transpose(0, 2, 1)
-    d -= gram
-    d *= keep
-    return d
-
 
 @dataclass(frozen=True)
 class SupervoxelFeatures:
@@ -321,12 +322,12 @@ def _check_paired(views_s: SupervoxelFeatures, views_t: SupervoxelFeatures):
 
 def _blocks(views: SupervoxelFeatures, kind: str):
     """The `kind` ("point" or "voxel") rows as an (S, n, D) array (a view of
-    the stacked Tensor's data) and the (S, n) 0/1 float64 mask."""
+    the stacked Tensor's data) and the (S, n) bool mask."""
     f = getattr(views, f"{kind}_features").data
     m = np.asarray(getattr(views, f"{kind}_mask"), dtype=bool)
     if m.ndim != 2 or f.ndim != 2 or f.shape[0] != m.size:
         raise ShapeError(f"{kind} features {f.shape} do not stack an {m.shape} mask")
-    return f.reshape(m.shape + f.shape[1:]), m.astype(np.float64)
+    return f.reshape(m.shape + f.shape[1:]), m
 
 
 def _mean_in_order(values) -> float:
@@ -338,21 +339,52 @@ def _affinity_gap(views_s: SupervoxelFeatures, views_t: SupervoxelFeatures,
                   kind: str) -> Tensor:
     """Mean over the supervoxels of sum((D_s - D_t)^2) / n^2 as one tape op.
 
-    With H = 2 keep (D_s - D_t) / (n^2 S), keep the weighted pair mask,
-    supervoxel s gets the gradient 4 (rowsum(H) F - H @ F).
+    D = w ||F_i - F_j||^2 on the valid pairs of a supervoxel of weight w
+    (i != j, both rows kept) and zero on the others. With
+    H = 2 w (D_s - D_t) / (n^2 S) on the valid pairs, supervoxel s gets the
+    gradient 4 (rowsum(H) F - H @ F) on its kept rows, zero on padded ones.
+
+    The elementwise work runs on the valid pairs and rows only, gathered by
+    flat index; the grams stay one stacked (S, n, D) @ (S, D, n) call,
+    whose output bits would change with its shape. The squared gaps, then
+    H, are put back into one zero-filled (S, n^2) buffer before the
+    per-supervoxel sums, so numpy's pairwise sums add in the same order as
+    over the padded stack, and H @ F is a stacked call too.
     """
     _check_paired(views_s, views_t)
     fs, m = _blocks(views_s, kind)
     ft = _blocks(views_t, kind)[0]
     s, n = m.shape
-    keep = m[:, :, None] * (m * views_s.weight[:, None])[:, None, :]   # w_s m_i m_j
-    keep[:, np.arange(n), np.arange(n)] = 0.0
-    gap = affinity(fs, keep)
-    gap -= affinity(ft, keep)
-    loss = _mean_in_order([(g * g).sum() * (1.0 / (n * n)) for g in gap])
-    gap *= keep
-    gap *= 2.0 / (n * n * s)                                   # H
-    grad = 4.0 * (gap.sum(axis=2, keepdims=True) * fs - gap @ fs)
+    pairs = m[:, :, None] & m[:, None, :]
+    pairs[:, np.arange(n), np.arange(n)] = False
+    flat = np.flatnonzero(pairs)                       # s n^2 + i n + j
+    sv = flat // (n * n)
+    row_i, row_j = flat // n, sv * n + flat % n        # s n + i, s n + j
+    w, rows = views_s.weight[sv], np.flatnonzero(m)
+
+    def distances(f):
+        """w ||F_i - F_j||^2 on the valid pairs of the (S, n, D) stack f."""
+        kept = f.reshape(s * n, -1)[rows]
+        sq = np.zeros(s * n)
+        sq[rows] = (kept * kept).sum(axis=1)
+        d = sq[row_i] + sq[row_j]
+        d -= 2.0 * np.take(f @ f.transpose(0, 2, 1), flat)
+        d *= w
+        return d
+
+    gap = distances(fs)
+    gap -= distances(ft)
+    buf = np.zeros((s, n * n))
+    np.put(buf, flat, gap * gap)
+    loss = _mean_in_order(buf.sum(axis=1) * (1.0 / (n * n)))
+    gap *= w
+    gap *= 2.0 / (n * n * s)
+    np.put(buf, flat, gap)                             # H
+    h = buf.reshape(s * n, n)
+    f_rows = fs.reshape(s * n, -1)
+    hf = (h.reshape(s, n, n) @ fs).reshape(s * n, -1)
+    grad = np.zeros(f_rows.shape)
+    grad[rows] = 4.0 * (h[rows].sum(axis=1)[:, None] * f_rows[rows] - hf[rows])
     return Tensor.from_op(np.float64(loss), [
         _grad_edge(getattr(views_s, f"{kind}_features"), grad)])
 

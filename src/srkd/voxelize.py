@@ -62,7 +62,12 @@ def voxel_count(grid: CylGrid) -> int:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """How many supervoxels to sample and their fixed feature-row counts."""
+    """How many supervoxels to sample and their fixed feature-row counts.
+
+    A supervoxel has at most sub_div**3 fine voxels: 8 at the defaults,
+    fewer than n_voxel = 16, so at least half of every voxel view is
+    padding there.
+    """
 
     k: int = 4
     n_point: int = 128
@@ -164,7 +169,8 @@ def supervoxel_weight(tau: float, outer_distance: float, grid: CylGrid) -> float
 
 
 def _fixed_subset(rng, indices: np.ndarray, n_fixed: int):
-    """Pad (with -1) or seeded-subsample an index list to n_fixed entries."""
+    """Pad (with -1) or seeded-subsample an index list to n_fixed entries.
+    Only a subsample draws from rng, which may be None for a short list."""
     n = indices.size
     if n > n_fixed:
         keep = np.sort(rng.choice(n, size=n_fixed, replace=False))
@@ -199,7 +205,6 @@ def build_supervoxels(sample: FixedSample, grid: CylGrid, cfg: SamplerConfig,
         members = valid[in_cell]
         i_r, rem = divmod(int(cell), grid.n_angular * grid.n_height)
         i_a, i_h = divmod(rem, grid.n_height)
-        rng = derive_seed(seed, i_r, i_a, i_h)
 
         d_i = min((i_r + 1) * grid.r_cell, grid.radial_extent)
         cell_labels = labels[in_cell]
@@ -210,16 +215,22 @@ def build_supervoxels(sample: FixedSample, grid: CylGrid, cfg: SamplerConfig,
             tau = tau_class(cell_labels, batch_histogram)
             w = supervoxel_weight(tau, d_i, grid)
 
-        point_idx, point_mask = _fixed_subset(rng, members.astype(np.intp), cfg.n_point)
-        point_idx = np.where(point_idx < 0, 0, point_idx)
-
-        # members of each kept non-empty fine voxel, grouped into segments
+        # members of each non-empty fine voxel, grouped into segments
         sub = fine[in_cell]
         by_voxel = np.argsort(sub, kind="stable")
         counts = np.bincount(sub)
         counts = counts[counts > 0]
-        keep = np.zeros(counts.size, dtype=bool)
-        keep[rng.permutation(counts.size)[:cfg.n_voxel]] = True
+        # The cell's generator is derived only when a cap truncates: the
+        # point subsample draws first, then the fine-voxel permutation.
+        rng = derive_seed(seed, i_r, i_a, i_h) \
+            if members.size > cfg.n_point or counts.size > cfg.n_voxel else None
+        point_idx, point_mask = _fixed_subset(rng, members.astype(np.intp), cfg.n_point)
+        point_idx = np.where(point_idx < 0, 0, point_idx)
+        if counts.size > cfg.n_voxel:
+            keep = np.zeros(counts.size, dtype=bool)
+            keep[rng.permutation(counts.size)[:cfg.n_voxel]] = True
+        else:
+            keep = np.ones(counts.size, dtype=bool)
         voxel_members = members[by_voxel[np.repeat(keep, counts)]]
         lengths = counts[keep]
         voxel_starts = np.cumsum(lengths) - lengths

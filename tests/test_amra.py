@@ -15,9 +15,10 @@ import pytest
 
 from srkd.autodiff import Tensor, finite_diff_gradient
 from srkd.errors import PairingError, ShapeError, UndefinedLossError
-from srkd.losses import (SupervoxelFeatures, affinity, loss_amra_channel,
-                         loss_amra_point, loss_amra_voxel)
+from srkd.losses import (SupervoxelFeatures, loss_amra_channel, loss_amra_point,
+                         loss_amra_voxel)
 from srkd.numerics import log_softmax_rows
+from numeric_oracles import affinity
 from tape_ops import matmul, tadd, texp, tlog_softmax_rows, tmul, transpose, tsub, tsum
 
 # ---------------------------------------------------------------------------
@@ -82,21 +83,43 @@ ORACLES = {
 # ---------------------------------------------------------------------------
 
 
-def _mask(rng, n):
-    """A valid prefix of at least two rows, the rest padded (or none)."""
+def _prefix(rng, n, lo, hi):
+    """A valid prefix of lo to hi rows, the rest padded (or none)."""
     mask = np.zeros(n, dtype=bool)
-    mask[:int(rng.integers(2, n + 1))] = True
+    mask[:int(rng.integers(lo, hi + 1))] = True
     return mask
 
 
-def random_views(seed, s, n_point=7, n_voxel=4, d_s=3, d_t=5, masked_data=True):
-    """Stacked student and teacher views of S supervoxels with padded point
-    and voxel rows and some weight-0 supervoxels. Masked rows hold random
-    data unless masked_data is False (then zero, as `supervoxel_features`
-    pads them). The student blocks are leaf Tensors that require grad."""
+def _scattered(rng, n):
+    """About 40% of the rows valid, at random places, and at least one."""
+    mask = rng.random(n) < 0.4
+    mask[rng.integers(n)] = True
+    return mask
+
+
+# How the valid rows of each supervoxel's (n,) mask are laid out.
+LAYOUTS = {
+    "prefix": lambda rng, n, k: _prefix(rng, n, 2, n),
+    # every other supervoxel keeps one row, so it has no pair
+    "one_row": lambda rng, n, k: _prefix(rng, n, 1, 1 if k % 2 == 0 else n),
+    "no_padding": lambda rng, n, k: np.ones(n, dtype=bool),
+    "scattered": lambda rng, n, k: _scattered(rng, n),
+    # as the benchmark samples them at the default sizes: a median of 19 of
+    # the 128 point rows, a mean of 4 of the 16 voxel rows
+    "sampled": lambda rng, n, k: _prefix(rng, n, 1, {128: 37, 16: 7}[n]),
+}
+
+
+def random_views(seed, s, n_point=7, n_voxel=4, d_s=3, d_t=5, masked_data=True,
+                 layout="prefix"):
+    """Stacked student and teacher views of S supervoxels with point and
+    voxel rows padded as `LAYOUTS[layout]` places them, and some weight-0
+    supervoxels. Masked rows hold random data unless masked_data is False
+    (then zero, as `supervoxel_features` pads them). The student blocks are
+    leaf Tensors that require grad."""
     rng = np.random.default_rng(seed)
-    pm = np.stack([_mask(rng, n_point) for _ in range(s)])
-    vm = np.stack([_mask(rng, n_voxel) for _ in range(s)])
+    pm = np.stack([LAYOUTS[layout](rng, n_point, k) for k in range(s)])
+    vm = np.stack([LAYOUTS[layout](rng, n_voxel, k) for k in range(s)])
     weight = np.array([0.0 if k % 3 == 1 else float(rng.random() + 0.1)
                        for k in range(s)])
     blocks = []
@@ -167,6 +190,17 @@ class TestFusedAgainstOracle:
     def test_default_sizes(self, term):
         # the sampler's defaults: 128 point rows, 16 voxel rows
         self._check(term, 32, n_point=128, n_voxel=16, d_s=64, d_t=128)
+
+    @pytest.mark.parametrize("layout", ["one_row", "no_padding", "scattered"])
+    @pytest.mark.parametrize("masked_data", [True, False],
+                             ids=["masked_data", "zero_padded"])
+    def test_padding_layouts(self, term, layout, masked_data):
+        self._check(term, 6, masked_data=masked_data, layout=layout)
+
+    @pytest.mark.parametrize("layout", ["sampled", "scattered"])
+    def test_default_sizes_padded_as_sampled(self, term, layout):
+        self._check(term, 32, n_point=128, n_voxel=16, d_s=64, d_t=128,
+                    masked_data=False, layout=layout)
 
     @staticmethod
     def _check(term, s, **kw):

@@ -15,7 +15,7 @@ from srkd.cloud import (IGNORE_LABEL, SceneSpec, derive_seed, generate_scene,
                         resample_fixed)
 from srkd.errors import (ConfigError, DataError, NumericError, PairingError,
                          ShapeError, UndefinedLossError)
-from srkd.losses import (LAMBDAS, LOSS_NAMES, LossWeights, SupervoxelFeatures, affinity,
+from srkd.losses import (LAMBDAS, LOSS_NAMES, LossWeights, SupervoxelFeatures,
                          gd_teacher_log_z, loss_amra_channel, loss_amra_point,
                          loss_amra_voxel, loss_batch_gd, loss_kd, loss_task,
                          loss_total, supervoxel_features, weighted_total)
@@ -24,7 +24,7 @@ from srkd.trainer import (ABLATION_VARIANTS, distill_objective, grid_for_clouds,
                           variant_weights)
 from srkd.voxelize import (SamplerConfig, _fixed_subset, batch_label_histogram,
                            build_supervoxels, coarse_indices, fine_indices)
-from numeric_oracles import softmax_rows
+from numeric_oracles import affinity, softmax_rows
 from tape_ops import tadd, texp, tlog_softmax_rows, tmul, tneg, tsub, tsum
 
 RNG = np.random.default_rng(777)

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srkd.cloud import SceneSpec, generate_scene, resample_fixed
+from srkd.cloud import SceneSpec, derive_seed, generate_scene, resample_fixed
 from srkd.errors import ConfigError
-from srkd.voxelize import (CylGrid, SamplerConfig, batch_label_histogram,
-                           build_supervoxels, coarse_indices, fine_indices,
-                           sample_supervoxels, supervoxel_weight, tau_class,
-                           to_cylindrical, voxel_count)
+from srkd.voxelize import (CylGrid, SamplerConfig, _fixed_subset,
+                           batch_label_histogram, build_supervoxels,
+                           coarse_indices, fine_indices, sample_supervoxels,
+                           supervoxel_weight, tau_class, to_cylindrical,
+                           voxel_count)
 
 TAU = 2 * math.pi
 
@@ -196,6 +197,38 @@ class TestBuildSupervoxels:
                 whole = [m for m in sv.member_indices if fine[m] in ids]
                 assert sorted(whole) == sorted(sv.voxel_members)
                 assert len(ids) == min(len(set(fine.values())), cfg.n_voxel)
+
+    @pytest.mark.parametrize("cfg, truncates", [
+        (SamplerConfig(), False), (SamplerConfig(n_point=8, n_voxel=3), True)],
+        ids=["defaults", "both_caps_overflow"])
+    def test_plans_equal_an_always_derive_reference(self, cfg, truncates):
+        """A cell's generator is derived only when a cap truncates. The plans
+        equal the ones drawn from a generator derived for every cell: the
+        point subsample first, then a permutation of the fine voxels."""
+        svs = build_supervoxels(self.sample, self.grid, cfg, self.hist, seed=3)
+        overflow = {"point": 0, "voxel": 0}
+        for sv in svs:
+            members = sv.member_indices
+            pos = self.sample.cloud.positions[members]
+            fine = fine_indices(self.grid, pos, coarse_indices(self.grid, pos),
+                                cfg.sub_div)
+            rng = derive_seed(3, *sv.grid_index)
+            points, point_mask = _fixed_subset(rng, members, cfg.n_point)
+            voxels = np.unique(fine)
+            kept = np.sort(voxels[rng.permutation(voxels.size)[:cfg.n_voxel]])
+            segments = [members[fine == v] for v in kept]
+            np.testing.assert_array_equal(sv.point_mask, point_mask)
+            np.testing.assert_array_equal(sv.point_indices[point_mask],
+                                          points[point_mask])
+            np.testing.assert_array_equal(sv.voxel_members, np.concatenate(segments))
+            np.testing.assert_array_equal(
+                sv.voxel_starts, np.cumsum([0] + [len(g) for g in segments[:-1]]))
+            overflow["point"] += members.size > cfg.n_point
+            overflow["voxel"] += voxels.size > cfg.n_voxel
+        if truncates:
+            assert overflow["point"] > 0 and overflow["voxel"] > 0
+        else:  # sub_div^3 = 8 fine voxels never fill n_voxel = 16 rows
+            assert overflow["voxel"] == 0
 
     def test_candidates_hold_no_dense_matrix(self):
         # a dense (N_voxel, N_fixed) float64 pooling matrix per candidate
