@@ -2,10 +2,11 @@
 
 Subcommands: generate, train-teacher, train, eval, ablate, noise,
 subsample, batch-sweep, dim-sweep, gradcheck. Every command reads an
-optional flat key-value config (--config), a seed (--seed), and writes its
-artifacts under --out. Dataset files live in <out>/dataset; training
-commands read them from there and fail with explicit errors when a
-prerequisite artifact (dataset, teacher checkpoint) is missing. Errors,
+optional flat key-value config (--config) and takes only the other options
+it reads (`_COMMANDS`): a seed (--seed) and an artifact directory (--out).
+Dataset files live in <out>/dataset; training commands read the scenes its
+manifest lists and fail with explicit errors when a prerequisite artifact
+(dataset, teacher checkpoint) is missing. Errors,
 usage and file-system errors included, are reported as one-line JSON on
 stderr with exit status 2, and every artifact is written atomically. The
 sweeps ablate, subsample and batch-sweep run their trainings on as many
@@ -49,10 +50,12 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _echo_config(cfg: dict, out: Path, seed: int) -> str:
+def _echo_config(cfg: dict, out: Path, seed: int | None) -> str:
+    """Write <out>/config.txt headed by the hash and any --seed; return the hash."""
     h = cfgmod.config_hash(cfg)
+    stamp = "" if seed is None else f", seed {seed}"
     with atomic_open(out / "config.txt") as f:
-        f.write(f"# effective config, hash {h}, seed {seed}\n" + cfgmod.render_config(cfg))
+        f.write(f"# effective config, hash {h}{stamp}\n" + cfgmod.render_config(cfg))
     return h
 
 
@@ -62,9 +65,12 @@ def _write_json(path: Path, obj: dict) -> None:
         f.write("\n")
 
 
-def _write_csv(path: Path, rows: list[dict], cfg_hash: str) -> None:
+def _write_csv(path: Path, rows: list[dict], cfg_hash: str,
+               seed: int | None = None) -> None:
+    """Rows under a `# config_hash=<h>` line that names any --seed too."""
+    stamp = "" if seed is None else f" seed={seed}"
     with atomic_open(path, "w", newline="") as f:
-        f.write(f"# config_hash={cfg_hash}\n")
+        f.write(f"# config_hash={cfg_hash}{stamp}\n")
         writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
@@ -76,13 +82,28 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _scene_path(out: Path, split: str, index: int) -> Path:
+    return out / "dataset" / split / f"scene_{index:03d}.pcbin"
+
+
 def _load_dataset(out: Path) -> Dataset:
-    droot = out / "dataset"
-    if not droot.is_dir():
-        raise DataError(f"no dataset at {droot}; run 'srkd generate' first")
-    train = [read_cloud(p) for p in sorted((droot / "train").glob("*.pcbin"))]
-    val = [read_cloud(p) for p in sorted((droot / "val").glob("*.pcbin"))]
-    return Dataset(tuple(train), tuple(val))
+    """The scenes <out>/dataset/manifest.json lists, in index order: train
+    scene_000 to scene_{n_train-1}, then the n_val val scenes. Nothing else
+    in the dataset directory is read."""
+    path = out / "dataset" / "manifest.json"
+    if not path.is_file():
+        raise DataError(f"no dataset manifest at {path}; run 'srkd generate' first")
+    try:
+        manifest = json.loads(path.read_text())
+        n_train, n_val = manifest["n_train"], manifest["n_val"]
+        ids = {"train": range(n_train), "val": range(n_train, n_train + n_val)}
+    except (ValueError, TypeError, KeyError) as exc:
+        raise DataError(f"{path}: unreadable manifest ({exc!r})") from exc
+    paths = {split: [_scene_path(out, split, i) for i in r] for split, r in ids.items()}
+    for p in paths["train"] + paths["val"]:
+        if not p.exists():
+            raise DataError(f"no scene at {p}, which {path} lists")
+    return Dataset(*(tuple(read_cloud(p) for p in ps) for ps in paths.values()))
 
 
 def _load_model(out: Path, data: Dataset, name: str, command: str) -> SegModel:
@@ -111,14 +132,13 @@ def cmd_generate(args, cfg: dict) -> int:
     hist = np.zeros(spec.n_classes, dtype=np.int64)
     n_unlabeled = 0
     for split, count, base in (("train", n_train, 0), ("val", n_val, n_train)):
-        d = out / "dataset" / split
-        d.mkdir(parents=True, exist_ok=True)
-        for i in range(count):
-            cloud = generate_scene(spec, base + i)
+        (out / "dataset" / split).mkdir(parents=True, exist_ok=True)
+        for i in range(base, base + count):
+            cloud = generate_scene(spec, i)
             lab = cloud.labels[cloud.labels != IGNORE_LABEL]
             hist += np.bincount(lab, minlength=spec.n_classes)
             n_unlabeled += cloud.n_points - lab.size
-            write_cloud(cloud, d / f"scene_{base + i:03d}.pcbin")
+            write_cloud(cloud, _scene_path(out, split, i))
     manifest = {"seed": args.seed, "n_train": n_train, "n_val": n_val,
                 "points_per_scene": spec.points_per_scene,
                 "n_classes": spec.n_classes,
@@ -166,19 +186,22 @@ def cmd_eval(args, cfg: dict) -> int:
     return 0
 
 
-def _teacher_sweep(args, cfg: dict, csv_name: str, sweep, **kwargs) -> list[dict]:
-    """Run a trainer sweep against the stored teacher and write its CSV."""
+def _teacher_sweep(args, cfg: dict, csv_name: str, sweep, seed: int | None,
+                   **kwargs) -> list[dict]:
+    """Run a trainer sweep against the stored teacher and write its CSV;
+    `seed` is None for a sweep that seeds every run from `sweep.seeds`."""
     out = _out_dir(args)
-    h = _echo_config(cfg, out, args.seed)
+    h = _echo_config(cfg, out, seed)
     data = _load_dataset(out)
     teacher = _load_model(out, data, "teacher", "train-teacher")
-    rows = sweep(cfgmod.train_config(cfg, args.seed), teacher, data, **kwargs)
-    _write_csv(out / csv_name, rows, h)
+    tcfg = cfgmod.train_config(cfg, 0 if seed is None else seed)
+    rows = sweep(tcfg, teacher, data, **kwargs)
+    _write_csv(out / csv_name, rows, h, seed)
     return rows
 
 
 def cmd_ablate(args, cfg: dict) -> int:
-    rows = _teacher_sweep(args, cfg, "ablation.csv", trainer.ablate,
+    rows = _teacher_sweep(args, cfg, "ablation.csv", trainer.ablate, None,
                           seeds=cfg["sweep.seeds"])
     summary = {}
     for variant, _ in trainer.ABLATION_VARIANTS:
@@ -195,13 +218,13 @@ def cmd_noise(args, cfg: dict) -> int:
     data = _load_dataset(out)
     model = _load_model(out, data, "student", "train")
     rows = trainer.noise_sweep(model, data.val, ncfg, cfg["train.n_fixed"])
-    _write_csv(out / "noise.csv", rows, h)
+    _write_csv(out / "noise.csv", rows, h, args.seed)
     print(json.dumps(rows))
     return 0
 
 
 def cmd_subsample(args, cfg: dict) -> int:
-    rows = _teacher_sweep(args, cfg, "subsample.csv", trainer.subsample_sweep,
+    rows = _teacher_sweep(args, cfg, "subsample.csv", trainer.subsample_sweep, None,
                           fractions=cfg["sweep.fractions"],
                           seeds=cfg["sweep.seeds"])
     print(json.dumps(rows))
@@ -210,7 +233,7 @@ def cmd_subsample(args, cfg: dict) -> int:
 
 def cmd_batch_sweep(args, cfg: dict) -> int:
     rows = _teacher_sweep(args, cfg, "batch_sweep.csv", trainer.batch_sensitivity,
-                          batch_sizes=cfg["sweep.batch_sizes"])
+                          args.seed, batch_sizes=cfg["sweep.batch_sizes"])
     print(json.dumps(rows))
     return 0
 
@@ -221,7 +244,7 @@ def cmd_dim_sweep(args, cfg: dict) -> int:
     data = _load_dataset(out)
     tcfg = cfgmod.train_config(cfg, args.seed)
     rows = trainer.dim_sensitivity(tcfg, data, dims=cfg["sweep.dims"])
-    _write_csv(out / "dim_sweep.csv", rows, h)
+    _write_csv(out / "dim_sweep.csv", rows, h, args.seed)
     print(json.dumps(rows))
     return 0
 
@@ -306,18 +329,23 @@ def cmd_gradcheck(args, cfg: dict) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+# Each command's handler and the options it reads besides --config: eval
+# resamples at a fixed seed, ablate and subsample seed every run from
+# `sweep.seeds`, and gradcheck writes no artifact.
 _COMMANDS = {
-    "generate": cmd_generate,
-    "train-teacher": cmd_train_teacher,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "ablate": cmd_ablate,
-    "noise": cmd_noise,
-    "subsample": cmd_subsample,
-    "batch-sweep": cmd_batch_sweep,
-    "dim-sweep": cmd_dim_sweep,
-    "gradcheck": cmd_gradcheck,
+    "generate": (cmd_generate, ("--seed", "--out")),
+    "train-teacher": (cmd_train_teacher, ("--seed", "--out")),
+    "train": (cmd_train, ("--seed", "--out")),
+    "eval": (cmd_eval, ("--out",)),
+    "ablate": (cmd_ablate, ("--out",)),
+    "noise": (cmd_noise, ("--seed", "--out")),
+    "subsample": (cmd_subsample, ("--out",)),
+    "batch-sweep": (cmd_batch_sweep, ("--seed", "--out")),
+    "dim-sweep": (cmd_dim_sweep, ("--seed", "--out")),
+    "gradcheck": (cmd_gradcheck, ("--seed",)),
 }
+_OPTIONS = {"--seed": {"type": int, "default": 0},
+            "--out": {"default": "runs/default", "help": "artifact directory"}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -331,11 +359,11 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="srkd", description="SRKD distillation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, options) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="runs/default", help="artifact directory")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -343,7 +371,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = cfgmod.load_config(args.config)
-        return _COMMANDS[args.command](args, cfg)
+        handler, _ = _COMMANDS[args.command]
+        return handler(args, cfg)
     except (SRKDError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

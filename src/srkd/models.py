@@ -225,11 +225,10 @@ class SegModel:
         keep = np.asarray(sample.mask, dtype=np.float64)[:, None]
         return Tensor.from_op(h.data * keep, [(h, lambda g: g * keep)])
 
-    def forward(self, sample: FixedSample, nbr_idx: np.ndarray | None = None,
+    def forward(self, sample: FixedSample, nbr_idx: np.ndarray,
                 feature_noise: np.ndarray | None = None):
-        """Returns (normalized feature map, logits)."""
-        if nbr_idx is None:
-            nbr_idx = knn_indices(sample.cloud.positions, sample.mask, self.k)
+        """Returns (normalized feature map, logits) over the sample's k-NN
+        index `nbr_idx` (`knn_indices` at the model's k)."""
         f_norm = self.encode(sample, nbr_idx).l2_normalize_rows()
         if feature_noise is not None:
             f_norm = Tensor.from_op(f_norm.data + feature_noise,

@@ -342,7 +342,8 @@ def evaluate(model: SegModel, clouds, n_fixed: int,
     def scene_confusion(item):
         i, cloud, noise = item
         sample = resample_fixed(cloud, n_fixed, _child_seed(EVAL_SEED, i))
-        preds = model.forward(sample, feature_noise=noise)[1].data.argmax(axis=1)
+        nbr = knn_indices(sample.cloud.positions, sample.mask, model.k)
+        preds = model.forward(sample, nbr, feature_noise=noise)[1].data.argmax(axis=1)
         return confusion_matrix(sample.cloud.labels, preds, n_classes, sample.mask)
 
     conf = np.zeros((n_classes, n_classes), dtype=np.int64)

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import contextlib
 import csv
 import io
@@ -52,9 +54,22 @@ def workdir(tmp_path_factory):
     return root
 
 
-def run(workdir, command, out="run", seed=0, extra=()):
-    return main([command, "--config", str(workdir / "tiny.cfg"),
-                 "--seed", str(seed), "--out", str(workdir / out), *extra])
+def offered(command: str) -> set[str]:
+    """The option names (dests) that `srkd <command>` takes, -h aside."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+def run(workdir, command, out="run", seed=0):
+    """`srkd <command>` on the tiny config, with --seed and --out where it
+    takes them."""
+    argv = [command, "--config", str(workdir / "tiny.cfg")]
+    if "seed" in offered(command):
+        argv += ["--seed", str(seed)]
+    if "out" in offered(command):
+        argv += ["--out", str(workdir / out)]
+    return main(argv)
 
 
 class TestPipeline:
@@ -101,6 +116,7 @@ class TestPipeline:
         capsys.readouterr()
         lines = (workdir / "run/noise.csv").read_text().splitlines()
         assert lines[0].startswith("# config_hash=")
+        assert lines[0].endswith(" seed=0")  # the hash does not cover --seed
         assert lines[1].split(",")[0] == "tau"
         assert len(lines) == 2 + 2  # two taus in the tiny config
 
@@ -110,6 +126,9 @@ class TestPipeline:
         assert set(summary) == {"baseline", "+kd", "+kd+csmbgd", "full"}
         lines = (workdir / "run/ablation.csv").read_text().splitlines()
         assert len(lines) == 2 + 4 * 2  # four variants, two seeds
+        # its seeds are `sweep.seeds`, which the hash covers
+        header = (workdir / "run/config.txt").read_text().splitlines()[0]
+        assert "seed" not in lines[0] and "seed" not in header
 
     def test_subsample_csv(self, workdir, capsys):
         assert run(workdir, "subsample") == 0
@@ -136,8 +155,7 @@ class TestPipeline:
         shutil.copytree(workdir / "run/dataset", out / "dataset")
         shutil.copy(workdir / "run/teacher.ckpt", out)
         monkeypatch.setattr(trainer, "subsample_sweep", sweep)
-        assert main(["subsample", "--config", str(cfg), "--seed", "0",
-                     "--out", str(out)]) == 0
+        assert main(["subsample", "--config", str(cfg), "--out", str(out)]) == 0
         capsys.readouterr()
         assert seen == [(0, 1, 2, 3, 4)]
 
@@ -201,9 +219,13 @@ class TestErrors:
         assert err["error"] == "ConfigError"
         return err["message"]
 
+    # the last four pass an option their command does not read
     @pytest.mark.parametrize("argv", [
         ["train", "--jobs", "2"], ["train", "--seed", "abc"], ["nosuch"], [],
-        ["ablate", "--seed", "x"]], ids=["jobs", "seed", "command", "empty", "int"])
+        ["noise", "--seed", "x"], ["eval", "--seed", "0"], ["ablate", "--seed", "0"],
+        ["subsample", "--seed", "0"], ["gradcheck"]],
+        ids=["jobs", "seed", "command", "empty", "int", "eval-seed", "ablate-seed",
+             "subsample-seed", "gradcheck-out"])
     def test_usage_error_is_one_json_line(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path / "o")] if argv else argv) == 2
         self.one_config_error(capsys)
@@ -268,12 +290,14 @@ class TestErrors:
         assert (tmp_path / "o").read_text() == "not a directory\n"
 
     def test_file_system_error_is_one_json_line(self, workdir, tmp_path, capsys):
-        # a directory where train-teacher expects a scene file
+        # a directory where train-teacher expects a listed scene file
         out = tmp_path / "o"
         assert main(["generate", "--config", str(workdir / "tiny.cfg"),
                      "--out", str(out)]) == 0
         capsys.readouterr()
-        (out / "dataset" / "train" / "zz.pcbin").mkdir()
+        scene = out / "dataset" / "train" / "scene_000.pcbin"
+        scene.unlink()
+        scene.mkdir()
         assert main(["train-teacher", "--config", str(workdir / "tiny.cfg"),
                      "--out", str(out)]) == 2
         lines = capsys.readouterr().err.splitlines()
@@ -288,6 +312,93 @@ class TestErrors:
         assert main(["eval", "--config", str(workdir / "tiny.cfg"),
                      "--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "DataError"
+
+
+class TestDatasetManifest:
+    def test_regenerated_dataset_keeps_splits_apart(self, tmp_path, monkeypatch,
+                                                    capsys):
+        # 10 scenes, then 5 into the same --out: the first run's train
+        # scene_004 to scene_007 and val scene_008, scene_009 stay on disk,
+        # and scene_004 is the second run's val scene
+        out = tmp_path / "o"
+        for n in (10, 5):
+            cfg = tmp_path / f"n{n}.cfg"
+            cfg.write_text(TINY_CFG.replace("scene.n_scenes = 5",
+                                            f"scene.n_scenes = {n}"))
+            assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        seen, inner = [], trainer.train_teacher
+
+        def spy(cfg, data):
+            seen.append(data)
+            return inner(cfg, data)
+
+        monkeypatch.setattr(trainer, "train_teacher", spy)
+        assert main(["train-teacher", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        data, = seen
+        assert (len(data.train), len(data.val)) == (4, 1)
+        train = {c.positions.tobytes() for c in data.train}
+        assert not any(c.positions.tobytes() in train for c in data.val)
+
+    # a listed file deleted (None) or overwritten with the given text
+    @pytest.mark.parametrize("name, text", [
+        ("manifest.json", None), ("val/scene_004.pcbin", None),
+        ("manifest.json", "{"), ("manifest.json", "[]"),
+        ("manifest.json", '{"n_train": 4}'),
+        ("manifest.json", '{"n_train": "4", "n_val": 1}')])
+    def test_bad_listed_file_is_data_error(self, workdir, tmp_path, capsys, name,
+                                           text):
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(workdir / "tiny.cfg"),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        path = out / "dataset" / name
+        if text is None:
+            path.unlink()
+        else:
+            path.write_text(text)
+        assert main(["train-teacher", "--config", str(workdir / "tiny.cfg"),
+                     "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "DataError" and str(path) in err["message"]
+
+
+CLI_FUNCTIONS = {node.name: node
+                 for node in ast.parse(Path(cli.__file__).read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+
+
+def args_read(name: str, seen: set[str]) -> set[str]:
+    """The `args.<name>` attributes that the cli function `name` reads, and
+    those read by every cli function it passes `args` to."""
+    if name in seen:
+        return set()
+    seen.add(name)
+    reads = set()
+    for node in ast.walk(CLI_FUNCTIONS[name]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "args":
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in CLI_FUNCTIONS \
+                and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args):
+            reads |= args_read(node.func.id, seen)
+    return reads
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_every_option_is_read(self, command):
+        # `main` reads --config (and the subcommand name) for every command
+        handler = f"cmd_{command.replace('-', '_')}"
+        reads = args_read(handler, set()) | (args_read("main", set()) - {"command"})
+        assert offered(command) == reads
+
+    def test_option_count(self):
+        # --config on all ten, --seed on seven and --out on nine
+        assert sum(len(offered(c)) for c in cli._COMMANDS) == 26
 
 
 class TestGradcheck:
@@ -305,7 +416,7 @@ class TestGradcheck:
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("loss.t_gd = nan\n")
-        assert main(["gradcheck", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert main(["gradcheck", "--config", str(cfg)]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
@@ -313,7 +424,7 @@ class TestGradcheck:
     def test_configured_weights_checked(self, tmp_path, capsys):
         cfg = tmp_path / "no_c.cfg"
         cfg.write_text("loss.lambda_c = 0\n")
-        assert main(["gradcheck", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert main(["gradcheck", "--config", str(cfg)]) == 0
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert payload["pass"] is True
         assert set(payload["errors"]) == set(LOSS_NAMES) - {"l_amra_c"} | {"l_total"}

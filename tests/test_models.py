@@ -20,10 +20,14 @@ def sample(seed=0, n_fixed=64):
     return resample_fixed(cloud, n_fixed, seed=seed + 1)
 
 
+def nbrs(model, s):
+    """The sample's k-NN index at the model's k, as the trainer forms it."""
+    return knn_indices(s.cloud.positions, s.mask, model.k)
+
+
 def raw_map(model, s):
     """The encoder's feature map of a sample, before row normalization."""
-    nbr = knn_indices(s.cloud.positions, s.mask, model.k)
-    return model.encode(s, nbr)
+    return model.encode(s, nbrs(model, s))
 
 
 class TestKNN:
@@ -265,14 +269,14 @@ class TestForward:
     def test_deterministic(self):
         model = make_teacher(2, 8, d_out=16, k=8, seed=4)
         s = sample()
-        a = model.forward(s)[1].data
-        b = model.forward(s)[1].data
+        a = model.forward(s, nbrs(model, s))[1].data
+        b = model.forward(s, nbrs(model, s))[1].data
         np.testing.assert_array_equal(a, b)
 
     def test_shapes(self):
         model = make_teacher(2, 8, d_out=16, k=8, seed=4)
         s = sample()
-        f_norm, logits = model.forward(s)
+        f_norm, logits = model.forward(s, nbrs(model, s))
         assert raw_map(model, s).shape == (64, 16)
         assert f_norm.shape == (64, 16)
         assert logits.shape == (64, 8)
@@ -311,19 +315,20 @@ class TestForward:
                                    atol=1e-12)
 
     def test_head_affine_oracle(self):
-        model = make_teacher(2, 4, d_out=8, k=8, seed=1)
-        f_norm, logits = model.forward(sample())
+        model, s = make_teacher(2, 4, d_out=8, k=8, seed=1), sample()
+        f_norm, logits = model.forward(s, nbrs(model, s))
         want = f_norm.data @ model.params["head.w"].data + model.params["head.b"].data
         np.testing.assert_allclose(logits.data, want, atol=1e-14)
 
     def test_wrong_input_width_is_shape_error(self):
         model = make_teacher(3, 8, d_out=16, k=8, seed=4)  # the sample has d_in 2
+        s = sample()
         with pytest.raises(ShapeError):
-            model.forward(sample())
+            model.forward(s, nbrs(model, s))
 
     def test_each_layer_is_one_tape_node(self):
-        model = make_teacher(2, 8, d_out=16, k=8, seed=4)
-        f_norm, logits = model.forward(sample())
+        model, s = make_teacher(2, 8, d_out=16, k=8, seed=4), sample()
+        f_norm, logits = model.forward(s, nbrs(model, s))
         nodes, stack = {}, [logits._node]
         while stack:
             t = stack.pop()
@@ -351,8 +356,8 @@ class TestForward:
         model = make_teacher(2, 8, d_out=16, k=8, seed=4)
         s = sample()
         noise = np.random.default_rng(1).normal(0, 0.5, (64, 16))
-        base = model.forward(s)[1].data
-        noisy = model.forward(s, feature_noise=noise)[1].data
+        base = model.forward(s, nbrs(model, s))[1].data
+        noisy = model.forward(s, nbrs(model, s), feature_noise=noise)[1].data
         want = base + noise @ model.params["head.w"].data
         np.testing.assert_allclose(noisy, want, atol=1e-12)
 
@@ -469,8 +474,8 @@ class TestCheckpoints:
         save_checkpoint(model.state_dict(), path)
         back = SegModel.from_state(load_checkpoint(path))
         s = sample()
-        np.testing.assert_array_equal(model.forward(s)[1].data,
-                                      back.forward(s)[1].data)
+        np.testing.assert_array_equal(model.forward(s, nbrs(model, s))[1].data,
+                                      back.forward(s, nbrs(back, s))[1].data)
 
     def test_bytes_stable(self, tmp_path):
         model = make_teacher(2, 8, d_out=16, k=8, seed=4)

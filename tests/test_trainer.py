@@ -480,8 +480,9 @@ class TestEvaluate:
             seed=3)
         frozen = SegModel.from_state(student.state_dict()).freeze()
         sample = resample_fixed(cloud, 1024, 0)
-        assert np.array_equal(student.forward(sample)[1].data,
-                              frozen.forward(sample)[1].data)
+        nbr = knn_indices(sample.cloud.positions, sample.mask, student.k)
+        assert np.array_equal(student.forward(sample, nbr)[1].data,
+                              frozen.forward(sample, nbr)[1].data)
 
         def traced(model):
             tracemalloc.start()
