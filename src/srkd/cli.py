@@ -130,7 +130,9 @@ def cmd_generate(args, cfg: dict) -> int:
     spec = cfgmod.scene_spec(cfg, args.seed)
     n_train, n_val = cfgmod.split_counts(cfg)
     hist = np.zeros(spec.n_classes, dtype=np.int64)
-    n_unlabeled = 0
+    n_unlabeled, listed = 0, set()
+    # No manifest lists a half-written dataset; scenes it does not list go.
+    (out / "dataset" / "manifest.json").unlink(missing_ok=True)
     for split, count, base in (("train", n_train, 0), ("val", n_val, n_train)):
         (out / "dataset" / split).mkdir(parents=True, exist_ok=True)
         for i in range(base, base + count):
@@ -138,7 +140,11 @@ def cmd_generate(args, cfg: dict) -> int:
             lab = cloud.labels[cloud.labels != IGNORE_LABEL]
             hist += np.bincount(lab, minlength=spec.n_classes)
             n_unlabeled += cloud.n_points - lab.size
+            listed.add(_scene_path(out, split, i))
             write_cloud(cloud, _scene_path(out, split, i))
+    for split in ("train", "val"):
+        for stale in set((out / "dataset" / split).glob("scene_*.pcbin")) - listed:
+            stale.unlink()
     manifest = {"seed": args.seed, "n_train": n_train, "n_val": n_val,
                 "points_per_scene": spec.points_per_scene,
                 "n_classes": spec.n_classes,
@@ -176,11 +182,13 @@ def cmd_train(args, cfg: dict) -> int:
 
 def cmd_eval(args, cfg: dict) -> int:
     out = _out_dir(args)
+    h = _echo_config(cfg, out, None)
     data = _load_dataset(out)
     model = _load_model(out, data, "student", "train")
     m = trainer.evaluate(model, data.val, cfg["train.n_fixed"])
     result = m.as_row()
     result["per_class_iou"] = [None if np.isnan(v) else v for v in m.iou]
+    result["config_hash"] = h
     _write_json(out / "metrics.json", result)
     print(json.dumps(result, sort_keys=True))
     return 0

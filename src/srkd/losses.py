@@ -7,8 +7,9 @@ op whose hand-derived gradient is formed with its value: the task loss
 from the row log-softmax of the logits, logit KD and the channel term by
 one masked softmax-KL kernel (`_softmax_kl`). The cross-sample
 batch geometry loss, which dominates the training step at full scale,
-walks the N x N block pairs of the stacked (B*N, D) maps on W worker
-threads and never forms the (B*N)^2 gram (`loss_batch_gd`).
+walks the N x N block pairs of the batch on W worker threads and never
+forms the (B*N)^2 gram (`loss_batch_gd`); its (B*N, D) working arrays are
+filled a sample at a time, at the walk's precision.
 Those threads come from `map_in_order`, the package's one thread pool,
 which also runs the trainer's per-scene passes. The walk is the one place
 that may work below float64: its `dtype` selects float64 blocks (the
@@ -61,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, concat_rows, segment_mean
+from .autodiff import Tensor, segment_mean
 from .errors import (ConfigError, DataError, NumericError, PairingError,
                      ShapeError, UndefinedLossError)
 from .cloud import IGNORE_LABEL
@@ -458,16 +459,17 @@ def gd_teacher_log_z(teacher_maps: list[np.ndarray], temperature: float,
     return log_z
 
 
-def _points_per_sample(maps) -> int:
-    """N, the rows every map of the batch must share; ShapeError unless the
-    batch is a nonempty list of 2-D (N, D) maps."""
-    if not maps or any(len(m.shape) != 2 for m in maps):
+def _points_per_sample(*batches) -> int:
+    """N, the rows every map of the batches must share; ShapeError unless
+    each batch is a nonempty list of 2-D (N, D) maps of one width D."""
+    maps = [m for batch in batches for m in batch]
+    if not all(batches) or any(len(m.shape) != 2 for m in maps):
         raise ShapeError("a batch needs one or more 2-D (N, D) maps, got shapes "
                          f"{[tuple(m.shape) for m in maps]}")
-    n = maps[0].shape[0]
-    if any(m.shape[0] != n for m in maps):
-        raise ShapeError("inconsistent point count across the batch")
-    return n
+    if len({m.shape[0] for m in maps}) != 1 or \
+            any(len({m.shape[1] for m in batch}) != 1 for batch in batches):
+        raise ShapeError("inconsistent point count or width across the batch")
+    return maps[0].shape[0]
 
 
 def _column_mask(masks: list[np.ndarray] | None, b: int, n: int) -> np.ndarray:
@@ -615,9 +617,12 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
     holding two N x N blocks and a 64-row strip; the results are
     bit-identical to one worker. No gradient pass if the student needs none.
 
-    dtype is the working precision of the walk (`GD_PRECISIONS`): the
-    stacked maps are cast to it once per call, and E, H and the strip are
-    held in it (each block 8 MB in float64, 4 MB in float32, at N=1024).
+    dtype is the working precision of the walk (`GD_PRECISIONS`). Its
+    (B*N, D) working arrays are allocated at dtype and filled sample by
+    sample, so no float64 stack of either batch is formed: the teacher rows
+    normalized and scaled in float64, cast as they are stored, the student
+    rows scaled at dtype. E, H and the strip are held in it too (each block
+    8 MB in float64, 4 MB in float32, at N=1024).
     Each pair's partitions, expectations and gradient blocks are cast to
     float64 as they are stored, so row_kl, the gradient and the loss are
     float64 sums either way. Raises ConfigError, before walking, for a
@@ -628,15 +633,14 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
     the teacher log-partitions of both sides, before the student block
     overwrites E. teacher_log_z, a (B*N, B) array of the same teacher maps
     and masks such as `gd_teacher_log_z` forms, replaces them if given.
-    They enter the loss only, never the gradient.
+    They enter the loss only, never the gradient. The op has one edge per
+    student map.
     """
     if not student_maps or len(student_maps) != len(teacher_maps):
         raise ShapeError("student and teacher map lists must match")
     _check_gd_walk(temperature, dtype)
-    b, n = len(student_maps), _points_per_sample([*student_maps, *teacher_maps])
-    fn_s = concat_rows([_as_tensor(m).l2_normalize_rows() for m in student_maps])
-    fn_t = np.concatenate([l2_normalize_rows(np.asarray(m, dtype=np.float64))
-                           for m in teacher_maps], axis=0)
+    b, n = len(student_maps), _points_per_sample(student_maps, teacher_maps)
+    fn_s = [_as_tensor(m).l2_normalize_rows() for m in student_maps]
     mask = _column_mask(masks, b, n)
     counts = mask.reshape(b, n).sum(axis=1)
     if np.any(counts == 0):
@@ -647,12 +651,18 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
     if np.shape(log_zt) != (b * n, b):
         raise ShapeError(f"teacher log-partitions must be ({b * n}, {b}), "
                          f"got {np.shape(log_zt)}")
-    inv_t, fs, dt = 1.0 / temperature, fn_s.data, np.dtype(dtype)
-    # Temperature folded into the (small) feature maps: grams come pre-scaled.
-    fs_c = np.multiply(fs, np.sqrt(inv_t), dtype=dt)
-    fn_t *= np.sqrt(inv_t)
-    ft_c, fs_w, mask_w = (a.astype(dt, copy=False) for a in (fn_t, fs, mask))
-    grad = np.zeros_like(fs) if fn_s.requires_grad else None
+    inv_t, dt, d_s = 1.0 / temperature, np.dtype(dtype), fn_s[0].shape[1]
+    # The walk's working arrays, filled a sample at a time. Temperature is
+    # folded into the (small) feature maps: grams come pre-scaled.
+    ft_c = np.empty((b * n, teacher_maps[0].shape[1]), dt)
+    fs_c, fs_w = np.empty((b * n, d_s), dt), np.empty((b * n, d_s), dt)
+    for k, (f, t) in enumerate(zip(fn_s, teacher_maps)):
+        rows = slice(k * n, (k + 1) * n)
+        np.multiply(l2_normalize_rows(t), np.sqrt(inv_t), out=ft_c[rows])
+        np.multiply(f.data, np.sqrt(inv_t), dtype=dt, out=fs_c[rows])
+        fs_w[rows] = f.data
+    mask_w = mask.astype(dt, copy=False)
+    grad = np.zeros((b * n, d_s)) if any(f.requires_grad for f in fn_s) else None
     row_kl = np.empty((b * n, b))
 
     def f64(a):
@@ -710,4 +720,6 @@ def loss_batch_gd(student_maps: list[Tensor], teacher_maps: list[np.ndarray],
     loss = float((row_kl.sum(axis=1) * row_weight).sum())
     if not np.isfinite(loss):
         raise NumericError("batch geometry loss is non-finite")
-    return Tensor.from_op(np.float64(loss), [(fn_s, lambda g: float(g) * grad)])
+    return Tensor.from_op(np.float64(loss), [
+        (f, lambda g, rows=slice(k * n, (k + 1) * n): float(g) * grad[rows])
+        for k, f in enumerate(fn_s)])

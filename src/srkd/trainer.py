@@ -220,10 +220,9 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
             comps["l_amra_p"] = losses.loss_amra_point(views_s, views_t)
         if w.lambda_v > 0:
             comps["l_amra_v"] = losses.loss_amra_voxel(views_s, views_t)
-        if w.lambda_c > 0:
-            proj = [model.project(f) for f in feats]
-            comps["l_amra_c"] = losses.loss_amra_channel(
-                losses.supervoxel_features(proj, chosen), views_t)
+        if w.lambda_c > 0:  # the projected maps are freed once pooled
+            comps["l_amra_c"] = losses.loss_amra_channel(losses.supervoxel_features(
+                [model.project(f) for f in feats], chosen), views_t)
     return comps
 
 

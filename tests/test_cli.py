@@ -111,6 +111,14 @@ class TestPipeline:
         assert {"miou", "macc", "allacc", "per_class_iou"} <= set(metrics)
         capsys.readouterr()
 
+    def test_eval_records_its_config(self, workdir, capsys):
+        (workdir / "run/config.txt").unlink()
+        assert run(workdir, "eval") == 0
+        capsys.readouterr()
+        metrics = json.loads((workdir / "run/metrics.json").read_text())
+        header = (workdir / "run/config.txt").read_text().splitlines()[0]
+        assert header == f"# effective config, hash {metrics['config_hash']}"
+
     def test_noise_csv(self, workdir, capsys):
         assert run(workdir, "noise") == 0
         capsys.readouterr()
@@ -314,18 +322,22 @@ class TestErrors:
         assert json.loads(capsys.readouterr().err)["error"] == "DataError"
 
 
+def generate_scenes(tmp_path, out, n) -> Path:
+    """`srkd generate` of n tiny scenes into out; returns the config path."""
+    cfg = tmp_path / f"n{n}.cfg"
+    cfg.write_text(TINY_CFG.replace("scene.n_scenes = 5", f"scene.n_scenes = {n}"))
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    return cfg
+
+
 class TestDatasetManifest:
     def test_regenerated_dataset_keeps_splits_apart(self, tmp_path, monkeypatch,
                                                     capsys):
-        # 10 scenes, then 5 into the same --out: the first run's train
-        # scene_004 to scene_007 and val scene_008, scene_009 stay on disk,
-        # and scene_004 is the second run's val scene
+        # 10 scenes, then 5 into the same --out: scene_004, a train scene
+        # of the first run, is the second run's val scene
         out = tmp_path / "o"
         for n in (10, 5):
-            cfg = tmp_path / f"n{n}.cfg"
-            cfg.write_text(TINY_CFG.replace("scene.n_scenes = 5",
-                                            f"scene.n_scenes = {n}"))
-            assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+            cfg = generate_scenes(tmp_path, out, n)
         seen, inner = [], trainer.train_teacher
 
         def spy(cfg, data):
@@ -339,6 +351,38 @@ class TestDatasetManifest:
         assert (len(data.train), len(data.val)) == (4, 1)
         train = {c.positions.tobytes() for c in data.train}
         assert not any(c.positions.tobytes() in train for c in data.val)
+
+    def test_regeneration_deletes_unlisted_scenes(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        for n in (10, 5):
+            generate_scenes(tmp_path, out, n)
+        capsys.readouterr()
+        left = {p.relative_to(out / "dataset").as_posix()
+                for p in (out / "dataset").rglob("*.pcbin")}
+        assert left == {f"train/scene_{i:03d}.pcbin" for i in range(4)} \
+            | {"val/scene_004.pcbin"}
+
+    def test_interrupted_regeneration_leaves_no_manifest(self, tmp_path,
+                                                         monkeypatch, capsys):
+        out = tmp_path / "o"
+        cfg = generate_scenes(tmp_path, out, 5)
+        written, inner = [], cli.write_cloud
+
+        def interrupted(cloud, path):
+            if len(written) == 2:
+                raise KeyboardInterrupt
+            written.append(path)
+            inner(cloud, path)
+
+        monkeypatch.setattr(cli, "write_cloud", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["generate", "--config", str(cfg), "--out", str(out), "--seed", "1"])
+        assert not (out / "dataset" / "manifest.json").exists()
+        capsys.readouterr()
+        assert main(["train-teacher", "--config", str(cfg), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "DataError"
 
     # a listed file deleted (None) or overwritten with the given text
     @pytest.mark.parametrize("name, text", [

@@ -656,6 +656,16 @@ class TestBatchGD:
         with pytest.raises(ShapeError, match="point count"):
             gd_teacher_log_z([teacher[0], teacher[1][:7], teacher[2]], 2.0)
 
+    def test_maps_of_unequal_width_rejected(self):
+        student, teacher, _ = padded_batch(3, 8, masked=())
+        narrow_s = [student[0], student[1][:, :2], student[2]]
+        narrow_t = [teacher[0], teacher[1][:, :4], teacher[2]]
+        with pytest.raises(ShapeError, match="width"):
+            gd_teacher_log_z(narrow_t, 2.0)
+        for s, t in ((narrow_s, teacher), (student, narrow_t)):
+            with pytest.raises(ShapeError, match="width"):
+                loss_batch_gd([Tensor(m) for m in s], t, 2.0)
+
     # b = 3, n = 8: one column too many or too few, one row too few
     @pytest.mark.parametrize("shape", [(24, 4), (24, 2), (23, 3)])
     def test_log_partitions_of_the_wrong_shape_rejected(self, shape):
@@ -780,6 +790,34 @@ class TestBatchGDGradient:
             lambda: loss_batch_gd(student, teacher, 2.0, teacher_log_z=log_z,
                                   dtype="float32").backward())
         assert peak < (walk_workers + 1) * n * n * 8
+
+    def test_float32_walk_holds_no_float64_stacks(self, walk_workers):
+        # b = 8, n = 256: the stacked maps outweigh the N x N blocks. The
+        # call holds three float64 (B*N, D_s) arrays (the normalized student
+        # maps, the gradient and the leaf gradients), the float32 working
+        # arrays (two (B*N, D_s), one (B*N, D_t)) and four float32 blocks
+        # per worker (the kernel's two, the strip and the results waiting
+        # for the calling thread). It peaks at 5.5 MB traced at W = 1 and
+        # 6.3-6.5 MB at W = 2; float64 stacks of both maps added 3.1 MB.
+        b, n, d_s, d_t = 8, 256, 64, 128
+        rng = np.random.default_rng(47)
+        student = [Tensor(rng.standard_normal((n, d_s)), requires_grad=True)
+                   for _ in range(b)]
+        teacher = [rng.standard_normal((n, d_t)) for _ in range(b)]
+        peak = self.traced_peak(
+            lambda: loss_batch_gd(student, teacher, 2.0, dtype="float32").backward())
+        stack_s, stack_t = b * n * d_s * 8, b * n * d_t * 8
+        assert peak < 4 * stack_s + stack_t / 2 + 4 * walk_workers * n * n * 4
+
+    def test_one_edge_per_sample_map(self):
+        student, teacher, masks = padded_batch()
+        leaves = [Tensor(m, requires_grad=True) for m in student]
+        edges = loss_batch_gd(leaves, teacher, 2.0, masks)._edges
+        assert len(edges) == len(leaves) == len({id(node) for node, _ in edges})
+        for (node, vjp), leaf in zip(edges, leaves):
+            (parent, _), = node._edges      # the sample's row normalization
+            assert parent is leaf
+            assert vjp(np.float64(1.0)).shape == leaf.shape
 
     def test_teacher_log_z_working_set(self):
         b, n = 8, 128

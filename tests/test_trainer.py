@@ -3,6 +3,7 @@ import inspect
 import json
 import os
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -404,6 +405,27 @@ class TestObjectiveTape:
             if started:
                 tracemalloc.stop()
         assert peak < 2_290_000
+
+    def test_projected_maps_freed_before_the_channel_term(self, monkeypatch):
+        samples, nbrs, chosen, teacher, student = _objective_inputs(256)
+        w = LossWeights()
+        batch = make_batch(samples, nbrs, teacher, w)
+        refs, alive = [], []
+        project, channel = SegModel.project, losses.loss_amra_channel
+
+        def projected(model, f):
+            out = project(model, f)
+            refs.append(weakref.ref(out.data))
+            return out
+
+        def counted(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return channel(*args)
+
+        monkeypatch.setattr(SegModel, "project", projected)
+        monkeypatch.setattr(losses, "loss_amra_channel", counted)
+        distill_objective(student, batch, chosen, w)
+        assert len(refs) == len(samples) and alive == [0]
 
     def test_no_vjp_captures_an_op_result(self):
         # A vjp that captures a non-leaf Tensor keeps its array alive for as
