@@ -302,23 +302,26 @@ def affine(x: Tensor, w: Tensor, b: Tensor, tanh: bool = False) -> Tensor:
     return Tensor.from_op(out, live)
 
 
-def finite_diff_gradient(f: Callable[[Array], float], theta: Array,
+def finite_diff_gradient(f: Callable[[Array], "float | Array"], theta: Array,
                          h: float = 1e-5) -> Array:
-    """Central-difference gradient of a scalar function of a flat vector."""
+    """Central-difference gradient (f(theta + h e_k) - f(theta - h e_k)) / 2h
+    of an f returning a scalar or an array of fixed shape, shaped theta's
+    shape plus f's: entry by entry what a scalar f of that entry gives. An
+    empty theta calls f once, for its shape."""
     if h <= 0:
         raise ValueError("h must be positive")
     theta = np.asarray(theta, dtype=np.float64)
-    grad = np.empty_like(theta)
     flat = theta.ravel()
-    gflat = grad.ravel()
+    rows = []
     for k in range(flat.size):
         orig = flat[k]
         flat[k] = orig + h
-        fp = float(f(theta))
+        fp = np.array(f(theta), dtype=np.float64)
         flat[k] = orig - h
-        fm = float(f(theta))
+        fm = np.array(f(theta), dtype=np.float64)
         flat[k] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
+        if not (np.isfinite(fp).all() and np.isfinite(fm).all()):
             raise NumericError(f"non-finite evaluation at coordinate {k}")
-        gflat[k] = (fp - fm) / (2.0 * h)
-    return grad
+        rows.append((fp - fm) / (2.0 * h))
+    out_shape = rows[0].shape if rows else np.shape(f(theta))
+    return np.reshape(rows, theta.shape + out_shape)

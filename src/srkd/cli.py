@@ -43,15 +43,18 @@ GRADCHECK_H = 1e-5      # central-difference step
 
 
 def _out_dir(args) -> Path:
+    """--out, rejected if it is a file. Nothing is created: a command loads
+    its inputs first, so one that fails on them writes nothing."""
     out = Path(args.out)
     if out.exists() and not out.is_dir():
         raise ConfigError(f"--out {out} exists and is not a directory")
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _echo_config(cfg: dict, out: Path, seed: int | None) -> str:
-    """Write <out>/config.txt headed by the hash and any --seed; return the hash."""
+    """Make <out>, write config.txt there headed by the hash and any --seed;
+    return the hash."""
+    out.mkdir(parents=True, exist_ok=True)
     h = cfgmod.config_hash(cfg)
     stamp = "" if seed is None else f", seed {seed}"
     with atomic_open(out / "config.txt") as f:
@@ -157,8 +160,8 @@ def cmd_generate(args, cfg: dict) -> int:
 
 def cmd_train_teacher(args, cfg: dict) -> int:
     out = _out_dir(args)
-    _echo_config(cfg, out, args.seed)
     data = _load_dataset(out)
+    _echo_config(cfg, out, args.seed)
     tcfg = cfgmod.train_config(cfg, args.seed)
     teacher, log = trainer.train_teacher(tcfg, data)
     save_checkpoint(teacher.state_dict(), out / "teacher.ckpt")
@@ -169,9 +172,9 @@ def cmd_train_teacher(args, cfg: dict) -> int:
 
 def cmd_train(args, cfg: dict) -> int:
     out = _out_dir(args)
-    _echo_config(cfg, out, args.seed)
     data = _load_dataset(out)
     teacher = _load_model(out, data, "teacher", "train-teacher")
+    _echo_config(cfg, out, args.seed)
     tcfg = cfgmod.train_config(cfg, args.seed)
     student, log = trainer.train_distill(tcfg, teacher, data)
     save_checkpoint(student.state_dict(), out / "student.ckpt")
@@ -182,9 +185,9 @@ def cmd_train(args, cfg: dict) -> int:
 
 def cmd_eval(args, cfg: dict) -> int:
     out = _out_dir(args)
-    h = _echo_config(cfg, out, None)
     data = _load_dataset(out)
     model = _load_model(out, data, "student", "train")
+    h = _echo_config(cfg, out, None)
     m = trainer.evaluate(model, data.val, cfg["train.n_fixed"])
     result = m.as_row()
     result["per_class_iou"] = [None if np.isnan(v) else v for v in m.iou]
@@ -199,9 +202,9 @@ def _teacher_sweep(args, cfg: dict, csv_name: str, sweep, seed: int | None,
     """Run a trainer sweep against the stored teacher and write its CSV;
     `seed` is None for a sweep that seeds every run from `sweep.seeds`."""
     out = _out_dir(args)
-    h = _echo_config(cfg, out, seed)
     data = _load_dataset(out)
     teacher = _load_model(out, data, "teacher", "train-teacher")
+    h = _echo_config(cfg, out, seed)
     tcfg = cfgmod.train_config(cfg, 0 if seed is None else seed)
     rows = sweep(tcfg, teacher, data, **kwargs)
     _write_csv(out / csv_name, rows, h, seed)
@@ -222,9 +225,9 @@ def cmd_ablate(args, cfg: dict) -> int:
 def cmd_noise(args, cfg: dict) -> int:
     ncfg = cfgmod.noise_config(cfg, args.seed)
     out = _out_dir(args)
-    h = _echo_config(cfg, out, args.seed)
     data = _load_dataset(out)
     model = _load_model(out, data, "student", "train")
+    h = _echo_config(cfg, out, args.seed)
     rows = trainer.noise_sweep(model, data.val, ncfg, cfg["train.n_fixed"])
     _write_csv(out / "noise.csv", rows, h, args.seed)
     print(json.dumps(rows))
@@ -248,8 +251,8 @@ def cmd_batch_sweep(args, cfg: dict) -> int:
 
 def cmd_dim_sweep(args, cfg: dict) -> int:
     out = _out_dir(args)
-    h = _echo_config(cfg, out, args.seed)
     data = _load_dataset(out)
+    h = _echo_config(cfg, out, args.seed)
     tcfg = cfgmod.train_config(cfg, args.seed)
     rows = trainer.dim_sensitivity(tcfg, data, dims=cfg["sweep.dims"])
     _write_csv(out / "dim_sweep.csv", rows, h, args.seed)
@@ -287,40 +290,46 @@ def _gradcheck_batch(seed: int, weights: LossWeights):
     return student, trainer.make_batch(samples, nbrs, teacher, weights), chosen
 
 
-def gradcheck_report(seed: int, weights: LossWeights = LossWeights()) -> dict[str, float]:
-    """Max relative analytic-vs-finite-difference error of each term that
-    `trainer.distill_objective` computes under `weights`, and of l_total.
-
-    The batch-GD walk runs at `distill_objective`'s float64 default:
-    central differences at GRADCHECK_H cannot resolve a float32 loss.
-    """
-    student, batch, chosen = _gradcheck_batch(seed, weights)
-
+def gradient_errors(model: SegModel, batch, chosen, weights: LossWeights) -> dict[str, float]:
+    """Max relative error |a - fd| / max(|a|, |fd|, 1), over every parameter
+    of `model`, of each term `trainer.distill_objective` computes under
+    `weights` and of l_total: a backward pass per term on one objective graph
+    against one GRADCHECK_H central-difference sweep per parameter, each
+    evaluation reading every term. The batch-GD walk runs at the float64
+    default: central differences cannot resolve a float32 loss."""
     def terms() -> dict:
-        comps = trainer.distill_objective(student, batch, chosen, weights)
+        comps = trainer.distill_objective(model, batch, chosen, weights)
         comps["l_total"] = losses.weighted_total(comps, weights)
         return comps
 
-    names = [n for n, v in terms().items() if isinstance(v, Tensor)]
-    report = {}
+    graph = terms()
+    names = [n for n, v in graph.items() if isinstance(v, Tensor)]
+    analytic = {}
     for name in names:
-        student.zero_grads()
-        terms()[name].backward()
-        worst = 0.0
-        for pname, p in student.params.items():
-            analytic = np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+        model.zero_grads()
+        graph[name].backward()
+        analytic[name] = {pname: np.zeros_like(p.data) if p.grad is None
+                          else p.grad.copy() for pname, p in model.params.items()}
+    report = dict.fromkeys(names, 0.0)
+    for pname, p in model.params.items():
 
-            def f(theta, _p=p, _name=name):
-                _p.data[...] = theta
-                return terms()[_name].item()
+        def f(theta, _p=p):
+            _p.data[...] = theta
+            return [v.item() for n, v in terms().items() if n in names]
 
-            orig = p.data.copy()
-            fd = finite_diff_gradient(f, orig.copy(), GRADCHECK_H)
-            p.data[...] = orig
-            denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1.0)
-            worst = max(worst, float(np.max(np.abs(analytic - fd) / denom)))
-        report[name] = worst
+        orig = p.data.copy()
+        fd = finite_diff_gradient(f, orig.copy(), GRADCHECK_H)
+        p.data[...] = orig
+        for i, name in enumerate(names):
+            a, d = analytic[name][pname], fd[..., i]
+            denom = np.maximum(np.maximum(np.abs(a), np.abs(d)), 1.0)
+            report[name] = max(report[name], float(np.max(np.abs(a - d) / denom)))
     return report
+
+
+def gradcheck_report(seed: int, weights: LossWeights = LossWeights()) -> dict[str, float]:
+    """`gradient_errors` of a fresh student on the tiny `_gradcheck_batch`."""
+    return gradient_errors(*_gradcheck_batch(seed, weights), weights)
 
 
 def cmd_gradcheck(args, cfg: dict) -> int:

@@ -339,6 +339,27 @@ class TestFiniteDiff:
                                  np.array([0.0]), h=1e-5)
         assert g[0] == pytest.approx(1.0, abs=1e-9)
 
+    def test_vector_output_is_its_scalar_sweeps(self):
+        theta = np.random.default_rng(0).standard_normal((2, 3))
+
+        def f(t):
+            return np.array([np.sin(t).sum(), (t ** 3).sum(), np.exp(t[0, 1]), 7.0])
+
+        g = finite_diff_gradient(f, theta.copy(), h=1e-5)
+        assert g.shape == (2, 3, 4)
+        for i in range(4):
+            np.testing.assert_array_equal(
+                g[..., i], finite_diff_gradient(lambda t: f(t)[i], theta.copy(), h=1e-5))
+
+    def test_empty_theta(self):
+        assert finite_diff_gradient(lambda t: 0.0, np.zeros(0)).shape == (0,)
+        g = finite_diff_gradient(lambda t: np.zeros(3), np.zeros((0, 2)))
+        assert g.shape == (0, 2, 3)
+
+    def test_non_finite_output_entry(self):
+        with pytest.raises(NumericError):
+            finite_diff_gradient(lambda t: np.array([0.0, np.inf]), np.zeros(1))
+
     def test_bad_h(self):
         with pytest.raises(ValueError):
             finite_diff_gradient(lambda t: 0.0, np.zeros(1), h=0.0)

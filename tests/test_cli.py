@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 import srkd
 from srkd import cli, losses, trainer
-from srkd.cli import (GRADCHECK_TOL, _write_csv, _write_json, _write_jsonl,
-                      gradcheck_report, main)
+from srkd.autodiff import finite_diff_gradient
+from srkd.cli import (GRADCHECK_H, GRADCHECK_TOL, _write_csv, _write_json,
+                      _write_jsonl, gradcheck_report, main)
 from srkd.cloud import atomic_open
 from srkd.config import load_config
 from srkd.losses import LOSS_NAMES, LossWeights
@@ -188,6 +189,12 @@ class TestPipeline:
         assert cfg["scene.n_scenes"] == 5
 
 
+# The commands that read a dataset from --out, and those of them that also
+# load a checkpoint.
+READERS = sorted(set(cli._COMMANDS) - {"generate", "gradcheck"})
+CKPT_READERS = sorted(set(READERS) - {"train-teacher", "dim-sweep"})
+
+
 class TestErrors:
     def test_unknown_config_key(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -311,6 +318,32 @@ class TestErrors:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "IsADirectoryError"
+
+    @pytest.mark.parametrize("command", READERS)
+    def test_missing_out_creates_nothing(self, workdir, tmp_path, capsys, command):
+        out = tmp_path / "missing"
+        assert main([command, "--config", str(workdir / "tiny.cfg"),
+                     "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "DataError"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", CKPT_READERS)
+    def test_missing_checkpoint_keeps_config_echo(self, workdir, tmp_path, capsys,
+                                                  command):
+        # a generated directory without checkpoints, then another --config
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(workdir / "tiny.cfg"),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        before = (out / "config.txt").read_bytes()
+        other = tmp_path / "other.cfg"
+        other.write_text(TINY_CFG.replace("train.epochs = 2", "train.epochs = 3"))
+        assert main([command, "--config", str(other), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError" and "checkpoint at" in err["message"]
+        assert (out / "config.txt").read_bytes() == before
 
     def test_eval_without_student(self, workdir, tmp_path, capsys):
         out = tmp_path / "fresh"
@@ -445,7 +478,60 @@ class TestOptionSurface:
         assert sum(len(offered(c)) for c in cli._COMMANDS) == 26
 
 
+def per_term_errors(model, batch, chosen, weights, names) -> dict[str, float]:
+    """`cli.gradient_errors` as a loop over `names`: a fresh objective graph,
+    a backward pass and a scalar central-difference sweep of every parameter
+    for each term."""
+    def terms() -> dict:
+        comps = trainer.distill_objective(model, batch, chosen, weights)
+        comps["l_total"] = losses.weighted_total(comps, weights)
+        return comps
+
+    report = {}
+    for name in names:
+        model.zero_grads()
+        terms()[name].backward()
+        worst = 0.0
+        for p in model.params.values():
+            analytic = np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+
+            def f(theta, _p=p, _name=name):
+                _p.data[...] = theta
+                return terms()[_name].item()
+
+            orig = p.data.copy()
+            fd = finite_diff_gradient(f, orig.copy(), GRADCHECK_H)
+            p.data[...] = orig
+            denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1.0)
+            worst = max(worst, float(np.max(np.abs(analytic - fd) / denom)))
+        report[name] = worst
+    return report
+
+
 class TestGradcheck:
+    def test_one_objective_per_evaluation(self, monkeypatch):
+        # one graph for every analytic gradient, then two evaluations per
+        # parameter entry, each reading every term
+        student, _, _ = cli._gradcheck_batch(0, LossWeights())
+        n = sum(p.data.size for p in student.params.values())
+        calls, inner = [], trainer.distill_objective
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "distill_objective", spy)
+        gradcheck_report(0)
+        assert len(calls) == 2 * n + 1 == 209
+
+    def test_matches_per_term_sweeps(self):
+        weights = LossWeights()
+        student, batch, chosen = cli._gradcheck_batch(0, weights)
+        want = per_term_errors(student, batch, chosen, weights, ("l_kd", "l_total"))
+        got = cli.gradient_errors(student, batch, chosen, weights)
+        assert {name: got[name] for name in want} == want
+
+
     def test_report_all_terms_pass(self):
         report = gradcheck_report(seed=0)
         assert set(report) == set(LOSS_NAMES) | {"l_total"}
