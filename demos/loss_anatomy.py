@@ -10,8 +10,7 @@ Run with: python3 demos/loss_anatomy.py
 """
 
 from srkd import (LOSS_NAMES, LossWeights, SceneSpec, generate_scene,
-                  make_student_from_teacher, make_teacher, resample_fixed,
-                  weighted_total)
+                  make_student_from_teacher, make_teacher, resample_fixed)
 from srkd.cli import GRADCHECK_TOL, gradient_errors
 from srkd.models import knn_indices
 from srkd.trainer import distill_objective, grid_for_clouds, make_batch
@@ -43,11 +42,9 @@ chosen = [sample_supervoxels(build_supervoxels(s, grid, sampler, hist, seed=i),
 nbrs = [knn_indices(s.cloud.positions, s.mask, teacher.k) for s in samples]
 batch = make_batch(samples, nbrs, teacher, w)
 comps = distill_objective(student, batch, chosen, w)
-total = weighted_total(comps, w)
 print("fresh student vs frozen teacher:")
-for name in LOSS_NAMES:
-    print(f"  {name:10s} = {comps[name].item():.6e}")
-print(f"  l_total    = {total.item():.6e}")
+for name, term in comps.items():
+    print(f"  {name:10s} = {term.item():.6e}")
 
 # Property 1: a student whose features and logits equal the teacher's has
 # zero distillation loss. The teacher itself is that student (it has no

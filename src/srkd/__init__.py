@@ -10,7 +10,7 @@ from .errors import (ConfigError, DataError, NumericError, PairingError,
                      UndefinedLossError)
 from .losses import (LOSS_NAMES, LossWeights,
                      loss_amra_channel, loss_amra_point, loss_amra_voxel,
-                     loss_batch_gd, loss_kd, loss_task, loss_total,
+                     loss_batch_gd, loss_kd, loss_task,
                      supervoxel_features, weighted_total)
 from .metrics import Metrics, confusion_matrix, metrics_from_confusion
 from .models import (SegModel, load_checkpoint, make_student_from_teacher,

@@ -307,11 +307,12 @@ def finite_diff_gradient(f: Callable[[Array], "float | Array"], theta: Array,
     """Central-difference gradient (f(theta + h e_k) - f(theta - h e_k)) / 2h
     of an f returning a scalar or an array of fixed shape, shaped theta's
     shape plus f's: entry by entry what a scalar f of that entry gives. An
-    empty theta calls f once, for its shape."""
+    empty theta calls f once, for its shape. f sees a contiguous float64
+    copy of theta, perturbed one entry at a time."""
     if h <= 0:
         raise ValueError("h must be positive")
-    theta = np.asarray(theta, dtype=np.float64)
-    flat = theta.ravel()
+    theta = np.array(theta, dtype=np.float64, order="C")
+    flat = theta.reshape(-1)        # a view: writes reach theta
     rows = []
     for k in range(flat.size):
         orig = flat[k]

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from . import losses, trainer
+from . import trainer
 from .autodiff import Tensor, finite_diff_gradient
 from .cloud import (IGNORE_LABEL, SceneSpec, atomic_open, generate_scene,
                     read_cloud, resample_fixed, write_cloud)
@@ -44,22 +44,21 @@ GRADCHECK_H = 1e-5      # central-difference step
 
 def _out_dir(args) -> Path:
     """--out, rejected if it is a file. Nothing is created: a command loads
-    its inputs first, so one that fails on them writes nothing."""
+    its inputs first, so one that fails on them writes nothing, and it
+    echoes its config last, so one that fails later keeps config.txt."""
     out = Path(args.out)
     if out.exists() and not out.is_dir():
         raise ConfigError(f"--out {out} exists and is not a directory")
     return out
 
 
-def _echo_config(cfg: dict, out: Path, seed: int | None) -> str:
-    """Make <out>, write config.txt there headed by the hash and any --seed;
-    return the hash."""
-    out.mkdir(parents=True, exist_ok=True)
-    h = cfgmod.config_hash(cfg)
+def _echo_config(cfg: dict, out: Path, seed: int | None) -> None:
+    """Write <out>/config.txt headed by the config hash and any --seed, after
+    the command's last artifact: it describes the artifacts beside it."""
     stamp = "" if seed is None else f", seed {seed}"
     with atomic_open(out / "config.txt") as f:
-        f.write(f"# effective config, hash {h}{stamp}\n" + cfgmod.render_config(cfg))
-    return h
+        f.write(f"# effective config, hash {cfgmod.config_hash(cfg)}{stamp}\n"
+                + cfgmod.render_config(cfg))
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -129,7 +128,6 @@ def _load_model(out: Path, data: Dataset, name: str, command: str) -> SegModel:
 
 def cmd_generate(args, cfg: dict) -> int:
     out = _out_dir(args)
-    h = _echo_config(cfg, out, args.seed)
     spec = cfgmod.scene_spec(cfg, args.seed)
     n_train, n_val = cfgmod.split_counts(cfg)
     hist = np.zeros(spec.n_classes, dtype=np.int64)
@@ -152,8 +150,9 @@ def cmd_generate(args, cfg: dict) -> int:
                 "points_per_scene": spec.points_per_scene,
                 "n_classes": spec.n_classes,
                 "class_histogram": hist.tolist(), "unlabeled": n_unlabeled,
-                "config_hash": h}
+                "config_hash": cfgmod.config_hash(cfg)}
     _write_json(out / "dataset" / "manifest.json", manifest)
+    _echo_config(cfg, out, args.seed)
     print(json.dumps(manifest, sort_keys=True))
     return 0
 
@@ -161,11 +160,11 @@ def cmd_generate(args, cfg: dict) -> int:
 def cmd_train_teacher(args, cfg: dict) -> int:
     out = _out_dir(args)
     data = _load_dataset(out)
-    _echo_config(cfg, out, args.seed)
     tcfg = cfgmod.train_config(cfg, args.seed)
     teacher, log = trainer.train_teacher(tcfg, data)
     save_checkpoint(teacher.state_dict(), out / "teacher.ckpt")
     _write_jsonl(out / "teacher_log.jsonl", log)
+    _echo_config(cfg, out, args.seed)
     print(json.dumps({"teacher_val_miou": log[-1]["val_miou"]}, sort_keys=True))
     return 0
 
@@ -174,11 +173,11 @@ def cmd_train(args, cfg: dict) -> int:
     out = _out_dir(args)
     data = _load_dataset(out)
     teacher = _load_model(out, data, "teacher", "train-teacher")
-    _echo_config(cfg, out, args.seed)
     tcfg = cfgmod.train_config(cfg, args.seed)
     student, log = trainer.train_distill(tcfg, teacher, data)
     save_checkpoint(student.state_dict(), out / "student.ckpt")
     _write_jsonl(out / "train_log.jsonl", log)
+    _echo_config(cfg, out, args.seed)
     print(json.dumps({"student_val_miou": log[-1]["val_miou"]}, sort_keys=True))
     return 0
 
@@ -187,12 +186,12 @@ def cmd_eval(args, cfg: dict) -> int:
     out = _out_dir(args)
     data = _load_dataset(out)
     model = _load_model(out, data, "student", "train")
-    h = _echo_config(cfg, out, None)
     m = trainer.evaluate(model, data.val, cfg["train.n_fixed"])
     result = m.as_row()
     result["per_class_iou"] = [None if np.isnan(v) else v for v in m.iou]
-    result["config_hash"] = h
+    result["config_hash"] = cfgmod.config_hash(cfg)
     _write_json(out / "metrics.json", result)
+    _echo_config(cfg, out, None)
     print(json.dumps(result, sort_keys=True))
     return 0
 
@@ -204,10 +203,10 @@ def _teacher_sweep(args, cfg: dict, csv_name: str, sweep, seed: int | None,
     out = _out_dir(args)
     data = _load_dataset(out)
     teacher = _load_model(out, data, "teacher", "train-teacher")
-    h = _echo_config(cfg, out, seed)
     tcfg = cfgmod.train_config(cfg, 0 if seed is None else seed)
     rows = sweep(tcfg, teacher, data, **kwargs)
-    _write_csv(out / csv_name, rows, h, seed)
+    _write_csv(out / csv_name, rows, cfgmod.config_hash(cfg), seed)
+    _echo_config(cfg, out, seed)
     return rows
 
 
@@ -227,9 +226,9 @@ def cmd_noise(args, cfg: dict) -> int:
     out = _out_dir(args)
     data = _load_dataset(out)
     model = _load_model(out, data, "student", "train")
-    h = _echo_config(cfg, out, args.seed)
     rows = trainer.noise_sweep(model, data.val, ncfg, cfg["train.n_fixed"])
-    _write_csv(out / "noise.csv", rows, h, args.seed)
+    _write_csv(out / "noise.csv", rows, cfgmod.config_hash(cfg), args.seed)
+    _echo_config(cfg, out, args.seed)
     print(json.dumps(rows))
     return 0
 
@@ -252,10 +251,10 @@ def cmd_batch_sweep(args, cfg: dict) -> int:
 def cmd_dim_sweep(args, cfg: dict) -> int:
     out = _out_dir(args)
     data = _load_dataset(out)
-    h = _echo_config(cfg, out, args.seed)
     tcfg = cfgmod.train_config(cfg, args.seed)
     rows = trainer.dim_sensitivity(tcfg, data, dims=cfg["sweep.dims"])
-    _write_csv(out / "dim_sweep.csv", rows, h, args.seed)
+    _write_csv(out / "dim_sweep.csv", rows, cfgmod.config_hash(cfg), args.seed)
+    _echo_config(cfg, out, args.seed)
     print(json.dumps(rows))
     return 0
 
@@ -292,17 +291,12 @@ def _gradcheck_batch(seed: int, weights: LossWeights):
 
 def gradient_errors(model: SegModel, batch, chosen, weights: LossWeights) -> dict[str, float]:
     """Max relative error |a - fd| / max(|a|, |fd|, 1), over every parameter
-    of `model`, of each term `trainer.distill_objective` computes under
-    `weights` and of l_total: a backward pass per term on one objective graph
+    of `model`, of each Tensor `trainer.distill_objective` returns under
+    `weights`, l_total included: a backward pass per term on one objective graph
     against one GRADCHECK_H central-difference sweep per parameter, each
     evaluation reading every term. The batch-GD walk runs at the float64
     default: central differences cannot resolve a float32 loss."""
-    def terms() -> dict:
-        comps = trainer.distill_objective(model, batch, chosen, weights)
-        comps["l_total"] = losses.weighted_total(comps, weights)
-        return comps
-
-    graph = terms()
+    graph = trainer.distill_objective(model, batch, chosen, weights)
     names = [n for n, v in graph.items() if isinstance(v, Tensor)]
     analytic = {}
     for name in names:
@@ -315,7 +309,8 @@ def gradient_errors(model: SegModel, batch, chosen, weights: LossWeights) -> dic
 
         def f(theta, _p=p):
             _p.data[...] = theta
-            return [v.item() for n, v in terms().items() if n in names]
+            comps = trainer.distill_objective(model, batch, chosen, weights)
+            return [comps[name].item() for name in names]
 
         orig = p.data.copy()
         fd = finite_diff_gradient(f, orig.copy(), GRADCHECK_H)

@@ -1,4 +1,4 @@
-"""The six distillation loss terms and their weighted total.
+"""The six distillation loss terms and their weighted total `l_total`.
 
 Student-side inputs are autodiff Tensors so gradients flow back to the
 student encoder, head and channel projection; teacher-side inputs are
@@ -19,6 +19,9 @@ gradient are float64 sums either way. Everything else is float64.
 The teacher's log-partitions come from the walk itself: every walk
 exponentiates the teacher blocks it forms anyway, at its working
 precision. `gd_teacher_log_z` is their independent float64 oracle.
+`weighted_total` sums the terms into `l_total`, one more tape op, and is
+where they are checked finite; `trainer.distill_objective` returns the
+terms with it.
 
 `supervoxel_features` pools the S sampled supervoxels of a batch from a
 list of per-sample maps into stacked (S*n, D) point and voxel Tensors, one
@@ -129,32 +132,27 @@ class LossWeights:
         return cls(**dict.fromkeys(LAMBDAS, 0.0))
 
 
-def weighted_total(components: dict, weights: LossWeights):
-    """Recombination l_task + sum(lambda_i * l_i), summed left to right in
-    `LOSS_NAMES` order. On floats it is a float; with any Tensor component
-    it is one tape op whose edge into each Tensor term returns g * lambda_i
-    (g * 1.0 for l_task). A float component is a constant."""
+def weighted_total(components: dict, weights: LossWeights) -> Tensor:
+    """l_total = l_task + sum(lambda_i * l_i), summed left to right in
+    `LOSS_NAMES` order in float64: one tape op whose edge into each Tensor
+    term returns g * lambda_i (g * 1.0 for l_task); a float term (a disabled
+    one's 0.0) is a constant. Raises NumericError naming each non-finite
+    term, or `l_total` when finite terms sum past the float64 range."""
     scales = (1.0,) + weights.lambdas()
     terms = [components[name] for name in LOSS_NAMES]
-    values = [getattr(t, "data", t) for t in terms]
+    values = [float(getattr(t, "data", t)) for t in terms]
+    bad = [name for name, v in zip(LOSS_NAMES, values) if not np.isfinite(v)]
+    if bad:
+        raise NumericError(f"non-finite loss component(s): {', '.join(bad)}")
     total = values[0]
     for scale, value in zip(scales[1:], values[1:]):
         total = total + scale * value
-    edges = [(t, lambda g, s=s: g * s) for t, s in zip(terms, scales)
-             if isinstance(t, Tensor)]
-    return Tensor.from_op(total, edges) if edges else total
-
-
-def loss_total(components: dict, weights: LossWeights) -> dict[str, float]:
-    """The `LOSS_NAMES` components (floats or scalar Tensors) as floats, then
-    their weighted `l_total`; raises NumericError naming any non-finite one."""
-    comps = {name: float(getattr(components[name], "data", components[name]))
-             for name in LOSS_NAMES}
-    bad = [n for n, v in comps.items() if not np.isfinite(v)]
-    if bad:
-        raise NumericError(f"non-finite loss component(s): {', '.join(bad)}")
-    comps["l_total"] = float(weighted_total(comps, weights))
-    return comps
+    if not np.isfinite(total):
+        raise NumericError("non-finite loss component(s): l_total, the "
+                           "weighted sum of finite terms overflows")
+    return Tensor.from_op(total, [(t, lambda g, s=s: g * s)
+                                  for t, s in zip(terms, scales)
+                                  if isinstance(t, Tensor)])
 
 
 def _as_tensor(x) -> Tensor:

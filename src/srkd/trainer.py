@@ -29,7 +29,7 @@ from . import losses
 from .autodiff import Tensor, concat_rows
 from .cloud import FixedSample, PointCloud, derive_seed, resample_fixed
 from .errors import ConfigError, DataError, ShapeError
-from .losses import LAMBDAS, LossWeights, loss_total, weighted_total
+from .losses import LAMBDAS, LossWeights
 from .metrics import Metrics, confusion_matrix, metrics_from_confusion
 from .models import SegModel, knn_indices, make_student_from_teacher, make_teacher
 from .optim import AdamW, OneCycleSchedule
@@ -173,7 +173,9 @@ def make_batch(samples: list[FixedSample], nbrs: list[np.ndarray],
 def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
                       weights: LossWeights, *,
                       gd_dtype: str = "float64") -> dict[str, Tensor | float]:
-    """The SRKD objective of one mini-batch, term by term (`LOSS_NAMES`).
+    """The SRKD objective of one mini-batch: its `LOSS_NAMES` terms, then
+    their weighted sum `l_total` (`losses.weighted_total`, which raises
+    NumericError naming any non-finite term, or `l_total` on overflow).
 
     Runs the student forward pass. `l_task` is always a Tensor; a
     distillation term is a Tensor when its weight is positive and 0.0
@@ -183,8 +185,8 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
     `lambda_p` or `lambda_v` is positive, and from the projected student
     maps when `lambda_c` is; with none sampled the AMRA terms stay 0.0.
     chosen None while an affinity term has a weight raises ShapeError
-    before the forward pass. Combine the terms with
-    `losses.weighted_total`. gd_dtype is the batch-GD walk's working
+    before the forward pass. l_total is a Tensor, whose backward reaches
+    every weighted term. gd_dtype is the batch-GD walk's working
     precision: the float64 reference by default, float32 in the training
     loop (`losses.loss_batch_gd`).
 
@@ -223,6 +225,7 @@ def distill_objective(model: SegModel, batch: Batch, chosen: list[list] | None,
         if w.lambda_c > 0:  # the projected maps are freed once pooled
             comps["l_amra_c"] = losses.loss_amra_channel(losses.supervoxel_features(
                 [model.project(f) for f in feats], chosen), views_t)
+    comps["l_total"] = losses.weighted_total(comps, w)
     return comps
 
 
@@ -267,13 +270,12 @@ def _train_loop(model: SegModel, teacher: SegModel | None, cfg: TrainConfig,
                                    seed=_child_seed(cfg.seed, 19, epoch, bi, si))
                 for si, cand in enumerate(candidates[bi])]
             comps = distill_objective(model, batch, chosen, w, gd_dtype="float32")
-            report = loss_total(comps, w)  # raises naming any non-finite term
-            total = weighted_total(comps, w)
+            report = {name: float(getattr(v, "data", v)) for name, v in comps.items()}
             model.zero_grads()
-            total.backward()
-            # Free this step's tape now: while `comps` or `total` is bound,
-            # the whole graph stays alive through the next step's forward.
-            del comps, total
+            comps["l_total"].backward()
+            # Free this step's tape now: while `comps` is bound, the whole
+            # graph stays alive through the next step's forward.
+            del comps
             opt.step(lr)
             log.append({"epoch": epoch, "step": gstep, **report, "lr": lr})
             gstep += 1

@@ -351,6 +351,17 @@ class TestFiniteDiff:
             np.testing.assert_array_equal(
                 g[..., i], finite_diff_gradient(lambda t: f(t)[i], theta.copy(), h=1e-5))
 
+    @pytest.mark.parametrize("theta", [np.ones((3, 4))[:, ::2], np.ones((4, 3)).T,
+                                       np.ones((2, 2), dtype=np.int64)],
+                             ids=["strided", "transposed", "int64"])
+    def test_any_layout_is_perturbed(self, theta):
+        # ravel() of a strided or transposed array is a copy: perturbing it
+        # would never reach f, and the gradient would read all zeros
+        given = theta.copy()
+        g = finite_diff_gradient(lambda t: float((t ** 2).sum()), theta)
+        np.testing.assert_allclose(g, np.full(theta.shape, 2.0), rtol=1e-8)
+        np.testing.assert_array_equal(theta, given)
+
     def test_empty_theta(self):
         assert finite_diff_gradient(lambda t: 0.0, np.zeros(0)).shape == (0,)
         g = finite_diff_gradient(lambda t: np.zeros(3), np.zeros((0, 2)))

@@ -483,9 +483,7 @@ def per_term_errors(model, batch, chosen, weights, names) -> dict[str, float]:
     a backward pass and a scalar central-difference sweep of every parameter
     for each term."""
     def terms() -> dict:
-        comps = trainer.distill_objective(model, batch, chosen, weights)
-        comps["l_total"] = losses.weighted_total(comps, weights)
-        return comps
+        return trainer.distill_objective(model, batch, chosen, weights)
 
     report = {}
     for name in names:
@@ -726,3 +724,20 @@ class TestModelDatasetMismatch:
         assert err["error"] == "ConfigError"
         assert "train.knn_k = 4" in err["message"] and "count 8" in err["message"]
         assert not (tmp_path / "student.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "subsample", "batch-sweep"])
+    def test_failed_run_keeps_config_echo(self, fuzz_root, tmp_path, capsys, command):
+        # the config fails against the teacher only after the inputs load;
+        # config.txt keeps describing the artifacts beside it
+        shutil.copytree(fuzz_root / "dataset", tmp_path / "dataset")
+        shutil.copy(fuzz_root / "config.txt", tmp_path / "config.txt")
+        save_checkpoint(make_teacher(2, 8, d_out=12, k=4, seed=0).state_dict(),
+                        tmp_path / "teacher.ckpt")
+        before = (tmp_path / "config.txt").read_bytes()
+        k3 = tmp_path / "k3.cfg"
+        k3.write_text(TINY_CFG.replace("train.knn_k = 4", "train.knn_k = 3"))
+        assert main([command, "--config", str(k3), "--out", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+        assert (tmp_path / "config.txt").read_bytes() == before

@@ -18,7 +18,7 @@ from srkd.errors import (ConfigError, DataError, NumericError, PairingError,
 from srkd.losses import (LAMBDAS, LOSS_NAMES, LossWeights, SupervoxelFeatures,
                          gd_teacher_log_z, loss_amra_channel, loss_amra_point,
                          loss_amra_voxel, loss_batch_gd, loss_kd, loss_task,
-                         loss_total, supervoxel_features, weighted_total)
+                         supervoxel_features, weighted_total)
 from srkd.numerics import l2_normalize_rows, log_softmax_rows
 from srkd.trainer import (ABLATION_VARIANTS, distill_objective, grid_for_clouds,
                           variant_weights)
@@ -1113,37 +1113,79 @@ class TestMapInOrder:
             == [-i for i in items]
 
 
+def tensor_terms(values) -> dict:
+    """`LOSS_NAMES` terms of the given values as scalar leaf Tensors."""
+    return {name: Tensor(np.float64(v), requires_grad=True)
+            for name, v in zip(LOSS_NAMES, values)}
+
+
+def float_recombination(comps: dict, weights: LossWeights) -> float:
+    """Reference: l_task + lambda_i * l_i on Python floats, left to right:
+    the sum of a training log record's own terms."""
+    values = [float(getattr(comps[n], "data", comps[n])) for n in LOSS_NAMES]
+    total = values[0]
+    for lam, value in zip(weights.lambdas(), values[1:]):
+        total = total + lam * value
+    return total
+
+
 class TestTotals:
     def test_baseline_reduction(self):
-        comps = dict(zip(LOSS_NAMES, [2.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
-        report = loss_total(comps, LossWeights.zeros())
-        assert report["l_total"] == pytest.approx(2.0)
+        comps = tensor_terms([2.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        assert weighted_total(comps, LossWeights.zeros()).item() == pytest.approx(2.0)
 
     def test_default_weights_arithmetic(self):
-        comps = dict(zip(LOSS_NAMES, [1.0] * 6))
-        report = loss_total(comps, LossWeights())
-        assert report["l_total"] == pytest.approx(1001.402)
+        total = weighted_total(tensor_terms([1.0] * 6), LossWeights())
+        assert total.item() == pytest.approx(1001.402)
 
     def test_lambda_doubling_linearity(self):
-        comps = dict(zip(LOSS_NAMES, [0.5, 0.2, 0.3, 0.1, 0.01, 0.4]))
+        comps = tensor_terms([0.5, 0.2, 0.3, 0.1, 0.01, 0.4])
         w = LossWeights()
         doubled = LossWeights(lambda_kd=0.6, lambda_p=0.002, lambda_v=0.002,
                               lambda_c=2000.0, lambda_batch_gd=0.2)
-        a = loss_total(comps, w)
-        b = loss_total(comps, doubled)
-        assert (b["l_total"] - b["l_task"]) == \
-            pytest.approx(2 * (a["l_total"] - a["l_task"]))
+        a = weighted_total(comps, w).item()
+        b = weighted_total(comps, doubled).item()
+        assert b - 0.5 == pytest.approx(2 * (a - 0.5))
 
     def test_report_serialization_fields(self):
-        comps = dict(zip(LOSS_NAMES, [1, 2, 3, 4, 5, 6]))
-        d = loss_total(comps, LossWeights.zeros())
-        assert list(d.keys()) == list(LOSS_NAMES) + ["l_total"]
-        assert all(type(v) is float for v in d.values())
+        # the terms in LOSS_NAMES order, then l_total: a training log
+        # record's order
+        w = LossWeights.zeros()
+        comps = distill_objective(*cli._gradcheck_batch(0, w), w)
+        assert list(comps) == list(LOSS_NAMES) + ["l_total"]
 
     def test_nonfinite_component_named(self):
-        comps = dict(zip(LOSS_NAMES, [1.0, np.nan, 1.0, 1.0, 1.0, 1.0]))
+        comps = tensor_terms([1.0, np.nan, 1.0, 1.0, 1.0, 1.0])
         with pytest.raises(NumericError, match="l_kd"):
-            loss_total(comps, LossWeights())
+            weighted_total(comps, LossWeights())
+
+    def test_every_nonfinite_component_named(self):
+        comps = tensor_terms([np.inf, 1.0, 1.0, 1.0, 1.0, -np.inf])
+        comps["l_kd"] = np.nan                      # a float term is checked too
+        with pytest.raises(NumericError, match="l_task, l_kd, l_batch_gd$"):
+            weighted_total(comps, LossWeights())
+
+    def test_overflowing_sum_names_l_total(self):
+        # every term is finite; lambda_c * l_amra_c is not
+        comps = tensor_terms([1.0, 1.0, 1.0, 1.0, 1e306, 1.0])
+        with pytest.raises(NumericError, match="l_total") as info:
+            weighted_total(comps, LossWeights())
+        assert "l_amra_c" not in str(info.value)
+
+    def test_nonfinite_term_named_by_the_objective(self, monkeypatch):
+        monkeypatch.setattr(losses, "loss_kd", lambda *args, **kwargs: Tensor(np.nan))
+        w = LossWeights()
+        with pytest.raises(NumericError, match="l_kd"):
+            distill_objective(*cli._gradcheck_batch(0, w), w)
+
+    @pytest.mark.parametrize("enabled", [None] + [e for _, e in ABLATION_VARIANTS],
+                             ids=["default"] + [v for v, _ in ABLATION_VARIANTS])
+    def test_objective_total_is_the_float_recombination(self, enabled):
+        # a logged l_total is, bit for bit, the float sum of the logged terms
+        w = LossWeights() if enabled is None else variant_weights(LossWeights(), enabled)
+        comps = distill_objective(*cli._gradcheck_batch(0, w), w)
+        assert comps["l_total"].data.tobytes() \
+            == np.float64(float_recombination(comps, w)).tobytes()
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
@@ -1178,14 +1220,6 @@ class TestTotals:
                           dtype="float32")
         loss_batch_gd([Tensor(m) for m in student], teacher, 0.015)
 
-    def test_weighted_total_matches_report(self):
-        comps = {n: Tensor(np.float64(v))
-                 for n, v in zip(LOSS_NAMES, [0.5, 0.2, 0.3, 0.1, 0.01, 0.4])}
-        w = LossWeights()
-        total = weighted_total(comps, w)
-        report = loss_total({k: v.item() for k, v in comps.items()}, w)
-        assert total.item() == pytest.approx(report["l_total"], rel=1e-12)
-
 
 def composed_weighted_total(comps: dict, weights: LossWeights) -> Tensor:
     """Reference: the recombination as the chain of generic + and * tape ops
@@ -1216,8 +1250,5 @@ class TestWeightedTotalReference:
         assert got.data.tobytes() == want.data.tobytes()
         for g, w in zip(grads, want_grads, strict=True):
             assert g is w is None or g.tobytes() == w.tobytes()
-        # on the floats of the same terms it is a float of the same value
-        floats = {n: float(getattr(v, "data", v)) for n, v in comps.items()}
-        value = weighted_total(floats, weights)
-        assert type(value) is float and value == got.item()
+        assert comps["l_total"].data.tobytes() == got.data.tobytes()
 

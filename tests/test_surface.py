@@ -113,7 +113,7 @@ def test_every_tensor_method_runs_on_a_package_path(monkeypatch):
     student, batch, chosen = cli._gradcheck_batch(0, weights)
     comps = trainer.distill_objective(student, batch, chosen, weights)
     student.zero_grads()
-    losses.weighted_total(comps, weights).backward()
+    comps["l_total"].backward()
     # the noisy evaluation, and a demo that reads losses with item()
     cloud = generate_scene(SceneSpec(n_classes=4, points_per_scene=48, n_scenes=1), 0)
     trainer.evaluate(student, [cloud], 16, noise_tau=0.1)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from srkd import losses, trainer
+from srkd import trainer
 from srkd.autodiff import Tensor, segment_mean
 from srkd.cloud import SceneSpec, generate_scene, resample_fixed
 from srkd.losses import LossWeights, SupervoxelFeatures
@@ -76,7 +76,7 @@ def test_traced_objective_pools_once_per_map_list():
     with tracer.installed(tracer_module.LAYER_TARGETS):
         comps = trainer.distill_objective(
             student, trainer.make_batch(samples, nbrs, teacher, w), chosen, w)
-        losses.weighted_total(comps, w).backward()
+        comps["l_total"].backward()
     assert tracer.calls["losses.supervoxel_features"] == 3
     n_views = sum(len(svs) for svs in chosen)
     amra = {"losses.loss_amra_point": ("point_features",),

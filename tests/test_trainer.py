@@ -12,7 +12,7 @@ import pytest
 from srkd import losses, trainer
 from srkd.autodiff import Tensor, affine, concat_rows
 from srkd.cloud import PointCloud, SceneSpec, generate_scene, resample_fixed
-from srkd.errors import ConfigError, DataError, ShapeError
+from srkd.errors import ConfigError, DataError, NumericError, ShapeError
 from srkd.losses import LOSS_NAMES, LossWeights, weighted_total
 from srkd.models import (SegModel, knn_indices, make_student_from_teacher,
                          make_teacher, save_checkpoint)
@@ -62,6 +62,7 @@ class TestTraining:
         want = {"epoch", "step", "lr", "l_total", *LOSS_NAMES}
         for rec in steps:
             assert set(rec) == want
+            assert all(type(rec[k]) is float for k in (*LOSS_NAMES, "l_total"))
         evals = [r for r in log if "val_miou" in r]
         assert evals
 
@@ -78,6 +79,13 @@ class TestTraining:
                       + w.lambda_c * rec["l_amra_c"]
                       + w.lambda_batch_gd * rec["l_batch_gd"])
             assert rec["l_total"] == pytest.approx(manual, rel=1e-12)
+
+    def test_nonfinite_term_named(self, setup, monkeypatch):
+        # the objective checks its terms before the step backpropagates
+        cfg, data, teacher = setup
+        monkeypatch.setattr(losses, "loss_kd", lambda *args, **kwargs: Tensor(np.nan))
+        with pytest.raises(NumericError, match="l_kd"):
+            train_distill(cfg, teacher, data)
 
     def test_deterministic_checkpoints(self, setup):
         cfg, data, teacher = setup
@@ -215,6 +223,7 @@ def _oracle_objective(model, teacher, samples, nbrs, chosen, w, precision):
         comps["l_batch_gd"] = losses.loss_batch_gd(
             feats, t_feats, w.t_gd, gd_masks, teacher_log_z=t_log_z,
             dtype=precision)
+    comps["l_total"] = weighted_total(comps, w)
     return comps
 
 
@@ -237,9 +246,9 @@ def _objective_inputs(n_fixed):
     return samples, nbrs, chosen, teacher, student
 
 
-def _grads(model, comps, w):
+def _grads(model, comps):
     model.zero_grads()
-    weighted_total(comps, w).backward()
+    comps["l_total"].backward()
     return {k: p.grad.copy() for k, p in model.params.items()}
 
 
@@ -256,7 +265,7 @@ class TestObjective:
                                      precision)
             assert {k: v.item() for k, v in got.items()} \
                 == {k: v.item() for k, v in want.items()}, precision
-            g_got, g_want = _grads(student, got, w), _grads(student, want, w)
+            g_got, g_want = _grads(student, got), _grads(student, want)
             for name in g_want:
                 assert np.array_equal(g_got[name], g_want[name]), (precision, name)
 
@@ -342,7 +351,7 @@ class TestObjective:
         monkeypatch.setattr(student, "project", counted("project", student.project))
         comps = distill_objective(student, batch, chosen, w)
         assert calls == {"pool": pools, "project": projections}
-        weighted_total(comps, w).backward()
+        comps["l_total"].backward()
 
 
 class TestObjectiveThreaded(TestObjective):
@@ -399,7 +408,7 @@ class TestObjectiveTape:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            weighted_total(distill_objective(student, batch, chosen, w), w).backward()
+            distill_objective(student, batch, chosen, w)["l_total"].backward()
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
@@ -457,7 +466,7 @@ class TestObjectiveTape:
                 for item in obj.__defaults__ or ():
                     scan(item, vjp)
 
-        nodes, stack, n_vjps = set(), [weighted_total(comps, w)._node], 0
+        nodes, stack, n_vjps = set(), [comps["l_total"]._node], 0
         while stack:
             node = stack.pop()
             if id(node) not in nodes:
